@@ -1,8 +1,8 @@
-"""Vectorized NumPy fallback for the per-round simulation kernel.
+"""Vectorized NumPy per-round simulation kernel.
 
-Must stay a drop-in replacement for the compiled kernel: both map the
-same uniform-variate block to the same outputs, so a fixed seed gives
-identical round streams whichever backend is active.
+Maps a block of uniform variates to per-round outputs.  The mapping is
+part of the random-stream definition: changing it changes the round
+stream, and with it the tallies, of every seeded run.
 """
 from __future__ import annotations
 

@@ -5,10 +5,11 @@ scans with optional intensity optimization), ``attack`` (beam-splitting
 attack comparison), ``simulate`` (Monte Carlo protocol run from a JSON
 config), ``fock-check`` (truncated-Fock-space self-checks).
 
-The distance-to-transmittance mapping lives here: phase-matching and
-MDI use the per-arm value over half the distance, BB84 and the
-capacity bounds use the full distance.  Exit codes: 0 success,
-1 domain error, 2 usage error, 3 failed statistical/numerical check.
+Sweeps give phase-matching and MDI the per-arm transmittance over
+half the distance, BB84 and the capacity bounds the full distance
+(both from :func:`pmqkd.detection.fiber_transmittance`).  Exit codes:
+0 success, 1 domain error, 2 usage error, 3 failed statistical/numerical
+check.
 """
 from __future__ import annotations
 
@@ -20,8 +21,8 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from . import attacks, backend, baselines, focklab, rate, simcore
-from .detection import ChannelParams, k_photon_clicks
+from . import attacks, baselines, focklab, rate, simcore
+from .detection import ChannelParams, fiber_transmittance, k_photon_clicks
 
 THREADS_ENV = "PMQKD_THREADS"
 
@@ -57,16 +58,6 @@ PRESETS = {
         p_d=7.2e-8, f_ec=1.15, eta_d=0.145, m_slices=16, e_d=0.015, alpha_db_per_km=0.2
     ),
 }
-
-
-def eta_arm_from_distance(distance_km: float, eta_d: float, alpha_db_per_km: float) -> float:
-    """Per-arm transmittance over half the total distance."""
-    return eta_d * 10.0 ** (-alpha_db_per_km * (distance_km / 2.0) / 10.0)
-
-
-def eta_full_from_distance(distance_km: float, eta_d: float, alpha_db_per_km: float) -> float:
-    """End-to-end transmittance, detector efficiency included."""
-    return eta_d * 10.0 ** (-alpha_db_per_km * distance_km / 10.0)
 
 
 def _fmt(x) -> str:
@@ -181,36 +172,18 @@ def cmd_rate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _grid_maximize(f, lo: float, hi: float, n: int = 200) -> tuple[float, float]:
-    xs = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
-    vals = [f(x) for x in xs]
-    best = max(range(n), key=lambda i: vals[i])
-    if vals[best] <= 0.0:
-        return xs[0], 0.0
-    a = xs[max(best - 1, 0)]
-    b = xs[min(best + 1, n - 1)]
-    x_opt, v_opt = rate._golden_max(f, a, b, tol=1e-9 * (hi - lo))
-    if v_opt < vals[best]:
-        return xs[best], vals[best]
-    return x_opt, v_opt
-
-
 def _sweep_point(task) -> dict:
     (value, variable, preset, protocols, optimize, fixed_mu, distance_for_mu) = task
     p_d, f_ec, eta_d, m_slices, e_d, alpha = preset
 
-    if variable == "distance_km":
-        distance = value
-        eta_arm = eta_arm_from_distance(distance, eta_d, alpha)
-        eta_total = eta_full_from_distance(distance, eta_d, alpha)
-    elif variable == "eta":
+    if variable == "eta":
         distance = None
         eta_arm = value
         eta_total = min(value * value / eta_d, 1.0) if eta_d > 0 else value * value
-    elif variable == "mu":
-        distance = distance_for_mu
-        eta_arm = eta_arm_from_distance(distance, eta_d, alpha)
-        eta_total = eta_full_from_distance(distance, eta_d, alpha)
+    elif variable in ("distance_km", "mu"):
+        distance = value if variable == "distance_km" else distance_for_mu
+        eta_arm = fiber_transmittance(distance / 2.0, eta_d, alpha)
+        eta_total = fiber_transmittance(distance, eta_d, alpha)
     else:
         raise ValueError(f"unknown sweep variable {variable!r}")
 
@@ -249,7 +222,7 @@ def _sweep_point(task) -> dict:
         if variable == "mu":
             row["R_bb84"] = bb84_at(value)
         elif optimize:
-            _, r = _grid_maximize(bb84_at, *MU_RANGE)
+            _, r = rate.maximize(bb84_at, *MU_RANGE)
             row["R_bb84"] = r
         else:
             row["R_bb84"] = bb84_at(fixed_mu)
@@ -264,7 +237,7 @@ def _sweep_point(task) -> dict:
         if variable == "mu":
             row["R_mdi"] = mdi_at(value)
         elif optimize:
-            _, r = _grid_maximize(mdi_at, *MU_RANGE)
+            _, r = rate.maximize(mdi_at, *MU_RANGE)
             row["R_mdi"] = r
         else:
             row["R_mdi"] = mdi_at(fixed_mu)
@@ -411,7 +384,6 @@ def cmd_simulate(args) -> int:
     result = simcore.simulate(cfg)
     _write_text(args.output, simcore.tallies_to_csv(result.tallies))
     comparisons = simcore.compare_to_model(result)
-    print(f"backend {backend.active_backend()}")
     print(f"j_d_opt {result.j_d_opt}")
     ok = True
     for c in comparisons:

@@ -8,7 +8,7 @@ All functions are pure and stateless.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 TWO_PI = 2.0 * math.pi
 
@@ -28,6 +28,16 @@ def wrap_phase(phi: float) -> float:
     elif w <= -math.pi:
         w += TWO_PI
     return w
+
+
+def fiber_transmittance(distance_km: float, eta_d: float, alpha_db_per_km: float) -> float:
+    """Transmittance over ``distance_km`` of fiber, detector efficiency included.
+
+    ``eta_d * 10**(-alpha * l / 10)``.  Phase-matching and MDI arms span
+    half the A-B distance, so their per-arm value is this at ``l/2``;
+    BB84 and the capacity bounds use the full distance.
+    """
+    return eta_d * 10.0 ** (-alpha_db_per_km * distance_km / 10.0)
 
 
 @dataclass(frozen=True)
@@ -51,10 +61,10 @@ class ChannelParams:
         _check_prob("eta_arm", self.eta_arm)
         _check_prob("p_d", self.p_d)
         _check_prob("eta_d", self.eta_d)
-        if self.alpha_db_per_km <= 0:
-            raise ValueError("alpha_db_per_km must be positive")
-        if self.distance_km < 0:
-            raise ValueError("distance_km must be nonnegative")
+        if not (0.0 < self.alpha_db_per_km < math.inf):
+            raise ValueError("alpha_db_per_km must be positive and finite")
+        if not (0.0 <= self.distance_km < math.inf):
+            raise ValueError("distance_km must be nonnegative and finite")
 
     @classmethod
     def from_distance(
@@ -67,20 +77,16 @@ class ChannelParams:
     ) -> "ChannelParams":
         """Channel with per-arm transmittance for a total A-B distance.
 
-        Each arm spans half the distance, so
-        ``eta_arm = eta_d * 10**(-alpha * (l/2) / 10)``.
+        Each arm spans half the distance:
+        ``eta_arm = fiber_transmittance(l/2, eta_d, alpha)``.
         """
-        eta_arm = eta_d * 10.0 ** (-alpha_db_per_km * (distance_km / 2.0) / 10.0)
         return cls(
-            eta_arm=eta_arm,
+            eta_arm=fiber_transmittance(distance_km / 2.0, eta_d, alpha_db_per_km),
             p_d=p_d,
             eta_d=eta_d,
             alpha_db_per_km=alpha_db_per_km,
             distance_km=distance_km,
         )
-
-    def with_eta(self, eta_arm: float) -> "ChannelParams":
-        return replace(self, eta_arm=eta_arm)
 
 
 @dataclass(frozen=True)

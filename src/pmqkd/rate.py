@@ -210,6 +210,28 @@ def _golden_max(f, lo: float, hi: float, tol: float = 1e-9) -> tuple[float, floa
     return x, max(fc, fd)
 
 
+def maximize(f, lo: float, hi: float) -> tuple[float, float]:
+    """Deterministic maximization of ``f`` over ``[lo, hi]``.
+
+    Scans a 200-point grid and refines the best bracket by
+    golden-section search, keeping the grid point if the refinement
+    does worse.  Returns ``(x, f(x))``; when ``f <= 0`` on the whole
+    grid it returns ``(lo, 0.0)``.
+    """
+    n_grid = 200
+    xs = [lo + (hi - lo) * i / (n_grid - 1) for i in range(n_grid)]
+    vals = [f(x) for x in xs]
+    best = max(range(n_grid), key=lambda i: vals[i])
+    if vals[best] <= 0.0:
+        return xs[0], 0.0
+    a = xs[max(best - 1, 0)]
+    b = xs[min(best + 1, n_grid - 1)]
+    x_opt, v_opt = _golden_max(f, a, b, tol=1e-9 * (hi - lo))
+    if v_opt < vals[best]:
+        return xs[best], vals[best]
+    return x_opt, v_opt
+
+
 def optimize_mu(
     ch: ChannelParams,
     pm_template: PmParams,
@@ -217,31 +239,19 @@ def optimize_mu(
     *,
     tail: str = "truncated",
 ) -> tuple[float, RateBreakdown]:
-    """Deterministic intensity optimization.
+    """Intensity maximizing the key rate, found by :func:`maximize`.
 
-    Scans a 200-point grid over ``mu_range`` and refines the best
-    bracket by golden-section search.  When the rate vanishes
-    everywhere the smallest grid intensity is returned with rate 0.
+    When the rate vanishes everywhere the smallest grid intensity is
+    returned with rate 0.
     """
     lo, hi = mu_range
     if not (0.0 < lo < hi <= 4.0):
         raise ValueError("mu_range must satisfy 0 < lo < hi <= 4")
-    n_grid = 200
 
     def rate_at(mu: float) -> float:
         return key_rate(ch, _with_mu(pm_template, mu), tail=tail).rate_R
 
-    mus = [lo + (hi - lo) * i / (n_grid - 1) for i in range(n_grid)]
-    vals = [rate_at(m) for m in mus]
-    best = max(range(n_grid), key=lambda i: vals[i])
-    if vals[best] <= 0.0:
-        mu0 = mus[0]
-        return mu0, key_rate(ch, _with_mu(pm_template, mu0), tail=tail)
-    a = mus[max(best - 1, 0)]
-    b = mus[min(best + 1, n_grid - 1)]
-    mu_opt, _ = _golden_max(rate_at, a, b, tol=1e-9 * (hi - lo))
-    if rate_at(mu_opt) < vals[best]:
-        mu_opt = mus[best]
+    mu_opt, _ = maximize(rate_at, lo, hi)
     return mu_opt, key_rate(ch, _with_mu(pm_template, mu_opt), tail=tail)
 
 

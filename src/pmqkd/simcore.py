@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass, field, fields
 from enum import IntEnum
 from typing import Iterator
 
 import numpy as np
 
-from . import backend
+from . import _mckernel_np
 from .detection import ChannelParams
 from .rate import misalignment_e_delta
 
@@ -30,6 +31,9 @@ _ROUND_STREAM = 0
 _SAMPLE_STREAM = 1
 
 MIN_SAMPLED_CLICKS = 100
+
+# Slice indices are int16 and M is even.
+MAX_M_SLICES = 32766
 
 
 class InsufficientSamplesError(ValueError):
@@ -56,6 +60,8 @@ class Phi0Model:
             raise ValueError("phi0 kind must be 'fixed' or 'slow_drift'")
         if self.kind == "fixed" and self.rate_rad_per_round != 0.0:
             raise ValueError("fixed phi0 cannot have a drift rate")
+        if not (math.isfinite(self.value_rad) and math.isfinite(self.rate_rad_per_round)):
+            raise ValueError("phi0 value_rad and rate_rad_per_round must be finite")
 
 
 @dataclass(frozen=True)
@@ -74,14 +80,14 @@ class SimConfig:
             raise ValueError("rounds must be >= 1")
         if not (0 <= self.seed < 2**63):
             raise ValueError("seed must be a nonnegative 63-bit integer")
-        if self.m_slices < 2 or self.m_slices % 2 != 0:
-            raise ValueError("m_slices must be an even integer >= 2")
+        if not (2 <= self.m_slices <= MAX_M_SLICES) or self.m_slices % 2 != 0:
+            raise ValueError(f"m_slices must be an even integer in [2, {MAX_M_SLICES}]")
         if len(self.intensities) == 0:
             raise ValueError("intensities must be nonempty")
         if len(set(self.intensities)) != len(self.intensities):
             raise ValueError("intensities must be distinct")
-        if any(mu < 0 for mu in self.intensities):
-            raise ValueError("intensities must be nonnegative")
+        if not all(0.0 <= mu < math.inf for mu in self.intensities):
+            raise ValueError("intensities must be finite and nonnegative")
         if not (0.0 < self.sample_fraction < 1.0):
             raise ValueError("sample_fraction must be in (0, 1)")
         if self.jd_block_rounds is not None and self.jd_block_rounds < 1:
@@ -91,38 +97,52 @@ class SimConfig:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "SimConfig":
-        ch = doc["channel"]
+        """Parse a config document whose keys are the field names.
+
+        Unknown keys, mistyped values and non-finite numbers raise
+        ValueError naming the key.
+        """
+        doc = _json_object(doc, "config", cls)
+        ch = {
+            k: _json_number(v, f"channel.{k}")
+            for k, v in _json_object(doc["channel"], "channel", ChannelParams).items()
+        }
         if "eta_arm" in ch:
             channel = ChannelParams(
-                eta_arm=float(ch["eta_arm"]),
-                p_d=float(ch["p_d"]),
-                eta_d=float(ch.get("eta_d", 1.0)),
-                alpha_db_per_km=float(ch.get("alpha_db_per_km", 0.2)),
-                distance_km=float(ch.get("distance_km", 0.0)),
+                eta_arm=ch["eta_arm"],
+                p_d=ch["p_d"],
+                eta_d=ch.get("eta_d", 1.0),
+                alpha_db_per_km=ch.get("alpha_db_per_km", 0.2),
+                distance_km=ch.get("distance_km", 0.0),
             )
         else:
             channel = ChannelParams.from_distance(
-                float(ch["distance_km"]),
-                eta_d=float(ch["eta_d"]),
-                p_d=float(ch["p_d"]),
-                alpha_db_per_km=float(ch.get("alpha_db_per_km", 0.2)),
+                ch["distance_km"],
+                eta_d=ch["eta_d"],
+                p_d=ch["p_d"],
+                alpha_db_per_km=ch.get("alpha_db_per_km", 0.2),
             )
-        phi0_doc = doc.get("phi0", {})
+        phi0_doc = _json_object(doc.get("phi0", {}), "phi0", Phi0Model)
         phi0 = Phi0Model(
             kind=phi0_doc.get("kind", "fixed"),
-            value_rad=float(phi0_doc.get("value_rad", 0.0)),
-            rate_rad_per_round=float(phi0_doc.get("rate_rad_per_round", 0.0)),
+            value_rad=_json_number(phi0_doc.get("value_rad", 0.0), "phi0.value_rad"),
+            rate_rad_per_round=_json_number(
+                phi0_doc.get("rate_rad_per_round", 0.0), "phi0.rate_rad_per_round"
+            ),
         )
+        mus = doc["intensities"]
+        if not isinstance(mus, list):
+            raise ValueError(f"intensities must be a list of numbers, got {mus!r}")
         blk = doc.get("jd_block_rounds")
         return cls(
-            rounds=int(doc["rounds"]),
-            seed=int(doc["seed"]),
-            m_slices=int(doc["m_slices"]),
-            intensities=tuple(float(m) for m in doc["intensities"]),
+            rounds=_json_integer(doc["rounds"], "rounds"),
+            seed=_json_integer(doc["seed"], "seed"),
+            m_slices=_json_integer(doc["m_slices"], "m_slices"),
+            intensities=tuple(_json_number(m, f"intensities[{i}]") for i, m in enumerate(mus)),
             channel=channel,
-            sample_fraction=float(doc.get("sample_fraction", 0.1)),
+            sample_fraction=_json_number(doc.get("sample_fraction", 0.1), "sample_fraction"),
             phi0=phi0,
-            jd_block_rounds=int(blk) if blk is not None else None,
+            jd_block_rounds=None if blk is None else _json_integer(blk, "jd_block_rounds"),
         )
 
     @classmethod
@@ -153,16 +173,34 @@ class SimConfig:
         }
 
 
-@dataclass(frozen=True)
-class RoundRecord:
-    kappa_a: int
-    kappa_b: int
-    phi_a: float
-    phi_b: float
-    j_a: int
-    j_b: int
-    mu_used: float
-    outcome: Outcome
+def _json_object(doc, name: str, schema) -> dict:
+    """``doc`` itself, checked to be a JSON object whose keys are fields of ``schema``."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{name} must be a JSON object, got {doc!r}")
+    unknown = sorted(set(doc) - {f.name for f in fields(schema)})
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r} in {name}")
+    return doc
+
+
+def _json_number(value, name: str) -> float:
+    """A finite JSON number as a float; booleans, null and strings are rejected."""
+    if (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and -sys.float_info.max <= value <= sys.float_info.max
+    ):
+        return float(value)
+    raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
+def _json_integer(value, name: str) -> int:
+    """A JSON integer; an integral float such as 1e6 is accepted."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass
@@ -203,10 +241,6 @@ def _block_rng(seed: int, block_index: int) -> np.random.Generator:
     )
 
 
-def _sample_rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, _SAMPLE_STREAM])))
-
-
 def run_blocks(cfg: SimConfig) -> Iterator[RoundData]:
     """Yield successive round blocks; layout is fixed by (seed, config)."""
     intensities = np.asarray(cfg.intensities, dtype=np.float64)
@@ -226,7 +260,7 @@ def run_blocks(cfg: SimConfig) -> Iterator[RoundData]:
             phi_a=np.empty(n, dtype=np.float64),
             phi_b=np.empty(n, dtype=np.float64),
         )
-        backend.simulate_block(
+        _mckernel_np.simulate_block(
             u,
             cfg.channel.eta_arm,
             cfg.channel.p_d,
@@ -263,23 +297,6 @@ def collect_rounds(cfg: SimConfig) -> RoundData:
         phi_a=np.concatenate([b.phi_a for b in blocks]),
         phi_b=np.concatenate([b.phi_b for b in blocks]),
     )
-
-
-def run_rounds(cfg: SimConfig) -> Iterator[RoundRecord]:
-    """Per-round record stream (convenience view of :func:`run_blocks`)."""
-    for block in run_blocks(cfg):
-        mus = np.asarray(cfg.intensities)[block.mu_idx]
-        for i in range(len(block)):
-            yield RoundRecord(
-                kappa_a=int(block.kappa_a[i]),
-                kappa_b=int(block.kappa_b[i]),
-                phi_a=float(block.phi_a[i]),
-                phi_b=float(block.phi_b[i]),
-                j_a=int(block.j_a[i]),
-                j_b=int(block.j_b[i]),
-                mu_used=float(mus[i]),
-                outcome=Outcome(int(block.outcome[i])),
-            )
 
 
 # ---------------------------------------------------------------------------

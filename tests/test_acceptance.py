@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from pmqkd import backend
 from pmqkd.attacks import bs_attack, find_gllp_violation, gllp_rate_under_bs, pm_rate_under_bs
 from pmqkd.cli import PRESETS, run_sweep
 from pmqkd.decoy import decoy_estimate
@@ -221,8 +220,7 @@ def test_criterion_8_monte_carlo_consistency():
     report(
         8,
         ok,
-        f"{'; '.join(details)} (all |z| < 4); runtime {elapsed:.1f} s (< 60 s) "
-        f"[backend: {backend.active_backend()}]",
+        f"{'; '.join(details)} (all |z| < 4); runtime {elapsed:.1f} s (< 60 s)",
     )
 
 

@@ -226,6 +226,28 @@ def test_simulate_missing_file(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "overrides, named",
+    [
+        ({"m_slices": 40000}, "m_slices"),
+        ({"rounds": None}, "rounds"),
+        ({"intensities": 0.5}, "intensities"),
+        ({"phi0": {"kind": "fixed", "value_rad": float("nan")}}, "phi0.value_rad"),
+        ({"jd_block_round": 500}, "'jd_block_round'"),
+        ({"channel": {"eta_arm": 0.1, "p_d": 7.2e-8, "pd": 0.0}}, "'pd'"),
+        ({"phi0": {"kind": "fixed", "value": 0.1}}, "'value'"),
+    ],
+    ids=["m_slices_40000", "rounds_null", "scalar_intensities", "nan_phi0",
+         "unknown_key", "unknown_channel_key", "unknown_phi0_key"],
+)
+def test_simulate_bad_config_is_one_line_error(tmp_path, capsys, overrides, named):
+    code, out, err = run_cli(["simulate", str(_sim_config(tmp_path, **overrides))], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err
+
+
 # --- fock-check ----------------------------------------------------------------------
 
 
@@ -239,14 +261,3 @@ def test_fock_check_passes(capsys):
 def test_fock_check_cutoff_precondition(capsys):
     code, _, err = run_cli(["fock-check", "--max-k", "9", "--cutoff", "8"], capsys)
     assert code == 2
-
-
-# --- mappings ---------------------------------------------------------------------
-
-
-def test_distance_mappings():
-    assert cli.eta_arm_from_distance(300, 0.145, 0.2) == pytest.approx(1.45e-4, rel=1e-12)
-    assert cli.eta_full_from_distance(300, 0.145, 0.2) == pytest.approx(1.45e-7, rel=1e-12)
-    arm = cli.eta_arm_from_distance(123, 0.145, 0.2)
-    full = cli.eta_full_from_distance(123, 0.145, 0.2)
-    assert arm * arm / 0.145 == pytest.approx(full, rel=1e-12)

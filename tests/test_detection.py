@@ -11,6 +11,7 @@ from pmqkd.detection import (
     PhaseGeometry,
     binary_entropy,
     coherent_clicks,
+    fiber_transmittance,
     k_photon_clicks,
     phase_diff_pdf,
     single_photon_clicks,
@@ -331,6 +332,20 @@ def test_channel_params_validation_and_distance():
         ChannelParams(eta_arm=1.5, p_d=0.0)
     with pytest.raises(ValueError):
         ChannelParams(eta_arm=0.5, p_d=-1e-9)
+    with pytest.raises(ValueError):
+        ChannelParams(eta_arm=0.5, p_d=0.0, alpha_db_per_km=math.nan)
+    with pytest.raises(ValueError):
+        ChannelParams(eta_arm=0.5, p_d=0.0, distance_km=math.inf)
+
+
+def test_distance_mappings():
+    arm_300 = ChannelParams.from_distance(300, eta_d=0.145, p_d=0.0).eta_arm
+    assert arm_300 == pytest.approx(1.45e-4, rel=1e-12)
+    assert fiber_transmittance(300, 0.145, 0.2) == pytest.approx(1.45e-7, rel=1e-12)
+    arm = ChannelParams.from_distance(123, eta_d=0.145, p_d=0.0).eta_arm
+    full = fiber_transmittance(123, 0.145, 0.2)
+    assert arm == fiber_transmittance(61.5, 0.145, 0.2)
+    assert arm * arm / 0.145 == pytest.approx(full, rel=1e-12)
 
 
 def test_click_probs_invariants_enforced():

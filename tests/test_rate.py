@@ -10,6 +10,7 @@ from pmqkd.rate import (
     bit_error_k,
     gain,
     key_rate,
+    maximize,
     misalignment_e_delta,
     odd_fraction,
     optimize_mu,
@@ -366,6 +367,17 @@ def test_optimize_mu_dead_channel_returns_grid_minimum():
     mu_opt, bd = optimize_mu(c, PmParams(mu_total=0.5), (0.01, 2.0))
     assert mu_opt == pytest.approx(0.01)
     assert bd.rate_R == 0.0
+
+
+def test_maximize_finds_interior_peak():
+    x, fx = maximize(lambda x: 1.0 - (x - 1.3) ** 2, 0.0, 2.0)
+    assert x == pytest.approx(1.3, abs=1e-6)
+    assert fx == 1.0 - (x - 1.3) ** 2
+
+
+def test_maximize_nonpositive_returns_lower_end():
+    assert maximize(lambda x: -x, 0.25, 2.0) == (0.25, 0.0)
+    assert maximize(lambda x: 0.0, 0.01, 2.0) == (0.01, 0.0)
 
 
 def test_params_validation():

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from pmqkd import backend
 from pmqkd.detection import ChannelParams
 from pmqkd.simcore import (
+    MAX_M_SLICES,
     InsufficientSamplesError,
     Outcome,
     Phi0Model,
@@ -14,7 +14,6 @@ from pmqkd.simcore import (
     collect_rounds,
     compare_to_model,
     postcompensate,
-    run_rounds,
     sift,
     simulate,
     tallies_to_csv,
@@ -52,28 +51,6 @@ def test_csv_byte_identical_across_runs():
     csv1 = tallies_to_csv(simulate(cfg).tallies)
     csv2 = tallies_to_csv(simulate(cfg).tallies)
     assert csv1 == csv2
-
-
-@pytest.mark.skipif(not backend.HAVE_COMPILED, reason="compiled kernel not built")
-def test_backends_agree():
-    cfg = base_config(rounds=300_000, intensities=(0.2, 0.5), seed=99)
-    backend.set_backend("compiled")
-    try:
-        res_c = simulate(cfg)
-    finally:
-        backend.set_backend("numpy")
-    try:
-        res_n = simulate(cfg)
-    finally:
-        backend.set_backend("compiled" if backend.HAVE_COMPILED else "numpy")
-    for tc, tn in zip(res_c.tallies, res_n.tallies):
-        assert (tc.emitted, tc.clicked_single, tc.sifted, tc.errors) == (
-            tn.emitted,
-            tn.clicked_single,
-            tn.sifted,
-            tn.errors,
-        )
-    assert res_c.j_d_opt == res_n.j_d_opt
 
 
 def test_block_partition_invariant():
@@ -118,18 +95,13 @@ def test_sifted_fraction_two_over_m():
     assert abs(frac - expect) < 4 * se
 
 
-def test_run_rounds_matches_blocks():
-    cfg = base_config(rounds=500)
-    records = list(run_rounds(cfg))
-    data = collect_rounds(cfg)
-    assert len(records) == 500
-    for i in (0, 123, 499):
-        r = records[i]
-        assert r.kappa_a == data.kappa_a[i]
-        assert r.outcome == Outcome(int(data.outcome[i]))
-        assert r.j_a == data.j_a[i]
-        assert r.mu_used == cfg.intensities[data.mu_idx[i]]
-        assert r.j_a == int(math.floor(r.phi_a * cfg.m_slices / (2 * PI) + 0.5)) % cfg.m_slices
+def test_slice_indices_round_the_phases():
+    for m in (2, 16, 30, MAX_M_SLICES):
+        cfg = base_config(rounds=20_000, m_slices=m)
+        data = collect_rounds(cfg)
+        for j, phi in ((data.j_a, data.phi_a), (data.j_b, data.phi_b)):
+            expect = np.floor(phi * m / (2 * PI) + 0.5).astype(np.int64) % m
+            assert np.array_equal(j, expect)
 
 
 # --- sifting rules ------------------------------------------------------------------
@@ -338,6 +310,15 @@ def test_config_from_distance_json():
     assert cfg.channel.eta_arm == pytest.approx(0.145 * 10 ** (-0.2 * 100 / 10))
 
 
+def test_config_json_types():
+    doc = base_config(rounds=1000).to_json_dict()
+    assert SimConfig.from_json_dict(dict(doc, rounds=1e3)).rounds == 1000
+    for key, bad in (("rounds", 2.5), ("seed", True), ("seed", "7"), ("sample_fraction", None),
+                     ("channel", [0.1]), ("phi0", None), ("intensities", ["0.5"])):
+        with pytest.raises(ValueError, match=key):
+            SimConfig.from_json_dict(dict(doc, **{key: bad}))
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         base_config(rounds=0)
@@ -349,5 +330,15 @@ def test_config_validation():
         base_config(sample_fraction=1.0)
     with pytest.raises(ValueError):
         base_config(m_slices=9)
+    with pytest.raises(ValueError):
+        base_config(m_slices=MAX_M_SLICES + 2)
+    with pytest.raises(ValueError):
+        base_config(intensities=(0.5, math.nan))
+    with pytest.raises(ValueError):
+        base_config(intensities=(math.inf,))
+    with pytest.raises(ValueError):
+        Phi0Model("fixed", math.nan)
+    with pytest.raises(ValueError):
+        Phi0Model("slow_drift", 0.0, math.inf)
     with pytest.raises(ValueError):
         Phi0Model("fixed", 0.0, 1e-6)
