@@ -96,16 +96,42 @@ def _apply_preset(args) -> None:
             setattr(args, name, value)
 
 
+# ``rate --config`` keys and the flag each one fills when the flag is not given.
+RATE_CONFIG_FLAGS = {
+    "distance_km": "distance",
+    "eta_arm": "eta",
+    "mu": "mu",
+    "p_d": "p_d",
+    "eta_d": "eta_d",
+    "m_slices": "m_slices",
+    "f_ec": "f_ec",
+    "alpha_db_per_km": "alpha",
+    "preset": "preset",
+}
+
+
+def _read_rate_config(path: str) -> dict:
+    """``rate --config`` document with every value checked, keyed by flag."""
+    with open(path, "r", encoding="utf-8") as f:
+        doc = simcore._json_object(json.load(f), "config", RATE_CONFIG_FLAGS)
+    values = {}
+    for key, value in doc.items():
+        if key == "preset":
+            if value not in sorted(PRESETS):  # a list: an unhashable value is not in it
+                raise ValueError(f"preset must be one of {sorted(PRESETS)}, got {value!r}")
+        elif key == "m_slices":
+            value = simcore._json_integer(value, key)
+        else:
+            value = simcore._json_number(value, key)
+        values[RATE_CONFIG_FLAGS[key]] = value
+    return values
+
+
 def _resolve_rate_args(args) -> tuple[ChannelParams, rate.PmParams, float | None]:
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as f:
-            doc = json.load(f)
-        for key in ("distance_km", "eta_arm", "mu", "p_d", "eta_d", "m_slices", "f_ec",
-                    "alpha_db_per_km", "preset"):
-            flag = {"distance_km": "distance", "eta_arm": "eta",
-                    "alpha_db_per_km": "alpha"}.get(key, key)
-            if getattr(args, flag, None) is None and key in doc:
-                setattr(args, flag, doc[key])
+        for flag, value in _read_rate_config(args.config).items():
+            if getattr(args, flag) is None:
+                setattr(args, flag, value)
     _apply_preset(args)
     if args.mu is None:
         raise ValueError("an intensity --mu is required")

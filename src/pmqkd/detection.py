@@ -20,6 +20,13 @@ def _check_prob(name: str, value: float) -> None:
         raise ValueError(f"{name} must be in [0, 1], got {value!r}")
 
 
+def _check_fiber(alpha_db_per_km: float, distance_km: float) -> None:
+    if not (0.0 < alpha_db_per_km < math.inf):
+        raise ValueError(f"alpha_db_per_km must be positive and finite, got {alpha_db_per_km!r}")
+    if not (0.0 <= distance_km < math.inf):
+        raise ValueError(f"distance_km must be nonnegative and finite, got {distance_km!r}")
+
+
 def wrap_phase(phi: float) -> float:
     """Wrap an angle to (-pi, pi]."""
     w = math.fmod(phi, TWO_PI)
@@ -35,8 +42,11 @@ def fiber_transmittance(distance_km: float, eta_d: float, alpha_db_per_km: float
 
     ``eta_d * 10**(-alpha * l / 10)``.  Phase-matching and MDI arms span
     half the A-B distance, so their per-arm value is this at ``l/2``;
-    BB84 and the capacity bounds use the full distance.
+    BB84 and the capacity bounds use the full distance.  The inputs are
+    checked first, so a bad one is named rather than the transmittance.
     """
+    _check_prob("eta_d", eta_d)
+    _check_fiber(alpha_db_per_km, distance_km)
     return eta_d * 10.0 ** (-alpha_db_per_km * distance_km / 10.0)
 
 
@@ -61,10 +71,7 @@ class ChannelParams:
         _check_prob("eta_arm", self.eta_arm)
         _check_prob("p_d", self.p_d)
         _check_prob("eta_d", self.eta_d)
-        if not (0.0 < self.alpha_db_per_km < math.inf):
-            raise ValueError("alpha_db_per_km must be positive and finite")
-        if not (0.0 <= self.distance_km < math.inf):
-            raise ValueError("distance_km must be nonnegative and finite")
+        _check_fiber(self.alpha_db_per_km, self.distance_km)
 
     @classmethod
     def from_distance(
@@ -80,6 +87,7 @@ class ChannelParams:
         Each arm spans half the distance:
         ``eta_arm = fiber_transmittance(l/2, eta_d, alpha)``.
         """
+        _check_fiber(alpha_db_per_km, distance_km)  # name the total distance, not l/2
         return cls(
             eta_arm=fiber_transmittance(distance_km / 2.0, eta_d, alpha_db_per_km),
             p_d=p_d,

@@ -57,6 +57,20 @@ class RateBreakdown:
     rate_R: float
 
 
+# Each formula lives in one private function that takes the intermediates
+# it needs (``x = eta*mu`` the received intensity, ``loss = 1-eta``,
+# ``loss_k = loss**k``, ``y`` a yield, ``q`` the gain); ``key_rate``
+# computes every intermediate once and feeds them through, and the public
+# helpers are thin wrappers over the same functions, so both paths give
+# bit-identical results.
+
+
+def _yield(k: int, p_d: float, loss_k: float) -> float:
+    if k == 0:
+        return 2.0 * p_d
+    return 1.0 - (1.0 - 2.0 * p_d) * loss_k
+
+
 def yield_k(k: int, ch: ChannelParams) -> float:
     """Click yield of a k-photon input: 1 - (1-2*p_d)*(1-eta)^k.
 
@@ -65,14 +79,16 @@ def yield_k(k: int, ch: ChannelParams) -> float:
     """
     if k < 0:
         raise ValueError("photon number must be nonnegative")
-    if k == 0:
-        return 2.0 * ch.p_d
-    return 1.0 - (1.0 - 2.0 * ch.p_d) * (1.0 - ch.eta_arm) ** k
+    return _yield(k, ch.p_d, (1.0 - ch.eta_arm) ** k)
+
+
+def _gain(p_d: float, x: float) -> float:
+    return 1.0 - (1.0 - 2.0 * p_d) * math.exp(-x)
 
 
 def gain(ch: ChannelParams, pm: PmParams) -> float:
     """Probability of an exactly-one-detector click per round."""
-    return 1.0 - (1.0 - 2.0 * ch.p_d) * math.exp(-pm.mu_total * ch.eta_arm)
+    return _gain(ch.p_d, ch.eta_arm * pm.mu_total)
 
 
 def misalignment_e_delta(m_slices) -> float:
@@ -88,6 +104,12 @@ def misalignment_e_delta(m_slices) -> float:
     return x - (m_slices / math.pi) ** 2 * math.sin(x) ** 3
 
 
+def _bit_error(p_d: float, loss_k: float, y: float, e_delta: float) -> float:
+    if y <= 0.0:
+        return 0.5
+    return (p_d * loss_k + e_delta * (1.0 - loss_k)) / y
+
+
 def bit_error_k(k: int, ch: ChannelParams, m_slices) -> float:
     """Bit error rate of the k-photon component.
 
@@ -97,56 +119,48 @@ def bit_error_k(k: int, ch: ChannelParams, m_slices) -> float:
     """
     if k < 0:
         raise ValueError("photon number must be nonnegative")
-    y = yield_k(k, ch)
-    if y <= 0.0:
-        return 0.5
-    e_delta = misalignment_e_delta(m_slices)
     loss_k = (1.0 - ch.eta_arm) ** k
-    return (ch.p_d * loss_k + e_delta * (1.0 - loss_k)) / y
+    y = _yield(k, ch.p_d, loss_k)
+    return _bit_error(ch.p_d, loss_k, y, misalignment_e_delta(m_slices))
+
+
+def _qber(q: float, p_d: float, x: float, e_delta: float) -> float:
+    if q <= 0.0:
+        return 0.5
+    val = (p_d + x * e_delta) * math.exp(-x) / q
+    return min(max(val, 0.0), 0.5)
 
 
 def qber(ch: ChannelParams, pm: PmParams) -> float:
     """Quantum bit error rate (p_d + eta*mu*e_delta)*exp(-eta*mu)/Q."""
-    q = gain(ch, pm)
-    if q <= 0.0:
-        return 0.5
-    e_delta = misalignment_e_delta(pm.m_slices)
     x = ch.eta_arm * pm.mu_total
-    val = (ch.p_d + x * e_delta) * math.exp(-x) / q
-    return min(max(val, 0.0), 0.5)
+    return _qber(_gain(ch.p_d, x), ch.p_d, x, misalignment_e_delta(pm.m_slices))
+
+
+def _fraction(k: int, y: float, mu: float, q: float) -> float:
+    if q <= 0.0:
+        return 0.0
+    return y * mu**k * math.exp(-mu) / (math.factorial(k) * q)
 
 
 def photon_fraction(k: int, ch: ChannelParams, pm: PmParams) -> float:
     """Fraction q_k of detected signal attributed to k-photon inputs."""
-    if k < 0:
-        raise ValueError("photon number must be nonnegative")
-    q = gain(ch, pm)
+    return _fraction(k, yield_k(k, ch), pm.mu_total, gain(ch, pm))
+
+
+def _odd_fraction(q: float, p_d: float, loss: float, mu: float) -> float:
     if q <= 0.0:
         return 0.0
-    mu = pm.mu_total
-    return yield_k(k, ch) * mu**k * math.exp(-mu) / (math.factorial(k) * q)
+    num = math.sinh(mu) - (1.0 - 2.0 * p_d) * math.sinh(loss * mu)
+    return math.exp(-mu) * num / q
 
 
 def odd_fraction(ch: ChannelParams, pm: PmParams) -> float:
     """Closed-form sum of all odd-order fractions q_1 + q_3 + ..."""
-    q = gain(ch, pm)
-    if q <= 0.0:
-        return 0.0
-    mu = pm.mu_total
-    num = math.sinh(mu) - (1.0 - 2.0 * ch.p_d) * math.sinh((1.0 - ch.eta_arm) * mu)
-    return math.exp(-mu) * num / q
+    return _odd_fraction(gain(ch, pm), ch.p_d, 1.0 - ch.eta_arm, pm.mu_total)
 
 
-def phase_error_bound(ch: ChannelParams, pm: PmParams, *, tail: str = "truncated") -> float:
-    """Upper bound on the phase error rate, clamped to [0, 0.5].
-
-    ``tail="truncated"`` charges everything beyond the kept orders as
-    full error (1 - q_0 - q_1 - q_3 - q_5).  ``tail="odd"`` uses the
-    closed-form odd-fraction sum for the tail instead, which is tighter.
-    """
-    q0 = photon_fraction(0, ch, pm)
-    odd_qs = [photon_fraction(k, ch, pm) for k in pm.odd_orders]
-    odd_es = [bit_error_k(k, ch, pm.m_slices) for k in pm.odd_orders]
+def _phase_error(q0: float, odd_qs, odd_es, q_odd: float, tail: str) -> float:
     # accumulation order mirrors the reference expression for parity
     ex = q0 * 0.5
     for q, e in zip(odd_qs, odd_es):
@@ -156,11 +170,28 @@ def phase_error_bound(ch: ChannelParams, pm: PmParams, *, tail: str = "truncated
         for q in odd_qs:
             tail_term = tail_term - q
     elif tail == "odd":
-        tail_term = 1.0 - q0 - odd_fraction(ch, pm)
+        tail_term = 1.0 - q0 - q_odd
     else:
         raise ValueError(f"unknown tail mode {tail!r}")
     ex = ex + tail_term
     return min(max(ex, 0.0), 0.5)
+
+
+def phase_error_bound(ch: ChannelParams, pm: PmParams, *, tail: str = "truncated") -> float:
+    """Upper bound on the phase error rate, clamped to [0, 0.5].
+
+    ``tail="truncated"`` charges everything beyond the kept orders as
+    full error (1 - q_0 - q_1 - q_3 - q_5).  ``tail="odd"`` uses the
+    closed-form odd-fraction sum for the tail instead, which is tighter.
+    """
+    odd = pm.odd_orders
+    return _phase_error(
+        photon_fraction(0, ch, pm),
+        [photon_fraction(k, ch, pm) for k in odd],
+        [bit_error_k(k, ch, pm.m_slices) for k in odd],
+        odd_fraction(ch, pm),
+        tail,
+    )
 
 
 def key_rate(ch: ChannelParams, pm: PmParams, *, tail: str = "truncated") -> RateBreakdown:
@@ -168,24 +199,31 @@ def key_rate(ch: ChannelParams, pm: PmParams, *, tail: str = "truncated") -> Rat
 
     Negative bracket values are floored to rate 0.
     """
-    q = gain(ch, pm)
-    ez = qber(ch, pm)
-    ex = phase_error_bound(ch, pm, tail=tail)
-    fractions = {0: photon_fraction(0, ch, pm)}
-    bit_errors = {0: bit_error_k(0, ch, pm.m_slices)}
-    for k in pm.odd_orders:
-        fractions[k] = photon_fraction(k, ch, pm)
-        bit_errors[k] = bit_error_k(k, ch, pm.m_slices)
+    p_d, mu, m = ch.p_d, pm.mu_total, pm.m_slices
+    x = ch.eta_arm * mu
+    loss = 1.0 - ch.eta_arm
+    e_delta = misalignment_e_delta(m)
+    q = _gain(p_d, x)
+    orders = (0, *pm.odd_orders)
+    qs, es = [], []
+    for k in orders:
+        loss_k = loss**k
+        y = _yield(k, p_d, loss_k)
+        qs.append(_fraction(k, y, mu, q))
+        es.append(_bit_error(p_d, loss_k, y, e_delta))
+    q_odd = _odd_fraction(q, p_d, loss, mu)
+    ez = _qber(q, p_d, x, e_delta)
+    ex = _phase_error(qs[0], qs[1:], es[1:], q_odd, tail)
     bracket = -pm.f_ec * binary_entropy(ez) + 1.0 - binary_entropy(ex)
-    rate = max((2.0 / pm.m_slices) * q * bracket, 0.0)
+    rate = max((2.0 / m) * q * bracket, 0.0)
     return RateBreakdown(
         gain_Q=q,
         qber_Z=ez,
         phase_err_X=ex,
-        fractions=fractions,
-        q_odd=odd_fraction(ch, pm),
-        bit_errors=bit_errors,
-        e_delta=misalignment_e_delta(pm.m_slices),
+        fractions=dict(zip(orders, qs)),
+        q_odd=q_odd,
+        bit_errors=dict(zip(orders, es)),
+        e_delta=e_delta,
         rate_R=rate,
     )
 

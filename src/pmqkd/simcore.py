@@ -102,27 +102,29 @@ class SimConfig:
         Unknown keys, mistyped values and non-finite numbers raise
         ValueError naming the key.
         """
-        doc = _json_object(doc, "config", cls)
+        doc = _json_object(doc, "config", _field_names(cls))
+        ch_doc = _json_required(doc, "channel", "config")
         ch = {
             k: _json_number(v, f"channel.{k}")
-            for k, v in _json_object(doc["channel"], "channel", ChannelParams).items()
+            for k, v in _json_object(ch_doc, "channel", _field_names(ChannelParams)).items()
         }
+        p_d = _json_required(ch, "p_d", "channel")
         if "eta_arm" in ch:
             channel = ChannelParams(
                 eta_arm=ch["eta_arm"],
-                p_d=ch["p_d"],
+                p_d=p_d,
                 eta_d=ch.get("eta_d", 1.0),
                 alpha_db_per_km=ch.get("alpha_db_per_km", 0.2),
                 distance_km=ch.get("distance_km", 0.0),
             )
         else:
             channel = ChannelParams.from_distance(
-                ch["distance_km"],
-                eta_d=ch["eta_d"],
-                p_d=ch["p_d"],
+                _json_required(ch, "distance_km", "channel"),
+                eta_d=_json_required(ch, "eta_d", "channel"),
+                p_d=p_d,
                 alpha_db_per_km=ch.get("alpha_db_per_km", 0.2),
             )
-        phi0_doc = _json_object(doc.get("phi0", {}), "phi0", Phi0Model)
+        phi0_doc = _json_object(doc.get("phi0", {}), "phi0", _field_names(Phi0Model))
         phi0 = Phi0Model(
             kind=phi0_doc.get("kind", "fixed"),
             value_rad=_json_number(phi0_doc.get("value_rad", 0.0), "phi0.value_rad"),
@@ -130,14 +132,14 @@ class SimConfig:
                 phi0_doc.get("rate_rad_per_round", 0.0), "phi0.rate_rad_per_round"
             ),
         )
-        mus = doc["intensities"]
+        mus = _json_required(doc, "intensities", "config")
         if not isinstance(mus, list):
             raise ValueError(f"intensities must be a list of numbers, got {mus!r}")
         blk = doc.get("jd_block_rounds")
         return cls(
-            rounds=_json_integer(doc["rounds"], "rounds"),
-            seed=_json_integer(doc["seed"], "seed"),
-            m_slices=_json_integer(doc["m_slices"], "m_slices"),
+            rounds=_json_integer(_json_required(doc, "rounds", "config"), "rounds"),
+            seed=_json_integer(_json_required(doc, "seed", "config"), "seed"),
+            m_slices=_json_integer(_json_required(doc, "m_slices", "config"), "m_slices"),
             intensities=tuple(_json_number(m, f"intensities[{i}]") for i, m in enumerate(mus)),
             channel=channel,
             sample_fraction=_json_number(doc.get("sample_fraction", 0.1), "sample_fraction"),
@@ -173,14 +175,25 @@ class SimConfig:
         }
 
 
-def _json_object(doc, name: str, schema) -> dict:
-    """``doc`` itself, checked to be a JSON object whose keys are fields of ``schema``."""
+def _field_names(schema) -> set[str]:
+    return {f.name for f in fields(schema)}
+
+
+def _json_object(doc, name: str, keys) -> dict:
+    """``doc`` itself, checked to be a JSON object whose keys are all in ``keys``."""
     if not isinstance(doc, dict):
         raise ValueError(f"{name} must be a JSON object, got {doc!r}")
-    unknown = sorted(set(doc) - {f.name for f in fields(schema)})
+    unknown = sorted(set(doc).difference(keys))
     if unknown:
         raise ValueError(f"unknown key {unknown[0]!r} in {name}")
     return doc
+
+
+def _json_required(doc: dict, key: str, name: str):
+    """``doc[key]``; a missing key raises ValueError naming it and ``name``."""
+    if key not in doc:
+        raise ValueError(f"missing key {key!r} in {name}")
+    return doc[key]
 
 
 def _json_number(value, name: str) -> float:

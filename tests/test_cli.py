@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -54,6 +55,52 @@ def test_rate_config_equals_flags(tmp_path, capsys):
     )
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+@pytest.mark.parametrize(
+    "config, named",
+    [
+        ({"distance_km": 100, "mu": [0.3]}, "mu"),
+        ({"distance_km": 100, "mu": 0.3, "m_slice": 8}, "'m_slice'"),
+        ({"distance_km": 100, "mu": 0.3, "m_slices": 8.5}, "m_slices"),
+        ({"distance_km": "100", "mu": 0.3}, "distance_km"),
+        ({"eta_arm": None, "mu": 0.3}, "eta_arm"),
+        ({"distance_km": 100, "mu": 0.3, "p_d": True}, "p_d"),
+        ({"distance_km": 100, "mu": math.nan}, "mu"),
+        ({"distance_km": 100, "mu": 0.3, "alpha_db_per_km": math.inf}, "alpha_db_per_km"),
+        ({"distance_km": 100, "mu": 0.3, "preset": ["fig3b"]}, "preset"),
+        ({"distance_km": 100, "mu": 0.3, "preset": "fig9"}, "preset"),
+        ([100, 0.3], "config"),
+    ],
+    ids=["list_mu", "unknown_key", "fractional_m_slices", "string_distance", "null_eta",
+         "bool_p_d", "nan_mu", "inf_alpha", "list_preset", "unknown_preset", "not_object"],
+)
+def test_rate_bad_config_is_one_line_error(tmp_path, capsys, config, named):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run_cli(["rate", "--config", str(path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["--distance", "100", "--alpha", "nan"], "alpha_db_per_km"),
+        (["--distance", "100", "--alpha=-1e10"], "alpha_db_per_km"),
+        (["--distance", "-10"], "distance_km"),
+        (["--distance", "inf"], "distance_km"),
+        (["--distance", "100", "--eta-d", "nan"], "eta_d"),
+    ],
+    ids=["nan_alpha", "huge_negative_alpha", "negative_distance", "inf_distance", "nan_eta_d"],
+)
+def test_rate_bad_fiber_flag_is_named(capsys, argv, named):
+    code, out, err = run_cli(["rate", "--mu", "0.3", *argv], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {named} ") and err.count("\n") == 1
 
 
 def test_rate_missing_mu_is_domain_error(capsys):
@@ -111,6 +158,29 @@ def test_sweep_deterministic(tmp_path, capsys):
     code2, out2, _ = run_cli(args, capsys)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+GOLDEN_SWEEP = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "sweep_fig3b.csv"
+
+
+def test_sweep_fig3b_rows_match_golden(tmp_path, capsys):
+    # every 25th row of the recorded 0-500 km Fig. 3b sweep, byte for byte
+    out_file = tmp_path / "sweep.csv"
+    code, _, _ = run_cli(
+        [
+            "sweep", "--preset", "fig3b", "--start", "0", "--stop", "500", "--step", "25",
+            "--optimize-mu", "--output", str(out_file),
+        ],
+        capsys,
+    )
+    assert code == 0
+    header, *rows = out_file.read_text().splitlines()
+    golden_header, *golden_rows = GOLDEN_SWEEP.read_text().splitlines()
+    assert header == golden_header
+    golden = {row.split(",", 1)[0]: row for row in golden_rows}
+    assert len(rows) == 21
+    for row in rows:
+        assert row == golden[row.split(",", 1)[0]]
 
 
 def test_sweep_eta_variable(capsys):
@@ -246,6 +316,29 @@ def test_simulate_bad_config_is_one_line_error(tmp_path, capsys, overrides, name
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert named in err
+
+
+@pytest.mark.parametrize(
+    "drop, where",
+    [
+        ("rounds", "config"),
+        ("seed", "config"),
+        ("m_slices", "config"),
+        ("intensities", "config"),
+        ("channel", "config"),
+        ("channel.p_d", "channel"),
+    ],
+)
+def test_simulate_missing_key_is_named(tmp_path, capsys, drop, where):
+    path = _sim_config(tmp_path)
+    doc = json.loads(path.read_text())
+    parent, _, key = drop.rpartition(".")
+    del (doc[parent] if parent else doc)[key]
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(["simulate", str(path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: missing key {key!r} in {where}\n"
 
 
 # --- fock-check ----------------------------------------------------------------------

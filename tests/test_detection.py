@@ -338,6 +338,25 @@ def test_channel_params_validation_and_distance():
         ChannelParams(eta_arm=0.5, p_d=0.0, distance_km=math.inf)
 
 
+def test_distance_mapping_names_bad_input():
+    # the transmittance of a bad input is itself out of range; the error
+    # must name the input, not eta_arm
+    for eta_d, alpha, named in [
+        (0.145, math.nan, "alpha_db_per_km"),
+        (0.145, -1e10, "alpha_db_per_km"),
+        (math.nan, 0.2, "eta_d"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{named} "):
+            ChannelParams.from_distance(100.0, eta_d=eta_d, p_d=0.0, alpha_db_per_km=alpha)
+        with pytest.raises(ValueError, match=f"^{named} "):
+            fiber_transmittance(100.0, eta_d, alpha)
+    for distance in (-10.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="^distance_km "):
+            ChannelParams.from_distance(distance, eta_d=0.145, p_d=0.0)
+        with pytest.raises(ValueError, match="^distance_km "):
+            fiber_transmittance(distance, 0.145, 0.2)
+
+
 def test_distance_mappings():
     arm_300 = ChannelParams.from_distance(300, eta_d=0.145, p_d=0.0).eta_arm
     assert arm_300 == pytest.approx(1.45e-4, rel=1e-12)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from pmqkd import rate
 from pmqkd.detection import ChannelParams, binary_entropy, k_photon_clicks, with_dark_counts
 from pmqkd.rate import (
     PmParams,
@@ -296,6 +297,46 @@ def test_key_rate_reference_parity_grid():
     assert worst < 1e-12
 
 
+@pytest.mark.parametrize("tail", ["truncated", "odd"])
+def test_key_rate_fields_equal_public_helpers(tail):
+    # key_rate computes each intermediate once; the public helpers recompute
+    # them one by one.  Both must give the same floats, not merely close ones.
+    for eta in (0.0, 1e-6, 0.3, 1.0):
+        for pd in (0.0, 7.2e-8, 1e-3):
+            c = ch(eta, pd)
+            for mu in (1e-4, 0.05, 0.5, 2.0):
+                for m in (2, 16):
+                    for trunc in (1, 3, 5, 7):
+                        pm = PmParams(mu_total=mu, m_slices=m, f_ec=1.15, truncation_k=trunc)
+                        bd = key_rate(c, pm, tail=tail)
+                        orders = [0, *range(1, trunc + 1, 2)]
+                        assert bd.gain_Q == gain(c, pm)
+                        assert bd.qber_Z == qber(c, pm)
+                        assert bd.phase_err_X == phase_error_bound(c, pm, tail=tail)
+                        assert bd.fractions == {k: photon_fraction(k, c, pm) for k in orders}
+                        assert bd.q_odd == odd_fraction(c, pm)
+                        assert bd.bit_errors == {k: bit_error_k(k, c, m) for k in orders}
+                        assert bd.e_delta == misalignment_e_delta(m)
+                        bracket = (
+                            -1.15 * binary_entropy(bd.qber_Z) + 1.0
+                            - binary_entropy(bd.phase_err_X)
+                        )
+                        assert bd.rate_R == max((2.0 / m) * bd.gain_Q * bracket, 0.0)
+
+
+def test_key_rate_keeps_checks():
+    with pytest.raises(ValueError, match="unknown tail"):
+        key_rate(ch(0.1, 1e-7), PmParams(mu_total=0.5), tail="even")
+    with pytest.raises(ValueError, match="unknown tail"):
+        phase_error_bound(ch(0.1, 1e-7), PmParams(mu_total=0.5), tail="even")
+    with pytest.raises(ValueError, match="nonnegative"):
+        yield_k(-1, ch(0.1))
+    with pytest.raises(ValueError, match="nonnegative"):
+        bit_error_k(-1, ch(0.1), 16)
+    with pytest.raises(ValueError, match="nonnegative"):
+        photon_fraction(-1, ch(0.1), PmParams(mu_total=0.5))
+
+
 def test_key_rate_finite_and_continuous():
     c = ChannelParams.from_distance(200.0, eta_d=0.145, p_d=7.2e-8)
 
@@ -360,6 +401,21 @@ def test_optimize_mu_monotone_in_distance():
         c = ChannelParams.from_distance(dist, eta_d=0.145, p_d=7.2e-8)
         rates.append(optimize_mu(c, pm)[1].rate_R)
     assert all(a >= b for a, b in zip(rates, rates[1:]))
+
+
+def test_optimize_mu_evaluates_through_key_rate(monkeypatch):
+    calls = []
+    real = rate.key_rate
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(rate, "key_rate", counted)
+    c = ChannelParams.from_distance(300.0, eta_d=0.145, p_d=7.2e-8)
+    mu_opt, bd = optimize_mu(c, PmParams(mu_total=0.5, m_slices=16, f_ec=1.15))
+    assert len(calls) >= 200
+    assert bd.rate_R > 0
 
 
 def test_optimize_mu_dead_channel_returns_grid_minimum():
