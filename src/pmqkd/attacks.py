@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .detection import binary_entropy
+from .rate import _fraction, _phase_error
 
 NORMALIZATIONS = ("per_click", "literal")
 
@@ -49,8 +50,8 @@ class ViolationReport:
 
 
 def _check_point(mu_total: float, eta: float) -> None:
-    if mu_total < 0:
-        raise ValueError("mu_total must be nonnegative")
+    if not (0.0 <= mu_total < math.inf):
+        raise ValueError(f"mu_total must be nonnegative and finite, got {mu_total!r}")
     if not (0.0 <= eta <= 1.0):
         raise ValueError("eta must be in [0, 1]")
 
@@ -118,14 +119,13 @@ def pm_rate_under_bs(mu_total: float, eta: float) -> float:
     E^X = 1 - q_1 - q_3 - q_5 clamped to [0, 0.5].
     """
     _check_point(mu_total, eta)
+    # expm1/log1p keep the yields and gain precise at small eta*mu
     q_mu = -math.expm1(-eta * mu_total)
-    if q_mu <= 0.0:
-        return 0.0
-    q_sum = 0.0
-    for k in (1, 3, 5):
-        y_k = -math.expm1(k * math.log1p(-eta)) if eta < 1.0 else 1.0
-        q_sum += math.exp(-mu_total) * mu_total**k / math.factorial(k) * y_k / q_mu
-    ex = min(max(1.0 - q_sum, 0.0), 0.5)
+    qs = [
+        _fraction(k, -math.expm1(k * math.log1p(-eta)) if eta < 1.0 else 1.0, mu_total, q_mu)
+        for k in (1, 3, 5)
+    ]
+    ex = _phase_error(0.0, qs, (0.0,) * 3, 0.0, "truncated")
     return 1.0 - binary_entropy(ex)
 
 
@@ -145,6 +145,8 @@ def find_gllp_violation(
     """
     if (fixed_mu is None) == (fixed_eta is None):
         raise ValueError("fix exactly one of mu or eta")
+    if steps < 2:
+        raise ValueError(f"steps must be at least 2, got {steps}")
     if fixed_mu is not None:
         fixed_name, fixed_value, sweep_name = "mu", fixed_mu, "eta"
         lo, hi = sweep_range if sweep_range else (1e-3, 1.0 - 1e-9)

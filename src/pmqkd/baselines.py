@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .detection import ChannelParams, binary_entropy
+from .rate import _gain, _yield
 
 
 @dataclass(frozen=True)
@@ -58,11 +59,11 @@ def bb84_rate(p: Bb84Params) -> float:
     pd = p.channel.p_d
     y0 = 2.0 * pd
     e0 = 0.5
-    q_mu = 1.0 - (1.0 - y0) * math.exp(-eta * p.mu)
+    q_mu = _gain(pd, eta * p.mu)
     if q_mu <= 0.0:
         return 0.0
     e_mu = p.e_d + (e0 - p.e_d) * y0 / q_mu
-    y1 = 1.0 - (1.0 - y0) * (1.0 - eta)
+    y1 = _yield(1, pd, 1.0 - eta)
     e1 = p.e_d + (e0 - p.e_d) * y0 / y1 if y1 > 0 else e0
     q1 = math.exp(-p.mu) * p.mu * y1 / q_mu
     e_mu = min(e_mu, 0.5)

@@ -14,6 +14,7 @@ check.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -25,6 +26,8 @@ from . import attacks, baselines, focklab, rate, simcore
 from .detection import ChannelParams, fiber_transmittance, k_photon_clicks
 
 THREADS_ENV = "PMQKD_THREADS"
+
+SWEEP_CHUNK = 16  # grid points per worker task
 
 MU_RANGE = (0.01, 2.0)
 
@@ -198,9 +201,19 @@ def cmd_rate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _sweep_point(task) -> dict:
-    (value, variable, preset, protocols, optimize, fixed_mu, distance_for_mu) = task
-    p_d, f_ec, eta_d, m_slices, e_d, alpha = preset
+def _sweep_point(
+    value: float,
+    variable: str,
+    preset: Preset,
+    protocols: tuple[str, ...],
+    optimize: bool,
+    fixed_mu: float,
+    distance_for_mu: float,
+) -> dict:
+    p_d, f_ec, eta_d, m_slices, e_d, alpha = (
+        preset.p_d, preset.f_ec, preset.eta_d, preset.m_slices, preset.e_d,
+        preset.alpha_db_per_km,
+    )
 
     if variable == "eta":
         distance = None
@@ -300,18 +313,15 @@ def run_sweep(
     while v <= stop + 1e-12:
         values.append(round(v, 12))
         v += step
-    preset_tuple = (
-        preset.p_d, preset.f_ec, preset.eta_d, preset.m_slices, preset.e_d,
-        preset.alpha_db_per_km,
+    point = functools.partial(
+        _sweep_point, variable=variable, preset=preset, protocols=protocols,
+        optimize=optimize_mu, fixed_mu=fixed_mu, distance_for_mu=distance_for_mu,
     )
-    tasks = [
-        (value, variable, preset_tuple, protocols, optimize_mu, fixed_mu, distance_for_mu)
-        for value in values
-    ]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(_sweep_point, tasks, chunksize=16))
-    return [_sweep_point(t) for t in tasks]
+    workers = min(threads, -(-len(values) // SWEEP_CHUNK))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(point, values, chunksize=SWEEP_CHUNK))
+    return [point(v) for v in values]
 
 
 def sweep_rows_to_csv(rows: list[dict]) -> str:
@@ -328,7 +338,13 @@ def cmd_sweep(args) -> int:
         e_d=args.e_d, alpha_db_per_km=args.alpha,
     )
     protocols = tuple(p.strip() for p in args.protocols.split(",") if p.strip())
-    threads = int(os.environ.get(THREADS_ENV, "1"))
+    raw = os.environ.get(THREADS_ENV, "1")
+    try:
+        threads = int(raw)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ValueError(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
     rows = run_sweep(
         variable=args.variable,
         start=args.start,
@@ -339,7 +355,7 @@ def cmd_sweep(args) -> int:
         optimize_mu=args.optimize_mu,
         fixed_mu=args.mu if args.mu is not None else 0.5,
         distance_for_mu=args.distance if args.distance is not None else 0.0,
-        threads=max(threads, 1),
+        threads=threads,
     )
     _write_text(args.output, sweep_rows_to_csv(rows))
     return 0
@@ -354,20 +370,23 @@ def cmd_attack(args) -> int:
     if (args.fix_mu is None) == (args.fix_eta is None):
         raise ValueError("give exactly one of --fix-mu or --fix-eta")
 
-    def parse_range(text, default):
+    def parse_range(flag, text, default):
         if text is None:
             return default
         lo, _, hi = text.partition(":")
-        return (float(lo), float(hi))
+        try:
+            return (float(lo), float(hi))
+        except ValueError:
+            raise ValueError(f"{flag} must be lo:hi with two numbers, got {text!r}") from None
 
     if args.fix_mu is not None:
-        lo, hi = parse_range(args.eta_range, (1e-3, 1.0 - 1e-9))
+        lo, hi = parse_range("--eta-range", args.eta_range, (1e-3, 1.0 - 1e-9))
         sweep_name = "eta"
         report = attacks.find_gllp_violation(
             fixed_mu=args.fix_mu, sweep_range=(lo, hi), steps=args.steps
         )
     else:
-        lo, hi = parse_range(args.mu_range, (1e-3, 2.0))
+        lo, hi = parse_range("--mu-range", args.mu_range, (1e-3, 2.0))
         sweep_name = "mu"
         report = attacks.find_gllp_violation(
             fixed_eta=args.fix_eta, sweep_range=(lo, hi), steps=args.steps

@@ -12,10 +12,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import lsq_linear
 
-from .detection import binary_entropy
-from .rate import PmParams, RateBreakdown, misalignment_e_delta
+from .rate import PmParams, RateBreakdown, _fraction, _phase_error, _rate, misalignment_e_delta
 from .simcore import Tally
 
 ILL_CONDITIONED_THRESHOLD = 1e10
@@ -51,6 +49,7 @@ def _poisson_matrix(intensities: np.ndarray, k_max: int) -> np.ndarray:
 
 
 def _bounded_fit(a: np.ndarray, b: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    from scipy.optimize import lsq_linear  # deferred: importing it costs ~0.5 s per process
     res = lsq_linear(a, b, bounds=(np.zeros(a.shape[1]), upper), method="bvls")
     return res.x
 
@@ -126,44 +125,24 @@ def empirical_rate(tallies: list[Tally], estimate: DecoyEstimate, pm: PmParams) 
         raise ValueError(f"no tally at the signal intensity {pm.mu_total}")
 
     q_hat = signal.q_hat
-    if q_hat <= 0.0 or signal.sifted == 0:
-        zero = RateBreakdown(
-            gain_Q=q_hat,
-            qber_Z=0.5,
-            phase_err_X=0.5,
-            fractions={},
-            q_odd=0.0,
-            bit_errors={},
-            e_delta=misalignment_e_delta(pm.m_slices),
-            rate_R=0.0,
-        )
-        return EmpiricalRate(breakdown=zero, q_se=signal.q_se, ez_se=signal.ez_se)
-
-    ez_hat = min(signal.ez_hat, 0.5)
-    mu = pm.mu_total
-    orders = [0] + [k for k in pm.odd_orders if k <= estimate.k_max]
-    fractions = {}
-    for k in orders:
-        poisson = math.exp(-mu) * mu**k / math.factorial(k)
-        fractions[k] = poisson * float(estimate.yields[k]) / q_hat
-    bit_errors = {k: (0.5 if k == 0 else float(estimate.bit_errors[k])) for k in orders}
-
-    ex = 0.5 * fractions[0]
-    kept = fractions[0]
-    for k in orders[1:]:
-        ex += fractions[k] * bit_errors[k]
-        kept += fractions[k]
-    ex += 1.0 - kept
-    ex = min(max(ex, 0.0), 0.5)
-
-    bracket = 1.0 - pm.f_ec * binary_entropy(ez_hat) - binary_entropy(ex)
-    rate = max((2.0 / pm.m_slices) * q_hat * bracket, 0.0)
+    ez = ex = 0.5
+    rate = 0.0
+    fractions, bit_errors, odd_qs = {}, {}, []
+    if q_hat > 0.0 and signal.sifted > 0:
+        ez = min(signal.ez_hat, 0.5)
+        odd = [k for k in pm.odd_orders if k <= estimate.k_max]
+        for k in (0, *odd):
+            fractions[k] = _fraction(k, float(estimate.yields[k]), pm.mu_total, q_hat)
+            bit_errors[k] = 0.5 if k == 0 else float(estimate.bit_errors[k])
+        odd_qs, odd_es = [fractions[k] for k in odd], [bit_errors[k] for k in odd]
+        ex = _phase_error(fractions[0], odd_qs, odd_es, 0.0, "truncated")
+        rate = _rate(pm.m_slices, q_hat, pm.f_ec, ez, ex)
     breakdown = RateBreakdown(
         gain_Q=q_hat,
-        qber_Z=ez_hat,
+        qber_Z=ez,
         phase_err_X=ex,
         fractions=fractions,
-        q_odd=sum(v for k, v in fractions.items() if k % 2 == 1),
+        q_odd=sum(odd_qs, 0.0),
         bit_errors=bit_errors,
         e_delta=misalignment_e_delta(pm.m_slices),
         rate_R=rate,

@@ -27,16 +27,6 @@ def _check_fiber(alpha_db_per_km: float, distance_km: float) -> None:
         raise ValueError(f"distance_km must be nonnegative and finite, got {distance_km!r}")
 
 
-def wrap_phase(phi: float) -> float:
-    """Wrap an angle to (-pi, pi]."""
-    w = math.fmod(phi, TWO_PI)
-    if w > math.pi:
-        w -= TWO_PI
-    elif w <= -math.pi:
-        w += TWO_PI
-    return w
-
-
 def fiber_transmittance(distance_km: float, eta_d: float, alpha_db_per_km: float) -> float:
     """Transmittance over ``distance_km`` of fiber, detector efficiency included.
 
@@ -119,19 +109,6 @@ class ClickProbs:
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.p_none, self.p_left, self.p_right, self.p_double)
-
-
-@dataclass(frozen=True)
-class PhaseGeometry:
-    """Phase-slice geometry: M slices, reference deviation, per-round mismatch."""
-
-    m_slices: int
-    phi_0: float = 0.0
-    phi_delta: float = 0.0
-
-    def __post_init__(self):
-        if self.m_slices < 2 or self.m_slices % 2 != 0:
-            raise ValueError("m_slices must be an even integer >= 2")
 
 
 def single_photon_clicks(eta: float, phi_delta: float) -> ClickProbs:

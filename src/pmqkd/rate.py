@@ -62,7 +62,9 @@ class RateBreakdown:
 # ``loss_k = loss**k``, ``y`` a yield, ``q`` the gain); ``key_rate``
 # computes every intermediate once and feeds them through, and the public
 # helpers are thin wrappers over the same functions, so both paths give
-# bit-identical results.
+# bit-identical results.  The Monte Carlo model check, the decoy-state
+# rate, the baselines and the attack analysis call them too, so each
+# formula has this one implementation.
 
 
 def _yield(k: int, p_d: float, loss_k: float) -> float:
@@ -194,6 +196,11 @@ def phase_error_bound(ch: ChannelParams, pm: PmParams, *, tail: str = "truncated
     )
 
 
+def _rate(m, q: float, f_ec: float, ez: float, ex: float) -> float:
+    bracket = -f_ec * binary_entropy(ez) + 1.0 - binary_entropy(ex)
+    return max((2.0 / m) * q * bracket, 0.0)
+
+
 def key_rate(ch: ChannelParams, pm: PmParams, *, tail: str = "truncated") -> RateBreakdown:
     """Key rate per emitted pulse pair, (2/M)*Q*[1 - f*H(E^Z) - H(E^X)].
 
@@ -214,8 +221,6 @@ def key_rate(ch: ChannelParams, pm: PmParams, *, tail: str = "truncated") -> Rat
     q_odd = _odd_fraction(q, p_d, loss, mu)
     ez = _qber(q, p_d, x, e_delta)
     ex = _phase_error(qs[0], qs[1:], es[1:], q_odd, tail)
-    bracket = -pm.f_ec * binary_entropy(ez) + 1.0 - binary_entropy(ex)
-    rate = max((2.0 / m) * q * bracket, 0.0)
     return RateBreakdown(
         gain_Q=q,
         qber_Z=ez,
@@ -224,7 +229,7 @@ def key_rate(ch: ChannelParams, pm: PmParams, *, tail: str = "truncated") -> Rat
         q_odd=q_odd,
         bit_errors=dict(zip(orders, es)),
         e_delta=e_delta,
-        rate_R=rate,
+        rate_R=_rate(m, q, pm.f_ec, ez, ex),
     )
 
 

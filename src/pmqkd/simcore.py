@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _mckernel_np
 from .detection import ChannelParams
-from .rate import misalignment_e_delta
+from .rate import _gain, _qber, misalignment_e_delta
 
 TWO_PI = 2.0 * math.pi
 
@@ -528,12 +528,8 @@ def compare_to_model(result: SimResult) -> list[ModelComparison]:
     rows = []
     for t in result.tallies:
         mu = t.intensity
-        q_model = 1.0 - (1.0 - 2.0 * pd) * math.exp(-eta * mu)
-        ez_model = (
-            min((pd + eta * mu * e_delta) * math.exp(-eta * mu) / q_model, 0.5)
-            if q_model > 0
-            else 0.5
-        )
+        q_model = _gain(pd, eta * mu)
+        ez_model = _qber(q_model, pd, eta * mu, e_delta)
         q_se = math.sqrt(q_model * (1.0 - q_model) / t.emitted) if t.emitted else math.inf
         ez_se = math.sqrt(ez_model * (1.0 - ez_model) / t.sifted) if t.sifted else math.inf
         rows.append(

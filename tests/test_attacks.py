@@ -100,6 +100,21 @@ def test_pm_rate_under_bs_clamps_to_zero():
     assert pm_rate_under_bs(0.5, 0.0) == 0.0
 
 
+@pytest.mark.parametrize(
+    "mu,eta,expected",
+    [
+        (1.9196381909547739, 0.01, 2.559224503428936e-07),  # just below the cutoff
+        (1.9, 0.01, 4.077503769184254e-06),
+        (0.3, 0.01, 0.23121695306869583),
+        (2.0, 0.5, 0.0010623659031879784),
+        (0.05, 1e-6, 0.7239678742067011),
+    ],
+)
+def test_pm_rate_under_bs_pinned_values(mu, eta, expected):
+    # recorded before the rate was routed through rate's formula functions
+    assert pm_rate_under_bs(mu, eta) == pytest.approx(expected, abs=1e-15)
+
+
 def test_pm_rate_never_exceeds_attack_bound():
     for mu in np.linspace(0.05, 2.0, 40):
         for eta in np.linspace(0.01, 0.99, 40):

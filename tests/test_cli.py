@@ -183,6 +183,47 @@ def test_sweep_fig3b_rows_match_golden(tmp_path, capsys):
         assert row == golden[row.split(",", 1)[0]]
 
 
+def small_sweep(stop):
+    return ["sweep", "--start", "0", "--stop", str(stop), "--step", "1", "--protocols", "plob,tgw"]
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "2.5", ""])
+def test_sweep_bad_threads_is_named(monkeypatch, capsys, value):
+    monkeypatch.setenv(cli.THREADS_ENV, value)
+    code, out, err = run_cli(small_sweep(3), capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: PMQKD_THREADS ") and err.count("\n") == 1
+
+
+def test_sweep_workers_capped_at_chunk_count(monkeypatch, capsys):
+    started = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, values, chunksize):
+            return map(fn, values)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    code, serial, _ = run_cli(small_sweep(39), capsys)
+    assert code == 0 and started == []
+    monkeypatch.setenv(cli.THREADS_ENV, "1000")
+    code, pooled, _ = run_cli(small_sweep(39), capsys)
+    assert code == 0
+    assert started == [3]  # 40 points in chunks of 16
+    assert pooled == serial
+    code, _, _ = run_cli(small_sweep(3), capsys)
+    assert code == 0 and started == [3]  # 4 points fit one chunk: no pool
+
+
 def test_sweep_eta_variable(capsys):
     code, out, _ = run_cli(
         [
@@ -239,6 +280,26 @@ def test_attack_empty_violation(capsys):
 def test_attack_requires_exactly_one_fix(capsys):
     code, _, err = run_cli(["attack"], capsys)
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["--fix-mu", "0.5", "--steps", "1"], "steps"),
+        (["--fix-mu", "0.5", "--steps", "0"], "steps"),
+        (["--fix-eta", "0.2", "--steps", "-2"], "steps"),
+        (["--fix-mu", "nan"], "mu_total"),
+        (["--fix-eta", "0.2", "--mu-range", "0.1:x"], "--mu-range"),
+        (["--fix-mu", "0.5", "--eta-range", "0.5"], "--eta-range"),
+    ],
+    ids=["steps_1", "steps_0", "steps_negative", "nan_mu", "bad_mu_range", "bad_eta_range"],
+)
+def test_attack_bad_flag_is_one_line_error(capsys, argv, named):
+    code, out, err = run_cli(["attack", *argv], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err
 
 
 # --- simulate ----------------------------------------------------------------------

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pmqkd.decoy import decoy_estimate, empirical_rate
+from pmqkd.decoy import DecoyEstimate, decoy_estimate, empirical_rate
 from pmqkd.detection import ChannelParams
 from pmqkd.rate import PmParams, key_rate, misalignment_e_delta
 from pmqkd.simcore import SimConfig, Tally, simulate
@@ -157,3 +157,36 @@ def test_empirical_rate_requires_signal_tally():
     est = decoy_estimate(tallies, k_max=4)
     with pytest.raises(ValueError):
         empirical_rate(tallies, est, PmParams(mu_total=0.2))
+
+
+# (truncation_k, k_max, phase_err_X, rate_R) recorded before empirical_rate was
+# routed through rate's formula functions; they agree to the last few ulps.
+EMPIRICAL_PINS = [
+    (1, 0, 0.5, 0.0),
+    (1, 2, 0.25947093648912783, 4.014947429197724e-05),
+    (3, 2, 0.25947093648912783, 4.014947429197724e-05),
+    (3, 4, 0.22648020882648753, 6.0377603578410215e-05),
+    (5, 4, 0.22648020882648753, 6.0377603578410215e-05),
+    (5, 6, 0.2262352364131315, 6.0539942384083046e-05),
+]
+
+
+@pytest.mark.parametrize("trunc,k_max,ex,r", EMPIRICAL_PINS)
+def test_empirical_rate_pinned_values(trunc, k_max, ex, r):
+    eta, pd = 0.01, 7.2e-8
+    ks = range(k_max + 1)
+    est = DecoyEstimate(
+        k_max=k_max,
+        yields=np.array([true_yield(k, eta, pd) for k in ks]),
+        yields_lo=np.zeros(k_max + 1),
+        yields_hi=np.ones(k_max + 1),
+        bit_errors=np.array([true_bit_error(k, eta, pd) for k in ks]),
+        condition_number=1.0,
+        tail_mass=np.zeros(1),
+    )
+    tally = Tally(intensity=0.3, emitted=10**9, clicked_single=2_990_000, sifted=373_750,
+                  errors=2_500)
+    bd = empirical_rate([tally], est, PmParams(mu_total=0.3, truncation_k=trunc)).breakdown
+    assert bd.phase_err_X == pytest.approx(ex, abs=1e-15)
+    assert bd.rate_R == pytest.approx(r, abs=1e-15)
+    assert sorted(bd.fractions) == [0] + [k for k in range(1, trunc + 1, 2) if k <= k_max]

@@ -8,7 +8,6 @@ from scipy import integrate
 from pmqkd.detection import (
     ChannelParams,
     ClickProbs,
-    PhaseGeometry,
     binary_entropy,
     coherent_clicks,
     fiber_transmittance,
@@ -16,7 +15,6 @@ from pmqkd.detection import (
     phase_diff_pdf,
     single_photon_clicks,
     with_dark_counts,
-    wrap_phase,
 )
 from pmqkd.focklab import k_photon_interference_probs
 
@@ -372,10 +370,3 @@ def test_click_probs_invariants_enforced():
         ClickProbs(0.5, 0.5, 0.5, 0.5)
     with pytest.raises(ValueError):
         ClickProbs(0.9, 0.2, -0.1, 0.0)
-
-
-def test_phase_geometry_and_wrap():
-    with pytest.raises(ValueError):
-        PhaseGeometry(m_slices=7)
-    assert wrap_phase(3 * PI) == pytest.approx(PI, abs=1e-12)
-    assert wrap_phase(-3 * PI / 2) == pytest.approx(PI / 2, abs=1e-12)

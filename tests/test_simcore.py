@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pmqkd import rate
 from pmqkd.detection import ChannelParams
 from pmqkd.simcore import (
     MAX_M_SLICES,
@@ -273,6 +274,21 @@ def test_compare_to_model_consistency():
     assert abs(rows[0].z_q) < 4
     assert abs(rows[0].z_ez) < 4
     assert rows[0].consistent
+
+
+@pytest.mark.parametrize("p_d", [2.0**-20, 0.0])  # 1 - 2*p_d is exact for both
+def test_compare_to_model_uses_rate_formulas(p_d):
+    ch = ChannelParams(eta_arm=0.05, p_d=p_d)
+    cfg = base_config(rounds=60_000, intensities=(0.0, 0.2, 0.5), channel=ch)
+    rows = compare_to_model(simulate(cfg))
+    assert [r.intensity for r in rows] == [0.0, 0.2, 0.5]
+    for r in rows[1:]:
+        pm = rate.PmParams(mu_total=r.intensity, m_slices=cfg.m_slices)
+        assert r.q_model == rate.gain(ch, pm)
+        assert r.ez_model == rate.qber(ch, pm)
+    assert rows[0].q_model == 2 * p_d
+    if p_d == 0.0:
+        assert rows[0].ez_model == 0.5
 
 
 def test_csv_format():
