@@ -3,6 +3,13 @@
 Maps a block of uniform variates to per-round outputs.  The mapping is
 part of the random-stream definition: changing it changes the round
 stream, and with it the tallies, of every seeded run.
+
+The click model is evaluated only on rounds whose detector draws fall
+below the largest click probability any round of the block can have;
+every other round has no click.  This leaves the uniform-to-round
+mapping, and so the random-stream definition, unchanged: a gathered
+subset goes through the same elementwise ufuncs as the full block and
+gives the same bits.
 """
 from __future__ import annotations
 
@@ -36,7 +43,6 @@ def simulate_block(
     Variate layout: key bit a, key bit b, phase a, phase b, intensity
     pick, L-detector draw, R-detector draw.
     """
-    n = u.shape[1]
     kappa_a[:] = u[0] < 0.5
     kappa_b[:] = u[1] < 0.5
     np.multiply(u[2], TWO_PI, out=phi_a)
@@ -44,23 +50,31 @@ def simulate_block(
     np.minimum(
         (u[4] * len(intensities)).astype(mu_idx.dtype), len(intensities) - 1, out=mu_idx
     )
-    mu = intensities[mu_idx]
 
+    # A detector clicks when its draw is below -expm1(log_q - eta*mu*c2);
+    # as c2, s2 <= 1, no round's click probability exceeds p_max.  The
+    # margin covers the few ulp by which math.expm1 and np.expm1 may differ.
+    log_q = math.log1p(-p_d)
+    p_max = -math.expm1(log_q - eta * float(np.max(intensities)))
+    bound = min(1.0, p_max * (1.0 + 1e-9))
+    idx = np.flatnonzero((u[5] < bound) | (u[6] < bound))
+
+    mu = intensities[mu_idx[idx]]
     if phi0_rate != 0.0:
-        phi0 = phi0_value + phi0_rate * (t0 + np.arange(n, dtype=np.float64))
+        phi0 = phi0_value + phi0_rate * (t0 + idx.astype(np.float64))
     else:
         phi0 = phi0_value
-    delta = (phi_b + math.pi * kappa_b) - (phi_a + math.pi * kappa_a) + phi0
+    delta = (phi_b[idx] + math.pi * kappa_b[idx]) - (phi_a[idx] + math.pi * kappa_a[idx]) + phi0
     # half-angle identities: one cosine per round covers both detectors
     c = np.cos(delta)
     c2 = 0.5 * (1.0 + c)
     s2 = 0.5 * (1.0 - c)
-    log_q = math.log1p(-p_d)
     p_left = -np.expm1(log_q - eta * mu * c2)
     p_right = -np.expm1(log_q - eta * mu * s2)
-    l_click = u[5] < p_left
-    r_click = u[6] < p_right
-    outcome[:] = l_click + 2 * r_click
+    l_click = u[5, idx] < p_left
+    r_click = u[6, idx] < p_right
+    outcome[:] = 0
+    outcome[idx] = l_click + 2 * r_click
 
     scale = m_slices / TWO_PI
     j_a[:] = np.floor(phi_a * scale + 0.5).astype(j_a.dtype) % m_slices

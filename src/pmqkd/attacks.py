@@ -129,6 +129,11 @@ def pm_rate_under_bs(mu_total: float, eta: float) -> float:
     return 1.0 - binary_entropy(ex)
 
 
+def sweep_grid(lo: float, hi: float, steps: int) -> list[float]:
+    """``steps`` evenly spaced points from ``lo`` to exactly ``hi``."""
+    return [lo + (hi - lo) * i / (steps - 1) for i in range(steps - 1)] + [hi]
+
+
 def find_gllp_violation(
     *,
     fixed_mu: float | None = None,
@@ -167,7 +172,7 @@ def find_gllp_violation(
 
     if not (lo < hi):
         raise ValueError("sweep range must satisfy lo < hi")
-    xs = [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
+    xs = sweep_grid(lo, hi, steps)
     ds = [diff(x) for x in xs]
 
     crossovers = []

@@ -393,8 +393,7 @@ def cmd_attack(args) -> int:
         )
 
     lines = [f"{sweep_name},r_gllp_per_click,r_gllp_literal,r_bs,r_pm"]
-    for i in range(args.steps):
-        x = lo + (hi - lo) * i / (args.steps - 1)
+    for x in attacks.sweep_grid(lo, hi, args.steps):
         if args.fix_mu is not None:
             mu, eta = args.fix_mu, x
         else:

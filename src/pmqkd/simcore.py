@@ -229,6 +229,20 @@ class RoundData:
     phi_a: np.ndarray
     phi_b: np.ndarray
 
+    @classmethod
+    def empty(cls, n: int) -> "RoundData":
+        """Uninitialized arrays for ``n`` rounds."""
+        return cls(
+            kappa_a=np.empty(n, dtype=np.int8),
+            kappa_b=np.empty(n, dtype=np.int8),
+            mu_idx=np.empty(n, dtype=np.int16),
+            j_a=np.empty(n, dtype=np.int16),
+            j_b=np.empty(n, dtype=np.int16),
+            outcome=np.empty(n, dtype=np.int8),
+            phi_a=np.empty(n, dtype=np.float64),
+            phi_b=np.empty(n, dtype=np.float64),
+        )
+
     def __len__(self) -> int:
         return len(self.outcome)
 
@@ -256,60 +270,45 @@ def _block_rng(seed: int, block_index: int) -> np.random.Generator:
 
 def run_blocks(cfg: SimConfig) -> Iterator[RoundData]:
     """Yield successive round blocks; layout is fixed by (seed, config)."""
-    intensities = np.asarray(cfg.intensities, dtype=np.float64)
-    phi0 = cfg.phi0
-    produced = 0
-    block_index = 0
-    while produced < cfg.rounds:
-        n = min(RNG_BLOCK_ROUNDS, cfg.rounds - produced)
-        u = _block_rng(cfg.seed, block_index).random((7, n))
-        data = RoundData(
-            kappa_a=np.empty(n, dtype=np.int8),
-            kappa_b=np.empty(n, dtype=np.int8),
-            mu_idx=np.empty(n, dtype=np.int16),
-            j_a=np.empty(n, dtype=np.int16),
-            j_b=np.empty(n, dtype=np.int16),
-            outcome=np.empty(n, dtype=np.int8),
-            phi_a=np.empty(n, dtype=np.float64),
-            phi_b=np.empty(n, dtype=np.float64),
-        )
-        _mckernel_np.simulate_block(
-            u,
-            cfg.channel.eta_arm,
-            cfg.channel.p_d,
-            intensities,
-            cfg.m_slices,
-            phi0.value_rad,
-            phi0.rate_rad_per_round,
-            produced,
-            data.kappa_a,
-            data.kappa_b,
-            data.mu_idx,
-            data.j_a,
-            data.j_b,
-            data.outcome,
-            data.phi_a,
-            data.phi_b,
-        )
-        yield data
-        produced += n
-        block_index += 1
+    for block_index, start in enumerate(range(0, cfg.rounds, RNG_BLOCK_ROUNDS)):
+        yield _round_block(cfg, block_index, start, min(RNG_BLOCK_ROUNDS, cfg.rounds - start))
+
+
+def _round_block(cfg: SimConfig, block_index: int, start: int, n: int) -> RoundData:
+    """Rounds start..start+n of RNG block ``block_index``; the uniforms die on return."""
+    u = _block_rng(cfg.seed, block_index).random((7, n))
+    data = RoundData.empty(n)
+    _mckernel_np.simulate_block(
+        u,
+        cfg.channel.eta_arm,
+        cfg.channel.p_d,
+        np.asarray(cfg.intensities, dtype=np.float64),
+        cfg.m_slices,
+        cfg.phi0.value_rad,
+        cfg.phi0.rate_rad_per_round,
+        start,
+        data.kappa_a,
+        data.kappa_b,
+        data.mu_idx,
+        data.j_a,
+        data.j_b,
+        data.outcome,
+        data.phi_a,
+        data.phi_b,
+    )
+    return data
 
 
 def collect_rounds(cfg: SimConfig) -> RoundData:
-    blocks = list(run_blocks(cfg))
-    if len(blocks) == 1:
-        return blocks[0]
-    return RoundData(
-        kappa_a=np.concatenate([b.kappa_a for b in blocks]),
-        kappa_b=np.concatenate([b.kappa_b for b in blocks]),
-        mu_idx=np.concatenate([b.mu_idx for b in blocks]),
-        j_a=np.concatenate([b.j_a for b in blocks]),
-        j_b=np.concatenate([b.j_b for b in blocks]),
-        outcome=np.concatenate([b.outcome for b in blocks]),
-        phi_a=np.concatenate([b.phi_a for b in blocks]),
-        phi_b=np.concatenate([b.phi_b for b in blocks]),
-    )
+    """All rounds of the run, each block copied in as it is produced."""
+    data = RoundData.empty(cfg.rounds)
+    start = 0
+    for block in run_blocks(cfg):
+        stop = start + len(block)
+        for name, arr in vars(block).items():
+            getattr(data, name)[start:stop] = arr
+        start = stop
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -439,19 +438,17 @@ def simulate(cfg: SimConfig) -> SimResult:
     chunk = cfg.jd_block_rounds if cfg.jd_block_rounds is not None else n
     starts = list(range(0, n, chunk))
 
-    emitted = np.zeros(len(cfg.intensities), dtype=np.int64)
-    clicked = np.zeros(len(cfg.intensities), dtype=np.int64)
-    sifted = np.zeros(len(cfg.intensities), dtype=np.int64)
-    errors = np.zeros(len(cfg.intensities), dtype=np.int64)
-
-    np.add.at(emitted, data.mu_idx, 1)
-    np.add.at(clicked, data.mu_idx[data.single_click_mask()], 1)
+    # counted per jd block: bincount copies its input to intp, 8 B per round
+    k = len(cfg.intensities)
+    emitted, clicked, sifted, errors = np.zeros((4, k), dtype=np.int64)
 
     first_result: PostcompResult | None = None
     block_offsets = []
     for bi, start in enumerate(starts):
         stop = min(start + chunk, n)
         part = data.take(slice(start, stop))
+        emitted += np.bincount(part.mu_idx, minlength=k)
+        clicked += np.bincount(part.mu_idx[part.single_click_mask()], minlength=k)
         rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence([cfg.seed, _SAMPLE_STREAM, bi]))
         )
@@ -460,8 +457,8 @@ def simulate(cfg: SimConfig) -> SimResult:
             first_result = post
         res = sift(part, post.j_d_opt, cfg.m_slices)
         mu_sifted = part.mu_idx[res.indices]
-        np.add.at(sifted, mu_sifted, 1)
-        np.add.at(errors, mu_sifted[res.errors()], 1)
+        sifted += np.bincount(mu_sifted, minlength=k)
+        errors += np.bincount(mu_sifted[res.errors()], minlength=k)
         block_offsets.append((start, stop, post.j_d_opt))
 
     tallies = [
@@ -472,7 +469,7 @@ def simulate(cfg: SimConfig) -> SimResult:
             sifted=int(sifted[i]),
             errors=int(errors[i]),
         )
-        for i in range(len(cfg.intensities))
+        for i in range(k)
     ]
     assert first_result is not None
     return SimResult(
@@ -515,6 +512,13 @@ class ModelComparison:
         return abs(self.z_q) < 4.0 and abs(self.z_ez) < 4.0
 
 
+def _z_score(observed: float, model: float, se: float) -> float:
+    """(observed - model) / se; with a zero-variance model, 0 on a match and inf otherwise."""
+    if se > 0:
+        return (observed - model) / se
+    return 0.0 if observed == model else math.inf
+
+
 def compare_to_model(result: SimResult) -> list[ModelComparison]:
     """Score-test z values of the tallies against the analytic formulas.
 
@@ -537,10 +541,10 @@ def compare_to_model(result: SimResult) -> list[ModelComparison]:
                 intensity=mu,
                 q_hat=t.q_hat,
                 q_model=q_model,
-                z_q=(t.q_hat - q_model) / q_se if q_se > 0 else math.inf,
+                z_q=_z_score(t.q_hat, q_model, q_se),
                 ez_hat=t.ez_hat,
                 ez_model=ez_model,
-                z_ez=(t.ez_hat - ez_model) / ez_se if ez_se > 0 else math.inf,
+                z_ez=_z_score(t.ez_hat, ez_model, ez_se),
             )
         )
     return rows

@@ -277,6 +277,27 @@ def test_attack_empty_violation(capsys):
     assert out.strip().split("\n")[-1] == "# violation(per_click): none"
 
 
+@pytest.mark.parametrize(
+    "argv, end",
+    [
+        (["--fix-eta", "0.2"], "2"),
+        (["--fix-eta", "0", "--steps", "200"], "2"),
+        (["--fix-eta", "0.01", "--mu-range", "0.001:4", "--steps", "7"], "4"),
+        (["--fix-mu", "0.5", "--eta-range", "0.3:0.7", "--steps", "400"], "0.69999999999999996"),
+    ],
+)
+def test_attack_grid_ends_at_the_requested_end(capsys, argv, end):
+    code, out, _ = run_cli(["attack", *argv], capsys)
+    assert code == 0
+    assert out.strip().split("\n")[-2].split(",")[0] == end
+
+
+def test_attack_violation_summary_ends_at_the_requested_end(capsys):
+    code, out, _ = run_cli(["attack", "--fix-eta", "0.2"], capsys)
+    assert code == 0
+    assert out.strip().split("\n")[-1] == "# violation(per_click): mu in 0.001..2"
+
+
 def test_attack_requires_exactly_one_fix(capsys):
     code, _, err = run_cli(["attack"], capsys)
     assert code == 1
@@ -350,6 +371,18 @@ def test_simulate_reports_offset(tmp_path, capsys):
     code, out, _ = run_cli(["simulate", str(path)], capsys)
     assert code == 0
     assert "j_d_opt 2" in out
+
+
+def test_simulate_vacuum_intensity_without_dark_counts_is_consistent(tmp_path, capsys):
+    # model gain, observed gain and standard error are all exactly 0 for mu = 0
+    path = _sim_config(
+        tmp_path, rounds=300_000, intensities=[0.0, 0.1, 0.2, 0.5],
+        channel={"eta_arm": 0.1, "p_d": 0.0},
+    )
+    code, out, _ = run_cli(["simulate", str(path)], capsys)
+    vacuum = next(ln for ln in out.splitlines() if ln.startswith("intensity 0 "))
+    assert "z_Q +0.000" in vacuum
+    assert code == 0 and "consistency ok" in out
 
 
 def test_simulate_missing_file(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -289,6 +290,19 @@ def test_compare_to_model_uses_rate_formulas(p_d):
     assert rows[0].q_model == 2 * p_d
     if p_d == 0.0:
         assert rows[0].ez_model == 0.5
+
+
+def test_zero_variance_model_scores_zero_on_a_match():
+    ch = ChannelParams(eta_arm=0.05, p_d=0.0)
+    cfg = base_config(rounds=60_000, intensities=(0.0, 0.5), channel=ch)
+    res = simulate(cfg)
+    vacuum = compare_to_model(res)[0]
+    assert vacuum.q_hat == vacuum.q_model == 0.0
+    assert vacuum.z_q == 0.0 and vacuum.z_ez == 0.0
+    assert vacuum.consistent
+    # a click the model cannot produce still scores inf
+    res.tallies[0] = dataclasses.replace(res.tallies[0], clicked_single=1)
+    assert compare_to_model(res)[0].z_q == math.inf
 
 
 def test_csv_format():
