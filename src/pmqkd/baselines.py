@@ -3,12 +3,17 @@
 Decoy-state BB84 and MDI-QKD in the standard threshold-detector model,
 plus the TGW and PLOB upper bounds on repeaterless secret-key capacity.
 BB84 and the bounds take the full-distance transmittance; MDI takes
-per-arm values.
+per-arm values.  ``bb84_rate_grid``/``mdi_rate_grid`` evaluate the same
+rates over an intensity array in one NumPy pass; they only select the
+bracket of :func:`pmqkd.rate.maximize`, which takes every value it
+returns from the scalar functions.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .detection import ChannelParams, binary_entropy
 from .rate import _gain, _yield
@@ -48,6 +53,15 @@ class MdiBreakdown:
     rate_R: float
 
 
+def _bb84_single_photon(eta: float, pd: float, e_d: float) -> tuple[float, float]:
+    # infinite-decoy single-photon yield and error: (y_1, e_1)
+    y0 = 2.0 * pd
+    e0 = 0.5
+    y1 = _yield(1, pd, 1.0 - eta)
+    e1 = e_d + (e0 - e_d) * y0 / y1 if y1 > 0 else e0
+    return y1, min(e1, 0.5)
+
+
 def bb84_rate(p: Bb84Params) -> float:
     """Asymptotic decoy-state BB84 key rate per emitted pulse.
 
@@ -63,13 +77,41 @@ def bb84_rate(p: Bb84Params) -> float:
     if q_mu <= 0.0:
         return 0.0
     e_mu = p.e_d + (e0 - p.e_d) * y0 / q_mu
-    y1 = _yield(1, pd, 1.0 - eta)
-    e1 = p.e_d + (e0 - p.e_d) * y0 / y1 if y1 > 0 else e0
+    y1, e1 = _bb84_single_photon(eta, pd, p.e_d)
     q1 = math.exp(-p.mu) * p.mu * y1 / q_mu
     e_mu = min(e_mu, 0.5)
-    e1 = min(e1, 0.5)
     rate = 0.5 * q_mu * (-p.f_ec * binary_entropy(e_mu) + q1 * (1.0 - binary_entropy(e1)))
     return max(rate, 0.0)
+
+
+def _entropy_grid(x: np.ndarray) -> np.ndarray:
+    # binary_entropy over an array with entries in [0, 1/2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = -x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x)
+    return np.where(x > 0.0, h, 0.0)
+
+
+def bb84_rate_grid(mu: np.ndarray, e_d: float, f_ec: float, channel: ChannelParams) -> np.ndarray:
+    """:func:`bb84_rate` over an array of intensities, not floored at 0.
+
+    The mu-independent single-photon terms come from the scalar path;
+    the rest agrees with it up to the ulp differences between NumPy's
+    and ``math``'s ``exp``/``log2``.
+    """
+    mu = np.asarray(mu, dtype=float)
+    # the scalar parameter checks; a negative intensity fails through the min
+    Bb84Params(mu=float(mu.min(initial=0.0)), e_d=e_d, f_ec=f_ec, channel=channel)
+    eta = channel.eta_arm
+    pd = channel.p_d
+    y0 = 2.0 * pd
+    e0 = 0.5
+    q_mu = 1.0 - (1.0 - 2.0 * pd) * np.exp(-(eta * mu))
+    y1, e1 = _bb84_single_photon(eta, pd, e_d)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e_mu = np.minimum(e_d + (e0 - e_d) * y0 / q_mu, 0.5)
+        q1 = np.exp(-mu) * mu * y1 / q_mu
+        rate = 0.5 * q_mu * (-f_ec * _entropy_grid(e_mu) + q1 * (1.0 - binary_entropy(e1)))
+    return np.where(q_mu > 0.0, rate, 0.0)
 
 
 def _bessel_i0(z: float) -> float:
@@ -82,6 +124,29 @@ def _bessel_i0(z: float) -> float:
         if term < 1e-16 * total:
             break
     return total
+
+
+def _mdi_single_photon(
+    eta_a: float, eta_b: float, p_d: float, e_d: float
+) -> tuple[float, float]:
+    # two-photon-pair yield and error of the rectilinear basis: (Y_11, e_11)
+    e0 = 0.5
+    y11 = (1.0 - p_d) ** 2 * (
+        eta_a * eta_b / 2.0
+        + (2.0 * eta_a + 2.0 * eta_b - 3.0 * eta_a * eta_b) * p_d
+        + 4.0 * (1.0 - eta_a) * (1.0 - eta_b) * p_d**2
+    )
+    if y11 > 0.0:
+        e11 = (e0 * y11 - (e0 - e_d) * (1.0 - p_d**2) * eta_a * eta_b / 2.0) / y11
+        e11 = min(max(e11, 0.0), 0.5)
+    else:
+        e11 = e0
+    return y11, e11
+
+
+def _check_mdi(mu_min, eta_a, eta_b) -> None:
+    if mu_min < 0 or not (0 <= eta_a <= 1) or not (0 <= eta_b <= 1):
+        raise ValueError("intensities must be nonnegative and transmittances in [0, 1]")
 
 
 def mdi_rate(
@@ -98,19 +163,9 @@ def mdi_rate(
     R = (1/2) * { Q_11*[1 - H(e_11)] - f*Q_rect*H(E_rect) } with
     Q_11 = mu_a*mu_b*exp(-mu_a-mu_b)*Y_11, floored at 0.
     """
-    if min(mu_a, mu_b) < 0 or not (0 <= eta_a <= 1) or not (0 <= eta_b <= 1):
-        raise ValueError("intensities must be nonnegative and transmittances in [0, 1]")
+    _check_mdi(min(mu_a, mu_b), eta_a, eta_b)
     e0 = 0.5
-    y11 = (1.0 - p_d) ** 2 * (
-        eta_a * eta_b / 2.0
-        + (2.0 * eta_a + 2.0 * eta_b - 3.0 * eta_a * eta_b) * p_d
-        + 4.0 * (1.0 - eta_a) * (1.0 - eta_b) * p_d**2
-    )
-    if y11 > 0.0:
-        e11 = (e0 * y11 - (e0 - e_d) * (1.0 - p_d**2) * eta_a * eta_b / 2.0) / y11
-        e11 = min(max(e11, 0.0), 0.5)
-    else:
-        e11 = e0
+    y11, e11 = _mdi_single_photon(eta_a, eta_b, p_d, e_d)
     mu_prime = eta_a * mu_a + eta_b * mu_b
     x = 0.5 * math.sqrt(eta_a * mu_a * eta_b * mu_b)
     damp = math.exp(-mu_prime / 2.0)
@@ -143,6 +198,43 @@ def mdi_rate(
         x_param=x,
         rate_R=max(rate, 0.0),
     )
+
+
+def mdi_rate_grid(
+    mu_a: np.ndarray,
+    mu_b: np.ndarray,
+    eta_a: float,
+    eta_b: float,
+    p_d: float,
+    e_d: float,
+    f_ec: float,
+) -> np.ndarray:
+    """``mdi_rate(...).rate_R`` over arrays of intensities, not floored at 0.
+
+    Y_11 and e_11 come from the scalar path; the rest agrees with it up
+    to the ulp differences between NumPy's and ``math``'s functions.
+    """
+    mu_a = np.asarray(mu_a, dtype=float)
+    mu_b = np.asarray(mu_b, dtype=float)
+    _check_mdi(min(mu_a.min(initial=0.0), mu_b.min(initial=0.0)), eta_a, eta_b)
+    y11, e11 = _mdi_single_photon(eta_a, eta_b, p_d, e_d)
+    mu_prime = eta_a * mu_a + eta_b * mu_b
+    x = 0.5 * np.sqrt(eta_a * mu_a * eta_b * mu_b)
+    damp = np.exp(-mu_prime / 2.0)
+    q_c = (
+        2.0
+        * (1.0 - p_d) ** 2
+        * damp
+        * (1.0 - (1.0 - p_d) * np.exp(-eta_a * mu_a / 2.0))
+        * (1.0 - (1.0 - p_d) * np.exp(-eta_b * mu_b / 2.0))
+    )
+    q_e = 2.0 * p_d * (1.0 - p_d) ** 2 * damp * (np.i0(2.0 * x) - (1.0 - p_d) * damp)
+    q_rect = q_c + q_e
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e_rect = np.clip((e_d * q_c + (1.0 - e_d) * q_e) / q_rect, 0.0, 0.5)
+    e_rect = np.where(q_rect > 0.0, e_rect, 0.5)
+    q11 = mu_a * mu_b * np.exp(-mu_a - mu_b) * y11
+    return 0.5 * (q11 * (1.0 - binary_entropy(e11)) - f_ec * q_rect * _entropy_grid(e_rect))
 
 
 def tgw_bound(eta: float) -> float:

@@ -258,10 +258,13 @@ def _sweep_point(
                 baselines.Bb84Params(mu=mu, e_d=e_d, f_ec=f_ec, channel=ch_full)
             )
 
+        def bb84_grid(mus):
+            return baselines.bb84_rate_grid(mus, e_d, f_ec, ch_full)
+
         if variable == "mu":
             row["R_bb84"] = bb84_at(value)
         elif optimize:
-            _, r = rate.maximize(bb84_at, *MU_RANGE)
+            _, r = rate.maximize(bb84_at, *MU_RANGE, f_grid=bb84_grid)
             row["R_bb84"] = r
         else:
             row["R_bb84"] = bb84_at(fixed_mu)
@@ -273,10 +276,15 @@ def _sweep_point(
                 mu / 2.0, mu / 2.0, eta_arm, eta_arm, p_d, e_d, f_ec
             ).rate_R
 
+        def mdi_grid(mus):
+            return baselines.mdi_rate_grid(
+                mus / 2.0, mus / 2.0, eta_arm, eta_arm, p_d, e_d, f_ec
+            )
+
         if variable == "mu":
             row["R_mdi"] = mdi_at(value)
         elif optimize:
-            _, r = rate.maximize(mdi_at, *MU_RANGE)
+            _, r = rate.maximize(mdi_at, *MU_RANGE, f_grid=mdi_grid)
             row["R_mdi"] = r
         else:
             row["R_mdi"] = mdi_at(fixed_mu)

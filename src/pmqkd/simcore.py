@@ -334,15 +334,15 @@ def sift(data: RoundData, j_d: int, m_slices: int) -> SiftResult:
     A round survives when (j_b + j_d - j_a) mod M is 0 or M/2; Bob
     flips his bit on an R-click announcement and again in the M/2 case.
     """
-    single = data.single_click_mask()
-    dmod = (data.j_b.astype(np.int32) + j_d - data.j_a.astype(np.int32)) % m_slices
+    single = np.flatnonzero(data.single_click_mask())
+    dmod = (data.j_b[single].astype(np.int32) + j_d - data.j_a[single].astype(np.int32)) % m_slices
     half = m_slices // 2
-    keep = single & ((dmod == 0) | (dmod == half))
-    idx = np.nonzero(keep)[0]
+    keep = (dmod == 0) | (dmod == half)
+    idx = single[keep]
     bob = (
         data.kappa_b[idx].astype(np.int8)
         ^ (data.outcome[idx] == Outcome.RIGHT).astype(np.int8)
-        ^ (dmod[idx] == half).astype(np.int8)
+        ^ (dmod[keep] == half).astype(np.int8)
     )
     return SiftResult(indices=idx, alice_bits=data.kappa_a[idx].copy(), bob_bits=bob)
 
@@ -431,6 +431,15 @@ class SimResult:
     block_offsets: list[tuple[int, int, int]]  # (start, stop, j_d)
 
 
+def _bincount(values: np.ndarray, k: int) -> np.ndarray:
+    """``np.bincount(values, minlength=k)``, counted in slices of
+    ``RNG_BLOCK_ROUNDS``: bincount copies its input to intp, 8 B a value."""
+    counts = np.zeros(k, dtype=np.int64)
+    for start in range(0, len(values), RNG_BLOCK_ROUNDS):
+        counts += np.bincount(values[start:start + RNG_BLOCK_ROUNDS], minlength=k)
+    return counts
+
+
 def simulate(cfg: SimConfig) -> SimResult:
     """Run the full pipeline: rounds, offset search, sifting, tallies."""
     data = collect_rounds(cfg)
@@ -438,7 +447,6 @@ def simulate(cfg: SimConfig) -> SimResult:
     chunk = cfg.jd_block_rounds if cfg.jd_block_rounds is not None else n
     starts = list(range(0, n, chunk))
 
-    # counted per jd block: bincount copies its input to intp, 8 B per round
     k = len(cfg.intensities)
     emitted, clicked, sifted, errors = np.zeros((4, k), dtype=np.int64)
 
@@ -447,8 +455,8 @@ def simulate(cfg: SimConfig) -> SimResult:
     for bi, start in enumerate(starts):
         stop = min(start + chunk, n)
         part = data.take(slice(start, stop))
-        emitted += np.bincount(part.mu_idx, minlength=k)
-        clicked += np.bincount(part.mu_idx[part.single_click_mask()], minlength=k)
+        emitted += _bincount(part.mu_idx, k)
+        clicked += _bincount(part.mu_idx[part.single_click_mask()], k)
         rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence([cfg.seed, _SAMPLE_STREAM, bi]))
         )
@@ -457,8 +465,8 @@ def simulate(cfg: SimConfig) -> SimResult:
             first_result = post
         res = sift(part, post.j_d_opt, cfg.m_slices)
         mu_sifted = part.mu_idx[res.indices]
-        sifted += np.bincount(mu_sifted, minlength=k)
-        errors += np.bincount(mu_sifted[res.errors()], minlength=k)
+        sifted += _bincount(mu_sifted, k)
+        errors += _bincount(mu_sifted[res.errors()], k)
         block_offsets.append((start, stop, post.j_d_opt))
 
     tallies = [

@@ -4,15 +4,18 @@ import numpy as np
 import pytest
 from scipy import special
 
+from pmqkd import rate
 from pmqkd.baselines import (
     Bb84Params,
     bb84_rate,
+    bb84_rate_grid,
     _bessel_i0,
     mdi_rate,
+    mdi_rate_grid,
     plob_bound,
     tgw_bound,
 )
-from pmqkd.detection import ChannelParams
+from pmqkd.detection import ChannelParams, fiber_transmittance
 
 
 def full_channel(eta, pd=0.0):
@@ -166,3 +169,127 @@ def test_params_validation():
         Bb84Params(mu=0.1, e_d=0.0, f_ec=0.5, channel=full_channel(0.1))
     with pytest.raises(ValueError):
         mdi_rate(0.1, 0.1, 1.5, 0.1, 0.0, 0.0, 1.15)
+
+
+# --- vectorized grids and the bracket they select ----------------------------
+
+MU_GRID = np.array([0.01 + (2.0 - 0.01) * i / 199 for i in range(200)])  # maximize's grid
+# 0-500 km, denser where 1 - exp(-eta*mu) cancels (eta*mu < 1e-10 at 500 km): for
+# BB84 with p_d = 0 the grid/scalar difference is largest relative to the values there
+GRID_DISTANCES = [*range(0, 400, 20), *range(400, 501, 5)]
+
+
+def bb84_cell(distance, pd, ed, f_ec=1.15):
+    ch = ChannelParams(eta_arm=fiber_transmittance(distance, 0.145, 0.2), p_d=pd)
+
+    def f(mu):
+        return bb84_rate(Bb84Params(mu=mu, e_d=ed, f_ec=f_ec, channel=ch))
+
+    return f, lambda mus: bb84_rate_grid(mus, ed, f_ec, ch)
+
+
+def mdi_cell(distance, pd, ed, f_ec=1.15):
+    eta = fiber_transmittance(distance / 2.0, 0.145, 0.2)
+
+    def f(mu):
+        return mdi_rate(mu / 2.0, mu / 2.0, eta, eta, pd, ed, f_ec).rate_R
+
+    return f, lambda mus: mdi_rate_grid(mus / 2.0, mus / 2.0, eta, eta, pd, ed, f_ec)
+
+
+CELLS = {"bb84": bb84_cell, "mdi": mdi_cell}
+
+
+@pytest.mark.parametrize("e_d", [0.0, 0.015, 0.1])
+@pytest.mark.parametrize("p_d", [0.0, 7.2e-8, 1e-5])
+@pytest.mark.parametrize("protocol", ["bb84", "mdi"])
+def test_rate_grid_within_the_maximize_bound(protocol, p_d, e_d):
+    # the bound maximize relies on: the unfloored grid value is within tol of
+    # the scalar value where that is positive, and below tol where it is 0
+    for distance in GRID_DISTANCES:
+        f, f_grid = CELLS[protocol](distance, p_d, e_d)
+        g = f_grid(MU_GRID)
+        scalar = np.array([f(mu) for mu in MU_GRID])
+        tol = rate.GRID_REL_TOL * np.abs(g).max() + rate.GRID_ABS_TOL
+        dev = np.where(scalar > 0.0, np.abs(g - scalar), np.maximum(g, 0.0))
+        assert dev.max() <= tol, (distance, dev.max() / tol)
+
+
+def counting(f):
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return f(x)
+
+    return counted, calls
+
+
+@pytest.mark.parametrize("protocol", ["bb84", "mdi"])
+def test_maximize_with_grid_equals_scalar_maximize(protocol):
+    rng = np.random.default_rng(6 if protocol == "bb84" else 7)
+    for _ in range(40):
+        distance = rng.uniform(0.0, 600.0)
+        p_d = 0.0 if rng.random() < 0.3 else 10 ** rng.uniform(-9, -4)
+        f, f_grid = CELLS[protocol](distance, p_d, rng.uniform(0, 0.1), rng.uniform(1.0, 1.3))
+        assert rate.maximize(f, 0.01, 2.0, f_grid=f_grid) == rate.maximize(f, 0.01, 2.0)
+
+
+def test_maximize_with_grid_on_a_nonpositive_cell():
+    # BB84 with dark counts has no key beyond ~140 km: no scalar call at all
+    f, f_grid = bb84_cell(300.0, 7.2e-8, 0.015)
+    counted, calls = counting(f)
+    assert rate.maximize(counted, 0.01, 2.0, f_grid=f_grid) == (0.01, 0.0)
+    assert calls == []
+    assert rate.maximize(f, 0.01, 2.0) == (0.01, 0.0)
+
+
+def test_maximize_with_grid_takes_few_scalar_calls():
+    f, f_grid = mdi_cell(200.0, 7.2e-8, 0.015)
+    counted, calls = counting(f)
+    assert rate.maximize(counted, 0.01, 2.0, f_grid=f_grid) == rate.maximize(f, 0.01, 2.0)
+    assert len(calls) < 50  # the candidates plus the golden-section steps
+
+
+def test_maximize_with_a_flipped_grid_argmax_returns_the_scalar_answer():
+    f, f_grid = mdi_cell(200.0, 7.2e-8, 0.015)
+    g = f_grid(MU_GRID)
+    best = int(np.argmax(g))
+    tol = rate.GRID_REL_TOL * np.abs(g).max() + rate.GRID_ABS_TOL
+    for neighbour in (best - 1, best + 1):
+        # both moved by just under the bound: the neighbour is now the grid argmax
+        flipped = g.copy()
+        flipped[best] = g[best] - 0.9 * tol
+        flipped[neighbour] = g[best] + 0.9 * tol
+        assert int(np.argmax(flipped)) == neighbour
+        counted, calls = counting(f)
+        out = rate.maximize(counted, 0.01, 2.0, f_grid=lambda mus, v=flipped: v)
+        assert out == rate.maximize(f, 0.01, 2.0)
+        assert MU_GRID[best] in calls
+
+
+def test_maximize_with_grid_falls_back_to_the_scalar_scan():
+    f, f_grid = mdi_cell(200.0, 7.2e-8, 0.015)
+    g = f_grid(MU_GRID)
+    two_peaks = g.copy()
+    two_peaks[-1] = g.max()  # a second candidate far from the first
+    # a top within the bound of 0: the only candidates would be the peak's
+    near_zero = np.where(np.abs(np.arange(200) - 100) <= 3, 0.5 * rate.GRID_ABS_TOL, -1e-7)
+    not_finite = g.copy()
+    not_finite[3] = np.nan
+    expected = rate.maximize(f, 0.01, 2.0)
+    for grid in (two_peaks, near_zero, not_finite):
+        counted, calls = counting(f)
+        assert rate.maximize(counted, 0.01, 2.0, f_grid=lambda mus, v=grid: v) == expected
+        assert set(MU_GRID.tolist()) <= set(calls)
+
+
+def test_rate_grid_validation():
+    with pytest.raises(ValueError):
+        bb84_rate_grid(np.array([0.1, -0.1]), 0.015, 1.15, full_channel(0.1))
+    with pytest.raises(ValueError):
+        bb84_rate_grid(np.array([0.1]), 0.015, 0.5, full_channel(0.1))
+    with pytest.raises(ValueError):
+        mdi_rate_grid(np.array([0.1]), np.array([-0.1]), 0.1, 0.1, 0.0, 0.0, 1.15)
+    with pytest.raises(ValueError):
+        mdi_rate_grid(np.array([0.1]), np.array([0.1]), 1.5, 0.1, 0.0, 0.0, 1.15)

@@ -164,23 +164,48 @@ GOLDEN_SWEEP = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "s
 
 
 def test_sweep_fig3b_rows_match_golden(tmp_path, capsys):
-    # every 25th row of the recorded 0-500 km Fig. 3b sweep, byte for byte
+    # the recorded 0-500 km Fig. 3b sweep, all 501 rows byte for byte
     out_file = tmp_path / "sweep.csv"
     code, _, _ = run_cli(
         [
-            "sweep", "--preset", "fig3b", "--start", "0", "--stop", "500", "--step", "25",
+            "sweep", "--preset", "fig3b", "--start", "0", "--stop", "500", "--step", "1",
             "--optimize-mu", "--output", str(out_file),
         ],
         capsys,
     )
     assert code == 0
-    header, *rows = out_file.read_text().splitlines()
-    golden_header, *golden_rows = GOLDEN_SWEEP.read_text().splitlines()
-    assert header == golden_header
-    golden = {row.split(",", 1)[0]: row for row in golden_rows}
-    assert len(rows) == 21
-    for row in rows:
-        assert row == golden[row.split(",", 1)[0]]
+    rows = out_file.read_text().splitlines()
+    golden_rows = GOLDEN_SWEEP.read_text().splitlines()
+    assert len(rows) == len(golden_rows) == 502
+    for row, golden in zip(rows, golden_rows):
+        assert row == golden
+
+
+def test_sweep_fig3b_baselines_take_no_scalar_fallback(monkeypatch):
+    # every optimized BB84/MDI cell selects its bracket on the NumPy grid; a full
+    # scalar scan of maximize's 200-point grid would show as >= 200 scalar calls
+    maximize = cli.rate.maximize
+    scalar_calls = []
+
+    def counting_maximize(f, lo, hi, f_grid=None):
+        calls = [0]
+
+        def counted(x):
+            calls[0] += 1
+            return f(x)
+
+        assert f_grid is not None
+        out = maximize(counted, lo, hi, f_grid=f_grid)
+        scalar_calls.append(calls[0])
+        return out
+
+    monkeypatch.setattr(cli.rate, "maximize", counting_maximize)
+    rows = cli.run_sweep(
+        "distance_km", 0, 500, 1, ("bb84", "mdi"), cli.PRESETS["fig3b"], optimize_mu=True
+    )
+    assert len(rows) == 501
+    assert len(scalar_calls) == 2 * 501
+    assert max(scalar_calls) < 200
 
 
 def small_sweep(stop):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from pmqkd import rate
+from pmqkd import rate, simcore
 from pmqkd.detection import ChannelParams
 from pmqkd.simcore import (
     MAX_M_SLICES,
@@ -157,6 +157,54 @@ def test_sift_offset_compensates():
     data = _single_round(0, 0, 5, 3, Outcome.LEFT)
     assert len(sift(data, 2, 16).indices) == 1
     assert len(sift(data, 1, 16).indices) == 0
+
+
+def sift_over_all_rounds(data, j_d, m):
+    # the rule evaluated on every round, as the oracle for sift's single-click subset
+    single = data.single_click_mask()
+    dmod = (data.j_b.astype(np.int32) + j_d - data.j_a.astype(np.int32)) % m
+    keep = single & ((dmod == 0) | (dmod == m // 2))
+    idx = np.nonzero(keep)[0]
+    bob = (
+        data.kappa_b[idx].astype(np.int8)
+        ^ (data.outcome[idx] == Outcome.RIGHT).astype(np.int8)
+        ^ (dmod[idx] == m // 2).astype(np.int8)
+    )
+    return idx, data.kappa_a[idx].copy(), bob
+
+
+@pytest.mark.parametrize("m", [2, 16, 32766])
+def test_sift_equals_the_all_rounds_rule(m):
+    rng = np.random.default_rng(m)
+    n = 20_000
+    data = RoundData(
+        kappa_a=rng.integers(0, 2, n).astype(np.int8),
+        kappa_b=rng.integers(0, 2, n).astype(np.int8),
+        mu_idx=rng.integers(0, 3, n).astype(np.int16),
+        j_a=rng.integers(0, m, n).astype(np.int16),
+        j_b=rng.integers(0, min(m, 4), n).astype(np.int16),  # many matches even at large M
+        outcome=rng.integers(0, 4, n).astype(np.int8),
+        phi_a=np.zeros(n),
+        phi_b=np.zeros(n),
+    )
+    for j_d in sorted({0, 1, m // 2, m - 1}):
+        res = sift(data, j_d, m)
+        for got, want in zip((res.indices, res.alice_bits, res.bob_bits),
+                             sift_over_all_rounds(data, j_d, m)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+    none_clicked = data.take(np.flatnonzero(data.outcome == Outcome.NONE))
+    res = sift(none_clicked, 0, m)
+    assert len(res.indices) == len(res.alice_bits) == len(res.bob_bits) == 0
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1, 12345])
+def test_bincount_in_slices_equals_one_bincount(extra):
+    n = 2 * simcore.RNG_BLOCK_ROUNDS + extra
+    values = np.random.default_rng(5).integers(0, 3, n).astype(np.int16)
+    counts = simcore._bincount(values, 4)
+    assert counts.dtype == np.int64
+    assert np.array_equal(counts, np.bincount(values, minlength=4))
+    assert np.array_equal(simcore._bincount(values[:0], 4), np.zeros(4, dtype=np.int64))
 
 
 # --- postcompensation ----------------------------------------------------------------
