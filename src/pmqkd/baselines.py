@@ -30,8 +30,8 @@ class Bb84Params:
     channel: ChannelParams
 
     def __post_init__(self):
-        if self.mu < 0:
-            raise ValueError("mu must be nonnegative")
+        if not (0.0 <= self.mu < math.inf):
+            raise ValueError(f"intensity mu must be finite and nonnegative, got {self.mu!r}")
         if not (0.0 <= self.e_d <= 1.0):
             raise ValueError("e_d must be in [0, 1]")
         if self.f_ec < 1.0:
@@ -99,8 +99,7 @@ def bb84_rate_grid(mu: np.ndarray, e_d: float, f_ec: float, channel: ChannelPara
     and ``math``'s ``exp``/``log2``.
     """
     mu = np.asarray(mu, dtype=float)
-    # the scalar parameter checks; a negative intensity fails through the min
-    Bb84Params(mu=float(mu.min(initial=0.0)), e_d=e_d, f_ec=f_ec, channel=channel)
+    Bb84Params(mu=_first_rejected(mu), e_d=e_d, f_ec=f_ec, channel=channel)
     eta = channel.eta_arm
     pd = channel.p_d
     y0 = 2.0 * pd
@@ -144,9 +143,20 @@ def _mdi_single_photon(
     return y11, e11
 
 
-def _check_mdi(mu_min, eta_a, eta_b) -> None:
-    if mu_min < 0 or not (0 <= eta_a <= 1) or not (0 <= eta_b <= 1):
-        raise ValueError("intensities must be nonnegative and transmittances in [0, 1]")
+def _first_rejected(mu: np.ndarray) -> float:
+    # the grid entry the scalar intensity checks reject first: a non-finite one,
+    # else the smallest (0 when none is negative)
+    bad = mu[~np.isfinite(mu)]
+    return float(bad[0] if bad.size else mu.min(initial=0.0))
+
+
+def _check_mdi(mu_a, mu_b, eta_a, eta_b) -> None:
+    if not (0.0 <= mu_a < math.inf and 0.0 <= mu_b < math.inf):
+        raise ValueError(
+            f"intensities must be finite and nonnegative, got mu_a={mu_a!r}, mu_b={mu_b!r}"
+        )
+    if not (0 <= eta_a <= 1) or not (0 <= eta_b <= 1):
+        raise ValueError("transmittances must be in [0, 1]")
 
 
 def mdi_rate(
@@ -163,7 +173,7 @@ def mdi_rate(
     R = (1/2) * { Q_11*[1 - H(e_11)] - f*Q_rect*H(E_rect) } with
     Q_11 = mu_a*mu_b*exp(-mu_a-mu_b)*Y_11, floored at 0.
     """
-    _check_mdi(min(mu_a, mu_b), eta_a, eta_b)
+    _check_mdi(mu_a, mu_b, eta_a, eta_b)
     e0 = 0.5
     y11, e11 = _mdi_single_photon(eta_a, eta_b, p_d, e_d)
     mu_prime = eta_a * mu_a + eta_b * mu_b
@@ -216,7 +226,7 @@ def mdi_rate_grid(
     """
     mu_a = np.asarray(mu_a, dtype=float)
     mu_b = np.asarray(mu_b, dtype=float)
-    _check_mdi(min(mu_a.min(initial=0.0), mu_b.min(initial=0.0)), eta_a, eta_b)
+    _check_mdi(_first_rejected(mu_a), _first_rejected(mu_b), eta_a, eta_b)
     y11, e11 = _mdi_single_photon(eta_a, eta_b, p_d, e_d)
     mu_prime = eta_a * mu_a + eta_b * mu_b
     x = 0.5 * np.sqrt(eta_a * mu_a * eta_b * mu_b)

@@ -7,27 +7,21 @@ config), ``fock-check`` (truncated-Fock-space self-checks).
 
 Sweeps give phase-matching and MDI the per-arm transmittance over
 half the distance, BB84 and the capacity bounds the full distance
-(both from :func:`pmqkd.detection.fiber_transmittance`).  Exit codes:
+(both from :func:`pmqkd.detection.fiber_transmittance`), and evaluate
+every grid point in the calling process.  Exit codes:
 0 success, 1 domain error, 2 usage error, 3 failed statistical/numerical
 check.
 """
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import attacks, baselines, focklab, rate, simcore
 from .detection import ChannelParams, fiber_transmittance, k_photon_clicks
-
-THREADS_ENV = "PMQKD_THREADS"
-
-SWEEP_CHUNK = 16  # grid points per worker task
 
 MU_RANGE = (0.01, 2.0)
 
@@ -62,6 +56,11 @@ PRESETS = {
     ),
 }
 
+# the values of the flags left unset when no --preset is given
+DEFAULT_PRESET = Preset(
+    p_d=0.0, f_ec=1.15, eta_d=1.0, m_slices=16, e_d=0.015, alpha_db_per_km=0.2
+)
+
 
 def _fmt(x) -> str:
     if x is None:
@@ -85,16 +84,9 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _apply_preset(args) -> None:
-    preset = PRESETS.get(args.preset) if args.preset else None
-    defaults = {
-        "p_d": preset.p_d if preset else 0.0,
-        "eta_d": preset.eta_d if preset else 1.0,
-        "m_slices": preset.m_slices if preset else 16,
-        "f_ec": preset.f_ec if preset else 1.15,
-        "e_d": preset.e_d if preset else 0.015,
-        "alpha": preset.alpha_db_per_km if preset else 0.2,
-    }
-    for name, value in defaults.items():
+    preset = PRESETS[args.preset] if args.preset else DEFAULT_PRESET
+    for field, value in vars(preset).items():
+        name = "alpha" if field == "alpha_db_per_km" else field
         if getattr(args, name, None) is None:
             setattr(args, name, value)
 
@@ -233,61 +225,39 @@ def _sweep_point(
         "mu_opt": None,
     }
     ch_arm = ChannelParams(eta_arm=eta_arm, p_d=p_d, eta_d=eta_d, alpha_db_per_km=alpha)
+    # one intensity for every protocol: the swept one, None to optimize, else the fixed one
+    mu = value if variable == "mu" else None if optimize else fixed_mu
 
-    def pm_pmparams(mu):
-        return rate.PmParams(mu_total=mu, m_slices=m_slices, f_ec=f_ec)
+    def best_rate(f, f_grid):
+        return f(mu) if mu is not None else rate.maximize(f, *MU_RANGE, f_grid=f_grid)[1]
 
     if "pm" in protocols:
-        if variable == "mu":
-            mu_pm = value
-            r_pm = rate.key_rate(ch_arm, pm_pmparams(mu_pm)).rate_R
-        elif optimize:
-            mu_pm, bd = rate.optimize_mu(ch_arm, pm_pmparams(0.5), MU_RANGE)
-            r_pm = bd.rate_R
+        # optimize_mu takes every field but the intensity from its template
+        pm = rate.PmParams(mu_total=0.5 if mu is None else mu, m_slices=m_slices, f_ec=f_ec)
+        if mu is None:
+            row["mu_opt"], bd = rate.optimize_mu(ch_arm, pm, MU_RANGE)
         else:
-            mu_pm = fixed_mu
-            r_pm = rate.key_rate(ch_arm, pm_pmparams(mu_pm)).rate_R
-        row["mu_opt"] = mu_pm
-        row["R_pm"] = r_pm
+            row["mu_opt"], bd = mu, rate.key_rate(ch_arm, pm)
+        row["R_pm"] = bd.rate_R
 
     if "bb84" in protocols:
         ch_full = ChannelParams(eta_arm=eta_total, p_d=p_d, eta_d=eta_d, alpha_db_per_km=alpha)
-
-        def bb84_at(mu):
-            return baselines.bb84_rate(
-                baselines.Bb84Params(mu=mu, e_d=e_d, f_ec=f_ec, channel=ch_full)
-            )
-
-        def bb84_grid(mus):
-            return baselines.bb84_rate_grid(mus, e_d, f_ec, ch_full)
-
-        if variable == "mu":
-            row["R_bb84"] = bb84_at(value)
-        elif optimize:
-            _, r = rate.maximize(bb84_at, *MU_RANGE, f_grid=bb84_grid)
-            row["R_bb84"] = r
-        else:
-            row["R_bb84"] = bb84_at(fixed_mu)
+        row["R_bb84"] = best_rate(
+            lambda m: baselines.bb84_rate(
+                baselines.Bb84Params(mu=m, e_d=e_d, f_ec=f_ec, channel=ch_full)
+            ),
+            lambda mus: baselines.bb84_rate_grid(mus, e_d, f_ec, ch_full),
+        )
 
     if "mdi" in protocols:
-
-        def mdi_at(mu):
-            return baselines.mdi_rate(
-                mu / 2.0, mu / 2.0, eta_arm, eta_arm, p_d, e_d, f_ec
-            ).rate_R
-
-        def mdi_grid(mus):
-            return baselines.mdi_rate_grid(
+        row["R_mdi"] = best_rate(
+            lambda m: baselines.mdi_rate(
+                m / 2.0, m / 2.0, eta_arm, eta_arm, p_d, e_d, f_ec
+            ).rate_R,
+            lambda mus: baselines.mdi_rate_grid(
                 mus / 2.0, mus / 2.0, eta_arm, eta_arm, p_d, e_d, f_ec
-            )
-
-        if variable == "mu":
-            row["R_mdi"] = mdi_at(value)
-        elif optimize:
-            _, r = rate.maximize(mdi_at, *MU_RANGE, f_grid=mdi_grid)
-            row["R_mdi"] = r
-        else:
-            row["R_mdi"] = mdi_at(fixed_mu)
+            ),
+        )
 
     if "plob" in protocols:
         row["R_plob"] = baselines.plob_bound(min(eta_total, 1.0 - 1e-15))
@@ -306,9 +276,11 @@ def run_sweep(
     optimize_mu: bool,
     fixed_mu: float = 0.5,
     distance_for_mu: float = 0.0,
-    threads: int = 1,
 ) -> list[dict]:
     """Evaluate every protocol on the grid; rows come back in grid order."""
+    for flag, x in (("--start", start), ("--stop", stop), ("--step", step)):
+        if not math.isfinite(x):
+            raise ValueError(f"sweep {flag} must be a finite number, got {x!r}")
     if not (start < stop) or step <= 0:
         raise ValueError("sweep needs start < stop and step > 0")
     if not protocols:
@@ -321,15 +293,10 @@ def run_sweep(
     while v <= stop + 1e-12:
         values.append(round(v, 12))
         v += step
-    point = functools.partial(
-        _sweep_point, variable=variable, preset=preset, protocols=protocols,
-        optimize=optimize_mu, fixed_mu=fixed_mu, distance_for_mu=distance_for_mu,
-    )
-    workers = min(threads, -(-len(values) // SWEEP_CHUNK))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(point, values, chunksize=SWEEP_CHUNK))
-    return [point(v) for v in values]
+    return [
+        _sweep_point(v, variable, preset, protocols, optimize_mu, fixed_mu, distance_for_mu)
+        for v in values
+    ]
 
 
 def sweep_rows_to_csv(rows: list[dict]) -> str:
@@ -346,13 +313,6 @@ def cmd_sweep(args) -> int:
         e_d=args.e_d, alpha_db_per_km=args.alpha,
     )
     protocols = tuple(p.strip() for p in args.protocols.split(",") if p.strip())
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        threads = int(raw)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise ValueError(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
     rows = run_sweep(
         variable=args.variable,
         start=args.start,
@@ -363,7 +323,6 @@ def cmd_sweep(args) -> int:
         optimize_mu=args.optimize_mu,
         fixed_mu=args.mu if args.mu is not None else 0.5,
         distance_for_mu=args.distance if args.distance is not None else 0.0,
-        threads=threads,
     )
     _write_text(args.output, sweep_rows_to_csv(rows))
     return 0

@@ -31,8 +31,10 @@ class PmParams:
     truncation_k: int = 5
 
     def __post_init__(self):
-        if not (self.mu_total > 0):
-            raise ValueError("mu_total must be positive")
+        if not (0.0 < self.mu_total < math.inf):
+            raise ValueError(
+                f"intensity mu_total must be finite and positive, got {self.mu_total!r}"
+            )
         if self.m_slices < 2 or self.m_slices % 2 != 0:
             raise ValueError("m_slices must be an even integer >= 2")
         if self.f_ec < 1.0:

@@ -169,6 +169,11 @@ def test_params_validation():
         Bb84Params(mu=0.1, e_d=0.0, f_ec=0.5, channel=full_channel(0.1))
     with pytest.raises(ValueError):
         mdi_rate(0.1, 0.1, 1.5, 0.1, 0.0, 0.0, 1.15)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="intensity mu must be finite and nonnegative"):
+            Bb84Params(mu=bad, e_d=0.0, f_ec=1.15, channel=full_channel(0.1))
+        with pytest.raises(ValueError, match="intensities must be finite and nonnegative"):
+            mdi_rate(0.1, bad, 0.1, 0.1, 0.0, 0.0, 1.15)
 
 
 # --- vectorized grids and the bracket they select ----------------------------
@@ -293,3 +298,8 @@ def test_rate_grid_validation():
         mdi_rate_grid(np.array([0.1]), np.array([-0.1]), 0.1, 0.1, 0.0, 0.0, 1.15)
     with pytest.raises(ValueError):
         mdi_rate_grid(np.array([0.1]), np.array([0.1]), 1.5, 0.1, 0.0, 0.0, 1.15)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"intensity mu must be finite.*got {bad}"):
+            bb84_rate_grid(np.array([0.1, bad, -0.1]), 0.015, 1.15, full_channel(0.1))
+        with pytest.raises(ValueError, match=f"intensities must be finite.*mu_b={bad}"):
+            mdi_rate_grid(np.array([0.1, 0.2]), np.array([0.1, bad]), 0.1, 0.1, 0.0, 0.0, 1.15)

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -208,45 +211,55 @@ def test_sweep_fig3b_baselines_take_no_scalar_fallback(monkeypatch):
     assert max(scalar_calls) < 200
 
 
-def small_sweep(stop):
-    return ["sweep", "--start", "0", "--stop", str(stop), "--step", "1", "--protocols", "plob,tgw"]
+GRID = ["--start", "0", "--stop", "3", "--step", "1"]
 
 
-@pytest.mark.parametrize("value", ["abc", "0", "-2", "2.5", ""])
-def test_sweep_bad_threads_is_named(monkeypatch, capsys, value):
-    monkeypatch.setenv(cli.THREADS_ENV, value)
-    code, out, err = run_cli(small_sweep(3), capsys)
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["sweep", *GRID, "--mu", "inf", "--protocols", "bb84"], "intensity mu "),
+        (["sweep", *GRID, "--mu", "inf", "--protocols", "mdi"], "intensities "),
+        (["sweep", *GRID, "--mu", "inf", "--protocols", "pm"], "intensity mu_total "),
+        (["rate", "--distance", "100", "--mu", "inf"], "intensity mu_total "),
+        (["sweep", *GRID, "--mu", "nan", "--protocols", "bb84"], "intensity mu "),
+    ],
+    ids=["sweep_inf_bb84", "sweep_inf_mdi", "sweep_inf_pm", "rate_inf", "sweep_nan_bb84"],
+)
+def test_non_finite_intensity_is_named(capsys, argv, named):
+    code, out, err = run_cli(argv, capsys)
     assert code == 1
     assert out == ""
-    assert err.startswith("error: PMQKD_THREADS ") and err.count("\n") == 1
+    assert err.startswith(f"error: {named}") and err.count("\n") == 1
 
 
-def test_sweep_workers_capped_at_chunk_count(monkeypatch, capsys):
-    started = []
+@pytest.mark.parametrize(
+    "grid, named",
+    [
+        (["--start", "0", "--stop", "inf", "--step", "1"], "--stop"),  # would never end
+        (["--start", "0", "--stop", "3", "--step", "nan"], "--step"),
+        (["--start", "0", "--stop", "3", "--step", "inf"], "--step"),
+        (["--start", "nan", "--stop", "3", "--step", "1"], "--start"),
+        (["--start=-inf", "--stop", "3", "--step", "1"], "--start"),
+    ],
+    ids=["inf_stop", "nan_step", "inf_step", "nan_start", "minus_inf_start"],
+)
+def test_sweep_non_finite_grid_flag_is_named(capsys, grid, named):
+    code, out, err = run_cli(["sweep", *grid, "--protocols", "plob,tgw"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: sweep {named} ") and err.count("\n") == 1
 
-    class InProcessPool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, values, chunksize):
-            return map(fn, values)
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
-    code, serial, _ = run_cli(small_sweep(39), capsys)
-    assert code == 0 and started == []
-    monkeypatch.setenv(cli.THREADS_ENV, "1000")
-    code, pooled, _ = run_cli(small_sweep(39), capsys)
-    assert code == 0
-    assert started == [3]  # 40 points in chunks of 16
-    assert pooled == serial
-    code, _, _ = run_cli(small_sweep(3), capsys)
-    assert code == 0 and started == [3]  # 4 points fit one chunk: no pool
+def test_import_loads_no_process_pool_or_optimizer():
+    # sweeps run in the calling process, and SciPy's optimizer is imported only where used
+    heavy = ("multiprocessing", "concurrent.futures.process", "scipy.optimize")
+    code = f"import sys, pmqkd.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "[]\n"
 
 
 def test_sweep_eta_variable(capsys):

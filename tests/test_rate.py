@@ -337,6 +337,12 @@ def test_key_rate_keeps_checks():
         photon_fraction(-1, ch(0.1), PmParams(mu_total=0.5))
 
 
+@pytest.mark.parametrize("mu", [0.0, -0.1, math.inf, -math.inf, math.nan])
+def test_pm_params_requires_a_finite_positive_intensity(mu):
+    with pytest.raises(ValueError, match="intensity mu_total must be finite and positive"):
+        PmParams(mu_total=mu)
+
+
 def test_key_rate_finite_and_continuous():
     c = ChannelParams.from_distance(200.0, eta_d=0.145, p_d=7.2e-8)
 
