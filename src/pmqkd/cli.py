@@ -5,10 +5,11 @@ scans with optional intensity optimization), ``attack`` (beam-splitting
 attack comparison), ``simulate`` (Monte Carlo protocol run from a JSON
 config), ``fock-check`` (truncated-Fock-space self-checks).
 
-Sweeps give phase-matching and MDI the per-arm transmittance over
-half the distance, BB84 and the capacity bounds the full distance
-(both from :func:`pmqkd.detection.fiber_transmittance`), and evaluate
-every grid point in the calling process.  Exit codes:
+Sweeps give phase-matching and MDI the per-arm channel of
+:meth:`pmqkd.detection.ChannelParams.from_distance`, BB84 and the capacity
+bounds the full-distance :func:`pmqkd.detection.fiber_transmittance`, and
+evaluate every grid point in the calling process.  ``p_d``, ``eta_d`` and
+``alpha_db_per_km`` are checked once per command, in :class:`Preset`.  Exit codes:
 0 success, 1 domain error, 2 usage error, 3 failed statistical/numerical
 check.
 """
@@ -18,12 +19,15 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
-from . import attacks, baselines, focklab, rate, simcore
+from . import attacks, baselines, detection, focklab, rate, simcore
 from .detection import ChannelParams, fiber_transmittance, k_photon_clicks
 
 MU_RANGE = (0.01, 2.0)
+
+# A longer grid is a mistyped --step, not a sweep.
+MAX_SWEEP_POINTS = 10**6
 
 SWEEP_COLUMNS = [
     "distance_km",
@@ -48,6 +52,11 @@ class Preset:
     m_slices: int
     e_d: float  # baseline-protocol misalignment only
     alpha_db_per_km: float
+
+    def __post_init__(self):
+        # once per command; f_ec, m_slices and e_d are checked by the protocol parameters
+        detection._check_prob("p_d", self.p_d)
+        detection._check_fiber(self.eta_d, self.alpha_db_per_km)
 
 
 PRESETS = {
@@ -83,32 +92,24 @@ def _write_text(path: str | None, text: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _apply_preset(args) -> None:
+def _apply_preset(args) -> Preset:
+    """The ``--preset`` (or default) values with every flag given in their place, checked."""
     preset = PRESETS[args.preset] if args.preset else DEFAULT_PRESET
-    for field, value in vars(preset).items():
-        name = "alpha" if field == "alpha_db_per_km" else field
-        if getattr(args, name, None) is None:
-            setattr(args, name, value)
+    given = {f.name: getattr(args, f.name) for f in fields(Preset)}
+    return replace(preset, **{k: v for k, v in given.items() if v is not None})
 
 
-# ``rate --config`` keys and the flag each one fills when the flag is not given.
-RATE_CONFIG_FLAGS = {
-    "distance_km": "distance",
-    "eta_arm": "eta",
-    "mu": "mu",
-    "p_d": "p_d",
-    "eta_d": "eta_d",
-    "m_slices": "m_slices",
-    "f_ec": "f_ec",
-    "alpha_db_per_km": "alpha",
-    "preset": "preset",
-}
+# ``rate --config`` keys; each fills the flag of the same dest when that flag is not given.
+RATE_CONFIG_KEYS = (
+    "distance_km", "eta_arm", "mu", "p_d", "eta_d", "m_slices", "f_ec", "alpha_db_per_km",
+    "preset",
+)
 
 
 def _read_rate_config(path: str) -> dict:
-    """``rate --config`` document with every value checked, keyed by flag."""
+    """``rate --config`` document with every value checked."""
     with open(path, "r", encoding="utf-8") as f:
-        doc = simcore._json_object(json.load(f), "config", RATE_CONFIG_FLAGS)
+        doc = simcore._json_object(json.load(f), "config", RATE_CONFIG_KEYS)
     values = {}
     for key, value in doc.items():
         if key == "preset":
@@ -118,7 +119,7 @@ def _read_rate_config(path: str) -> dict:
             value = simcore._json_integer(value, key)
         else:
             value = simcore._json_number(value, key)
-        values[RATE_CONFIG_FLAGS[key]] = value
+        values[key] = value
     return values
 
 
@@ -127,25 +128,25 @@ def _resolve_rate_args(args) -> tuple[ChannelParams, rate.PmParams, float | None
         for flag, value in _read_rate_config(args.config).items():
             if getattr(args, flag) is None:
                 setattr(args, flag, value)
-    _apply_preset(args)
     if args.mu is None:
         raise ValueError("an intensity --mu is required")
-    if (args.distance is None) == (args.eta is None):
+    if (args.distance_km is None) == (args.eta_arm is None):
         raise ValueError("give exactly one of --distance or --eta")
-    if args.distance is not None:
+    if args.eta_arm is not None:
+        # args hold only the values given, so a preset's eta_d and alpha still go with --eta
+        for flag, key in (("--eta-d", "eta_d"), ("--alpha", "alpha_db_per_km")):
+            if getattr(args, key) is not None:
+                raise ValueError(f"{flag} ({key}) applies only with --distance, not with --eta")
+    preset = _apply_preset(args)
+    if args.distance_km is not None:
         ch = ChannelParams.from_distance(
-            float(args.distance), eta_d=args.eta_d, p_d=args.p_d,
-            alpha_db_per_km=args.alpha,
+            args.distance_km, eta_d=preset.eta_d, p_d=preset.p_d,
+            alpha_db_per_km=preset.alpha_db_per_km,
         )
-        distance = float(args.distance)
     else:
-        ch = ChannelParams(eta_arm=float(args.eta), p_d=args.p_d, eta_d=args.eta_d,
-                           alpha_db_per_km=args.alpha)
-        distance = None
-    pm = rate.PmParams(
-        mu_total=float(args.mu), m_slices=int(args.m_slices), f_ec=float(args.f_ec)
-    )
-    return ch, pm, distance
+        ch = ChannelParams(args.eta_arm, preset.p_d)
+    pm = rate.PmParams(mu_total=args.mu, m_slices=preset.m_slices, f_ec=preset.f_ec)
+    return ch, pm, args.distance_km
 
 
 # ---------------------------------------------------------------------------
@@ -209,14 +210,15 @@ def _sweep_point(
 
     if variable == "eta":
         distance = None
-        eta_arm = value
+        ch_arm = ChannelParams(value, p_d)
         eta_total = min(value * value / eta_d, 1.0) if eta_d > 0 else value * value
     elif variable in ("distance_km", "mu"):
         distance = value if variable == "distance_km" else distance_for_mu
-        eta_arm = fiber_transmittance(distance / 2.0, eta_d, alpha)
+        ch_arm = ChannelParams.from_distance(distance, eta_d=eta_d, p_d=p_d, alpha_db_per_km=alpha)
         eta_total = fiber_transmittance(distance, eta_d, alpha)
     else:
         raise ValueError(f"unknown sweep variable {variable!r}")
+    eta_arm = ch_arm.eta_arm
 
     row: dict[str, object] = {
         "distance_km": distance,
@@ -224,7 +226,6 @@ def _sweep_point(
         "eta_total": eta_total,
         "mu_opt": None,
     }
-    ch_arm = ChannelParams(eta_arm=eta_arm, p_d=p_d, eta_d=eta_d, alpha_db_per_km=alpha)
     # one intensity for every protocol: the swept one, None to optimize, else the fixed one
     mu = value if variable == "mu" else None if optimize else fixed_mu
 
@@ -241,7 +242,7 @@ def _sweep_point(
         row["R_pm"] = bd.rate_R
 
     if "bb84" in protocols:
-        ch_full = ChannelParams(eta_arm=eta_total, p_d=p_d, eta_d=eta_d, alpha_db_per_km=alpha)
+        ch_full = ChannelParams(eta_total, p_d)
         row["R_bb84"] = best_rate(
             lambda m: baselines.bb84_rate(
                 baselines.Bb84Params(mu=m, e_d=e_d, f_ec=f_ec, channel=ch_full)
@@ -283,6 +284,10 @@ def run_sweep(
             raise ValueError(f"sweep {flag} must be a finite number, got {x!r}")
     if not (start < stop) or step <= 0:
         raise ValueError("sweep needs start < stop and step > 0")
+    if (stop - start) / step > MAX_SWEEP_POINTS:
+        raise ValueError(
+            f"sweep --step must give at most {MAX_SWEEP_POINTS} grid points, got {step!r}"
+        )
     if not protocols:
         raise ValueError("protocol set must be nonempty")
     unknown = set(protocols) - set(ALL_PROTOCOLS)
@@ -292,6 +297,8 @@ def run_sweep(
     v = start
     while v <= stop + 1e-12:
         values.append(round(v, 12))
+        if v + step == v:
+            raise ValueError(f"sweep --step must advance the grid past {v!r}, got {step!r}")
         v += step
     return [
         _sweep_point(v, variable, preset, protocols, optimize_mu, fixed_mu, distance_for_mu)
@@ -307,11 +314,7 @@ def sweep_rows_to_csv(rows: list[dict]) -> str:
 
 
 def cmd_sweep(args) -> int:
-    _apply_preset(args)
-    preset = Preset(
-        p_d=args.p_d, f_ec=args.f_ec, eta_d=args.eta_d, m_slices=int(args.m_slices),
-        e_d=args.e_d, alpha_db_per_km=args.alpha,
-    )
+    preset = _apply_preset(args)
     protocols = tuple(p.strip() for p in args.protocols.split(",") if p.strip())
     rows = run_sweep(
         variable=args.variable,
@@ -322,7 +325,7 @@ def cmd_sweep(args) -> int:
         preset=preset,
         optimize_mu=args.optimize_mu,
         fixed_mu=args.mu if args.mu is not None else 0.5,
-        distance_for_mu=args.distance if args.distance is not None else 0.0,
+        distance_for_mu=args.distance_km if args.distance_km is not None else 0.0,
     )
     _write_text(args.output, sweep_rows_to_csv(rows))
     return 0
@@ -470,12 +473,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--f-ec", dest="f_ec", type=float, default=None)
         p.add_argument("--e-d", dest="e_d", type=float, default=None,
                        help="baseline-protocol misalignment error")
-        p.add_argument("--alpha", dest="alpha", type=float, default=None,
+        p.add_argument("--alpha", dest="alpha_db_per_km", type=float, default=None,
                        help="fiber attenuation dB/km")
 
     p_rate = sub.add_parser("rate", help="key-rate breakdown at one point")
-    p_rate.add_argument("--distance", type=float, default=None, help="total distance km")
-    p_rate.add_argument("--eta", type=float, default=None, help="per-arm transmittance")
+    p_rate.add_argument("--distance", dest="distance_km", type=float, default=None,
+                        help="total distance km")
+    p_rate.add_argument("--eta", dest="eta_arm", type=float, default=None,
+                        help="per-arm transmittance (no --eta-d or --alpha)")
     p_rate.add_argument("--mu", type=float, default=None, help="total intensity")
     p_rate.add_argument("--tail", choices=("truncated", "odd"), default="truncated")
     p_rate.add_argument("--config", default=None, help="JSON file with the same keys")
@@ -492,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--optimize-mu", action="store_true")
     p_sweep.add_argument("--mu", type=float, default=None,
                          help="fixed intensity when not optimizing")
-    p_sweep.add_argument("--distance", type=float, default=None,
+    p_sweep.add_argument("--distance", dest="distance_km", type=float, default=None,
                          help="fixed distance for --variable mu")
     p_sweep.add_argument("--protocols", default="pm,bb84,mdi,plob,tgw")
     p_sweep.add_argument("--output", default="-")

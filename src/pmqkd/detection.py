@@ -20,9 +20,13 @@ def _check_prob(name: str, value: float) -> None:
         raise ValueError(f"{name} must be in [0, 1], got {value!r}")
 
 
-def _check_fiber(alpha_db_per_km: float, distance_km: float) -> None:
+def _check_fiber(eta_d: float, alpha_db_per_km: float) -> None:
+    _check_prob("eta_d", eta_d)
     if not (0.0 < alpha_db_per_km < math.inf):
         raise ValueError(f"alpha_db_per_km must be positive and finite, got {alpha_db_per_km!r}")
+
+
+def _check_distance(distance_km: float) -> None:
     if not (0.0 <= distance_km < math.inf):
         raise ValueError(f"distance_km must be nonnegative and finite, got {distance_km!r}")
 
@@ -35,8 +39,8 @@ def fiber_transmittance(distance_km: float, eta_d: float, alpha_db_per_km: float
     BB84 and the capacity bounds use the full distance.  The inputs are
     checked first, so a bad one is named rather than the transmittance.
     """
-    _check_prob("eta_d", eta_d)
-    _check_fiber(alpha_db_per_km, distance_km)
+    _check_fiber(eta_d, alpha_db_per_km)
+    _check_distance(distance_km)
     return eta_d * 10.0 ** (-alpha_db_per_km * distance_km / 10.0)
 
 
@@ -46,22 +50,18 @@ class ChannelParams:
 
     ``eta_arm`` is the transmittance of one arm from a source to the
     measurement node with detector efficiency folded in.  ``p_d`` is a
-    dark-count probability per detector per round.  The distance fields
-    are metadata describing how ``eta_arm`` was derived; use
-    :meth:`from_distance` to keep them consistent.
+    dark-count probability per detector per round.  These are the only
+    channel values the formulas read: fiber length, attenuation and
+    detector efficiency enter through ``eta_arm`` alone, which
+    :meth:`from_distance` derives from them.
     """
 
     eta_arm: float
     p_d: float
-    eta_d: float = 1.0
-    alpha_db_per_km: float = 0.2
-    distance_km: float = 0.0
 
     def __post_init__(self):
         _check_prob("eta_arm", self.eta_arm)
         _check_prob("p_d", self.p_d)
-        _check_prob("eta_d", self.eta_d)
-        _check_fiber(self.alpha_db_per_km, self.distance_km)
 
     @classmethod
     def from_distance(
@@ -72,19 +72,13 @@ class ChannelParams:
         p_d: float,
         alpha_db_per_km: float = 0.2,
     ) -> "ChannelParams":
-        """Channel with per-arm transmittance for a total A-B distance.
+        """Channel whose two arms each span half of a total A-B distance.
 
-        Each arm spans half the distance:
-        ``eta_arm = fiber_transmittance(l/2, eta_d, alpha)``.
+        ``eta_arm = fiber_transmittance(l/2, eta_d, alpha)``; this is the
+        one place the half-distance rule is applied.
         """
-        _check_fiber(alpha_db_per_km, distance_km)  # name the total distance, not l/2
-        return cls(
-            eta_arm=fiber_transmittance(distance_km / 2.0, eta_d, alpha_db_per_km),
-            p_d=p_d,
-            eta_d=eta_d,
-            alpha_db_per_km=alpha_db_per_km,
-            distance_km=distance_km,
-        )
+        _check_distance(distance_km)  # name the total distance, not l/2
+        return cls(fiber_transmittance(distance_km / 2.0, eta_d, alpha_db_per_km), p_d)
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,9 @@ MIN_SAMPLED_CLICKS = 100
 # Slice indices are int16 and M is even.
 MAX_M_SLICES = 32766
 
+# the keys of a config ``channel`` that gives the fiber instead of ChannelParams' fields
+FIBER_CHANNEL_KEYS = ("distance_km", "eta_d", "p_d", "alpha_db_per_km")
+
 
 class InsufficientSamplesError(ValueError):
     """Too few sampled clicked rounds to search the slice offset."""
@@ -99,24 +102,21 @@ class SimConfig:
     def from_json_dict(cls, doc: dict) -> "SimConfig":
         """Parse a config document whose keys are the field names.
 
-        Unknown keys, mistyped values and non-finite numbers raise
-        ValueError naming the key.
+        ``channel`` is ``{eta_arm, p_d}`` or ``{distance_km, eta_d, p_d,
+        alpha_db_per_km?}``, never a mix.  Unknown keys, mistyped values
+        and non-finite numbers raise ValueError naming the key.
         """
         doc = _json_object(doc, "config", _field_names(cls))
         ch_doc = _json_required(doc, "channel", "config")
+        arm_form = isinstance(ch_doc, dict) and "eta_arm" in ch_doc
+        keys = _field_names(ChannelParams) if arm_form else FIBER_CHANNEL_KEYS
         ch = {
             k: _json_number(v, f"channel.{k}")
-            for k, v in _json_object(ch_doc, "channel", _field_names(ChannelParams)).items()
+            for k, v in _json_object(ch_doc, "channel", keys).items()
         }
         p_d = _json_required(ch, "p_d", "channel")
-        if "eta_arm" in ch:
-            channel = ChannelParams(
-                eta_arm=ch["eta_arm"],
-                p_d=p_d,
-                eta_d=ch.get("eta_d", 1.0),
-                alpha_db_per_km=ch.get("alpha_db_per_km", 0.2),
-                distance_km=ch.get("distance_km", 0.0),
-            )
+        if arm_form:
+            channel = ChannelParams(ch["eta_arm"], p_d)
         else:
             channel = ChannelParams.from_distance(
                 _json_required(ch, "distance_km", "channel"),
@@ -164,13 +164,7 @@ class SimConfig:
                 "value_rad": self.phi0.value_rad,
                 "rate_rad_per_round": self.phi0.rate_rad_per_round,
             },
-            "channel": {
-                "eta_arm": self.channel.eta_arm,
-                "p_d": self.channel.p_d,
-                "eta_d": self.channel.eta_d,
-                "alpha_db_per_km": self.channel.alpha_db_per_km,
-                "distance_km": self.channel.distance_km,
-            },
+            "channel": {"eta_arm": self.channel.eta_arm, "p_d": self.channel.p_d},
             "jd_block_rounds": self.jd_block_rounds,
         }
 

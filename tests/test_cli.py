@@ -106,6 +106,35 @@ def test_rate_bad_fiber_flag_is_named(capsys, argv, named):
     assert err.startswith(f"error: {named} ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv, config, flag, key",
+    [
+        (["--eta-d", "0.5", "--alpha", "3"], {}, "--eta-d", "eta_d"),
+        (["--alpha", "3"], {}, "--alpha", "alpha_db_per_km"),
+        (["--eta-d", "nan"], {}, "--eta-d", "eta_d"),
+        (["--alpha", "nan"], {}, "--alpha", "alpha_db_per_km"),
+        ([], {"eta_d": 0.145}, "--eta-d", "eta_d"),
+        ([], {"alpha_db_per_km": 0.2}, "--alpha", "alpha_db_per_km"),
+    ],
+    ids=["eta_d_and_alpha", "alpha", "nan_eta_d", "nan_alpha", "config_eta_d", "config_alpha"],
+)
+def test_rate_eta_rejects_fiber_values(tmp_path, capsys, argv, config, flag, key):
+    # --eta is the per-arm transmittance itself: a fiber value next to it would be ignored
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(config, eta_arm=0.1, mu=0.3)))
+    code, out, err = run_cli(["rate", "--config", str(path), *argv], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {flag} ({key}) ") and err.count("\n") == 1
+
+
+def test_rate_eta_takes_the_preset(capsys):
+    # the preset's eta_d and alpha fill in after the check, so they do not count as given
+    code, out, _ = run_cli(["rate", "--eta", "0.01", "--mu", "0.3", "--preset", "fig3b"], capsys)
+    assert code == 0
+    assert float(dict(line.split(None, 1) for line in out.splitlines())["p_d"]) == 7.2e-8
+
+
 def test_rate_missing_mu_is_domain_error(capsys):
     code, _, err = run_cli(["rate", "--distance", "100"], capsys)
     assert code == 1
@@ -248,6 +277,39 @@ def test_sweep_non_finite_grid_flag_is_named(capsys, grid, named):
     assert code == 1
     assert out == ""
     assert err.startswith(f"error: sweep {named} ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        ["--start", "0", "--stop", "10", "--step", "1e-300"],
+        ["--start", "1e20", "--stop", "2e20", "--step", "1"],
+        # 1000 is below half the float spacing (16384) at 1e20, so v += step never moves
+        ["--start", "1e20", "--stop", "1.0000000000000002e20", "--step", "1000"],
+    ],
+    ids=["tiny_step", "huge_start", "step_below_spacing"],
+)
+def test_sweep_runaway_grid_is_rejected(capsys, grid):
+    code, out, err = run_cli(["sweep", *grid, "--protocols", "plob"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: sweep --step ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "flag, named",
+    [(["--alpha", "nan"], "alpha_db_per_km"), (["--eta-d", "nan"], "eta_d")],
+    ids=["nan_alpha", "nan_eta_d"],
+)
+def test_sweep_eta_checks_fiber_flags(capsys, flag, named):
+    # an eta sweep uses neither value for the per-arm channel; they are still checked
+    code, out, err = run_cli(
+        ["sweep", "--variable", "eta", "--start", "0.1", "--stop", "0.2", "--step", "0.1", *flag],
+        capsys,
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {named} ") and err.count("\n") == 1
 
 
 def test_import_loads_no_process_pool_or_optimizer():
@@ -438,9 +500,15 @@ def test_simulate_missing_file(capsys):
         ({"jd_block_round": 500}, "'jd_block_round'"),
         ({"channel": {"eta_arm": 0.1, "p_d": 7.2e-8, "pd": 0.0}}, "'pd'"),
         ({"phi0": {"kind": "fixed", "value": 0.1}}, "'value'"),
+        # a fiber value next to eta_arm would be ignored: the two channel forms do not mix
+        ({"channel": {"eta_arm": 0.1, "p_d": 7.2e-8, "distance_km": 300}}, "'distance_km'"),
+        ({"channel": {"eta_arm": 0.1, "p_d": 7.2e-8, "eta_d": 0.145}}, "'eta_d'"),
+        ({"channel": {"eta_arm": 0.1, "p_d": 7.2e-8, "alpha_db_per_km": 0.2}},
+         "'alpha_db_per_km'"),
     ],
     ids=["m_slices_40000", "rounds_null", "scalar_intensities", "nan_phi0",
-         "unknown_key", "unknown_channel_key", "unknown_phi0_key"],
+         "unknown_key", "unknown_channel_key", "unknown_phi0_key",
+         "eta_arm_with_distance", "eta_arm_with_eta_d", "eta_arm_with_alpha"],
 )
 def test_simulate_bad_config_is_one_line_error(tmp_path, capsys, overrides, named):
     code, out, err = run_cli(["simulate", str(_sim_config(tmp_path, **overrides))], capsys)

@@ -1,5 +1,8 @@
 import dataclasses
+import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -368,8 +371,6 @@ def test_config_json_roundtrip(tmp_path):
     doc = cfg.to_json_dict()
     again = SimConfig.from_json_dict(doc)
     assert again == cfg
-    import json
-
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc))
     assert SimConfig.from_json_file(path) == cfg
@@ -386,6 +387,18 @@ def test_config_from_distance_json():
         }
     )
     assert cfg.channel.eta_arm == pytest.approx(0.145 * 10 ** (-0.2 * 100 / 10))
+    doc = cfg.to_json_dict()
+    assert doc["channel"] == {"eta_arm": cfg.channel.eta_arm, "p_d": 7.2e-8}
+    assert SimConfig.from_json_dict(doc) == cfg
+
+
+def test_readme_simulate_example_parses():
+    # the README's simulate config follows the schema from_json_dict accepts
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+    assert len(blocks) == 1
+    cfg = SimConfig.from_json_dict(json.loads(blocks[0]))
+    assert cfg.channel == ChannelParams(eta_arm=0.1, p_d=7.2e-8)
 
 
 def test_config_json_types():
