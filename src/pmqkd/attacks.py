@@ -34,15 +34,12 @@ class AttackPoint:
 
 @dataclass(frozen=True)
 class ViolationReport:
-    """Where the tagging formula exceeds the attack upper bound."""
+    """The scan's points in grid order, and the grid spans and bisected
+    crossovers where the per-click tagging rate exceeds r_BS."""
 
-    fixed_name: str  # "mu" or "eta"
-    fixed_value: float
-    sweep_name: str
-    sweep_range: tuple[float, float]
+    points: tuple[AttackPoint, ...]
     violation_intervals: tuple[tuple[float, float], ...]
     crossovers: tuple[float, ...]
-    normalization: str = "per_click"
 
     @property
     def has_violation(self) -> bool:
@@ -140,48 +137,47 @@ def find_gllp_violation(
     fixed_eta: float | None = None,
     sweep_range: tuple[float, float] | None = None,
     steps: int = 400,
-    normalization: str = "per_click",
 ) -> ViolationReport:
-    """Locate the region where r_GLLP exceeds r_BS along one axis.
+    """Evaluate :func:`bs_attack` on the grid and locate where r_GLLP > r_BS.
 
     Exactly one of ``fixed_mu``/``fixed_eta`` must be given; the other
-    variable is swept.  Sign changes of r_GLLP - r_BS are refined by
-    bisection.  An empty violation set is a valid result.
+    variable is swept over ``sweep_grid(lo, hi, steps)``, by default eta
+    in [1e-3, 1 - 1e-9] or mu in [1e-3, 2].  Each grid point is evaluated
+    once, and each sign change of r_GLLP - r_BS (per click) is refined
+    by 80 bisection steps of one evaluation each.  An empty violation
+    set is a valid result.
     """
     if (fixed_mu is None) == (fixed_eta is None):
         raise ValueError("fix exactly one of mu or eta")
     if steps < 2:
         raise ValueError(f"steps must be at least 2, got {steps}")
     if fixed_mu is not None:
-        fixed_name, fixed_value, sweep_name = "mu", fixed_mu, "eta"
-        lo, hi = sweep_range if sweep_range else (1e-3, 1.0 - 1e-9)
+        lo, hi = sweep_range or (1e-3, 1.0 - 1e-9)
 
-        def diff(x: float) -> float:
-            return gllp_rate_under_bs(fixed_value, x, normalization) - bs_attack(
-                fixed_value, x
-            ).r_bs
+        def point(x: float) -> AttackPoint:
+            return bs_attack(fixed_mu, x)
 
     else:
-        fixed_name, fixed_value, sweep_name = "eta", fixed_eta, "mu"
-        lo, hi = sweep_range if sweep_range else (1e-3, 2.0)
+        lo, hi = sweep_range or (1e-3, 2.0)
 
-        def diff(x: float) -> float:
-            return gllp_rate_under_bs(x, fixed_value, normalization) - bs_attack(
-                x, fixed_value
-            ).r_bs
+        def point(x: float) -> AttackPoint:
+            return bs_attack(x, fixed_eta)
 
     if not (lo < hi):
         raise ValueError("sweep range must satisfy lo < hi")
     xs = sweep_grid(lo, hi, steps)
-    ds = [diff(x) for x in xs]
+    points = tuple(point(x) for x in xs)
+    above = [p.r_gllp - p.r_bs > 0 for p in points]
 
     crossovers = []
     for i in range(steps - 1):
-        if (ds[i] > 0) != (ds[i + 1] > 0):
+        if above[i] != above[i + 1]:
+            # the left end keeps its side, so only the midpoint is evaluated
             a, b = xs[i], xs[i + 1]
             for _ in range(80):
                 m = 0.5 * (a + b)
-                if (diff(a) > 0) != (diff(m) > 0):
+                p = point(m)
+                if above[i] != (p.r_gllp - p.r_bs > 0):
                     b = m
                 else:
                     a = m
@@ -189,21 +185,15 @@ def find_gllp_violation(
 
     intervals = []
     start = None
-    for x, d in zip(xs, ds):
-        if d > 0 and start is None:
+    for x, up in zip(xs, above):
+        if up and start is None:
             start = x
-        elif d <= 0 and start is not None:
+        elif not up and start is not None:
             intervals.append((start, x))
             start = None
     if start is not None:
         intervals.append((start, xs[-1]))
 
     return ViolationReport(
-        fixed_name=fixed_name,
-        fixed_value=fixed_value,
-        sweep_name=sweep_name,
-        sweep_range=(lo, hi),
-        violation_intervals=tuple(intervals),
-        crossovers=tuple(crossovers),
-        normalization=normalization,
+        points=points, violation_intervals=tuple(intervals), crossovers=tuple(crossovers)
     )

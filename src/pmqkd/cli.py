@@ -24,8 +24,6 @@ from dataclasses import dataclass, fields, replace
 from . import attacks, baselines, detection, focklab, rate, simcore
 from .detection import ChannelParams, fiber_transmittance, k_photon_clicks
 
-MU_RANGE = (0.01, 2.0)
-
 # A longer grid is a mistyped --step, not a sweep.
 MAX_SWEEP_POINTS = 10**6
 
@@ -95,7 +93,8 @@ def _write_text(path: str | None, text: str) -> None:
 def _apply_preset(args) -> Preset:
     """The ``--preset`` (or default) values with every flag given in their place, checked."""
     preset = PRESETS[args.preset] if args.preset else DEFAULT_PRESET
-    given = {f.name: getattr(args, f.name) for f in fields(Preset)}
+    # a field without a flag on this subcommand (rate's e_d) is not given
+    given = {f.name: getattr(args, f.name, None) for f in fields(Preset)}
     return replace(preset, **{k: v for k, v in given.items() if v is not None})
 
 
@@ -230,13 +229,13 @@ def _sweep_point(
     mu = value if variable == "mu" else None if optimize else fixed_mu
 
     def best_rate(f, f_grid):
-        return f(mu) if mu is not None else rate.maximize(f, *MU_RANGE, f_grid=f_grid)[1]
+        return f(mu) if mu is not None else rate.maximize(f, *rate.MU_RANGE, f_grid=f_grid)[1]
 
     if "pm" in protocols:
         # optimize_mu takes every field but the intensity from its template
         pm = rate.PmParams(mu_total=0.5 if mu is None else mu, m_slices=m_slices, f_ec=f_ec)
         if mu is None:
-            row["mu_opt"], bd = rate.optimize_mu(ch_arm, pm, MU_RANGE)
+            row["mu_opt"], bd = rate.optimize_mu(ch_arm, pm)
         else:
             row["mu_opt"], bd = mu, rate.key_rate(ch_arm, pm)
         row["R_pm"] = bd.rate_R
@@ -313,8 +312,23 @@ def sweep_rows_to_csv(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _check_sweep_flags(args) -> None:
+    """Reject a given flag that the sweep's ``--variable`` (or ``--optimize-mu``) never reads."""
+    variable, swept = args.variable, f"--variable {args.variable}"
+    for flag, unread, where in (
+        ("--distance", args.distance_km is not None and variable != "mu", swept),
+        ("--alpha", args.alpha_db_per_km is not None and variable == "eta", swept),
+        ("--optimize-mu", args.optimize_mu and variable == "mu", swept),
+        ("--mu", args.mu is not None and variable == "mu", swept),
+        ("--mu", args.mu is not None and args.optimize_mu, "--optimize-mu"),
+    ):
+        if unread:
+            raise ValueError(f"{flag} does not apply with {where}")
+
+
 def cmd_sweep(args) -> int:
-    preset = _apply_preset(args)
+    preset = _apply_preset(args)  # first, so a bad fiber value is named by its own check
+    _check_sweep_flags(args)
     protocols = tuple(p.strip() for p in args.protocols.split(",") if p.strip())
     rows = run_sweep(
         variable=args.variable,
@@ -337,53 +351,41 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_attack(args) -> int:
+    """CSV of :func:`attacks.find_gllp_violation`'s points (plus the ``literal`` GLLP
+    column) and its violation summary; only the swept axis takes a range flag."""
     if (args.fix_mu is None) == (args.fix_eta is None):
         raise ValueError("give exactly one of --fix-mu or --fix-eta")
-
-    def parse_range(flag, text, default):
-        if text is None:
-            return default
+    sweep_name, fixed_name = ("eta", "mu") if args.fix_mu is not None else ("mu", "eta")
+    ranges = {"eta": args.eta_range, "mu": args.mu_range}
+    if ranges[fixed_name] is not None:
+        raise ValueError(f"--{fixed_name}-range does not apply with --fix-{fixed_name}")
+    text, sweep_range = ranges[sweep_name], None
+    if text is not None:
         lo, _, hi = text.partition(":")
         try:
-            return (float(lo), float(hi))
+            sweep_range = (float(lo), float(hi))
         except ValueError:
-            raise ValueError(f"{flag} must be lo:hi with two numbers, got {text!r}") from None
-
-    if args.fix_mu is not None:
-        lo, hi = parse_range("--eta-range", args.eta_range, (1e-3, 1.0 - 1e-9))
-        sweep_name = "eta"
-        report = attacks.find_gllp_violation(
-            fixed_mu=args.fix_mu, sweep_range=(lo, hi), steps=args.steps
-        )
-    else:
-        lo, hi = parse_range("--mu-range", args.mu_range, (1e-3, 2.0))
-        sweep_name = "mu"
-        report = attacks.find_gllp_violation(
-            fixed_eta=args.fix_eta, sweep_range=(lo, hi), steps=args.steps
-        )
+            pass
+        if sweep_range is None or not all(map(math.isfinite, sweep_range)):
+            raise ValueError(
+                f"--{sweep_name}-range must be lo:hi with two finite numbers, got {text!r}"
+            )
+    report = attacks.find_gllp_violation(
+        fixed_mu=args.fix_mu, fixed_eta=args.fix_eta, sweep_range=sweep_range, steps=args.steps
+    )
 
     lines = [f"{sweep_name},r_gllp_per_click,r_gllp_literal,r_bs,r_pm"]
-    for x in attacks.sweep_grid(lo, hi, args.steps):
-        if args.fix_mu is not None:
-            mu, eta = args.fix_mu, x
-        else:
-            mu, eta = x, args.fix_eta
-        point = attacks.bs_attack(mu, eta)
-        lines.append(
-            f"{_fmt(x)},{_fmt(point.r_gllp)},"
-            f"{_fmt(attacks.gllp_rate_under_bs(mu, eta, 'literal'))},"
-            f"{_fmt(point.r_bs)},{_fmt(point.r_pm)}"
-        )
+    for p in report.points:
+        x = p.eta if sweep_name == "eta" else p.mu
+        literal = attacks.gllp_rate_under_bs(p.mu, p.eta, "literal")
+        lines.append(f"{_fmt(x)},{_fmt(p.r_gllp)},{_fmt(literal)},{_fmt(p.r_bs)},{_fmt(p.r_pm)}")
+    summary = "none"
     if report.has_violation:
         spans = ";".join(f"{_fmt(a)}..{_fmt(b)}" for a, b in report.violation_intervals)
-        crossings = ";".join(_fmt(c) for c in report.crossovers)
-        summary = (
-            f"# violation({report.normalization}): {sweep_name} in {spans}"
-            + (f" crossover={crossings}" if crossings else "")
-        )
-    else:
-        summary = f"# violation({report.normalization}): none"
-    lines.append(summary)
+        summary = f"{sweep_name} in {spans}"
+        if report.crossovers:
+            summary += " crossover=" + ";".join(_fmt(c) for c in report.crossovers)
+    lines.append(f"# violation(per_click): {summary}")
     _write_text(args.output, "\n".join(lines) + "\n")
     return 0
 
@@ -471,8 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--eta-d", dest="eta_d", type=float, default=None)
         p.add_argument("--m-slices", dest="m_slices", type=int, default=None)
         p.add_argument("--f-ec", dest="f_ec", type=float, default=None)
-        p.add_argument("--e-d", dest="e_d", type=float, default=None,
-                       help="baseline-protocol misalignment error")
         p.add_argument("--alpha", dest="alpha_db_per_km", type=float, default=None,
                        help="fiber attenuation dB/km")
 
@@ -501,14 +501,16 @@ def build_parser() -> argparse.ArgumentParser:
                          help="fixed distance for --variable mu")
     p_sweep.add_argument("--protocols", default="pm,bb84,mdi,plob,tgw")
     p_sweep.add_argument("--output", default="-")
+    p_sweep.add_argument("--e-d", dest="e_d", type=float, default=None,
+                         help="baseline-protocol misalignment error")
     add_common(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_attack = sub.add_parser("attack", help="beam-splitting attack comparison")
     p_attack.add_argument("--fix-mu", type=float, default=None)
     p_attack.add_argument("--fix-eta", type=float, default=None)
-    p_attack.add_argument("--eta-range", default=None, help="lo:hi")
-    p_attack.add_argument("--mu-range", default=None, help="lo:hi")
+    p_attack.add_argument("--eta-range", default=None, help="lo:hi of the swept eta (--fix-mu)")
+    p_attack.add_argument("--mu-range", default=None, help="lo:hi of the swept mu (--fix-eta)")
     p_attack.add_argument("--steps", type=int, default=200)
     p_attack.add_argument("--output", default="-")
     p_attack.set_defaults(func=cmd_attack)

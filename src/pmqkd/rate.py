@@ -307,10 +307,14 @@ def maximize(f, lo: float, hi: float, f_grid=None) -> tuple[float, float]:
     return x_opt, v_opt
 
 
+# the intensity search range of every protocol's optimization
+MU_RANGE = (0.01, 2.0)
+
+
 def optimize_mu(
     ch: ChannelParams,
     pm_template: PmParams,
-    mu_range: tuple[float, float] = (0.01, 2.0),
+    mu_range: tuple[float, float] = MU_RANGE,
     *,
     tail: str = "truncated",
 ) -> tuple[float, RateBreakdown]:

@@ -8,6 +8,7 @@ from pmqkd.attacks import (
     find_gllp_violation,
     gllp_rate_under_bs,
     pm_rate_under_bs,
+    sweep_grid,
     usd_success,
 )
 from pmqkd.detection import binary_entropy
@@ -147,6 +148,24 @@ def test_violation_empty_near_unity_transmittance():
     report = find_gllp_violation(fixed_mu=0.5, sweep_range=(0.9, 0.999), steps=100)
     assert not report.has_violation
     assert report.violation_intervals == ()
+
+
+@pytest.mark.parametrize(
+    "kwargs, grid, point",
+    [
+        (dict(fixed_mu=0.5, steps=50), (1e-3, 1.0 - 1e-9, 50), lambda x: bs_attack(0.5, x)),
+        (dict(fixed_eta=0.2, steps=40), (1e-3, 2.0, 40), lambda x: bs_attack(x, 0.2)),
+        (
+            dict(fixed_eta=0.01, sweep_range=(0.3, 4.0), steps=7),
+            (0.3, 4.0, 7),
+            lambda x: bs_attack(x, 0.01),
+        ),
+    ],
+    ids=["fixed_mu_default_range", "fixed_eta_default_range", "fixed_eta_given_range"],
+)
+def test_violation_points_are_the_grid_evaluations(kwargs, grid, point):
+    report = find_gllp_violation(**kwargs)
+    assert list(report.points) == [point(x) for x in sweep_grid(*grid)]
 
 
 def test_violation_argument_validation():

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -421,6 +423,110 @@ def test_attack_bad_flag_is_one_line_error(capsys, argv, named):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert named in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["--fix-eta", "0.2", "--mu-range", "0.1:inf"], "--mu-range"),
+        (["--fix-mu", "0.5", "--eta-range", "nan:1"], "--eta-range"),
+    ],
+    ids=["inf_mu_range", "nan_eta_range"],
+)
+def test_attack_non_finite_range_is_named(capsys, argv, flag):
+    code, out, err = run_cli(["attack", *argv], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {flag} must be lo:hi with two finite numbers")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, calls",
+    [(["--fix-mu", "0.5", "--steps", "50"], 130), (["--fix-eta", "0.2"], 200)],
+    ids=["fixed_mu_one_crossover", "fixed_eta_no_crossover"],
+)
+def test_attack_evaluates_each_point_once(monkeypatch, capsys, argv, calls):
+    # one bs_attack call per grid point and per bisection step (80 per crossover),
+    # and the CSV rows reuse the scan's points
+    bs_attack = cli.attacks.bs_attack
+    seen = []
+
+    def counting_bs_attack(mu, eta):
+        seen.append((mu, eta))
+        return bs_attack(mu, eta)
+
+    monkeypatch.setattr(cli.attacks, "bs_attack", counting_bs_attack)
+    code, out, _ = run_cli(["attack", *argv], capsys)
+    assert code == 0
+    lines = out.strip().split("\n")
+    steps = len(lines) - 2  # header and summary
+    crossovers = lines[-1].split("crossover=")[1].split(";") if "crossover=" in lines[-1] else []
+    assert len(seen) == calls == steps + 80 * len(crossovers)
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["attack", "--fix-mu", "0.5", "--steps", "20", "--mu-range", "0.1:0.3"], "--mu-range"),
+        (["attack", "--fix-eta", "0.2", "--eta-range", "0.1:x"], "--eta-range"),
+        (["sweep", *GRID, "--mu", "0.3", "--distance", "50"], "--distance"),
+        (["sweep", "--variable", "eta", "--start", "0.1", "--stop", "0.2", "--step", "0.1",
+          "--distance", "50"], "--distance"),
+        (["sweep", "--variable", "eta", "--start", "0.1", "--stop", "0.2", "--step", "0.1",
+          "--alpha", "0.3"], "--alpha"),
+        (["sweep", "--variable", "mu", "--start", "0.1", "--stop", "0.2", "--step", "0.1",
+          "--optimize-mu"], "--optimize-mu"),
+        (["sweep", "--variable", "mu", "--start", "0.1", "--stop", "0.2", "--step", "0.1",
+          "--mu", "0.4"], "--mu"),
+        (["sweep", *GRID, "--mu", "0.3", "--optimize-mu"], "--mu"),
+    ],
+    ids=[
+        "attack_fix_mu_mu_range", "attack_fix_eta_eta_range", "sweep_distance_km_distance",
+        "sweep_eta_distance", "sweep_eta_alpha", "sweep_mu_optimize", "sweep_mu_mu",
+        "sweep_mu_with_optimize",
+    ],
+)
+def test_unread_flag_is_rejected(capsys, argv, flag):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
+
+
+def test_sweep_preset_goes_with_every_variable(capsys):
+    # only given flags are checked, so a preset's alpha still goes with an eta sweep
+    code, out, _ = run_cli(
+        ["sweep", "--preset", "fig3b", "--variable", "eta", "--start", "0.1", "--stop", "0.2",
+         "--step", "0.1", "--mu", "0.5", "--protocols", "pm"],
+        capsys,
+    )
+    assert code == 0
+    assert len(out.strip().split("\n")) == 3
+
+
+def test_rate_takes_no_e_d(capsys):
+    # --e-d is the baselines' misalignment, which only sweep reads
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["rate", "--distance", "100", "--mu", "0.3", "--e-d", "0.4"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error: unrecognized arguments: --e-d 0.4" in err.strip().split("\n")[-1]
+
+
+def test_readme_cli_examples_parse():
+    # every pmqkd line of the README's shell blocks uses flags the parser still has
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", readme, flags=re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("pmqkd "):
+                commands.append(shlex.split(line)[1:])
+    parser = cli.build_parser()
+    assert {argv[0] for argv in commands} == {"rate", "sweep", "attack", "simulate", "fock-check"}
+    for argv in commands:
+        parser.parse_args(argv)
 
 
 # --- simulate ----------------------------------------------------------------------
