@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .detection import binary_entropy
+from .detection import MAX_INTENSITY, binary_entropy
 from .rate import _fraction, _phase_error
 
 NORMALIZATIONS = ("per_click", "literal")
@@ -47,8 +47,8 @@ class ViolationReport:
 
 
 def _check_point(mu_total: float, eta: float) -> None:
-    if not (0.0 <= mu_total < math.inf):
-        raise ValueError(f"mu_total must be nonnegative and finite, got {mu_total!r}")
+    if not (0.0 <= mu_total <= MAX_INTENSITY):
+        raise ValueError(f"mu_total must be in [0, {MAX_INTENSITY:g}], got {mu_total!r}")
     if not (0.0 <= eta <= 1.0):
         raise ValueError("eta must be in [0, 1]")
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import ChannelParams, binary_entropy
+from .detection import MAX_INTENSITY, ChannelParams, _check_f_ec, _check_prob, binary_entropy
 from .rate import _gain, _yield
 
 
@@ -30,12 +30,13 @@ class Bb84Params:
     channel: ChannelParams
 
     def __post_init__(self):
-        if not (0.0 <= self.mu < math.inf):
-            raise ValueError(f"intensity mu must be finite and nonnegative, got {self.mu!r}")
-        if not (0.0 <= self.e_d <= 1.0):
-            raise ValueError("e_d must be in [0, 1]")
-        if self.f_ec < 1.0:
-            raise ValueError("f_ec must be >= 1")
+        if not (0.0 <= self.mu <= MAX_INTENSITY):
+            raise ValueError(
+                f"intensity mu must be finite and nonnegative (at most {MAX_INTENSITY:g}),"
+                f" got {self.mu!r}"
+            )
+        _check_prob("e_d", self.e_d)
+        _check_f_ec(self.f_ec)
 
 
 @dataclass(frozen=True)
@@ -144,19 +145,22 @@ def _mdi_single_photon(
 
 
 def _first_rejected(mu: np.ndarray) -> float:
-    # the grid entry the scalar intensity checks reject first: a non-finite one,
-    # else the smallest (0 when none is negative)
-    bad = mu[~np.isfinite(mu)]
+    # the grid entry the scalar intensity checks reject first: a NaN or one above
+    # MAX_INTENSITY, else the smallest (0 when none is negative)
+    bad = mu[~(mu <= MAX_INTENSITY)]
     return float(bad[0] if bad.size else mu.min(initial=0.0))
 
 
-def _check_mdi(mu_a, mu_b, eta_a, eta_b) -> None:
-    if not (0.0 <= mu_a < math.inf and 0.0 <= mu_b < math.inf):
+def _check_mdi(mu_a, mu_b, eta_a, eta_b, e_d, f_ec) -> None:
+    if not (0.0 <= mu_a <= MAX_INTENSITY and 0.0 <= mu_b <= MAX_INTENSITY):
         raise ValueError(
-            f"intensities must be finite and nonnegative, got mu_a={mu_a!r}, mu_b={mu_b!r}"
+            f"intensities must be finite and nonnegative (at most {MAX_INTENSITY:g}),"
+            f" got mu_a={mu_a!r}, mu_b={mu_b!r}"
         )
     if not (0 <= eta_a <= 1) or not (0 <= eta_b <= 1):
         raise ValueError("transmittances must be in [0, 1]")
+    _check_prob("e_d", e_d)
+    _check_f_ec(f_ec)
 
 
 def mdi_rate(
@@ -173,7 +177,7 @@ def mdi_rate(
     R = (1/2) * { Q_11*[1 - H(e_11)] - f*Q_rect*H(E_rect) } with
     Q_11 = mu_a*mu_b*exp(-mu_a-mu_b)*Y_11, floored at 0.
     """
-    _check_mdi(mu_a, mu_b, eta_a, eta_b)
+    _check_mdi(mu_a, mu_b, eta_a, eta_b, e_d, f_ec)
     e0 = 0.5
     y11, e11 = _mdi_single_photon(eta_a, eta_b, p_d, e_d)
     mu_prime = eta_a * mu_a + eta_b * mu_b
@@ -226,7 +230,7 @@ def mdi_rate_grid(
     """
     mu_a = np.asarray(mu_a, dtype=float)
     mu_b = np.asarray(mu_b, dtype=float)
-    _check_mdi(_first_rejected(mu_a), _first_rejected(mu_b), eta_a, eta_b)
+    _check_mdi(_first_rejected(mu_a), _first_rejected(mu_b), eta_a, eta_b, e_d, f_ec)
     y11, e11 = _mdi_single_photon(eta_a, eta_b, p_d, e_d)
     mu_prime = eta_a * mu_a + eta_b * mu_b
     x = 0.5 * np.sqrt(eta_a * mu_a * eta_b * mu_b)

@@ -8,10 +8,10 @@ config), ``fock-check`` (truncated-Fock-space self-checks).
 Sweeps give phase-matching and MDI the per-arm channel of
 :meth:`pmqkd.detection.ChannelParams.from_distance`, BB84 and the capacity
 bounds the full-distance :func:`pmqkd.detection.fiber_transmittance`, and
-evaluate every grid point in the calling process.  ``p_d``, ``eta_d`` and
-``alpha_db_per_km`` are checked once per command, in :class:`Preset`.  Exit codes:
-0 success, 1 domain error, 2 usage error, 3 failed statistical/numerical
-check.
+evaluate every grid point in the calling process.  ``p_d``, ``eta_d``,
+``alpha_db_per_km``, ``f_ec`` and ``e_d`` are checked once per command, in
+:class:`Preset`.  Exit codes: 0 success, 1 domain error, 2 usage error,
+3 failed statistical/numerical check.
 """
 from __future__ import annotations
 
@@ -52,9 +52,11 @@ class Preset:
     alpha_db_per_km: float
 
     def __post_init__(self):
-        # once per command; f_ec, m_slices and e_d are checked by the protocol parameters
+        # once per command; m_slices is checked by the protocol parameters
         detection._check_prob("p_d", self.p_d)
         detection._check_fiber(self.eta_d, self.alpha_db_per_km)
+        detection._check_f_ec(self.f_ec)
+        detection._check_prob("e_d", self.e_d)
 
 
 PRESETS = {
@@ -98,28 +100,21 @@ def _apply_preset(args) -> Preset:
     return replace(preset, **{k: v for k, v in given.items() if v is not None})
 
 
-# ``rate --config`` keys; each fills the flag of the same dest when that flag is not given.
-RATE_CONFIG_KEYS = (
-    "distance_km", "eta_arm", "mu", "p_d", "eta_d", "m_slices", "f_ec", "alpha_db_per_km",
-    "preset",
-)
+def _json_preset(value, name: str) -> str:
+    if value not in sorted(PRESETS):  # a list: an unhashable value is not in it
+        raise ValueError(f"{name} must be one of {sorted(PRESETS)}, got {value!r}")
+    return value
 
 
 def _read_rate_config(path: str) -> dict:
-    """``rate --config`` document with every value checked."""
+    """``rate --config`` document with every value checked; each key fills the
+    flag of the same dest when that flag is not given."""
     with open(path, "r", encoding="utf-8") as f:
-        doc = simcore._json_object(json.load(f), "config", RATE_CONFIG_KEYS)
-    values = {}
-    for key, value in doc.items():
-        if key == "preset":
-            if value not in sorted(PRESETS):  # a list: an unhashable value is not in it
-                raise ValueError(f"preset must be one of {sorted(PRESETS)}, got {value!r}")
-        elif key == "m_slices":
-            value = simcore._json_integer(value, key)
-        else:
-            value = simcore._json_number(value, key)
-        values[key] = value
-    return values
+        doc = json.load(f)
+    numbers = ("distance_km", "eta_arm", "mu", "p_d", "eta_d", "f_ec", "alpha_db_per_km")
+    parsers = dict.fromkeys(numbers, simcore._json_number)
+    parsers.update(m_slices=simcore._json_integer, preset=_json_preset)
+    return simcore._json_fields(doc, "config", parsers, ())
 
 
 def _resolve_rate_args(args) -> tuple[ChannelParams, rate.PmParams, float | None]:
@@ -420,8 +415,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_fock_check(args) -> int:
     cutoff = args.cutoff
-    if args.max_k > cutoff:
-        print(f"error: --max-k {args.max_k} exceeds --cutoff {cutoff}", file=sys.stderr)
+    if not 1 <= args.max_k <= cutoff:
+        print(f"error: --max-k {args.max_k} is not in [1, --cutoff {cutoff}]", file=sys.stderr)
         return 2
     ok = True
     for k in range(1, args.max_k + 1):

@@ -20,6 +20,15 @@ def _check_prob(name: str, value: float) -> None:
         raise ValueError(f"{name} must be in [0, 1], got {value!r}")
 
 
+# The largest intensity the formulas take: sinh(mu) overflows a float above ~710.
+MAX_INTENSITY = 500.0
+
+
+def _check_f_ec(f_ec: float) -> None:
+    if not (1.0 <= f_ec < math.inf):
+        raise ValueError(f"f_ec must be finite and >= 1, got {f_ec!r}")
+
+
 def _check_fiber(eta_d: float, alpha_db_per_km: float) -> None:
     _check_prob("eta_d", eta_d)
     if not (0.0 < alpha_db_per_km < math.inf):

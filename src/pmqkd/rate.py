@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import ChannelParams, binary_entropy
+from .detection import MAX_INTENSITY, ChannelParams, _check_f_ec, binary_entropy
 
 
 @dataclass(frozen=True)
@@ -31,14 +31,14 @@ class PmParams:
     truncation_k: int = 5
 
     def __post_init__(self):
-        if not (0.0 < self.mu_total < math.inf):
+        if not (0.0 < self.mu_total <= MAX_INTENSITY):
             raise ValueError(
-                f"intensity mu_total must be finite and positive, got {self.mu_total!r}"
+                f"intensity mu_total must be finite and positive (at most {MAX_INTENSITY:g}),"
+                f" got {self.mu_total!r}"
             )
         if self.m_slices < 2 or self.m_slices % 2 != 0:
             raise ValueError("m_slices must be an even integer >= 2")
-        if self.f_ec < 1.0:
-            raise ValueError("f_ec must be >= 1")
+        _check_f_ec(self.f_ec)
         if self.truncation_k < 1 or self.truncation_k % 2 != 1:
             raise ValueError("truncation_k must be a positive odd integer")
 

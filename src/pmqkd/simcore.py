@@ -8,20 +8,19 @@ clicks are discarded.
 """
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from enum import IntEnum
 from typing import Iterator
 
 import numpy as np
 
 from . import _mckernel_np
-from .detection import ChannelParams
+from .detection import MAX_INTENSITY, ChannelParams
 from .rate import _gain, _qber, misalignment_e_delta
-
-TWO_PI = 2.0 * math.pi
 
 # Rounds per RNG block.  Part of the random-stream definition: changing
 # it changes which uniforms drive which round.
@@ -34,9 +33,6 @@ MIN_SAMPLED_CLICKS = 100
 
 # Slice indices are int16 and M is even.
 MAX_M_SLICES = 32766
-
-# the keys of a config ``channel`` that gives the fiber instead of ChannelParams' fields
-FIBER_CHANNEL_KEYS = ("distance_km", "eta_d", "p_d", "alpha_db_per_km")
 
 
 class InsufficientSamplesError(ValueError):
@@ -89,8 +85,8 @@ class SimConfig:
             raise ValueError("intensities must be nonempty")
         if len(set(self.intensities)) != len(self.intensities):
             raise ValueError("intensities must be distinct")
-        if not all(0.0 <= mu < math.inf for mu in self.intensities):
-            raise ValueError("intensities must be finite and nonnegative")
+        if not all(0.0 <= mu <= MAX_INTENSITY for mu in self.intensities):
+            raise ValueError(f"intensities must be in [0, {MAX_INTENSITY:g}]")
         if not (0.0 < self.sample_fraction < 1.0):
             raise ValueError("sample_fraction must be in (0, 1)")
         if self.jd_block_rounds is not None and self.jd_block_rounds < 1:
@@ -102,50 +98,21 @@ class SimConfig:
     def from_json_dict(cls, doc: dict) -> "SimConfig":
         """Parse a config document whose keys are the field names.
 
-        ``channel`` is ``{eta_arm, p_d}`` or ``{distance_km, eta_d, p_d,
-        alpha_db_per_km?}``, never a mix.  Unknown keys, mistyped values
-        and non-finite numbers raise ValueError naming the key.
+        An absent key takes the field's default; the fields without one
+        are required.  ``channel`` is ``{eta_arm, p_d}`` or ``{distance_km,
+        eta_d, p_d, alpha_db_per_km?}``, never a mix.  Unknown keys,
+        mistyped values and non-finite numbers raise ValueError naming the
+        key.
         """
-        doc = _json_object(doc, "config", _field_names(cls))
-        ch_doc = _json_required(doc, "channel", "config")
-        arm_form = isinstance(ch_doc, dict) and "eta_arm" in ch_doc
-        keys = _field_names(ChannelParams) if arm_form else FIBER_CHANNEL_KEYS
-        ch = {
-            k: _json_number(v, f"channel.{k}")
-            for k, v in _json_object(ch_doc, "channel", keys).items()
-        }
-        p_d = _json_required(ch, "p_d", "channel")
-        if arm_form:
-            channel = ChannelParams(ch["eta_arm"], p_d)
-        else:
-            channel = ChannelParams.from_distance(
-                _json_required(ch, "distance_km", "channel"),
-                eta_d=_json_required(ch, "eta_d", "channel"),
-                p_d=p_d,
-                alpha_db_per_km=ch.get("alpha_db_per_km", 0.2),
-            )
-        phi0_doc = _json_object(doc.get("phi0", {}), "phi0", _field_names(Phi0Model))
-        phi0 = Phi0Model(
-            kind=phi0_doc.get("kind", "fixed"),
-            value_rad=_json_number(phi0_doc.get("value_rad", 0.0), "phi0.value_rad"),
-            rate_rad_per_round=_json_number(
-                phi0_doc.get("rate_rad_per_round", 0.0), "phi0.rate_rad_per_round"
-            ),
+        schema = _schema(
+            cls,
+            **dict.fromkeys(("rounds", "seed", "m_slices"), _json_integer),
+            intensities=_json_numbers,
+            channel=_json_channel,
+            phi0=_json_phi0,
+            jd_block_rounds=lambda v, name: None if v is None else _json_integer(v, name),
         )
-        mus = _json_required(doc, "intensities", "config")
-        if not isinstance(mus, list):
-            raise ValueError(f"intensities must be a list of numbers, got {mus!r}")
-        blk = doc.get("jd_block_rounds")
-        return cls(
-            rounds=_json_integer(_json_required(doc, "rounds", "config"), "rounds"),
-            seed=_json_integer(_json_required(doc, "seed", "config"), "seed"),
-            m_slices=_json_integer(_json_required(doc, "m_slices", "config"), "m_slices"),
-            intensities=tuple(_json_number(m, f"intensities[{i}]") for i, m in enumerate(mus)),
-            channel=channel,
-            sample_fraction=_json_number(doc.get("sample_fraction", 0.1), "sample_fraction"),
-            phi0=phi0,
-            jd_block_rounds=None if blk is None else _json_integer(blk, "jd_block_rounds"),
-        )
+        return cls(**_json_fields(doc, "config", *schema))
 
     @classmethod
     def from_json_file(cls, path) -> "SimConfig":
@@ -153,41 +120,38 @@ class SimConfig:
             return cls.from_json_dict(json.load(f))
 
     def to_json_dict(self) -> dict:
-        return {
-            "rounds": self.rounds,
-            "seed": self.seed,
-            "m_slices": self.m_slices,
-            "intensities": list(self.intensities),
-            "sample_fraction": self.sample_fraction,
-            "phi0": {
-                "kind": self.phi0.kind,
-                "value_rad": self.phi0.value_rad,
-                "rate_rad_per_round": self.phi0.rate_rad_per_round,
-            },
-            "channel": {"eta_arm": self.channel.eta_arm, "p_d": self.channel.p_d},
-            "jd_block_rounds": self.jd_block_rounds,
-        }
+        return dict(asdict(self), intensities=list(self.intensities))
 
 
-def _field_names(schema) -> set[str]:
-    return {f.name for f in fields(schema)}
+def _json_fields(doc, name: str, parsers: dict, required) -> dict:
+    """The keys of the JSON object ``doc``, each value through its parser.
 
-
-def _json_object(doc, name: str, keys) -> dict:
-    """``doc`` itself, checked to be a JSON object whose keys are all in ``keys``."""
+    A non-object, a key not in ``parsers`` or a missing ``required`` key
+    raises ValueError naming ``name``.  A parser gets the value and the
+    name to report: ``key`` in the top-level ``config``, else ``name.key``.
+    """
     if not isinstance(doc, dict):
         raise ValueError(f"{name} must be a JSON object, got {doc!r}")
-    unknown = sorted(set(doc).difference(keys))
+    unknown = sorted(set(doc).difference(parsers))
     if unknown:
         raise ValueError(f"unknown key {unknown[0]!r} in {name}")
-    return doc
+    for key in required:
+        if key not in doc:
+            raise ValueError(f"missing key {key!r} in {name}")
+    return {
+        key: parsers[key](value, key if name == "config" else f"{name}.{key}")
+        for key, value in doc.items()
+    }
 
 
-def _json_required(doc: dict, key: str, name: str):
-    """``doc[key]``; a missing key raises ValueError naming it and ``name``."""
-    if key not in doc:
-        raise ValueError(f"missing key {key!r} in {name}")
-    return doc[key]
+def _schema(make, **parsers) -> tuple[dict, list]:
+    """``_json_fields``' parsers and required keys for the parameters of ``make``:
+    a number unless ``parsers`` gives another, required when it has no default."""
+    params = inspect.signature(make).parameters.values()
+    return (
+        {**dict.fromkeys((p.name for p in params), _json_number), **parsers},
+        [p.name for p in params if p.default is p.empty],
+    )
 
 
 def _json_number(value, name: str) -> float:
@@ -208,6 +172,24 @@ def _json_integer(value, name: str) -> int:
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _json_numbers(value, name: str) -> tuple[float, ...]:
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be a list of numbers, got {value!r}")
+    return tuple(_json_number(v, f"{name}[{i}]") for i, v in enumerate(value))
+
+
+def _json_channel(value, name: str) -> ChannelParams:
+    """``{eta_arm, p_d}``, or the fiber form read by ``ChannelParams.from_distance``."""
+    arm_form = isinstance(value, dict) and "eta_arm" in value
+    make = ChannelParams if arm_form else ChannelParams.from_distance
+    return make(**_json_fields(value, name, *_schema(make)))
+
+
+def _json_phi0(value, name: str) -> Phi0Model:
+    # the kind goes in as given: Phi0Model names a bad one
+    return Phi0Model(**_json_fields(value, name, *_schema(Phi0Model, kind=lambda v, _: v)))
 
 
 @dataclass

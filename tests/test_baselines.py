@@ -15,7 +15,8 @@ from pmqkd.baselines import (
     plob_bound,
     tgw_bound,
 )
-from pmqkd.detection import ChannelParams, fiber_transmittance
+from pmqkd.attacks import bs_attack
+from pmqkd.detection import MAX_INTENSITY, ChannelParams, fiber_transmittance
 
 
 def full_channel(eta, pd=0.0):
@@ -174,6 +175,44 @@ def test_params_validation():
             Bb84Params(mu=bad, e_d=0.0, f_ec=1.15, channel=full_channel(0.1))
         with pytest.raises(ValueError, match="intensities must be finite and nonnegative"):
             mdi_rate(0.1, bad, 0.1, 0.1, 0.0, 0.0, 1.15)
+
+
+def test_intensity_bound_and_postprocessing_checks():
+    # every formula stays finite at MAX_INTENSITY, and every intensity check rejects above it
+    ch = full_channel(0.1, 7.2e-8)
+    m = MAX_INTENSITY
+    values = [
+        rate.key_rate(ch, rate.PmParams(mu_total=m)).rate_R,
+        rate.key_rate(ch, rate.PmParams(mu_total=m), tail="odd").rate_R,
+        bb84_rate(Bb84Params(mu=m, e_d=0.015, f_ec=1.15, channel=ch)),
+        mdi_rate(m / 2, m / 2, 0.1, 0.1, 7.2e-8, 0.015, 1.15).rate_R,
+        *vars(bs_attack(m, 0.2)).values(),
+    ]
+    assert all(math.isfinite(v) for v in values)
+    over, grid = 2 * m, np.array([0.1, 2 * m])
+    for call in (
+        lambda: rate.PmParams(mu_total=over),
+        lambda: Bb84Params(mu=over, e_d=0.0, f_ec=1.15, channel=ch),
+        lambda: bb84_rate_grid(grid, 0.0, 1.15, ch),
+        lambda: mdi_rate(0.1, over, 0.1, 0.1, 0.0, 0.0, 1.15),
+        lambda: mdi_rate_grid(grid, grid, 0.1, 0.1, 0.0, 0.0, 1.15),
+        lambda: bs_attack(over, 0.2),
+    ):
+        with pytest.raises(ValueError, match=f"{m:g}"):
+            call()
+    for e_d, f_ec, named in ((5.0, 1.15, "e_d"), (math.nan, 1.15, "e_d"),
+                             (0.0, math.nan, "f_ec"), (0.0, math.inf, "f_ec"),
+                             (0.0, 0.5, "f_ec")):
+        for call in (
+            lambda: Bb84Params(mu=0.5, e_d=e_d, f_ec=f_ec, channel=ch),
+            lambda: mdi_rate(0.1, 0.1, 0.1, 0.1, 0.0, e_d, f_ec),
+            lambda: mdi_rate_grid(grid / m, grid / m, 0.1, 0.1, 0.0, e_d, f_ec),
+        ):
+            with pytest.raises(ValueError, match=named):
+                call()
+        if named == "f_ec":
+            with pytest.raises(ValueError, match=named):
+                rate.PmParams(mu_total=0.5, f_ec=f_ec)
 
 
 # --- vectorized grids and the bracket they select ----------------------------

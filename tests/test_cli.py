@@ -529,6 +529,56 @@ def test_readme_cli_examples_parse():
         parser.parse_args(argv)
 
 
+EXTREMES = ("nan", "inf", "-inf", "-1", "0", "1000", "1e308")
+SWEEP_2 = ["sweep", "--start", "0", "--stop", "10", "--step", "10"]
+SWEEP_MU = ["sweep", "--variable", "mu", "--start", "0.1", "--stop", "0.2", "--step", "0.1"]
+SWEEP_ETA = ["sweep", "--variable", "eta", "--start", "0.1", "--stop", "0.2", "--step", "0.1"]
+# (command, flags given one extreme value each; "{}" marks where a range flag takes it)
+EXTREME_TABLE = [
+    (["rate", "--distance", "100", "--mu", "0.3"],
+     ["--distance", "--mu", "--pd", "--eta-d", "--m-slices", "--f-ec", "--alpha"]),
+    (["rate", "--eta", "0.1", "--mu", "0.3"], ["--eta"]),
+    ([*SWEEP_2, "--mu", "0.3"],
+     ["--start", "--stop", "--step", "--mu", "--pd", "--eta-d", "--m-slices", "--f-ec",
+      "--alpha", "--e-d"]),
+    ([*SWEEP_2, "--mu", "0.3", "--protocols", "bb84,mdi"], ["--mu", "--pd", "--f-ec", "--e-d"]),
+    ([*SWEEP_MU, "--distance", "100"], ["--distance", "--start", "--stop"]),
+    (SWEEP_ETA, ["--start", "--stop"]),
+    (["attack", "--steps", "3"], ["--fix-mu", "--fix-eta"]),
+    (["attack", "--steps", "3", "--fix-eta", "0.2"], ["--mu-range 0:{}", "--mu-range {}:1"]),
+    (["attack", "--steps", "3", "--fix-mu", "0.5"], ["--eta-range 0:{}", "--eta-range {}:1"]),
+    (["fock-check"], ["--max-k"]),
+]
+
+
+def test_extreme_flag_values_end_without_a_traceback(capsys):
+    # any number on the command line exits 0, 1 or 2 with one error line, never a nan result
+    bad = []
+    for command, flags in EXTREME_TABLE:
+        for flag in flags:
+            for value in EXTREMES:
+                name, _, template = flag.partition(" ")
+                argv = [*command, f"{name}={(template or '{}').format(value)}"]
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+                except Exception as exc:  # the escape is the failure
+                    code = f"{type(exc).__name__}: {exc}"
+                out, err = capsys.readouterr()
+                if code == 0:
+                    ok = "nan" not in out
+                elif code == 1:
+                    ok = out == "" and err.startswith("error: ") and err.count("\n") == 1
+                elif code == 2:  # argparse prints its usage before its one error line
+                    ok = err.count("error: ") == 1
+                else:
+                    ok = False
+                if not ok:
+                    bad.append((argv, code, err))
+    assert bad == []
+
+
 # --- simulate ----------------------------------------------------------------------
 
 
@@ -655,6 +705,14 @@ def test_fock_check_passes(capsys):
     assert code == 0
     assert out.strip().endswith("OK")
     assert "k=4" in out
+
+
+@pytest.mark.parametrize("max_k", ["0", "-3"])
+def test_fock_check_rejects_max_k_below_1(capsys, max_k):
+    code, out, err = run_cli(["fock-check", "--max-k", max_k], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --max-k {max_k} is not in [1, --cutoff {cli.focklab.DEFAULT_CUTOFF}]\n"
 
 
 def test_fock_check_cutoff_precondition(capsys):
