@@ -8,27 +8,11 @@ from .detection import (
     ChannelParams,
     ClickProbs,
     binary_entropy,
-    coherent_clicks,
     fiber_transmittance,
     k_photon_clicks,
-    phase_diff_pdf,
     single_photon_clicks,
-    with_dark_counts,
 )
-from .rate import (
-    PmParams,
-    RateBreakdown,
-    bit_error_k,
-    gain,
-    key_rate,
-    misalignment_e_delta,
-    odd_fraction,
-    optimize_mu,
-    phase_error_bound,
-    photon_fraction,
-    qber,
-    yield_k,
-)
+from .rate import PmParams, RateBreakdown, key_rate, misalignment_e_delta, optimize_mu
 from .baselines import Bb84Params, MdiBreakdown, bb84_rate, mdi_rate, plob_bound, tgw_bound
 from .attacks import (
     AttackPoint,
@@ -58,24 +42,14 @@ __all__ = [
     "ChannelParams",
     "ClickProbs",
     "binary_entropy",
-    "coherent_clicks",
     "fiber_transmittance",
     "k_photon_clicks",
-    "phase_diff_pdf",
     "single_photon_clicks",
-    "with_dark_counts",
     "PmParams",
     "RateBreakdown",
-    "bit_error_k",
-    "gain",
     "key_rate",
     "misalignment_e_delta",
-    "odd_fraction",
     "optimize_mu",
-    "phase_error_bound",
-    "photon_fraction",
-    "qber",
-    "yield_k",
     "Bb84Params",
     "MdiBreakdown",
     "bb84_rate",

@@ -26,6 +26,11 @@ from .detection import ChannelParams, fiber_transmittance, k_photon_clicks
 
 # A longer grid is a mistyped --step, not a sweep.
 MAX_SWEEP_POINTS = 10**6
+# Times below are on a 2-core host.
+# attack keeps one AttackPoint per grid point: --steps 10**5 takes ~1.5 s and ~100 MB.
+MAX_ATTACK_STEPS = 10**5
+# fock-check's pair matrices grow as cutoff**4: --cutoff 64 takes ~1.2 s and ~270 MB.
+MAX_FOCK_CUTOFF = 64
 
 SWEEP_COLUMNS = [
     "distance_km",
@@ -350,6 +355,8 @@ def cmd_attack(args) -> int:
     column) and its violation summary; only the swept axis takes a range flag."""
     if (args.fix_mu is None) == (args.fix_eta is None):
         raise ValueError("give exactly one of --fix-mu or --fix-eta")
+    if args.steps > MAX_ATTACK_STEPS:
+        raise ValueError(f"--steps must be at most {MAX_ATTACK_STEPS}, got {args.steps}")
     sweep_name, fixed_name = ("eta", "mu") if args.fix_mu is not None else ("mu", "eta")
     ranges = {"eta": args.eta_range, "mu": args.mu_range}
     if ranges[fixed_name] is not None:
@@ -415,6 +422,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_fock_check(args) -> int:
     cutoff = args.cutoff
+    if cutoff > MAX_FOCK_CUTOFF:
+        print(f"error: --cutoff must be at most {MAX_FOCK_CUTOFF}, got {cutoff}", file=sys.stderr)
+        return 2
     if not 1 <= args.max_k <= cutoff:
         print(f"error: --max-k {args.max_k} is not in [1, --cutoff {cutoff}]", file=sys.stderr)
         return 2

@@ -1,16 +1,14 @@
 """Detection model of the untrusted interference node.
 
-Click probabilities for Fock and coherent-state inputs on a 50/50 beam
-splitter followed by two threshold detectors, dark-count composition,
-and the phase-mismatch distribution induced by coarse phase slicing.
-All functions are pure and stateless.
+Click probabilities for Fock-state inputs on a 50/50 beam splitter
+followed by two threshold detectors, the channel parameters, fiber
+transmittance, binary entropy and the shared input checks.  All
+functions are pure and stateless.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-TWO_PI = 2.0 * math.pi
 
 PROB_SUM_TOL = 1e-12
 
@@ -145,65 +143,6 @@ def k_photon_clicks(k: int, eta: float, phi_delta: float) -> ClickProbs:
     pr = (p1.p_none + p1.p_right) ** k - p0k
     plr = 1.0 + p0k - (p1.p_none + p1.p_left) ** k - (p1.p_none + p1.p_right) ** k
     return ClickProbs(p0k, pl, pr, max(plr, 0.0))
-
-
-def with_dark_counts(raw: ClickProbs, p_d: float) -> ClickProbs:
-    """Compose photon-click outcomes with independent dark counts.
-
-    Each detector independently dark-fires with probability ``p_d``;
-    the four joint dark-count cases reshuffle the raw outcomes.
-    """
-    _check_prob("p_d", p_d)
-    q = 1.0 - p_d
-    p0 = q * q * raw.p_none
-    pl = p_d * q * raw.p_none + q * raw.p_left
-    pr = p_d * q * raw.p_none + q * raw.p_right
-    plr = (1.0 - p_d * p_d) * raw.p_double + p_d * q * (raw.p_left + raw.p_right) + p_d * p_d
-    return ClickProbs(p0, pl, pr, plr)
-
-
-def coherent_clicks(
-    mu_total: float, eta: float, phi_delta: float, p_d: float
-) -> tuple[float, float]:
-    """Marginal click probabilities (P_L, P_R) for coherent inputs.
-
-    Both parties send mu_total/2, so the interfered intensities are
-    eta*mu*cos^2(phi_delta/2) at L and eta*mu*sin^2(phi_delta/2) at R.
-    The two detectors are statistically independent: joint outcome
-    probabilities are products of these marginals.
-
-    Uses expm1/log1p so that probabilities of order p_d ~ 1e-7 keep
-    full relative precision.
-    """
-    if mu_total < 0 or math.isnan(mu_total):
-        raise ValueError(f"mean photon number must be nonnegative, got {mu_total!r}")
-    _check_prob("eta", eta)
-    _check_prob("p_d", p_d)
-    half = 0.5 * phi_delta
-    c2 = math.cos(half) ** 2
-    s2 = math.sin(half) ** 2
-    log_q = math.log1p(-p_d) if p_d < 1.0 else -math.inf
-    p_left = -math.expm1(log_q - eta * mu_total * c2)
-    p_right = -math.expm1(log_q - eta * mu_total * s2)
-    return (p_left, p_right)
-
-
-def phase_diff_pdf(phi: float, phi_0: float, m_slices: int) -> float:
-    """Density of the phase difference phi_b - phi_a on matched slices.
-
-    Both announced phases are uniform over one slice of width 2*pi/M,
-    Bob's offset by the reference deviation phi_0, so the difference is
-    triangular on [phi_0 - 2*pi/M, phi_0 + 2*pi/M) with peak M/(2*pi).
-    """
-    if m_slices < 2:
-        raise ValueError("m_slices must be >= 2")
-    w = TWO_PI / m_slices
-    h2 = (m_slices / TWO_PI) ** 2
-    if phi_0 - w <= phi < phi_0:
-        return h2 * (phi + (w - phi_0))
-    if phi_0 <= phi < phi_0 + w:
-        return h2 * (-phi + (w + phi_0))
-    return 0.0
 
 
 def binary_entropy(x: float) -> float:

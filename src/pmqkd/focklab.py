@@ -106,12 +106,6 @@ class TwoModeState:
         amps[qubits[0], qubits[1], n_a, n_b] = 1.0
         return cls(cutoff_n=cutoff, amplitudes=amps)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def overlap(self, other: "TwoModeState") -> complex:
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
     def mode_marginal(self) -> np.ndarray:
         """Joint photon-number distribution P(n_a, n_b), qubits traced out."""
         return np.sum(np.abs(self.amplitudes) ** 2, axis=(0, 1))
@@ -275,95 +269,6 @@ def lemma1_check(k: int, cutoff: int | None = None) -> Lemma1Result:
         relation_residual=relation,
         identity_residual=identity_residual,
     )
-
-
-# ---------------------------------------------------------------------------
-# coherent states: parity split and phase-averaged dephasing
-# ---------------------------------------------------------------------------
-
-
-def coherent_vector(alpha: complex, cutoff: int) -> np.ndarray:
-    """Number-basis amplitudes of |alpha> up to the cutoff."""
-    a = complex(alpha)
-    if a == 0:
-        vec = np.zeros(cutoff + 1, dtype=complex)
-        vec[0] = 1.0
-        return vec
-    n = np.arange(cutoff + 1)
-    log_fact = np.array([math.lgamma(i + 1) for i in n])
-    log_mag = n * math.log(abs(a)) - 0.5 * abs(a) ** 2 - 0.5 * log_fact
-    return np.exp(log_mag) * np.exp(1j * cmath.phase(a) * n)
-
-
-@dataclass(frozen=True)
-class ParityDecomposition:
-    c_odd: float
-    c_even: float
-    odd_vec: np.ndarray
-    even_vec: np.ndarray
-
-
-def _poisson_tail(mu: float, cutoff: int) -> float:
-    # P(N > cutoff) for N ~ Poisson(mu)
-    term = math.exp(-mu)
-    cdf = term
-    for k in range(1, cutoff + 1):
-        term *= mu / k
-        cdf += term
-    return max(1.0 - cdf, 0.0)
-
-
-def default_cutoff_for(mu: float) -> int:
-    c = DEFAULT_CUTOFF
-    while _poisson_tail(mu, c) >= 1e-14 and c < 200:
-        c += 4
-    return c
-
-
-def coherent_parity_decompose(mu_total: float, cutoff: int | None = None) -> ParityDecomposition:
-    """Split |sqrt(mu)> into normalized odd and even parity components.
-
-    The weights are c_odd = exp(-mu)*sinh(mu) and
-    c_even = exp(-mu)*cosh(mu); mixing the two opposite-phase coherent
-    projectors reproduces c_odd|odd><odd| + c_even|even><even|.
-    """
-    if mu_total < 0:
-        raise ValueError("mu_total must be nonnegative")
-    c = cutoff if cutoff is not None else default_cutoff_for(mu_total)
-    if _poisson_tail(mu_total, c) >= 1e-14:
-        raise CutoffOverflowError(
-            f"Poisson tail beyond cutoff {c} is too large for mu={mu_total}"
-        )
-    vec = coherent_vector(math.sqrt(mu_total), c)
-    odd = vec.copy()
-    odd[0::2] = 0.0
-    even = vec.copy()
-    even[1::2] = 0.0
-    c_odd = math.exp(-mu_total) * math.sinh(mu_total)
-    c_even = math.exp(-mu_total) * math.cosh(mu_total)
-    n_odd = np.linalg.norm(odd)
-    n_even = np.linalg.norm(even)
-    odd_vec = odd / n_odd if n_odd > 0 else odd
-    even_vec = even / n_even
-    return ParityDecomposition(c_odd=c_odd, c_even=c_even, odd_vec=odd_vec, even_vec=even_vec)
-
-
-def phase_average_dephase(mu_total: float, n_quadrature: int, cutoff: int) -> np.ndarray:
-    """Uniform-phase average of |sqrt(mu) e^{i phi}> projectors.
-
-    With at least 2*cutoff+2 quadrature points every off-diagonal term
-    cancels exactly and the diagonal carries the Poisson weights.
-    """
-    if n_quadrature < 2 * cutoff + 2:
-        raise ValueError("n_quadrature must be at least 2*cutoff + 2")
-    d = cutoff + 1
-    rho = np.zeros((d, d), dtype=complex)
-    amp = math.sqrt(mu_total)
-    for j in range(n_quadrature):
-        phi = 2.0 * math.pi * j / n_quadrature
-        vec = coherent_vector(amp * cmath.exp(1j * phi), cutoff)
-        rho += np.outer(vec, vec.conj())
-    return rho / n_quadrature
 
 
 # ---------------------------------------------------------------------------

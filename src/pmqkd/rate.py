@@ -49,13 +49,23 @@ class PmParams:
 
 @dataclass(frozen=True)
 class RateBreakdown:
-    """Every intermediate of one key-rate evaluation."""
+    """Every intermediate of one key-rate evaluation.
+
+    ``gain_Q`` is the any-click probability 1 - (1-2*p_d)*exp(-eta*mu),
+    exact to first order in p_d as in the reference routine (the Monte
+    Carlo counts single clicks only).  ``qber_Z`` is
+    (p_d + eta*mu*e_delta)*exp(-eta*mu)/Q.  ``phase_err_X`` is the
+    phase-error bound, clamped to [0, 0.5]: ``tail="truncated"`` charges
+    everything beyond the kept orders as full error (1 - q_0 - q_1 -
+    q_3 - q_5), ``tail="odd"`` charges 1 - q_0 - ``q_odd``, which is
+    tighter.
+    """
 
     gain_Q: float
     qber_Z: float
     phase_err_X: float
     fractions: dict[int, float]  # q_k for k = 0 and the odd orders
-    q_odd: float
+    q_odd: float  # closed-form sum of all odd-order fractions q_1 + q_3 + ...
     bit_errors: dict[int, float]  # e^Z_k for the same k
     e_delta: float
     rate_R: float
@@ -63,38 +73,24 @@ class RateBreakdown:
 
 # Each formula lives in one private function that takes the intermediates
 # it needs (``x = eta*mu`` the received intensity, ``loss = 1-eta``,
-# ``loss_k = loss**k``, ``y`` a yield, ``q`` the gain); ``key_rate``
-# computes every intermediate once and feeds them through, and the public
-# helpers are thin wrappers over the same functions, so both paths give
-# bit-identical results.  The Monte Carlo model check, the decoy-state
-# rate, the baselines and the attack analysis call them too, so each
-# formula has this one implementation.
+# ``loss_k = loss**k``, ``y`` a yield, ``q`` the gain).  ``key_rate``
+# computes every intermediate once, feeds it through them and returns them
+# all in its ``RateBreakdown``.  The Monte Carlo model check, the
+# decoy-state rate, the baselines and the attack analysis call the same
+# functions, so each formula has this one implementation.
 
 
 def _yield(k: int, p_d: float, loss_k: float) -> float:
+    # click yield of a k-photon input, 1 - (1-2*p_d)*(1-eta)^k; the vacuum
+    # yield is written as 2*p_d so it is exact
     if k == 0:
         return 2.0 * p_d
     return 1.0 - (1.0 - 2.0 * p_d) * loss_k
 
 
-def yield_k(k: int, ch: ChannelParams) -> float:
-    """Click yield of a k-photon input: 1 - (1-2*p_d)*(1-eta)^k.
-
-    The vacuum yield is written as 2*p_d directly so it is exact; the
-    general form keeps the reference expression order for parity.
-    """
-    if k < 0:
-        raise ValueError("photon number must be nonnegative")
-    return _yield(k, ch.p_d, (1.0 - ch.eta_arm) ** k)
-
-
 def _gain(p_d: float, x: float) -> float:
+    # any-click probability, first order in p_d (see RateBreakdown.gain_Q)
     return 1.0 - (1.0 - 2.0 * p_d) * math.exp(-x)
-
-
-def gain(ch: ChannelParams, pm: PmParams) -> float:
-    """Probability of an exactly-one-detector click per round."""
-    return _gain(ch.p_d, ch.eta_arm * pm.mu_total)
 
 
 def misalignment_e_delta(m_slices) -> float:
@@ -111,23 +107,11 @@ def misalignment_e_delta(m_slices) -> float:
 
 
 def _bit_error(p_d: float, loss_k: float, y: float, e_delta: float) -> float:
+    # dark-count clicks err with 1/2, photon clicks with e_delta; no click
+    # at all (p_d = 0 with k = 0 or eta = 0) is a random guess
     if y <= 0.0:
         return 0.5
     return (p_d * loss_k + e_delta * (1.0 - loss_k)) / y
-
-
-def bit_error_k(k: int, ch: ChannelParams, m_slices) -> float:
-    """Bit error rate of the k-photon component.
-
-    Dark-count clicks contribute error 1/2, photon clicks contribute
-    the slice misalignment e_delta.  The degenerate no-click case
-    (p_d = 0 with k = 0 or eta = 0) returns the random-guess value 1/2.
-    """
-    if k < 0:
-        raise ValueError("photon number must be nonnegative")
-    loss_k = (1.0 - ch.eta_arm) ** k
-    y = _yield(k, ch.p_d, loss_k)
-    return _bit_error(ch.p_d, loss_k, y, misalignment_e_delta(m_slices))
 
 
 def _qber(q: float, p_d: float, x: float, e_delta: float) -> float:
@@ -137,21 +121,10 @@ def _qber(q: float, p_d: float, x: float, e_delta: float) -> float:
     return min(max(val, 0.0), 0.5)
 
 
-def qber(ch: ChannelParams, pm: PmParams) -> float:
-    """Quantum bit error rate (p_d + eta*mu*e_delta)*exp(-eta*mu)/Q."""
-    x = ch.eta_arm * pm.mu_total
-    return _qber(_gain(ch.p_d, x), ch.p_d, x, misalignment_e_delta(pm.m_slices))
-
-
 def _fraction(k: int, y: float, mu: float, q: float) -> float:
     if q <= 0.0:
         return 0.0
     return y * mu**k * math.exp(-mu) / (math.factorial(k) * q)
-
-
-def photon_fraction(k: int, ch: ChannelParams, pm: PmParams) -> float:
-    """Fraction q_k of detected signal attributed to k-photon inputs."""
-    return _fraction(k, yield_k(k, ch), pm.mu_total, gain(ch, pm))
 
 
 def _odd_fraction(q: float, p_d: float, loss: float, mu: float) -> float:
@@ -159,11 +132,6 @@ def _odd_fraction(q: float, p_d: float, loss: float, mu: float) -> float:
         return 0.0
     num = math.sinh(mu) - (1.0 - 2.0 * p_d) * math.sinh(loss * mu)
     return math.exp(-mu) * num / q
-
-
-def odd_fraction(ch: ChannelParams, pm: PmParams) -> float:
-    """Closed-form sum of all odd-order fractions q_1 + q_3 + ..."""
-    return _odd_fraction(gain(ch, pm), ch.p_d, 1.0 - ch.eta_arm, pm.mu_total)
 
 
 def _phase_error(q0: float, odd_qs, odd_es, q_odd: float, tail: str) -> float:
@@ -181,23 +149,6 @@ def _phase_error(q0: float, odd_qs, odd_es, q_odd: float, tail: str) -> float:
         raise ValueError(f"unknown tail mode {tail!r}")
     ex = ex + tail_term
     return min(max(ex, 0.0), 0.5)
-
-
-def phase_error_bound(ch: ChannelParams, pm: PmParams, *, tail: str = "truncated") -> float:
-    """Upper bound on the phase error rate, clamped to [0, 0.5].
-
-    ``tail="truncated"`` charges everything beyond the kept orders as
-    full error (1 - q_0 - q_1 - q_3 - q_5).  ``tail="odd"`` uses the
-    closed-form odd-fraction sum for the tail instead, which is tighter.
-    """
-    odd = pm.odd_orders
-    return _phase_error(
-        photon_fraction(0, ch, pm),
-        [photon_fraction(k, ch, pm) for k in odd],
-        [bit_error_k(k, ch, pm.m_slices) for k in odd],
-        odd_fraction(ch, pm),
-        tail,
-    )
 
 
 def _rate(m, q: float, f_ec: float, ez: float, ex: float) -> float:
@@ -315,8 +266,6 @@ def optimize_mu(
     ch: ChannelParams,
     pm_template: PmParams,
     mu_range: tuple[float, float] = MU_RANGE,
-    *,
-    tail: str = "truncated",
 ) -> tuple[float, RateBreakdown]:
     """Intensity maximizing the key rate, found by :func:`maximize`.
 
@@ -328,10 +277,10 @@ def optimize_mu(
         raise ValueError("mu_range must satisfy 0 < lo < hi <= 4")
 
     def rate_at(mu: float) -> float:
-        return key_rate(ch, _with_mu(pm_template, mu), tail=tail).rate_R
+        return key_rate(ch, _with_mu(pm_template, mu)).rate_R
 
     mu_opt, _ = maximize(rate_at, lo, hi)
-    return mu_opt, key_rate(ch, _with_mu(pm_template, mu_opt), tail=tail)
+    return mu_opt, key_rate(ch, _with_mu(pm_template, mu_opt))
 
 
 def _with_mu(pm: PmParams, mu: float) -> PmParams:

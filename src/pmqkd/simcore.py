@@ -12,7 +12,7 @@ import inspect
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Iterator
 
@@ -118,9 +118,6 @@ class SimConfig:
     def from_json_file(cls, path) -> "SimConfig":
         with open(path, "r", encoding="utf-8") as f:
             return cls.from_json_dict(json.load(f))
-
-    def to_json_dict(self) -> dict:
-        return dict(asdict(self), intensities=list(self.intensities))
 
 
 def _json_fields(doc, name: str, parsers: dict, required) -> dict:

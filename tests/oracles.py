@@ -1,0 +1,173 @@
+"""Reference code that only the tests use.
+
+Closed forms and Fock-space constructions that check the package from
+outside: dark-count composition of click outcomes, coherent-state click
+marginals, the sliced-phase mismatch density, and the coherent-state
+parity split and phase-averaged dephasing on the truncated number basis.
+No command runs them, so they live here rather than in ``pmqkd``.
+"""
+from __future__ import annotations
+
+import cmath
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from pmqkd.detection import ClickProbs, _check_prob
+from pmqkd.focklab import DEFAULT_CUTOFF, CutoffOverflowError
+
+TWO_PI = 2.0 * math.pi
+
+
+# ---------------------------------------------------------------------------
+# detection: dark counts, coherent inputs, sliced-phase mismatch
+# ---------------------------------------------------------------------------
+
+
+def with_dark_counts(raw: ClickProbs, p_d: float) -> ClickProbs:
+    """Compose photon-click outcomes with independent dark counts.
+
+    Each detector independently dark-fires with probability ``p_d``;
+    the four joint dark-count cases reshuffle the raw outcomes.
+    """
+    _check_prob("p_d", p_d)
+    q = 1.0 - p_d
+    p0 = q * q * raw.p_none
+    pl = p_d * q * raw.p_none + q * raw.p_left
+    pr = p_d * q * raw.p_none + q * raw.p_right
+    plr = (1.0 - p_d * p_d) * raw.p_double + p_d * q * (raw.p_left + raw.p_right) + p_d * p_d
+    return ClickProbs(p0, pl, pr, plr)
+
+
+def coherent_clicks(
+    mu_total: float, eta: float, phi_delta: float, p_d: float
+) -> tuple[float, float]:
+    """Marginal click probabilities (P_L, P_R) for coherent inputs.
+
+    Both parties send mu_total/2, so the interfered intensities are
+    eta*mu*cos^2(phi_delta/2) at L and eta*mu*sin^2(phi_delta/2) at R.
+    The two detectors are statistically independent: joint outcome
+    probabilities are products of these marginals.
+
+    Uses expm1/log1p so that probabilities of order p_d ~ 1e-7 keep
+    full relative precision.
+    """
+    if mu_total < 0 or math.isnan(mu_total):
+        raise ValueError(f"mean photon number must be nonnegative, got {mu_total!r}")
+    _check_prob("eta", eta)
+    _check_prob("p_d", p_d)
+    half = 0.5 * phi_delta
+    c2 = math.cos(half) ** 2
+    s2 = math.sin(half) ** 2
+    log_q = math.log1p(-p_d) if p_d < 1.0 else -math.inf
+    p_left = -math.expm1(log_q - eta * mu_total * c2)
+    p_right = -math.expm1(log_q - eta * mu_total * s2)
+    return (p_left, p_right)
+
+
+def phase_diff_pdf(phi: float, phi_0: float, m_slices: int) -> float:
+    """Density of the phase difference phi_b - phi_a on matched slices.
+
+    Both announced phases are uniform over one slice of width 2*pi/M,
+    Bob's offset by the reference deviation phi_0, so the difference is
+    triangular on [phi_0 - 2*pi/M, phi_0 + 2*pi/M) with peak M/(2*pi).
+    """
+    if m_slices < 2:
+        raise ValueError("m_slices must be >= 2")
+    w = TWO_PI / m_slices
+    h2 = (m_slices / TWO_PI) ** 2
+    if phi_0 - w <= phi < phi_0:
+        return h2 * (phi + (w - phi_0))
+    if phi_0 <= phi < phi_0 + w:
+        return h2 * (-phi + (w + phi_0))
+    return 0.0
+
+
+# ---------------------------------------------------------------------------
+# coherent states: parity split and phase-averaged dephasing
+# ---------------------------------------------------------------------------
+
+
+def coherent_vector(alpha: complex, cutoff: int) -> np.ndarray:
+    """Number-basis amplitudes of |alpha> up to the cutoff."""
+    a = complex(alpha)
+    if a == 0:
+        vec = np.zeros(cutoff + 1, dtype=complex)
+        vec[0] = 1.0
+        return vec
+    n = np.arange(cutoff + 1)
+    log_fact = np.array([math.lgamma(i + 1) for i in n])
+    log_mag = n * math.log(abs(a)) - 0.5 * abs(a) ** 2 - 0.5 * log_fact
+    return np.exp(log_mag) * np.exp(1j * cmath.phase(a) * n)
+
+
+@dataclass(frozen=True)
+class ParityDecomposition:
+    c_odd: float
+    c_even: float
+    odd_vec: np.ndarray
+    even_vec: np.ndarray
+
+
+def _poisson_tail(mu: float, cutoff: int) -> float:
+    # P(N > cutoff) for N ~ Poisson(mu)
+    term = math.exp(-mu)
+    cdf = term
+    for k in range(1, cutoff + 1):
+        term *= mu / k
+        cdf += term
+    return max(1.0 - cdf, 0.0)
+
+
+def default_cutoff_for(mu: float) -> int:
+    c = DEFAULT_CUTOFF
+    while _poisson_tail(mu, c) >= 1e-14 and c < 200:
+        c += 4
+    return c
+
+
+def coherent_parity_decompose(mu_total: float, cutoff: int | None = None) -> ParityDecomposition:
+    """Split |sqrt(mu)> into normalized odd and even parity components.
+
+    The weights are c_odd = exp(-mu)*sinh(mu) and
+    c_even = exp(-mu)*cosh(mu); mixing the two opposite-phase coherent
+    projectors reproduces c_odd|odd><odd| + c_even|even><even|.
+    """
+    if mu_total < 0:
+        raise ValueError("mu_total must be nonnegative")
+    c = cutoff if cutoff is not None else default_cutoff_for(mu_total)
+    if _poisson_tail(mu_total, c) >= 1e-14:
+        raise CutoffOverflowError(
+            f"Poisson tail beyond cutoff {c} is too large for mu={mu_total}"
+        )
+    vec = coherent_vector(math.sqrt(mu_total), c)
+    odd = vec.copy()
+    odd[0::2] = 0.0
+    even = vec.copy()
+    even[1::2] = 0.0
+    c_odd = math.exp(-mu_total) * math.sinh(mu_total)
+    c_even = math.exp(-mu_total) * math.cosh(mu_total)
+    n_odd = np.linalg.norm(odd)
+    n_even = np.linalg.norm(even)
+    odd_vec = odd / n_odd if n_odd > 0 else odd
+    even_vec = even / n_even
+    return ParityDecomposition(c_odd=c_odd, c_even=c_even, odd_vec=odd_vec, even_vec=even_vec)
+
+
+def phase_average_dephase(mu_total: float, n_quadrature: int, cutoff: int) -> np.ndarray:
+    """Uniform-phase average of |sqrt(mu) e^{i phi}> projectors.
+
+    With at least 2*cutoff+2 quadrature points every off-diagonal term
+    cancels exactly and the diagonal carries the Poisson weights.
+    """
+    if n_quadrature < 2 * cutoff + 2:
+        raise ValueError("n_quadrature must be at least 2*cutoff + 2")
+    d = cutoff + 1
+    rho = np.zeros((d, d), dtype=complex)
+    amp = math.sqrt(mu_total)
+    for j in range(n_quadrature):
+        phi = 2.0 * math.pi * j / n_quadrature
+        vec = coherent_vector(amp * cmath.exp(1j * phi), cutoff)
+        rho += np.outer(vec, vec.conj())
+    return rho / n_quadrature

@@ -7,11 +7,9 @@ import math
 import time
 
 import numpy as np
-import pytest
 from scipy import integrate
 
 from pmqkd.attacks import bs_attack, find_gllp_violation, gllp_rate_under_bs, pm_rate_under_bs
-from pmqkd.cli import PRESETS, run_sweep
 from pmqkd.decoy import decoy_estimate
 from pmqkd.detection import ChannelParams, k_photon_clicks
 from pmqkd.focklab import k_photon_interference_probs, lemma1_check
@@ -21,7 +19,6 @@ from pmqkd.simcore import Phi0Model, SimConfig, Tally, compare_to_model, simulat
 from reference_port import pm_key
 
 PI = math.pi
-FIG3B = PRESETS["fig3b"]
 
 
 def report(n, ok, detail):
@@ -29,26 +26,9 @@ def report(n, ok, detail):
     assert ok, detail
 
 
-@pytest.fixture(scope="module")
-def fig3_sweep():
-    """Full protocol-comparison sweep, 0..500 km in 1 km steps with
-    per-distance intensity optimization; shared by criteria 1-3."""
-    t0 = time.monotonic()
-    rows = run_sweep(
-        variable="distance_km",
-        start=0.0,
-        stop=500.0,
-        step=1.0,
-        protocols=("pm", "bb84", "mdi", "plob", "tgw"),
-        preset=FIG3B,
-        optimize_mu=True,
-    )
-    elapsed = time.monotonic() - t0
-    return rows, elapsed
-
-
-def test_criterion_1_plob_crossover(fig3_sweep):
-    rows, elapsed = fig3_sweep
+def test_criterion_1_plob_crossover(fig3b_sweep):
+    # the fig3b sweep (tests/conftest.py) runs once for criteria 1-3
+    rows, elapsed = fig3b_sweep.rows, fig3b_sweep.elapsed
     crossover = next(
         (r["distance_km"] for r in rows if r["R_pm"] > r["R_plob"]), None
     )
@@ -61,8 +41,8 @@ def test_criterion_1_plob_crossover(fig3_sweep):
     )
 
 
-def test_criterion_2_bb84_crossover(fig3_sweep):
-    rows, _ = fig3_sweep
+def test_criterion_2_bb84_crossover(fig3b_sweep):
+    rows = fig3b_sweep.rows
     crossover = next(
         (r["distance_km"] for r in rows if r["R_pm"] > r["R_bb84"]), None
     )
@@ -70,8 +50,8 @@ def test_criterion_2_bb84_crossover(fig3_sweep):
     report(2, ok, f"rate exceeds decoy BB84 from {crossover} km (band [100, 140])")
 
 
-def test_criterion_3_maximum_distance(fig3_sweep):
-    rows, _ = fig3_sweep
+def test_criterion_3_maximum_distance(fig3b_sweep):
+    rows = fig3b_sweep.rows
     alive = [r["distance_km"] for r in rows if r["R_pm"] > 1e-12]
     max_dist = alive[-1] if alive else None
     ok = max_dist is not None and 395.0 <= max_dist <= 440.0

@@ -197,18 +197,11 @@ def test_sweep_deterministic(tmp_path, capsys):
 GOLDEN_SWEEP = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "sweep_fig3b.csv"
 
 
-def test_sweep_fig3b_rows_match_golden(tmp_path, capsys):
-    # the recorded 0-500 km Fig. 3b sweep, all 501 rows byte for byte
-    out_file = tmp_path / "sweep.csv"
-    code, _, _ = run_cli(
-        [
-            "sweep", "--preset", "fig3b", "--start", "0", "--stop", "500", "--step", "1",
-            "--optimize-mu", "--output", str(out_file),
-        ],
-        capsys,
-    )
-    assert code == 0
-    rows = out_file.read_text().splitlines()
+def test_sweep_fig3b_rows_match_golden(fig3b_sweep):
+    # the recorded 0-500 km Fig. 3b sweep (run once in tests/conftest.py), all 501 rows
+    # byte for byte
+    assert fig3b_sweep.code == 0
+    rows = fig3b_sweep.csv.splitlines()
     golden_rows = GOLDEN_SWEEP.read_text().splitlines()
     assert len(rows) == len(golden_rows) == 502
     for row, golden in zip(rows, golden_rows):
@@ -441,6 +434,26 @@ def test_attack_non_finite_range_is_named(capsys, argv, flag):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("fix", [["--fix-eta", "0.2"], ["--fix-mu", "0.5"]], ids=["eta", "mu"])
+@pytest.mark.parametrize("over", [0, 1], ids=["at_bound", "above_bound"])
+def test_attack_steps_bound_is_checked_before_the_scan(monkeypatch, capsys, fix, over):
+    # the scan (grid and bs_attack calls) is stubbed: above the bound it must never start
+    scans = []
+
+    def stub_scan(**kwargs):
+        scans.append(kwargs["steps"])
+        return cli.attacks.ViolationReport(points=(), violation_intervals=(), crossovers=())
+
+    monkeypatch.setattr(cli.attacks, "find_gllp_violation", stub_scan)
+    steps = cli.MAX_ATTACK_STEPS + over
+    code, out, err = run_cli(["attack", *fix, "--steps", str(steps)], capsys)
+    if over:
+        assert (code, out, scans) == (1, "", [])
+        assert err == f"error: --steps must be at most {cli.MAX_ATTACK_STEPS}, got {steps}\n"
+    else:
+        assert (code, err, scans) == (0, "", [steps])
+
+
 @pytest.mark.parametrize(
     "argv, calls",
     [(["--fix-mu", "0.5", "--steps", "50"], 130), (["--fix-eta", "0.2"], 200)],
@@ -545,9 +558,11 @@ EXTREME_TABLE = [
     ([*SWEEP_MU, "--distance", "100"], ["--distance", "--start", "--stop"]),
     (SWEEP_ETA, ["--start", "--stop"]),
     (["attack", "--steps", "3"], ["--fix-mu", "--fix-eta"]),
-    (["attack", "--steps", "3", "--fix-eta", "0.2"], ["--mu-range 0:{}", "--mu-range {}:1"]),
-    (["attack", "--steps", "3", "--fix-mu", "0.5"], ["--eta-range 0:{}", "--eta-range {}:1"]),
-    (["fock-check"], ["--max-k"]),
+    (["attack", "--steps", "3", "--fix-eta", "0.2"],
+     ["--mu-range 0:{}", "--mu-range {}:1", "--steps"]),
+    (["attack", "--steps", "3", "--fix-mu", "0.5"],
+     ["--eta-range 0:{}", "--eta-range {}:1", "--steps"]),
+    (["fock-check"], ["--max-k", "--cutoff"]),
 ]
 
 
@@ -713,6 +728,25 @@ def test_fock_check_rejects_max_k_below_1(capsys, max_k):
     assert code == 2
     assert out == ""
     assert err == f"error: --max-k {max_k} is not in [1, --cutoff {cli.focklab.DEFAULT_CUTOFF}]\n"
+
+
+@pytest.mark.parametrize("over", [0, 1], ids=["at_bound", "above_bound"])
+def test_fock_check_cutoff_bound_is_checked_before_any_state(monkeypatch, capsys, over):
+    # lemma1_check is stubbed: above the bound it must never run, so no pair matrix is built
+    cutoffs = []
+
+    def stub_check(k, cutoff):
+        cutoffs.append(cutoff)
+        return cli.focklab.Lemma1Result(k, 0.0, 0.0, 0.0, 0.0)
+
+    monkeypatch.setattr(cli.focklab, "lemma1_check", stub_check)
+    cutoff = cli.MAX_FOCK_CUTOFF + over
+    code, out, err = run_cli(["fock-check", "--max-k", "1", "--cutoff", str(cutoff)], capsys)
+    if over:
+        assert (code, out, cutoffs) == (2, "", [])
+        assert err == f"error: --cutoff must be at most {cli.MAX_FOCK_CUTOFF}, got {cutoff}\n"
+    else:
+        assert (code, cutoffs) == (0, [cutoff])
 
 
 def test_fock_check_cutoff_precondition(capsys):

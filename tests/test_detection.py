@@ -9,14 +9,13 @@ from pmqkd.detection import (
     ChannelParams,
     ClickProbs,
     binary_entropy,
-    coherent_clicks,
     fiber_transmittance,
     k_photon_clicks,
-    phase_diff_pdf,
     single_photon_clicks,
-    with_dark_counts,
 )
 from pmqkd.focklab import k_photon_interference_probs
+
+from oracles import coherent_clicks, phase_diff_pdf, with_dark_counts
 
 PI = math.pi
 

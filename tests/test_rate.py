@@ -5,22 +5,10 @@ import pytest
 from scipy import integrate
 
 from pmqkd import rate
-from pmqkd.detection import ChannelParams, binary_entropy, k_photon_clicks, with_dark_counts
-from pmqkd.rate import (
-    PmParams,
-    bit_error_k,
-    gain,
-    key_rate,
-    maximize,
-    misalignment_e_delta,
-    odd_fraction,
-    optimize_mu,
-    phase_error_bound,
-    photon_fraction,
-    qber,
-    yield_k,
-)
+from pmqkd.detection import ChannelParams, binary_entropy, k_photon_clicks
+from pmqkd.rate import PmParams, key_rate, maximize, misalignment_e_delta, optimize_mu
 
+from oracles import coherent_clicks, with_dark_counts
 from reference_port import pm_key
 
 PI = math.pi
@@ -35,17 +23,17 @@ def ch(eta, pd=0.0):
 
 
 def test_yield_single_photon_no_dark():
-    assert yield_k(1, ch(0.1)) == pytest.approx(0.1, rel=1e-12)
+    assert rate._yield(1, 0.0, 1.0 - 0.1) == pytest.approx(0.1, rel=1e-12)
 
 
 def test_yield_vacuum_is_double_dark():
     for pd in (0.0, 1e-8, 1e-3):
-        assert yield_k(0, ch(0.3, pd)) == pytest.approx(2 * pd, abs=1e-18)
+        assert rate._yield(0, pd, 1.0) == pytest.approx(2 * pd, abs=1e-18)
 
 
 def test_yield_three_photon_monte_carlo():
     eta, pd = 0.05, 1e-6
-    y = yield_k(3, ch(eta, pd))
+    y = rate._yield(3, pd, (1.0 - eta) ** 3)
     assert y == pytest.approx(0.142627, abs=5e-7)
     rng = np.random.default_rng(31)
     n = 4_000_000
@@ -60,17 +48,15 @@ def test_yield_three_photon_monte_carlo():
 
 def test_gain_dark_count_floor():
     pm = PmParams(mu_total=1e-12, **{k: v for k, v in FIG3B.items() if k != "p_d" and k != "eta_d"})
-    assert gain(ch(0.1, 1e-7), pm) == pytest.approx(2e-7, rel=1e-3)
+    assert key_rate(ch(0.1, 1e-7), pm).gain_Q == pytest.approx(2e-7, rel=1e-3)
 
 
 def test_gain_monte_carlo():
     eta, mu = 0.1, 0.5
     pm = PmParams(mu_total=mu, m_slices=16, f_ec=1.15)
-    q = gain(ch(eta), pm)
+    q = key_rate(ch(eta), pm).gain_Q
     assert q == pytest.approx(1 - math.exp(-0.05), rel=1e-12)
     # joint outcomes from the independent-detector marginals
-    from pmqkd.detection import coherent_clicks
-
     p_l, p_r = coherent_clicks(mu, eta, 0.0, 0.0)
     rng = np.random.default_rng(101)
     n = 2_000_000
@@ -89,7 +75,7 @@ def test_gain_matches_reference_grid():
         pd = rng.uniform(0.0, 1e-5)
         pm = PmParams(mu_total=mu)
         expected = 1 - (1 - 2 * pd) * math.exp(-mu * eta)
-        assert gain(ch(eta, pd), pm) == expected
+        assert key_rate(ch(eta, pd), pm).gain_Q == expected
 
 
 # --- misalignment ------------------------------------------------------------
@@ -131,19 +117,22 @@ def test_e_delta_vanishes_for_fine_slicing():
 
 
 def test_bit_error_limits():
-    assert bit_error_k(1, ch(0.3, 0.0), 2**20) == pytest.approx(0.0, abs=1e-15)
+    def e_z(k, c, m):
+        return key_rate(c, PmParams(mu_total=0.5, m_slices=m)).bit_errors[k]
+
+    assert e_z(1, ch(0.3, 0.0), 2**20) == pytest.approx(0.0, abs=1e-15)
     # eta = 0 corner keeps the reference cancellation, so only ~1e-9 here
-    assert bit_error_k(1, ch(0.0, 1e-7), 16) == pytest.approx(0.5, abs=1e-8)
-    assert bit_error_k(0, ch(0.3, 1e-7), 16) == 0.5
+    assert e_z(1, ch(0.0, 1e-7), 16) == pytest.approx(0.5, abs=1e-8)
+    assert e_z(0, ch(0.3, 1e-7), 16) == 0.5
     # degenerate zero-yield case falls back to a random guess
-    assert bit_error_k(0, ch(0.3, 0.0), 16) == 0.5
+    assert e_z(0, ch(0.3, 0.0), 16) == 0.5
 
 
 def test_bit_error_single_photon_against_quadrature():
     eta, pd, m = 0.1, 7.2e-8, 16
     e_delta_int = _e_delta_integral(m)
     oracle = (pd * (1 - eta) + e_delta_int * eta) / (eta + 2 * pd * (1 - eta))
-    got = bit_error_k(1, ch(eta, pd), m)
+    got = key_rate(ch(eta, pd), PmParams(mu_total=0.5, m_slices=m)).bit_errors[1]
     assert got == pytest.approx(oracle, abs=1e-9)
     assert got == pytest.approx(3.7541248e-3, abs=5e-9)
 
@@ -153,12 +142,12 @@ def test_bit_error_single_photon_against_quadrature():
 
 def test_qber_dark_count_limit():
     pm = PmParams(mu_total=1e-10, m_slices=16)
-    assert qber(ch(0.1, 1e-7), pm) == pytest.approx(0.5, abs=1e-4)
+    assert key_rate(ch(0.1, 1e-7), pm).qber_Z == pytest.approx(0.5, abs=1e-4)
 
 
 def test_qber_value_fig3b_point():
     pm = PmParams(mu_total=0.5, m_slices=16)
-    assert qber(ch(0.1, 7.2e-8), pm) == pytest.approx(3.6618e-3, abs=5e-7)
+    assert key_rate(ch(0.1, 7.2e-8), pm).qber_Z == pytest.approx(3.6618e-3, abs=5e-7)
 
 
 def test_qber_matches_reference_grid():
@@ -171,22 +160,24 @@ def test_qber_matches_reference_grid():
         e_delta = PI / m - (m / PI) ** 2 * math.sin(PI / m) ** 3
         q = 1 - (1 - 2 * pd) * math.exp(-mu * eta)
         expected = (pd + eta * mu * e_delta) * math.exp(-eta * mu) / q
-        assert qber(ch(eta, pd), PmParams(mu_total=mu, m_slices=m)) == pytest.approx(
-            expected, rel=1e-15
-        )
+        got = key_rate(ch(eta, pd), PmParams(mu_total=mu, m_slices=m)).qber_Z
+        assert got == pytest.approx(expected, rel=1e-15)
 
 
 # --- photon fractions ----------------------------------------------------------
 
 
 def test_vacuum_fraction_zero_without_dark_counts():
-    assert photon_fraction(0, ch(0.2, 0.0), PmParams(mu_total=0.4)) == 0.0
+    assert key_rate(ch(0.2, 0.0), PmParams(mu_total=0.4)).fractions[0] == 0.0
 
 
 def test_fraction_normalization_identity():
     for eta, mu, pd in [(0.1, 0.5, 0.0), (1e-3, 0.2, 7.2e-8), (0.9, 1.5, 1e-6)]:
-        pm = PmParams(mu_total=mu)
-        total = sum(photon_fraction(k, ch(eta, pd), pm) for k in range(41))
+        q = key_rate(ch(eta, pd), PmParams(mu_total=mu)).gain_Q
+        # key_rate keeps only q_0 and the odd orders; every order k <= 40 is summed here
+        total = sum(
+            rate._fraction(k, rate._yield(k, pd, (1.0 - eta) ** k), mu, q) for k in range(41)
+        )
         assert total == pytest.approx(1.0, abs=1e-9)
 
 
@@ -194,7 +185,7 @@ def test_single_fraction_fig3b_point():
     # cross-check against the exact detection model mixed over Poisson inputs
     eta, mu, pd = 1.45e-4, 0.2, 7.2e-8
     pm = PmParams(mu_total=mu)
-    got = photon_fraction(1, ch(eta, pd), pm)
+    got = key_rate(ch(eta, pd), pm).fractions[1]
 
     def exact_yield(k):
         p = with_dark_counts(k_photon_clicks(k, eta, 0.0), pd)
@@ -210,7 +201,7 @@ def test_single_fraction_fig3b_point():
 def test_odd_fraction_closed_forms():
     mu = 0.7
     pm = PmParams(mu_total=mu)
-    lossless = odd_fraction(ch(1.0, 0.0), pm)
+    lossless = key_rate(ch(1.0, 0.0), pm).q_odd
     assert lossless == pytest.approx(
         math.exp(-mu) * math.sinh(mu) / (1 - math.exp(-mu)), rel=1e-12
     )
@@ -219,16 +210,17 @@ def test_odd_fraction_closed_forms():
         eta = float(rng.random())
         pd = float(rng.uniform(0, 1e-4))
         pmx = PmParams(mu_total=float(rng.uniform(0.05, 2.0)))
-        q_odd = odd_fraction(ch(eta, pd), pmx)
-        partial = sum(photon_fraction(k, ch(eta, pd), pmx) for k in (1, 3, 5))
-        assert q_odd >= partial - 1e-12
+        bd = key_rate(ch(eta, pd), pmx)
+        partial = sum(bd.fractions[k] for k in (1, 3, 5))
+        assert bd.q_odd >= partial - 1e-12
 
 
 def test_odd_fraction_tail_is_small():
-    pm = PmParams(mu_total=0.5)
-    q_odd = odd_fraction(ch(0.1, 0.0), pm)
-    partial = sum(photon_fraction(k, ch(0.1, 0.0), pm) for k in (1, 3, 5))
-    tail = sum(photon_fraction(k, ch(0.1, 0.0), pm) for k in range(7, 41, 2))
+    # truncation_k = 39 keeps every odd order the tail sums
+    bd = key_rate(ch(0.1, 0.0), PmParams(mu_total=0.5, truncation_k=39))
+    q_odd = bd.q_odd
+    partial = sum(bd.fractions[k] for k in (1, 3, 5))
+    tail = sum(bd.fractions[k] for k in range(7, 41, 2))
     assert q_odd - partial == pytest.approx(tail, abs=1e-12)
     assert q_odd - partial < 2e-5
 
@@ -244,15 +236,15 @@ def test_phase_error_sinh_identity_lossless():
     q = 1 - math.exp(-mu)
     oracle = (q - math.exp(-mu) * math.sinh(mu)) / q
     assert oracle == pytest.approx(0.0906346234610, abs=1e-10)
-    got_odd = phase_error_bound(ch(1.0, 0.0), pm, tail="odd")
+    got_odd = key_rate(ch(1.0, 0.0), pm, tail="odd").phase_err_X
     assert got_odd == pytest.approx(oracle, abs=1e-10)
-    got_trunc = phase_error_bound(ch(1.0, 0.0), pm, tail="truncated")
+    got_trunc = key_rate(ch(1.0, 0.0), pm, tail="truncated").phase_err_X
     assert got_trunc == pytest.approx(oracle, abs=3e-6)
 
 
 def test_phase_error_clamped_at_half():
     pm = PmParams(mu_total=0.5)
-    assert phase_error_bound(ch(1e-9, 1e-3), pm) == 0.5
+    assert key_rate(ch(1e-9, 1e-3), pm).phase_err_X == 0.5
 
 
 def test_truncated_bound_at_least_odd_bound():
@@ -260,8 +252,8 @@ def test_truncated_bound_at_least_odd_bound():
     for _ in range(100):
         c = ch(float(rng.random()), float(rng.uniform(0, 1e-4)))
         pm = PmParams(mu_total=float(rng.uniform(0.05, 2.0)), m_slices=int(rng.choice([8, 16, 32])))
-        t = phase_error_bound(c, pm, tail="truncated")
-        o = phase_error_bound(c, pm, tail="odd")
+        t = key_rate(c, pm, tail="truncated").phase_err_X
+        o = key_rate(c, pm, tail="odd").phase_err_X
         assert t >= o - 1e-12
 
 
@@ -298,9 +290,8 @@ def test_key_rate_reference_parity_grid():
 
 
 @pytest.mark.parametrize("tail", ["truncated", "odd"])
-def test_key_rate_fields_equal_public_helpers(tail):
-    # key_rate computes each intermediate once; the public helpers recompute
-    # them one by one.  Both must give the same floats, not merely close ones.
+def test_key_rate_assembles_rate_from_its_fields(tail):
+    # the rate is the floored bracket of the returned fields, for every tail and truncation
     for eta in (0.0, 1e-6, 0.3, 1.0):
         for pd in (0.0, 7.2e-8, 1e-3):
             c = ch(eta, pd)
@@ -309,13 +300,6 @@ def test_key_rate_fields_equal_public_helpers(tail):
                     for trunc in (1, 3, 5, 7):
                         pm = PmParams(mu_total=mu, m_slices=m, f_ec=1.15, truncation_k=trunc)
                         bd = key_rate(c, pm, tail=tail)
-                        orders = [0, *range(1, trunc + 1, 2)]
-                        assert bd.gain_Q == gain(c, pm)
-                        assert bd.qber_Z == qber(c, pm)
-                        assert bd.phase_err_X == phase_error_bound(c, pm, tail=tail)
-                        assert bd.fractions == {k: photon_fraction(k, c, pm) for k in orders}
-                        assert bd.q_odd == odd_fraction(c, pm)
-                        assert bd.bit_errors == {k: bit_error_k(k, c, m) for k in orders}
                         assert bd.e_delta == misalignment_e_delta(m)
                         bracket = (
                             -1.15 * binary_entropy(bd.qber_Z) + 1.0
@@ -327,14 +311,6 @@ def test_key_rate_fields_equal_public_helpers(tail):
 def test_key_rate_keeps_checks():
     with pytest.raises(ValueError, match="unknown tail"):
         key_rate(ch(0.1, 1e-7), PmParams(mu_total=0.5), tail="even")
-    with pytest.raises(ValueError, match="unknown tail"):
-        phase_error_bound(ch(0.1, 1e-7), PmParams(mu_total=0.5), tail="even")
-    with pytest.raises(ValueError, match="nonnegative"):
-        yield_k(-1, ch(0.1))
-    with pytest.raises(ValueError, match="nonnegative"):
-        bit_error_k(-1, ch(0.1), 16)
-    with pytest.raises(ValueError, match="nonnegative"):
-        photon_fraction(-1, ch(0.1), PmParams(mu_total=0.5))
 
 
 @pytest.mark.parametrize("mu", [0.0, -0.1, math.inf, -math.inf, math.nan])

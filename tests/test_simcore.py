@@ -40,6 +40,11 @@ def base_config(**overrides):
     return SimConfig(**defaults)
 
 
+def config_doc(cfg: SimConfig) -> dict:
+    """The JSON document that ``SimConfig.from_json_dict`` reads back as ``cfg``."""
+    return dict(dataclasses.asdict(cfg), intensities=list(cfg.intensities))
+
+
 # --- determinism ---------------------------------------------------------------
 
 
@@ -336,8 +341,9 @@ def test_compare_to_model_uses_rate_formulas(p_d):
     assert [r.intensity for r in rows] == [0.0, 0.2, 0.5]
     for r in rows[1:]:
         pm = rate.PmParams(mu_total=r.intensity, m_slices=cfg.m_slices)
-        assert r.q_model == rate.gain(ch, pm)
-        assert r.ez_model == rate.qber(ch, pm)
+        bd = rate.key_rate(ch, pm)
+        assert r.q_model == bd.gain_Q
+        assert r.ez_model == bd.qber_Z
     assert rows[0].q_model == 2 * p_d
     if p_d == 0.0:
         assert rows[0].ez_model == 0.5
@@ -368,7 +374,7 @@ def test_csv_format():
 
 def test_config_json_roundtrip(tmp_path):
     cfg = base_config(intensities=(0.1, 0.5), phi0=Phi0Model("slow_drift", 0.2, 1e-7))
-    doc = cfg.to_json_dict()
+    doc = config_doc(cfg)
     again = SimConfig.from_json_dict(doc)
     assert again == cfg
     path = tmp_path / "cfg.json"
@@ -387,7 +393,7 @@ def test_config_from_distance_json():
         }
     )
     assert cfg.channel.eta_arm == pytest.approx(0.145 * 10 ** (-0.2 * 100 / 10))
-    doc = cfg.to_json_dict()
+    doc = config_doc(cfg)
     assert doc["channel"] == {"eta_arm": cfg.channel.eta_arm, "p_d": 7.2e-8}
     assert SimConfig.from_json_dict(doc) == cfg
 
@@ -402,7 +408,7 @@ def test_readme_simulate_example_parses():
 
 
 def test_config_json_types():
-    doc = base_config(rounds=1000).to_json_dict()
+    doc = config_doc(base_config(rounds=1000))
     assert SimConfig.from_json_dict(dict(doc, rounds=1e3)).rounds == 1000
     for key, bad in (("rounds", 2.5), ("seed", True), ("seed", "7"), ("sample_fraction", None),
                      ("channel", [0.1]), ("phi0", None), ("intensities", ["0.5"])):
