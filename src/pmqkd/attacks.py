@@ -26,7 +26,6 @@ class AttackPoint:
     mu: float
     p_suc: float
     p_bs: float
-    i_ke: float
     r_bs: float
     r_gllp: float  # per-click normalization
     r_pm: float
@@ -79,7 +78,6 @@ def bs_attack(mu_total: float, eta: float) -> AttackPoint:
         mu=mu_total,
         p_suc=p_suc,
         p_bs=p_bs,
-        i_ke=p_bs,
         r_bs=r_bs,
         r_gllp=gllp_rate_under_bs(mu_total, eta),
         r_pm=pm_rate_under_bs(mu_total, eta),

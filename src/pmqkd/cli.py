@@ -29,8 +29,8 @@ MAX_SWEEP_POINTS = 10**6
 # Times below are on a 2-core host.
 # attack keeps one AttackPoint per grid point: --steps 10**5 takes ~1.5 s and ~100 MB.
 MAX_ATTACK_STEPS = 10**5
-# fock-check's pair matrices grow as cutoff**4: --cutoff 64 takes ~1.2 s and ~270 MB.
-MAX_FOCK_CUTOFF = 64
+# fock-check --max-k 64 takes ~1.5 s and ~33 MB.
+MAX_FOCK_K = 64
 
 SWEEP_COLUMNS = [
     "distance_km",
@@ -421,16 +421,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fock_check(args) -> int:
-    cutoff = args.cutoff
-    if cutoff > MAX_FOCK_CUTOFF:
-        print(f"error: --cutoff must be at most {MAX_FOCK_CUTOFF}, got {cutoff}", file=sys.stderr)
-        return 2
-    if not 1 <= args.max_k <= cutoff:
-        print(f"error: --max-k {args.max_k} is not in [1, --cutoff {cutoff}]", file=sys.stderr)
+    if not 1 <= args.max_k <= MAX_FOCK_K:
+        print(f"error: --max-k {args.max_k} is not in [1, {MAX_FOCK_K}]", file=sys.stderr)
         return 2
     ok = True
     for k in range(1, args.max_k + 1):
-        res = focklab.lemma1_check(k, cutoff)
+        res = focklab.lemma1_check(k)
         good = res.relation_residual < 1e-10 and res.identity_residual < 1e-10
         ok = ok and good
         print(
@@ -527,7 +523,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fock = sub.add_parser("fock-check", help="Fock-space parity/click self-checks")
     p_fock.add_argument("--max-k", dest="max_k", type=int, default=6)
-    p_fock.add_argument("--cutoff", type=int, default=focklab.DEFAULT_CUTOFF)
     p_fock.set_defaults(func=cmd_fock_check)
 
     return parser
@@ -538,7 +533,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,10 +1,12 @@
 """Truncated-Fock-space oracle for states, parity relations and clicks.
 
-Dense complex amplitudes over (qubit, qubit, mode, mode); the spaces
-are tiny at the default cutoff of 16 photons per mode, so there is no
-sparse machinery.  Channel loss is modeled by an explicit beam splitter
-into an environment mode followed by a probability marginal, which
-keeps every click probability exact within the truncation.
+Dense complex amplitudes over (qubit, qubit, mode, mode), truncated at
+the photon number of the input.  A beam splitter conserves the photon
+number, so two-mode mixing is applied one n-photon block at a time and
+nothing grows faster than the amplitudes themselves.  Channel loss is
+modeled by an explicit beam splitter into an environment mode followed
+by a probability marginal, which keeps every click probability exact
+within the truncation.
 """
 from __future__ import annotations
 
@@ -16,8 +18,6 @@ from functools import lru_cache
 import numpy as np
 
 from .detection import ClickProbs
-
-DEFAULT_CUTOFF = 16
 
 _AMP_TOL = 1e-14
 
@@ -32,55 +32,45 @@ class CutoffOverflowError(ValueError):
 
 
 @lru_cache(maxsize=128)
-def _pair_mix_matrix(cutoff: int, u00: complex, u01: complex, u10: complex, u11: complex):
-    """Matrix of a1+ -> u00*a1+ + u01*a2+, a2+ -> u10*a1+ + u11*a2+.
+def _mix_block(n: int, u00: float, u01: float, u10: float, u11: float) -> np.ndarray:
+    """n-photon block of a1+ -> u00*a1+ + u01*a2+, a2+ -> u10*a1+ + u11*a2+.
 
-    Acts on the flattened pair basis index n1*(cutoff+1)+n2.  Columns
-    with n1+n2 > cutoff are zeroed; callers must ensure those inputs
-    are unpopulated.
+    The map conserves the photon number, so it acts on the states
+    |n1, n-n1> alone: entry [m1, n1] is <m1, n-m1| U |n1, n-n1>.  The
+    cached block is read-only.
     """
-    d = cutoff + 1
-    mat = np.zeros((d * d, d * d), dtype=complex)
-    lg = [math.lgamma(n + 1) for n in range(2 * d)]
-    for n1 in range(d):
-        for n2 in range(d):
-            if n1 + n2 > cutoff:
-                continue
-            col = n1 * d + n2
-            total = n1 + n2
-            for i in range(n1 + 1):
-                ci = math.comb(n1, i) * u00**i * u01 ** (n1 - i)
-                for j in range(n2 + 1):
-                    cj = math.comb(n2, j) * u10**j * u11 ** (n2 - j)
-                    m1 = i + j
-                    m2 = total - m1
-                    norm = math.exp(0.5 * (lg[m1] + lg[m2] - lg[n1] - lg[n2]))
-                    mat[m1 * d + m2, col] += ci * cj * norm
-    return mat
+    lg = [math.lgamma(m + 1) for m in range(n + 1)]
+    block = np.zeros((n + 1, n + 1), dtype=complex)
+    for n1 in range(n + 1):
+        n2 = n - n1
+        for i in range(n1 + 1):
+            ci = math.comb(n1, i) * u00**i * u01 ** (n1 - i)
+            for j in range(n2 + 1):
+                cj = math.comb(n2, j) * u10**j * u11 ** (n2 - j)
+                m1 = i + j
+                norm = math.exp(0.5 * (lg[m1] + lg[n - m1] - lg[n1] - lg[n2]))
+                block[m1, n1] += ci * cj * norm
+    block.flags.writeable = False
+    return block
 
 
 _BS_COEFF = 1.0 / math.sqrt(2.0)
+# a+ -> (a+ + b+)/sqrt(2), b+ -> (a+ - b+)/sqrt(2)
+_BS = (_BS_COEFF, _BS_COEFF, _BS_COEFF, -_BS_COEFF)
 
 
-def _bs_matrix(cutoff: int):
-    # a+ -> (a+ + b+)/sqrt(2), b+ -> (a+ - b+)/sqrt(2)
-    return _pair_mix_matrix(cutoff, _BS_COEFF, _BS_COEFF, _BS_COEFF, -_BS_COEFF)
+def _apply_pair(amps: np.ndarray, axis1: int, axis2: int, u: tuple) -> np.ndarray:
+    """Mix two Fock axes of an amplitude array, one photon number at a time.
 
-
-def _loss_matrix(cutoff: int, eta: float):
-    t = math.sqrt(eta)
-    r = math.sqrt(1.0 - eta)
-    return _pair_mix_matrix(cutoff, t, r, -r, t)
-
-
-def _apply_pair(amps: np.ndarray, axis1: int, axis2: int, matrix: np.ndarray) -> np.ndarray:
-    """Apply a pair-basis matrix to two Fock axes of an amplitude array."""
-    d = amps.shape[axis1]
+    Block n acts on the anti-diagonal n1 + n2 = n.  Entries with
+    n1 + n2 > cutoff stay zero; callers must ensure those inputs are
+    unpopulated.
+    """
     moved = np.moveaxis(amps, (axis1, axis2), (-2, -1))
-    lead = moved.shape[:-2]
-    flat = moved.reshape(-1, d * d)
-    out = flat @ matrix.T
-    out = out.reshape(*lead, d, d)
+    out = np.zeros(moved.shape, dtype=complex)
+    for n in range(moved.shape[-1]):
+        n1 = np.arange(n + 1)
+        out[..., n1, n - n1] = moved[..., n1, n - n1] @ _mix_block(n, *u).T
     return np.moveaxis(out, (-2, -1), (axis1, axis2))
 
 
@@ -129,7 +119,7 @@ def beam_split(state: TwoModeState) -> TwoModeState:
         raise CutoffOverflowError(
             "total photon number exceeds the per-mode cutoff; output would truncate"
         )
-    out = _apply_pair(state.amplitudes, 2, 3, _bs_matrix(state.cutoff_n))
+    out = _apply_pair(state.amplitudes, 2, 3, _BS)
     return TwoModeState(cutoff_n=state.cutoff_n, amplitudes=out)
 
 
@@ -147,13 +137,16 @@ def pauli_y_bob(state: TwoModeState) -> TwoModeState:
     return TwoModeState(cutoff_n=state.cutoff_n, amplitudes=amps)
 
 
-def build_protocol_state(k: int, cutoff: int = DEFAULT_CUTOFF) -> TwoModeState:
+def build_protocol_state(k: int, cutoff: int | None = None) -> TwoModeState:
     """Entangled qubit-mode state for a k-photon source round.
 
     A k-photon pulse is split on the balanced beam splitter, both
     qubits start in (|0>+i|1>)/sqrt(2), and each party applies its
-    controlled pi-phase gate to its arm.
+    controlled pi-phase gate to its arm.  The truncation defaults to k,
+    the most photons any mode can hold.
     """
+    if cutoff is None:
+        cutoff = k
     if k > cutoff:
         raise CutoffOverflowError(f"k={k} exceeds cutoff {cutoff}")
     split = beam_split(TwoModeState.from_fock(k, 0, cutoff))
@@ -227,7 +220,7 @@ def _sector_identity_residual(state_a: TwoModeState, state_b: TwoModeState) -> f
     return residual
 
 
-def lemma1_check(k: int, cutoff: int | None = None) -> Lemma1Result:
+def lemma1_check(k: int) -> Lemma1Result:
     """Numerical check of the parity relation between X and Z errors.
 
     Builds the k-photon protocol state, verifies that its
@@ -235,18 +228,18 @@ def lemma1_check(k: int, cutoff: int | None = None) -> Lemma1Result:
     (I x Y) image for even k (sector-wise, up to per-sector phases),
     then evaluates both error rates under the honest lossless
     interference measurement.  The returned relation residual is
-    |e_x - e_z| for odd k and |e_x - (1 - e_z)| for even k.
+    |e_x - e_z| for odd k and |e_x - (1 - e_z)| for even k.  Every
+    step conserves the photon number, so truncation k is exact.
     """
     if k < 1:
         raise ValueError("k must be >= 1; the vacuum never produces a click")
-    c = cutoff if cutoff is not None else max(DEFAULT_CUTOFF, k)
-    psi0 = build_protocol_state(k, c)
+    psi0 = build_protocol_state(k)
     psi_hh = hadamard_qubits(psi0)
     target = psi0 if k % 2 == 1 else pauli_y_bob(psi0)
     identity_residual = _sector_identity_residual(psi_hh, target)
 
     interfered = beam_split(psi0)
-    d = c + 1
+    d = k + 1
     n_l = np.arange(d)[:, None]
     n_r = np.arange(d)[None, :]
     mask_l = (n_l >= 1) & (n_r == 0)
@@ -299,10 +292,11 @@ def k_photon_interference_probs(k: int, eta: float, phi_delta: float) -> ClickPr
             * math.sqrt(math.factorial(j) * math.factorial(k - j))
         )
         psi[j, k - j, 0, 0] = amp / norm
-    loss = _loss_matrix(k, eta)
+    t, r = math.sqrt(eta), math.sqrt(1.0 - eta)
+    loss = (t, r, -r, t)  # a+ -> t a+ + r e+, e+ -> -r a+ + t e+
     psi = _apply_pair(psi, 0, 2, loss)
     psi = _apply_pair(psi, 1, 3, loss)
-    psi = _apply_pair(psi, 0, 1, _bs_matrix(k))
+    psi = _apply_pair(psi, 0, 1, _BS)
     probs = np.sum(np.abs(psi) ** 2, axis=(2, 3))  # marginal over environments
     n_l = np.arange(d)[:, None]
     n_r = np.arange(d)[None, :]

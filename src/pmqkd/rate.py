@@ -262,24 +262,18 @@ def maximize(f, lo: float, hi: float, f_grid=None) -> tuple[float, float]:
 MU_RANGE = (0.01, 2.0)
 
 
-def optimize_mu(
-    ch: ChannelParams,
-    pm_template: PmParams,
-    mu_range: tuple[float, float] = MU_RANGE,
-) -> tuple[float, RateBreakdown]:
-    """Intensity maximizing the key rate, found by :func:`maximize`.
+def optimize_mu(ch: ChannelParams, pm_template: PmParams) -> tuple[float, RateBreakdown]:
+    """Intensity in :data:`MU_RANGE` maximizing the key rate, found by
+    :func:`maximize`.
 
     When the rate vanishes everywhere the smallest grid intensity is
     returned with rate 0.
     """
-    lo, hi = mu_range
-    if not (0.0 < lo < hi <= 4.0):
-        raise ValueError("mu_range must satisfy 0 < lo < hi <= 4")
 
     def rate_at(mu: float) -> float:
         return key_rate(ch, _with_mu(pm_template, mu)).rate_R
 
-    mu_opt, _ = maximize(rate_at, lo, hi)
+    mu_opt, _ = maximize(rate_at, *MU_RANGE)
     return mu_opt, key_rate(ch, _with_mu(pm_template, mu_opt))
 
 

@@ -15,9 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from pmqkd.detection import ClickProbs, _check_prob
-from pmqkd.focklab import DEFAULT_CUTOFF, CutoffOverflowError
+from pmqkd.focklab import CutoffOverflowError
 
 TWO_PI = 2.0 * math.pi
+# the truncation of the coherent-state oracles, raised for large intensities
+DEFAULT_CUTOFF = 16
 
 
 # ---------------------------------------------------------------------------

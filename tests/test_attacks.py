@@ -41,8 +41,7 @@ def test_bs_attack_value_and_identities():
     point = bs_attack(0.5, 0.2)
     assert point.r_bs == pytest.approx(0.44932896411722159, rel=1e-12)
     assert point.p_bs == pytest.approx(1 - (1 - point.p_suc) ** 2, abs=1e-15)
-    assert point.i_ke == point.p_bs
-    assert point.r_bs == pytest.approx(1.0 - point.i_ke, rel=1e-12)
+    assert point.r_bs == pytest.approx(1.0 - point.p_bs, rel=1e-12)
 
 
 def test_bs_attack_gain_identity_grid():

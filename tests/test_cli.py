@@ -562,7 +562,7 @@ EXTREME_TABLE = [
      ["--mu-range 0:{}", "--mu-range {}:1", "--steps"]),
     (["attack", "--steps", "3", "--fix-mu", "0.5"],
      ["--eta-range 0:{}", "--eta-range {}:1", "--steps"]),
-    (["fock-check"], ["--max-k", "--cutoff"]),
+    (["fock-check"], ["--max-k"]),
 ]
 
 
@@ -656,6 +656,13 @@ def test_simulate_vacuum_intensity_without_dark_counts_is_consistent(tmp_path, c
     assert code == 0 and "consistency ok" in out
 
 
+def test_simulate_unallocatable_rounds_is_one_line_error(tmp_path, capsys):
+    # 2**62 one-byte rounds exceed any address space, so the allocation fails before a page is touched
+    code, out, err = run_cli(["simulate", str(_sim_config(tmp_path, rounds=2**62))], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+
+
 def test_simulate_missing_file(capsys):
     code, _, err = run_cli(["simulate", "/nonexistent/cfg.json"], capsys)
     assert code == 1
@@ -727,28 +734,31 @@ def test_fock_check_rejects_max_k_below_1(capsys, max_k):
     code, out, err = run_cli(["fock-check", "--max-k", max_k], capsys)
     assert code == 2
     assert out == ""
-    assert err == f"error: --max-k {max_k} is not in [1, --cutoff {cli.focklab.DEFAULT_CUTOFF}]\n"
+    assert err == f"error: --max-k {max_k} is not in [1, {cli.MAX_FOCK_K}]\n"
 
 
 @pytest.mark.parametrize("over", [0, 1], ids=["at_bound", "above_bound"])
-def test_fock_check_cutoff_bound_is_checked_before_any_state(monkeypatch, capsys, over):
-    # lemma1_check is stubbed: above the bound it must never run, so no pair matrix is built
-    cutoffs = []
+def test_fock_check_max_k_bound_is_checked_before_any_state(monkeypatch, capsys, over):
+    # lemma1_check is stubbed: above the bound it must never run, so no state is built
+    ks = []
 
-    def stub_check(k, cutoff):
-        cutoffs.append(cutoff)
+    def stub_check(k):
+        ks.append(k)
         return cli.focklab.Lemma1Result(k, 0.0, 0.0, 0.0, 0.0)
 
     monkeypatch.setattr(cli.focklab, "lemma1_check", stub_check)
-    cutoff = cli.MAX_FOCK_CUTOFF + over
-    code, out, err = run_cli(["fock-check", "--max-k", "1", "--cutoff", str(cutoff)], capsys)
+    max_k = cli.MAX_FOCK_K + over
+    code, out, err = run_cli(["fock-check", "--max-k", str(max_k)], capsys)
     if over:
-        assert (code, out, cutoffs) == (2, "", [])
-        assert err == f"error: --cutoff must be at most {cli.MAX_FOCK_CUTOFF}, got {cutoff}\n"
+        assert (code, out, ks) == (2, "", [])
+        assert err == f"error: --max-k {max_k} is not in [1, {cli.MAX_FOCK_K}]\n"
     else:
-        assert (code, cutoffs) == (0, [cutoff])
+        assert (code, ks) == (0, list(range(1, max_k + 1)))
 
 
-def test_fock_check_cutoff_precondition(capsys):
-    code, _, err = run_cli(["fock-check", "--max-k", "9", "--cutoff", "8"], capsys)
-    assert code == 2
+def test_fock_check_has_no_cutoff_flag(capsys):
+    # the truncation is the photon number under test; there is nothing to set
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["fock-check", "--cutoff", "16"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cutoff 16" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -69,6 +70,34 @@ def test_beam_split_unitary_on_random_states():
         assert np.max(np.abs(again.amplitudes - amps)) < 1e-12
 
 
+def test_beam_split_does_not_depend_on_the_cutoff():
+    # each photon number mixes on its own, so padding the truncation changes no bit
+    rng = np.random.default_rng(8)
+    d = 9
+    amps = rng.normal(size=(2, 2, d, d)) + 1j * rng.normal(size=(2, 2, d, d))
+    amps[:, :, np.add.outer(np.arange(d), np.arange(d)) > 8] = 0.0
+    padded = np.zeros((2, 2, 13, 13), dtype=complex)
+    padded[:, :, :d, :d] = amps
+    out = beam_split(TwoModeState(cutoff_n=8, amplitudes=amps)).amplitudes
+    out_padded = beam_split(TwoModeState(cutoff_n=12, amplitudes=padded)).amplitudes
+    assert np.array_equal(out_padded[:, :, :d, :d], out)
+    assert not out_padded[:, :, d:, :].any() and not out_padded[:, :, :, d:].any()
+
+
+def test_beam_split_memory_grows_with_the_state_not_its_square():
+    # a dense two-mode matrix at cutoff 40 would take 41**4 * 16 B = 45 MB
+    state = TwoModeState.from_fock(20, 0, cutoff=40)
+    tracemalloc.start()
+    try:
+        out = beam_split(state)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
+    assert held < 1e6
+    assert np.linalg.norm(out.amplitudes) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_beam_split_cutoff_overflow_raises():
     state = TwoModeState.from_fock(3, 3, cutoff=4)
     with pytest.raises(CutoffOverflowError):
@@ -108,6 +137,8 @@ def test_protocol_state_coefficients(k):
     state = build_protocol_state(k, cutoff=8)
     expected = _expected_protocol_state(k, 8)
     assert np.max(np.abs(state.amplitudes - expected)) < 1e-12
+    # the default truncation is k itself
+    assert np.array_equal(build_protocol_state(k).amplitudes, state.amplitudes[:, :, : k + 1, : k + 1])
 
 
 def test_protocol_state_vacuum_qubit_rank():

@@ -364,7 +364,7 @@ def test_breakdown_ranges():
 def test_optimize_mu_is_argmax_on_grid():
     c = ch(1.0, 0.0)
     pm = PmParams(mu_total=0.5, m_slices=16, f_ec=1.15)
-    mu_opt, best = optimize_mu(c, pm, (0.01, 2.0))
+    mu_opt, best = optimize_mu(c, pm)
     for mu in np.linspace(0.01, 2.0, 200):
         assert best.rate_R >= key_rate(c, PmParams(mu_total=float(mu), m_slices=16, f_ec=1.15)).rate_R - 1e-15
 
@@ -402,7 +402,7 @@ def test_optimize_mu_evaluates_through_key_rate(monkeypatch):
 
 def test_optimize_mu_dead_channel_returns_grid_minimum():
     c = ch(0.0, 0.0)
-    mu_opt, bd = optimize_mu(c, PmParams(mu_total=0.5), (0.01, 2.0))
+    mu_opt, bd = optimize_mu(c, PmParams(mu_total=0.5))
     assert mu_opt == pytest.approx(0.01)
     assert bd.rate_R == 0.0
 
@@ -425,5 +425,3 @@ def test_params_validation():
         PmParams(mu_total=0.5, m_slices=7)
     with pytest.raises(ValueError):
         PmParams(mu_total=0.5, f_ec=0.9)
-    with pytest.raises(ValueError):
-        optimize_mu(ch(0.1), PmParams(mu_total=0.5), (0.0, 2.0))
