@@ -10,6 +10,11 @@ every other round has no click.  This leaves the uniform-to-round
 mapping, and so the random-stream definition, unchanged: a gathered
 subset goes through the same elementwise ufuncs as the full block and
 gives the same bits.
+
+The full-block passes write through ``out=`` into the output arrays and
+one float64 scratch array; the candidate masks are the only other
+full-block temporaries.  The outputs may be views into longer arrays;
+nothing outside them is written.
 """
 from __future__ import annotations
 
@@ -43,13 +48,15 @@ def simulate_block(
     Variate layout: key bit a, key bit b, phase a, phase b, intensity
     pick, L-detector draw, R-detector draw.
     """
-    kappa_a[:] = u[0] < 0.5
-    kappa_b[:] = u[1] < 0.5
+    scratch = np.empty(u.shape[1])
+    np.less(u[0], 0.5, out=kappa_a.view(np.bool_))
+    np.less(u[1], 0.5, out=kappa_b.view(np.bool_))
     np.multiply(u[2], TWO_PI, out=phi_a)
     np.multiply(u[3], TWO_PI, out=phi_b)
-    np.minimum(
-        (u[4] * len(intensities)).astype(mu_idx.dtype), len(intensities) - 1, out=mu_idx
-    )
+    k = len(intensities)
+    np.multiply(u[4], k, out=scratch)
+    mu_idx[:] = scratch  # truncates, as astype does
+    np.minimum(mu_idx, k - 1, out=mu_idx)
 
     # A detector clicks when its draw is below -expm1(log_q - eta*mu*c2);
     # as c2, s2 <= 1, no round's click probability exceeds p_max.  The
@@ -57,7 +64,9 @@ def simulate_block(
     log_q = math.log1p(-p_d)
     p_max = -math.expm1(log_q - eta * float(np.max(intensities)))
     bound = min(1.0, p_max * (1.0 + 1e-9))
-    idx = np.flatnonzero((u[5] < bound) | (u[6] < bound))
+    candidate = u[5] < bound
+    candidate |= u[6] < bound
+    idx = np.flatnonzero(candidate)
 
     mu = intensities[mu_idx[idx]]
     if phi0_rate != 0.0:
@@ -73,9 +82,12 @@ def simulate_block(
     p_right = -np.expm1(log_q - eta * mu * s2)
     l_click = u[5, idx] < p_left
     r_click = u[6, idx] < p_right
-    outcome[:] = 0
+    outcome.fill(0)
     outcome[idx] = l_click + 2 * r_click
 
     scale = m_slices / TWO_PI
-    j_a[:] = np.floor(phi_a * scale + 0.5).astype(j_a.dtype) % m_slices
-    j_b[:] = np.floor(phi_b * scale + 0.5).astype(j_b.dtype) % m_slices
+    for phi, j in ((phi_a, j_a), (phi_b, j_b)):
+        np.multiply(phi, scale, out=scratch)
+        scratch += 0.5
+        j[:] = scratch  # truncation is floor here: the value is >= 0.5
+        np.remainder(j, m_slices, out=j)

@@ -8,6 +8,7 @@ them; tighter or exact variants live in the test oracles.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -47,7 +48,7 @@ class PmParams:
         return tuple(range(1, self.truncation_k + 1, 2))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RateBreakdown:
     """Every intermediate of one key-rate evaluation.
 
@@ -93,6 +94,7 @@ def _gain(p_d: float, x: float) -> float:
     return 1.0 - (1.0 - 2.0 * p_d) * math.exp(-x)
 
 
+@functools.lru_cache
 def misalignment_e_delta(m_slices) -> float:
     """Slice-misalignment error rate pi/M - (M/pi)^2 * sin^3(pi/M).
 
@@ -166,23 +168,24 @@ def key_rate(ch: ChannelParams, pm: PmParams, *, tail: str = "truncated") -> Rat
     loss = 1.0 - ch.eta_arm
     e_delta = misalignment_e_delta(m)
     q = _gain(p_d, x)
-    orders = (0, *pm.odd_orders)
-    qs, es = [], []
-    for k in orders:
+    odd = range(1, pm.truncation_k + 1, 2)
+    fractions, bit_errors = {}, {}
+    for k in (0, *odd):
         loss_k = loss**k
         y = _yield(k, p_d, loss_k)
-        qs.append(_fraction(k, y, mu, q))
-        es.append(_bit_error(p_d, loss_k, y, e_delta))
+        fractions[k] = _fraction(k, y, mu, q)
+        bit_errors[k] = _bit_error(p_d, loss_k, y, e_delta)
     q_odd = _odd_fraction(q, p_d, loss, mu)
     ez = _qber(q, p_d, x, e_delta)
-    ex = _phase_error(qs[0], qs[1:], es[1:], q_odd, tail)
+    odd_qs, odd_es = [fractions[k] for k in odd], [bit_errors[k] for k in odd]
+    ex = _phase_error(fractions[0], odd_qs, odd_es, q_odd, tail)
     return RateBreakdown(
         gain_Q=q,
         qber_Z=ez,
         phase_err_X=ex,
-        fractions=dict(zip(orders, qs)),
+        fractions=fractions,
         q_odd=q_odd,
-        bit_errors=dict(zip(orders, es)),
+        bit_errors=bit_errors,
         e_delta=e_delta,
         rate_R=_rate(m, q, pm.f_ec, ez, ex),
     )

@@ -241,46 +241,47 @@ def _block_rng(seed: int, block_index: int) -> np.random.Generator:
     )
 
 
-def run_blocks(cfg: SimConfig) -> Iterator[RoundData]:
-    """Yield successive round blocks; layout is fixed by (seed, config)."""
+def run_blocks(cfg: SimConfig, data: RoundData) -> Iterator[RoundData]:
+    """Fill ``data`` (``cfg.rounds`` rounds) one RNG block at a time and
+    yield each block as a view into it; the layout is fixed by (seed, config).
+
+    One uniform buffer of ``7 * min(RNG_BLOCK_ROUNDS, rounds)`` doubles
+    serves every block: ``random(out=)`` on its C-contiguous prefix
+    draws the same doubles as ``random((7, n))``.
+    """
+    buf = np.empty(7 * min(RNG_BLOCK_ROUNDS, cfg.rounds))
+    intensities = np.asarray(cfg.intensities, dtype=np.float64)
     for block_index, start in enumerate(range(0, cfg.rounds, RNG_BLOCK_ROUNDS)):
-        yield _round_block(cfg, block_index, start, min(RNG_BLOCK_ROUNDS, cfg.rounds - start))
-
-
-def _round_block(cfg: SimConfig, block_index: int, start: int, n: int) -> RoundData:
-    """Rounds start..start+n of RNG block ``block_index``; the uniforms die on return."""
-    u = _block_rng(cfg.seed, block_index).random((7, n))
-    data = RoundData.empty(n)
-    _mckernel_np.simulate_block(
-        u,
-        cfg.channel.eta_arm,
-        cfg.channel.p_d,
-        np.asarray(cfg.intensities, dtype=np.float64),
-        cfg.m_slices,
-        cfg.phi0.value_rad,
-        cfg.phi0.rate_rad_per_round,
-        start,
-        data.kappa_a,
-        data.kappa_b,
-        data.mu_idx,
-        data.j_a,
-        data.j_b,
-        data.outcome,
-        data.phi_a,
-        data.phi_b,
-    )
-    return data
+        n = min(RNG_BLOCK_ROUNDS, cfg.rounds - start)
+        u = buf[: 7 * n].reshape(7, n)
+        _block_rng(cfg.seed, block_index).random(out=u)
+        block = data.take(slice(start, start + n))
+        _mckernel_np.simulate_block(
+            u,
+            cfg.channel.eta_arm,
+            cfg.channel.p_d,
+            intensities,
+            cfg.m_slices,
+            cfg.phi0.value_rad,
+            cfg.phi0.rate_rad_per_round,
+            start,
+            block.kappa_a,
+            block.kappa_b,
+            block.mu_idx,
+            block.j_a,
+            block.j_b,
+            block.outcome,
+            block.phi_a,
+            block.phi_b,
+        )
+        yield block
 
 
 def collect_rounds(cfg: SimConfig) -> RoundData:
-    """All rounds of the run, each block copied in as it is produced."""
+    """All rounds of the run, each block written in place by the kernel."""
     data = RoundData.empty(cfg.rounds)
-    start = 0
-    for block in run_blocks(cfg):
-        stop = start + len(block)
-        for name, arr in vars(block).items():
-            getattr(data, name)[start:stop] = arr
-        start = stop
+    for _ in run_blocks(cfg, data):
+        pass
     return data
 
 

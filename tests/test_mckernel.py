@@ -1,12 +1,14 @@
 """The kernel against a full-array oracle, and the seeded round stream."""
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from pmqkd import _mckernel_np, simcore
 from pmqkd.detection import ChannelParams
-from pmqkd.simcore import Phi0Model, SimConfig, simulate, tallies_to_csv
+from pmqkd.simcore import RNG_BLOCK_ROUNDS, Phi0Model, SimConfig, simulate, tallies_to_csv
 
 TWO_PI = 2.0 * math.pi
 
@@ -124,13 +126,52 @@ def test_slow_drift_tallies_and_offsets_pinned():
     assert res.block_offsets == SLOW_DRIFT_OFFSETS
 
 
-def test_collect_rounds_equals_the_blocks():
-    cfg = slow_drift_config()
+def kernel_params(cfg):
+    """The kernel arguments of ``cfg`` that precede the block's start round."""
+    return (cfg.channel.eta_arm, cfg.channel.p_d, np.asarray(cfg.intensities), cfg.m_slices,
+            cfg.phi0.value_rad, cfg.phi0.rate_rad_per_round)
+
+
+@pytest.mark.parametrize("drift", [False, True], ids=["fixed", "drift"])
+def test_collect_rounds_equals_fresh_block_runs(drift):
+    # three RNG blocks, the last one short: a stale tail of the reused
+    # uniform buffer or of a reused output would show in the last block
+    cfg = dataclasses.replace(slow_drift_config(), rounds=2 * RNG_BLOCK_ROUNDS + 1234)
+    if not drift:
+        cfg = dataclasses.replace(cfg, phi0=Phi0Model("fixed", 0.7))
     data = simcore.collect_rounds(cfg)
-    start = 0
-    for block in simcore.run_blocks(cfg):
-        stop = start + len(block)
-        for name in OUTPUTS:
-            assert np.array_equal(getattr(data, name)[start:stop], getattr(block, name)), name
-        start = stop
-    assert start == len(data) == cfg.rounds
+    assert len(data) == cfg.rounds
+    for bi, start in enumerate(range(0, cfg.rounds, RNG_BLOCK_ROUNDS)):
+        stop = min(start + RNG_BLOCK_ROUNDS, cfg.rounds)
+        u = simcore._block_rng(cfg.seed, bi).random((7, stop - start))
+        want, _ = run_kernel(_mckernel_np.simulate_block, u, *kernel_params(cfg), start)
+        got = {name: getattr(data, name)[start:stop] for name in OUTPUTS}
+        assert_same_bytes(got, want)
+    assert stop == cfg.rounds
+
+
+@pytest.mark.parametrize("phi0", list(PHI0), ids=list(PHI0))
+def test_kernel_writes_only_inside_its_views(phi0):
+    n, a, b = 5000, 123, 123 + 5000
+    u = np.random.default_rng(3).random((7, n))
+    params = (0.1, 7.2e-8, np.asarray((0.0, 0.1, 0.5)), 16, *PHI0[phi0])
+    outs = [np.full(b + 77, 55, dtype=dt) for dt in DTYPES]
+    _mckernel_np.simulate_block(u, *params, *(o[a:b] for o in outs))
+    want, _ = run_kernel(oracle_block, u, *params)
+    for name, o in zip(OUTPUTS, outs):
+        assert np.all(o[:a] == 55) and np.all(o[b:] == 55), name
+    assert_same_bytes({name: o[a:b] for name, o in zip(OUTPUTS, outs)}, want)
+
+
+def test_collect_rounds_memory_peak():
+    # the round arrays (25 B a round), one (7, RNG_BLOCK_ROUNDS) uniform
+    # buffer (56 B a block round) and the kernel's block temporaries
+    cfg = dataclasses.replace(slow_drift_config(), rounds=2 * RNG_BLOCK_ROUNDS + 1234)
+    tracemalloc.start()
+    try:
+        data = simcore.collect_rounds(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(data) == cfg.rounds
+    assert peak <= 25 * cfg.rounds + 96 * RNG_BLOCK_ROUNDS

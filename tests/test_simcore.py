@@ -69,12 +69,14 @@ def test_block_partition_invariant():
     from pmqkd import simcore
 
     cfg = base_config(rounds=simcore.RNG_BLOCK_ROUNDS + 1234)
-    blocks = list(simcore.run_blocks(cfg))
+    data = RoundData.empty(cfg.rounds)
+    blocks = list(simcore.run_blocks(cfg, data))
     assert len(blocks) == 2
     assert len(blocks[0]) == simcore.RNG_BLOCK_ROUNDS
     assert len(blocks[1]) == 1234
-    data = collect_rounds(cfg)
-    assert len(data) == cfg.rounds
+    # the blocks are views that tile the run's arrays
+    assert blocks[1].outcome.base is data.outcome
+    assert blocks[1].outcome.ctypes.data == data.outcome[simcore.RNG_BLOCK_ROUNDS:].ctypes.data
 
 
 # --- physics of the round stream --------------------------------------------------
