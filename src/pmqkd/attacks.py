@@ -134,7 +134,7 @@ def find_gllp_violation(
     fixed_mu: float | None = None,
     fixed_eta: float | None = None,
     sweep_range: tuple[float, float] | None = None,
-    steps: int = 400,
+    steps: int,
 ) -> ViolationReport:
     """Evaluate :func:`bs_attack` on the grid and locate where r_GLLP > r_BS.
 

@@ -20,26 +20,6 @@ from .rate import _gain, _yield
 
 
 @dataclass(frozen=True)
-class Bb84Params:
-    """Decoy-state BB84 inputs; ``channel.eta_arm`` holds the full-distance
-    transmittance (source to measurement, detector efficiency included)."""
-
-    mu: float
-    e_d: float
-    f_ec: float
-    channel: ChannelParams
-
-    def __post_init__(self):
-        if not (0.0 <= self.mu <= MAX_INTENSITY):
-            raise ValueError(
-                f"intensity mu must be finite and nonnegative (at most {MAX_INTENSITY:g}),"
-                f" got {self.mu!r}"
-            )
-        _check_prob("e_d", self.e_d)
-        _check_f_ec(self.f_ec)
-
-
-@dataclass(frozen=True)
 class MdiBreakdown:
     """Intermediates of one MDI-QKD rate evaluation."""
 
@@ -63,25 +43,38 @@ def _bb84_single_photon(eta: float, pd: float, e_d: float) -> tuple[float, float
     return y1, min(e1, 0.5)
 
 
-def bb84_rate(p: Bb84Params) -> float:
+def _check_bb84(mu, e_d, f_ec) -> None:
+    if not (0.0 <= mu <= MAX_INTENSITY):
+        raise ValueError(
+            f"intensity mu must be finite and nonnegative (at most {MAX_INTENSITY:g}),"
+            f" got {mu!r}"
+        )
+    _check_prob("e_d", e_d)
+    _check_f_ec(f_ec)
+
+
+def bb84_rate(mu: float, e_d: float, f_ec: float, channel: ChannelParams) -> float:
     """Asymptotic decoy-state BB84 key rate per emitted pulse.
 
     R = (1/2) * Q_mu * { -f*H(E_mu) + q_1*[1 - H(e_1)] } with the
     single-photon yield and error taken from the infinite-decoy model
-    (Y_0 = 2*p_d, e_0 = 1/2), floored at 0.
+    (Y_0 = 2*p_d, e_0 = 1/2), floored at 0.  ``channel.eta_arm`` holds
+    the full-distance transmittance (source to measurement, detector
+    efficiency included).
     """
-    eta = p.channel.eta_arm
-    pd = p.channel.p_d
+    _check_bb84(mu, e_d, f_ec)
+    eta = channel.eta_arm
+    pd = channel.p_d
     y0 = 2.0 * pd
     e0 = 0.5
-    q_mu = _gain(pd, eta * p.mu)
+    q_mu = _gain(pd, eta * mu)
     if q_mu <= 0.0:
         return 0.0
-    e_mu = p.e_d + (e0 - p.e_d) * y0 / q_mu
-    y1, e1 = _bb84_single_photon(eta, pd, p.e_d)
-    q1 = math.exp(-p.mu) * p.mu * y1 / q_mu
+    e_mu = e_d + (e0 - e_d) * y0 / q_mu
+    y1, e1 = _bb84_single_photon(eta, pd, e_d)
+    q1 = math.exp(-mu) * mu * y1 / q_mu
     e_mu = min(e_mu, 0.5)
-    rate = 0.5 * q_mu * (-p.f_ec * binary_entropy(e_mu) + q1 * (1.0 - binary_entropy(e1)))
+    rate = 0.5 * q_mu * (-f_ec * binary_entropy(e_mu) + q1 * (1.0 - binary_entropy(e1)))
     return max(rate, 0.0)
 
 
@@ -100,7 +93,7 @@ def bb84_rate_grid(mu: np.ndarray, e_d: float, f_ec: float, channel: ChannelPara
     and ``math``'s ``exp``/``log2``.
     """
     mu = np.asarray(mu, dtype=float)
-    Bb84Params(mu=_first_rejected(mu), e_d=e_d, f_ec=f_ec, channel=channel)
+    _check_bb84(_first_rejected(mu), e_d, f_ec)
     eta = channel.eta_arm
     pd = channel.p_d
     y0 = 2.0 * pd

@@ -243,9 +243,7 @@ def _sweep_point(
     if "bb84" in protocols:
         ch_full = ChannelParams(eta_total, p_d)
         row["R_bb84"] = best_rate(
-            lambda m: baselines.bb84_rate(
-                baselines.Bb84Params(mu=m, e_d=e_d, f_ec=f_ec, channel=ch_full)
-            ),
+            lambda m: baselines.bb84_rate(m, e_d, f_ec, ch_full),
             lambda mus: baselines.bb84_rate_grid(mus, e_d, f_ec, ch_full),
         )
 
@@ -330,6 +328,8 @@ def cmd_sweep(args) -> int:
     preset = _apply_preset(args)  # first, so a bad fiber value is named by its own check
     _check_sweep_flags(args)
     protocols = tuple(p.strip() for p in args.protocols.split(",") if p.strip())
+    # a flag left unset takes run_sweep's default
+    fixed = {"fixed_mu": args.mu, "distance_for_mu": args.distance_km}
     rows = run_sweep(
         variable=args.variable,
         start=args.start,
@@ -338,8 +338,7 @@ def cmd_sweep(args) -> int:
         protocols=protocols,
         preset=preset,
         optimize_mu=args.optimize_mu,
-        fixed_mu=args.mu if args.mu is not None else 0.5,
-        distance_for_mu=args.distance_km if args.distance_km is not None else 0.0,
+        **{k: v for k, v in fixed.items() if v is not None},
     )
     _write_text(args.output, sweep_rows_to_csv(rows))
     return 0
@@ -402,7 +401,7 @@ def cmd_simulate(args) -> int:
     result = simcore.simulate(cfg)
     _write_text(args.output, simcore.tallies_to_csv(result.tallies))
     comparisons = simcore.compare_to_model(result)
-    print(f"j_d_opt {result.j_d_opt}")
+    print(f"j_d_opt {result.block_offsets[0][2]}")
     ok = True
     for c in comparisons:
         print(

@@ -2,9 +2,8 @@
 
 Solves the truncated Poisson-mixture linear systems
 Q_mu = sum_k P_mu(k) Y_k and E_mu Q_mu = sum_k e_k P_mu(k) Y_k by
-bounded least squares.  Poisson mass beyond the truncation is handled
-by bracketing: central estimates attribute nothing to the tail, while
-the reported yield interval also solves the worst case (tail yield 1).
+bounded least squares.  The estimates attribute nothing to the Poisson
+mass beyond the truncation.
 """
 from __future__ import annotations
 
@@ -13,7 +12,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rate import PmParams, RateBreakdown, _fraction, _phase_error, _rate, misalignment_e_delta
+from .rate import (
+    ODD_ORDERS,
+    PmParams,
+    RateBreakdown,
+    _fraction,
+    _phase_error,
+    _rate,
+    misalignment_e_delta,
+)
 from .simcore import Tally
 
 ILL_CONDITIONED_THRESHOLD = 1e10
@@ -28,12 +35,8 @@ class IllConditionedSystemError(ValueError):
 @dataclass
 class DecoyEstimate:
     k_max: int
-    yields: np.ndarray  # central estimates, k = 0..k_max
-    yields_lo: np.ndarray
-    yields_hi: np.ndarray
-    bit_errors: np.ndarray  # e^Z_k central estimates
-    condition_number: float
-    tail_mass: np.ndarray  # per supplied intensity
+    yields: np.ndarray  # Y_k, k = 0..k_max
+    bit_errors: np.ndarray  # e^Z_k
 
 
 def _poisson_matrix(intensities: np.ndarray, k_max: int) -> np.ndarray:
@@ -74,39 +77,21 @@ def decoy_estimate(tallies: list[Tally], k_max: int) -> DecoyEstimate:
     eq_hat = np.array([t.ez_hat * t.q_hat for t in tallies])
 
     a = _poisson_matrix(intensities, k_max)
-    tail = np.maximum(1.0 - a.sum(axis=1), 0.0)
     cond = float(np.linalg.cond(a))
     if cond > ILL_CONDITIONED_THRESHOLD:
         raise IllConditionedSystemError(cond)
 
-    ones = np.ones(k_max + 1)
-    # Central estimates attribute zero yield/error to the Poisson tail;
-    # the interval brackets the worst case (tail yield 1, error 1/2).
-    y_mid = _bounded_fit(a, q_hat, ones)
-    y_lo = _bounded_fit(a, q_hat - tail, ones)
-    lo = np.minimum(y_lo, y_mid)
-    hi = np.maximum(y_lo, y_mid)
-
-    z_mid = _bounded_fit(a, eq_hat, np.maximum(y_mid, 1e-300))
+    y = _bounded_fit(a, q_hat, np.ones(k_max + 1))
+    ey = _bounded_fit(a, eq_hat, np.maximum(y, 1e-300))
     with np.errstate(divide="ignore", invalid="ignore"):
-        e_mid = np.where(y_mid > 1e-12, z_mid / np.maximum(y_mid, 1e-300), 0.5)
+        e = np.where(y > 1e-12, ey / np.maximum(y, 1e-300), 0.5)
 
-    return DecoyEstimate(
-        k_max=k_max,
-        yields=y_mid,
-        yields_lo=lo,
-        yields_hi=hi,
-        bit_errors=e_mid,
-        condition_number=cond,
-        tail_mass=tail,
-    )
+    return DecoyEstimate(k_max=k_max, yields=y, bit_errors=e)
 
 
 @dataclass
 class EmpiricalRate:
     breakdown: RateBreakdown
-    q_se: float
-    ez_se: float
 
 
 def empirical_rate(tallies: list[Tally], estimate: DecoyEstimate, pm: PmParams) -> EmpiricalRate:
@@ -130,7 +115,7 @@ def empirical_rate(tallies: list[Tally], estimate: DecoyEstimate, pm: PmParams) 
     fractions, bit_errors, odd_qs = {}, {}, []
     if q_hat > 0.0 and signal.sifted > 0:
         ez = min(signal.ez_hat, 0.5)
-        odd = [k for k in pm.odd_orders if k <= estimate.k_max]
+        odd = [k for k in ODD_ORDERS if k <= estimate.k_max]
         for k in (0, *odd):
             fractions[k] = _fraction(k, float(estimate.yields[k]), pm.mu_total, q_hat)
             bit_errors[k] = 0.5 if k == 0 else float(estimate.bit_errors[k])
@@ -147,4 +132,4 @@ def empirical_rate(tallies: list[Tally], estimate: DecoyEstimate, pm: PmParams) 
         e_delta=misalignment_e_delta(pm.m_slices),
         rate_R=rate,
     )
-    return EmpiricalRate(breakdown=breakdown, q_se=signal.q_se, ez_se=signal.ez_se)
+    return EmpiricalRate(breakdown=breakdown)

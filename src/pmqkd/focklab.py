@@ -87,13 +87,11 @@ class TwoModeState:
     amplitudes: np.ndarray  # complex, shape (2, 2, cutoff+1, cutoff+1)
 
     @classmethod
-    def from_fock(
-        cls, n_a: int, n_b: int, cutoff: int, qubits: tuple[int, int] = (0, 0)
-    ) -> "TwoModeState":
+    def from_fock(cls, n_a: int, n_b: int, cutoff: int) -> "TwoModeState":
         if not (0 <= n_a <= cutoff and 0 <= n_b <= cutoff):
             raise CutoffOverflowError(f"photon numbers ({n_a}, {n_b}) exceed cutoff {cutoff}")
         amps = np.zeros((2, 2, cutoff + 1, cutoff + 1), dtype=complex)
-        amps[qubits[0], qubits[1], n_a, n_b] = 1.0
+        amps[0, 0, n_a, n_b] = 1.0
         return cls(cutoff_n=cutoff, amplitudes=amps)
 
     def mode_marginal(self) -> np.ndarray:

@@ -17,19 +17,21 @@ import numpy as np
 from .detection import MAX_INTENSITY, ChannelParams, _check_f_ec, binary_entropy
 
 
+# The odd photon orders kept in the phase-error bound: q_1, q_3 and q_5, as
+# in the paper's rate and its reference routine.
+ODD_ORDERS = (1, 3, 5)
+
+
 @dataclass(frozen=True)
 class PmParams:
     """Source and postprocessing parameters.
 
     ``mu_total`` is the combined intensity; each party sends half.
-    ``truncation_k`` is the largest odd photon order kept in the
-    phase-error bound.
     """
 
     mu_total: float
     m_slices: int = 16
     f_ec: float = 1.15
-    truncation_k: int = 5
 
     def __post_init__(self):
         if not (0.0 < self.mu_total <= MAX_INTENSITY):
@@ -40,12 +42,6 @@ class PmParams:
         if self.m_slices < 2 or self.m_slices % 2 != 0:
             raise ValueError("m_slices must be an even integer >= 2")
         _check_f_ec(self.f_ec)
-        if self.truncation_k < 1 or self.truncation_k % 2 != 1:
-            raise ValueError("truncation_k must be a positive odd integer")
-
-    @property
-    def odd_orders(self) -> tuple[int, ...]:
-        return tuple(range(1, self.truncation_k + 1, 2))
 
 
 @dataclass(slots=True)
@@ -96,13 +92,8 @@ def _gain(p_d: float, x: float) -> float:
 
 @functools.lru_cache
 def misalignment_e_delta(m_slices) -> float:
-    """Slice-misalignment error rate pi/M - (M/pi)^2 * sin^3(pi/M).
-
-    Accepts ``math.inf`` for the ideal no-slicing limit, which gives 0.
-    """
-    if m_slices == math.inf:
-        return 0.0
-    if m_slices < 2:
+    """Slice-misalignment error rate pi/M - (M/pi)^2 * sin^3(pi/M)."""
+    if not (2 <= m_slices < math.inf):
         raise ValueError("m_slices must be >= 2")
     x = math.pi / m_slices
     return x - (m_slices / math.pi) ** 2 * math.sin(x) ** 3
@@ -168,16 +159,15 @@ def key_rate(ch: ChannelParams, pm: PmParams, *, tail: str = "truncated") -> Rat
     loss = 1.0 - ch.eta_arm
     e_delta = misalignment_e_delta(m)
     q = _gain(p_d, x)
-    odd = range(1, pm.truncation_k + 1, 2)
     fractions, bit_errors = {}, {}
-    for k in (0, *odd):
+    for k in (0, *ODD_ORDERS):
         loss_k = loss**k
         y = _yield(k, p_d, loss_k)
         fractions[k] = _fraction(k, y, mu, q)
         bit_errors[k] = _bit_error(p_d, loss_k, y, e_delta)
     q_odd = _odd_fraction(q, p_d, loss, mu)
     ez = _qber(q, p_d, x, e_delta)
-    odd_qs, odd_es = [fractions[k] for k in odd], [bit_errors[k] for k in odd]
+    odd_qs, odd_es = [fractions[k] for k in ODD_ORDERS], [bit_errors[k] for k in ODD_ORDERS]
     ex = _phase_error(fractions[0], odd_qs, odd_es, q_odd, tail)
     return RateBreakdown(
         gain_Q=q,
@@ -281,9 +271,4 @@ def optimize_mu(ch: ChannelParams, pm_template: PmParams) -> tuple[float, RateBr
 
 
 def _with_mu(pm: PmParams, mu: float) -> PmParams:
-    return PmParams(
-        mu_total=mu,
-        m_slices=pm.m_slices,
-        f_ec=pm.f_ec,
-        truncation_k=pm.truncation_k,
-    )
+    return PmParams(mu_total=mu, m_slices=pm.m_slices, f_ec=pm.f_ec)

@@ -400,8 +400,6 @@ class Tally:
 class SimResult:
     config: SimConfig
     tallies: list[Tally]
-    j_d_opt: int  # offset of the first adaptation block
-    qber_table: np.ndarray
     block_offsets: list[tuple[int, int, int]]  # (start, stop, j_d)
 
 
@@ -424,7 +422,6 @@ def simulate(cfg: SimConfig) -> SimResult:
     k = len(cfg.intensities)
     emitted, clicked, sifted, errors = np.zeros((4, k), dtype=np.int64)
 
-    first_result: PostcompResult | None = None
     block_offsets = []
     for bi, start in enumerate(starts):
         stop = min(start + chunk, n)
@@ -435,8 +432,6 @@ def simulate(cfg: SimConfig) -> SimResult:
             np.random.PCG64(np.random.SeedSequence([cfg.seed, _SAMPLE_STREAM, bi]))
         )
         post = postcompensate(part, cfg.sample_fraction, rng, cfg.m_slices)
-        if first_result is None:
-            first_result = post
         res = sift(part, post.j_d_opt, cfg.m_slices)
         mu_sifted = part.mu_idx[res.indices]
         sifted += _bincount(mu_sifted, k)
@@ -453,14 +448,7 @@ def simulate(cfg: SimConfig) -> SimResult:
         )
         for i in range(k)
     ]
-    assert first_result is not None
-    return SimResult(
-        config=cfg,
-        tallies=tallies,
-        j_d_opt=first_result.j_d_opt,
-        qber_table=first_result.qber_table,
-        block_offsets=block_offsets,
-    )
+    return SimResult(config=cfg, tallies=tallies, block_offsets=block_offsets)
 
 
 def tallies_to_csv(tallies: list[Tally]) -> str:

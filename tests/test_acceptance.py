@@ -217,7 +217,7 @@ def test_criterion_9_postcompensation():
             sample_fraction=0.2,
             phi0=Phi0Model("fixed", math.radians(70.0)),
         )
-        offsets.append(simulate(cfg).j_d_opt)
+        offsets.append(simulate(cfg).block_offsets[0][2])
     ok = all(j == 2 for j in offsets)
     report(
         9,

@@ -169,9 +169,9 @@ def test_violation_points_are_the_grid_evaluations(kwargs, grid, point):
 
 def test_violation_argument_validation():
     with pytest.raises(ValueError):
-        find_gllp_violation(fixed_mu=0.5, fixed_eta=0.2)
+        find_gllp_violation(fixed_mu=0.5, fixed_eta=0.2, steps=10)
     with pytest.raises(ValueError):
-        find_gllp_violation()
+        find_gllp_violation(steps=10)
     with pytest.raises(ValueError):
         usd_success(-0.1, 0.5)
     with pytest.raises(ValueError):

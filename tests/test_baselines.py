@@ -6,7 +6,6 @@ from scipy import special
 
 from pmqkd import rate
 from pmqkd.baselines import (
-    Bb84Params,
     bb84_rate,
     bb84_rate_grid,
     _bessel_i0,
@@ -28,21 +27,19 @@ def full_channel(eta, pd=0.0):
 
 
 def test_bb84_ideal_point():
-    p = Bb84Params(mu=0.5, e_d=0.0, f_ec=1.15, channel=full_channel(0.1, 0.0))
+    r = bb84_rate(0.5, 0.0, 1.15, full_channel(0.1, 0.0))
     # with no errors R = (1/2) Q q1; frozen from a 50-digit evaluation
-    assert bb84_rate(p) == pytest.approx(0.015163266492815836, rel=1e-12)
+    assert r == pytest.approx(0.015163266492815836, rel=1e-12)
 
 
 def test_bb84_vanishing_intensity():
-    p = Bb84Params(mu=1e-15, e_d=0.015, f_ec=1.15, channel=full_channel(0.1, 1e-7))
-    assert bb84_rate(p) == 0.0
+    assert bb84_rate(1e-15, 0.015, 1.15, full_channel(0.1, 1e-7)) == 0.0
 
 
 def test_bb84_gain_formula():
     # Q = 1 - (1 - Y0) exp(-eta mu) with Y0 = 2 pd
     eta, mu, pd = 0.05, 0.7, 1e-6
     q = 1 - (1 - 2 * pd) * math.exp(-eta * mu)
-    p = Bb84Params(mu=mu, e_d=0.0, f_ec=1.0, channel=full_channel(eta, pd))
     # reconstruct the rate from the same building blocks
     y1 = 1 - (1 - 2 * pd) * (1 - eta)
     e1 = (0.5 - 0.0) * 2 * pd / y1
@@ -51,12 +48,12 @@ def test_bb84_gain_formula():
 
     e_mu = (0.5) * 2 * pd / q
     expected = max(0.5 * q * (-binary_entropy(e_mu) + q1 * (1 - binary_entropy(e1))), 0.0)
-    assert bb84_rate(p) == pytest.approx(expected, rel=1e-12)
+    assert bb84_rate(mu, 0.0, 1.0, full_channel(eta, pd)) == pytest.approx(expected, rel=1e-12)
 
 
 def test_bb84_monte_carlo_gain_and_q1():
     eta, mu = 0.1, 0.5
-    p = Bb84Params(mu=mu, e_d=0.0, f_ec=1.15, channel=full_channel(eta, 0.0))
+    assert bb84_rate(mu, 0.0, 1.15, full_channel(eta, 0.0)) > 0.0
     rng = np.random.default_rng(41)
     n = 4_000_000
     photons = rng.poisson(mu, size=n)
@@ -76,8 +73,8 @@ def test_bb84_below_capacity_bound():
     for _ in range(200):
         eta = 10 ** rng.uniform(-6, -0.01)
         mu = rng.uniform(0.01, 1.0)
-        p = Bb84Params(mu=mu, e_d=0.015, f_ec=1.15, channel=full_channel(eta, 7.2e-8))
-        assert bb84_rate(p) <= plob_bound(eta) + 1e-15
+        r = bb84_rate(mu, 0.015, 1.15, full_channel(eta, 7.2e-8))
+        assert r <= plob_bound(eta) + 1e-15
 
 
 # --- MDI ---------------------------------------------------------------------
@@ -157,22 +154,22 @@ def test_rates_finite_across_range():
         e = float(min(eta, 1 - 1e-10))
         assert math.isfinite(tgw_bound(e))
         assert math.isfinite(plob_bound(e))
-        p = Bb84Params(mu=0.3, e_d=0.015, f_ec=1.15, channel=full_channel(e, 7.2e-8))
-        assert math.isfinite(bb84_rate(p)) and bb84_rate(p) >= 0
+        r = bb84_rate(0.3, 0.015, 1.15, full_channel(e, 7.2e-8))
+        assert math.isfinite(r) and r >= 0
         bd = mdi_rate(0.15, 0.15, e, e, 7.2e-8, 0.015, 1.15)
         assert math.isfinite(bd.rate_R) and bd.rate_R >= 0
 
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        Bb84Params(mu=-0.1, e_d=0.0, f_ec=1.15, channel=full_channel(0.1))
+        bb84_rate(-0.1, 0.0, 1.15, full_channel(0.1))
     with pytest.raises(ValueError):
-        Bb84Params(mu=0.1, e_d=0.0, f_ec=0.5, channel=full_channel(0.1))
+        bb84_rate(0.1, 0.0, 0.5, full_channel(0.1))
     with pytest.raises(ValueError):
         mdi_rate(0.1, 0.1, 1.5, 0.1, 0.0, 0.0, 1.15)
     for bad in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError, match="intensity mu must be finite and nonnegative"):
-            Bb84Params(mu=bad, e_d=0.0, f_ec=1.15, channel=full_channel(0.1))
+            bb84_rate(bad, 0.0, 1.15, full_channel(0.1))
         with pytest.raises(ValueError, match="intensities must be finite and nonnegative"):
             mdi_rate(0.1, bad, 0.1, 0.1, 0.0, 0.0, 1.15)
 
@@ -184,7 +181,7 @@ def test_intensity_bound_and_postprocessing_checks():
     values = [
         rate.key_rate(ch, rate.PmParams(mu_total=m)).rate_R,
         rate.key_rate(ch, rate.PmParams(mu_total=m), tail="odd").rate_R,
-        bb84_rate(Bb84Params(mu=m, e_d=0.015, f_ec=1.15, channel=ch)),
+        bb84_rate(m, 0.015, 1.15, ch),
         mdi_rate(m / 2, m / 2, 0.1, 0.1, 7.2e-8, 0.015, 1.15).rate_R,
         *vars(bs_attack(m, 0.2)).values(),
     ]
@@ -192,7 +189,7 @@ def test_intensity_bound_and_postprocessing_checks():
     over, grid = 2 * m, np.array([0.1, 2 * m])
     for call in (
         lambda: rate.PmParams(mu_total=over),
-        lambda: Bb84Params(mu=over, e_d=0.0, f_ec=1.15, channel=ch),
+        lambda: bb84_rate(over, 0.0, 1.15, ch),
         lambda: bb84_rate_grid(grid, 0.0, 1.15, ch),
         lambda: mdi_rate(0.1, over, 0.1, 0.1, 0.0, 0.0, 1.15),
         lambda: mdi_rate_grid(grid, grid, 0.1, 0.1, 0.0, 0.0, 1.15),
@@ -204,7 +201,7 @@ def test_intensity_bound_and_postprocessing_checks():
                              (0.0, math.nan, "f_ec"), (0.0, math.inf, "f_ec"),
                              (0.0, 0.5, "f_ec")):
         for call in (
-            lambda: Bb84Params(mu=0.5, e_d=e_d, f_ec=f_ec, channel=ch),
+            lambda: bb84_rate(0.5, e_d, f_ec, ch),
             lambda: mdi_rate(0.1, 0.1, 0.1, 0.1, 0.0, e_d, f_ec),
             lambda: mdi_rate_grid(grid / m, grid / m, 0.1, 0.1, 0.0, e_d, f_ec),
         ):
@@ -227,7 +224,7 @@ def bb84_cell(distance, pd, ed, f_ec=1.15):
     ch = ChannelParams(eta_arm=fiber_transmittance(distance, 0.145, 0.2), p_d=pd)
 
     def f(mu):
-        return bb84_rate(Bb84Params(mu=mu, e_d=ed, f_ec=f_ec, channel=ch))
+        return bb84_rate(mu, ed, f_ec, ch)
 
     return f, lambda mus: bb84_rate_grid(mus, ed, f_ec, ch)
 

@@ -1,0 +1,61 @@
+"""What the benchmark under ``perfbench/`` needs from the package.
+
+The benchmark's tracer skips a function it cannot find, so a renamed or
+deleted layer would read as zero calls instead of failing; its child
+process reads the decoy summary of every Monte Carlo run.  These tests
+import the benchmark's modules and change nothing in them.
+"""
+import json
+import math
+from pathlib import Path
+
+import pytest
+
+from pmqkd import cli
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture
+def perfbench(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import child
+    import run
+    import tracing
+
+    return child, run, tracing
+
+
+def test_every_traced_layer_exists(perfbench, monkeypatch):
+    _, _, tracing = perfbench
+    requested = []
+    monkeypatch.setattr(
+        tracing.Tracer, "wrap",
+        lambda self, module, attr, **kwargs: requested.append((module, attr)),
+    )
+    monkeypatch.setattr(
+        tracing.Tracer, "wrap_generator",
+        lambda self, module, attr: requested.append((module, attr)),
+    )
+    tracing.install(tracing.Tracer())
+    assert requested
+    missing = [
+        (getattr(module, "__name__", module), attr)
+        for module, attr in requested
+        if getattr(module, attr, None) is None
+    ]
+    assert not missing
+
+
+def test_decoy_summary_of_a_seeded_simulate(perfbench, tmp_path, capsys):
+    child, run, _ = perfbench
+    cfg = run.mc_config(run.MC_BASE, run.DEFAULT_SEED, "smoke")
+    assert cfg["rounds"] == 300_000 and cfg["seed"] == 42
+    cfg_path, csv_path = tmp_path / "config.json", tmp_path / "tallies.csv"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main(["simulate", str(cfg_path), "--output", str(csv_path)]) == 0
+    capsys.readouterr()
+    summary = child.decoy_summary(csv_path.read_text(), cfg["m_slices"], max(cfg["intensities"]))
+    assert sorted(summary) == ["Y_1", "key_rate"]
+    assert 0.0 < summary["Y_1"] <= 1.0
+    assert math.isfinite(summary["key_rate"]) and summary["key_rate"] >= 0.0

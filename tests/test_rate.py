@@ -110,7 +110,12 @@ def test_e_delta_against_quadrature(m, frozen):
 
 def test_e_delta_vanishes_for_fine_slicing():
     assert misalignment_e_delta(2**16) < 1e-9
-    assert misalignment_e_delta(math.inf) == 0.0
+
+
+@pytest.mark.parametrize("m", [math.inf, -math.inf, math.nan, 1])
+def test_e_delta_rejects_a_non_finite_or_small_slice_count(m):
+    with pytest.raises(ValueError, match="m_slices must be >= 2"):
+        misalignment_e_delta(m)
 
 
 # --- bit errors ---------------------------------------------------------------
@@ -216,11 +221,15 @@ def test_odd_fraction_closed_forms():
 
 
 def test_odd_fraction_tail_is_small():
-    # truncation_k = 39 keeps every odd order the tail sums
-    bd = key_rate(ch(0.1, 0.0), PmParams(mu_total=0.5, truncation_k=39))
+    eta, mu = 0.1, 0.5
+    bd = key_rate(ch(eta, 0.0), PmParams(mu_total=mu))
     q_odd = bd.q_odd
     partial = sum(bd.fractions[k] for k in (1, 3, 5))
-    tail = sum(bd.fractions[k] for k in range(7, 41, 2))
+    # q_7 + q_9 + ... + q_39 from the same formulas key_rate keeps q_1..q_5 with
+    tail = sum(
+        rate._fraction(k, rate._yield(k, 0.0, (1.0 - eta) ** k), mu, bd.gain_Q)
+        for k in range(7, 41, 2)
+    )
     assert q_odd - partial == pytest.approx(tail, abs=1e-12)
     assert q_odd - partial < 2e-5
 
@@ -291,21 +300,19 @@ def test_key_rate_reference_parity_grid():
 
 @pytest.mark.parametrize("tail", ["truncated", "odd"])
 def test_key_rate_assembles_rate_from_its_fields(tail):
-    # the rate is the floored bracket of the returned fields, for every tail and truncation
+    # the rate is the floored bracket of the returned fields, for every tail
     for eta in (0.0, 1e-6, 0.3, 1.0):
         for pd in (0.0, 7.2e-8, 1e-3):
             c = ch(eta, pd)
             for mu in (1e-4, 0.05, 0.5, 2.0):
                 for m in (2, 16):
-                    for trunc in (1, 3, 5, 7):
-                        pm = PmParams(mu_total=mu, m_slices=m, f_ec=1.15, truncation_k=trunc)
-                        bd = key_rate(c, pm, tail=tail)
-                        assert bd.e_delta == misalignment_e_delta(m)
-                        bracket = (
-                            -1.15 * binary_entropy(bd.qber_Z) + 1.0
-                            - binary_entropy(bd.phase_err_X)
-                        )
-                        assert bd.rate_R == max((2.0 / m) * bd.gain_Q * bracket, 0.0)
+                    bd = key_rate(c, PmParams(mu_total=mu, m_slices=m, f_ec=1.15), tail=tail)
+                    assert bd.e_delta == misalignment_e_delta(m)
+                    bracket = (
+                        -1.15 * binary_entropy(bd.qber_Z) + 1.0
+                        - binary_entropy(bd.phase_err_X)
+                    )
+                    assert bd.rate_R == max((2.0 / m) * bd.gain_Q * bracket, 0.0)
 
 
 def test_key_rate_keeps_checks():

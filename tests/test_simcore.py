@@ -223,7 +223,7 @@ def test_bincount_in_slices_equals_one_bincount(extra):
 def test_postcompensation_aligned_references():
     cfg = base_config(rounds=200_000, seed=5)
     res = simulate(cfg)
-    assert res.j_d_opt == 0
+    assert res.block_offsets[0][2] == 0
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 42, 123])
@@ -236,12 +236,15 @@ def test_postcompensation_seventy_degrees(seed):
         channel=ChannelParams(eta_arm=0.1, p_d=7.2e-8),
     )
     res = simulate(cfg)
-    assert res.j_d_opt == 2
+    assert res.block_offsets[0][2] == 2
 
 
 def test_half_turn_offset_inverts_qber():
     cfg = base_config(rounds=400_000, seed=21, channel=ChannelParams(eta_arm=0.2, p_d=0.0))
-    res = simulate(cfg)
+    # simulate's sample stream for its first (here its only) block
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.seed, 1, 0])))
+    res = postcompensate(collect_rounds(cfg), cfg.sample_fraction, rng, cfg.m_slices)
+    assert res.j_d_opt == simulate(cfg).block_offsets[0][2]
     table = res.qber_table
     j = res.j_d_opt
     m = cfg.m_slices
@@ -283,7 +286,7 @@ def test_reference_shift_moves_offset():
             phi0=Phi0Model("fixed", shift_slices * width),
         )
         res = simulate(cfg)
-        assert res.j_d_opt == shift_slices
+        assert res.block_offsets[0][2] == shift_slices
 
 
 def test_postcompensation_insufficient_samples():
