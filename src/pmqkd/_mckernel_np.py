@@ -12,9 +12,10 @@ subset goes through the same elementwise ufuncs as the full block and
 gives the same bits.
 
 The full-block passes write through ``out=`` into the output arrays and
-one float64 scratch array; the candidate masks are the only other
-full-block temporaries.  The outputs may be views into longer arrays;
-nothing outside them is written.
+one float64 scratch array, whose bytes also hold the slice-wrap mask;
+the candidate masks are the only other full-block temporaries.  The
+outputs may be views into longer arrays; nothing outside them is
+written.
 """
 from __future__ import annotations
 
@@ -85,9 +86,12 @@ def simulate_block(
     outcome.fill(0)
     outcome[idx] = l_click + 2 * r_click
 
+    # 0 <= phi < 2*pi, so the rounded slice lies in [0, M]; M wraps to 0
     scale = m_slices / TWO_PI
+    wrap = scratch.view(np.bool_)[: len(scratch)]
     for phi, j in ((phi_a, j_a), (phi_b, j_b)):
         np.multiply(phi, scale, out=scratch)
         scratch += 0.5
         j[:] = scratch  # truncation is floor here: the value is >= 0.5
-        np.remainder(j, m_slices, out=j)
+        np.equal(j, m_slices, out=wrap)
+        np.putmask(j, wrap, 0)

@@ -46,6 +46,11 @@ class Outcome(IntEnum):
     DOUBLE = 3
 
 
+# The codes as plain ints, which NumPy compares without an enum lookup.
+_LEFT = int(Outcome.LEFT)
+_RIGHT = int(Outcome.RIGHT)
+
+
 @dataclass(frozen=True)
 class Phi0Model:
     """Reference deviation phi_0: fixed, or drifting linearly per round."""
@@ -219,8 +224,17 @@ class RoundData:
     def __len__(self) -> int:
         return len(self.outcome)
 
-    def single_click_mask(self) -> np.ndarray:
-        return (self.outcome == Outcome.LEFT) | (self.outcome == Outcome.RIGHT)
+    def single_clicks(self) -> np.ndarray:
+        """Positions of the rounds with exactly one click, in round order.
+
+        Scanned ``RNG_BLOCK_ROUNDS`` rounds at a time, so no temporary is
+        as long as the data.
+        """
+        found = [np.empty(0, dtype=np.intp)]
+        for start in range(0, len(self), RNG_BLOCK_ROUNDS):
+            outcome = self.outcome[start:start + RNG_BLOCK_ROUNDS]
+            found.append(np.flatnonzero((outcome == _LEFT) | (outcome == _RIGHT)) + start)
+        return np.concatenate(found)
 
     def take(self, index) -> "RoundData":
         return RoundData(
@@ -308,17 +322,18 @@ def sift(data: RoundData, j_d: int, m_slices: int) -> SiftResult:
     A round survives when (j_b + j_d - j_a) mod M is 0 or M/2; Bob
     flips his bit on an R-click announcement and again in the M/2 case.
     """
-    single = np.flatnonzero(data.single_click_mask())
-    dmod = (data.j_b[single].astype(np.int32) + j_d - data.j_a[single].astype(np.int32)) % m_slices
-    half = m_slices // 2
-    keep = (dmod == 0) | (dmod == half)
-    idx = single[keep]
-    bob = (
-        data.kappa_b[idx].astype(np.int8)
-        ^ (data.outcome[idx] == Outcome.RIGHT).astype(np.int8)
-        ^ (dmod[keep] == half).astype(np.int8)
-    )
-    return SiftResult(indices=idx, alice_bits=data.kappa_a[idx].copy(), bob_bits=bob)
+    outcome = data.outcome
+    dmod = data.j_b.astype(np.int32)
+    dmod += j_d
+    dmod -= data.j_a
+    dmod %= m_slices
+    keep = dmod == 0
+    keep |= dmod == m_slices // 2
+    keep &= (outcome == _LEFT) | (outcome == _RIGHT)
+    idx = np.flatnonzero(keep)
+    # a kept dmod is 0 or M/2, so the half-turn flip is dmod != 0
+    bob = data.kappa_b[idx] ^ (outcome[idx] == _RIGHT) ^ (dmod[idx] != 0)
+    return SiftResult(indices=idx, alice_bits=data.kappa_a[idx], bob_bits=bob)
 
 
 @dataclass
@@ -336,11 +351,12 @@ def postcompensate(
 ) -> PostcompResult:
     """Search the slice offset minimizing the sampled QBER.
 
-    Draws the announced test sample from the single-click rounds with a
+    Reads only the single-click rounds of ``data``: draws the announced
+    test sample from them, one uniform each in round order, with a
     dedicated generator, evaluates the sampled QBER for every offset,
     and returns the minimizer (smallest index on ties) with the table.
     """
-    single_idx = np.nonzero(data.single_click_mask())[0]
+    single_idx = data.single_clicks()
     picked = single_idx[rng.random(len(single_idx)) < sample_fraction]
     if len(picked) < MIN_SAMPLED_CLICKS:
         raise InsufficientSamplesError(
@@ -351,7 +367,7 @@ def postcompensate(
     for j_d in range(m_slices):
         res = sift(sample, j_d, m_slices)
         if len(res.indices) > 0:
-            table[j_d] = float(np.mean(res.errors()))
+            table[j_d] = np.count_nonzero(res.errors()) / len(res.indices)
     if np.all(np.isnan(table)):
         raise InsufficientSamplesError("no sampled round satisfied any sifting condition")
     j_d_opt = int(np.nanargmin(table))
@@ -413,7 +429,12 @@ def _bincount(values: np.ndarray, k: int) -> np.ndarray:
 
 
 def simulate(cfg: SimConfig) -> SimResult:
-    """Run the full pipeline: rounds, offset search, sifting, tallies."""
+    """Run the full pipeline: rounds, offset search, sifting, tallies.
+
+    Every round of a jd block counts as emitted; the rest of the pipeline
+    reads only the block's single-click rounds, found in one scan and
+    taken once, in round order.
+    """
     data = collect_rounds(cfg)
     n = len(data)
     chunk = cfg.jd_block_rounds if cfg.jd_block_rounds is not None else n
@@ -427,13 +448,14 @@ def simulate(cfg: SimConfig) -> SimResult:
         stop = min(start + chunk, n)
         part = data.take(slice(start, stop))
         emitted += _bincount(part.mu_idx, k)
-        clicked += _bincount(part.mu_idx[part.single_click_mask()], k)
+        clicks = part.take(part.single_clicks())
+        clicked += _bincount(clicks.mu_idx, k)
         rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence([cfg.seed, _SAMPLE_STREAM, bi]))
         )
-        post = postcompensate(part, cfg.sample_fraction, rng, cfg.m_slices)
-        res = sift(part, post.j_d_opt, cfg.m_slices)
-        mu_sifted = part.mu_idx[res.indices]
+        post = postcompensate(clicks, cfg.sample_fraction, rng, cfg.m_slices)
+        res = sift(clicks, post.j_d_opt, cfg.m_slices)
+        mu_sifted = clicks.mu_idx[res.indices]
         sifted += _bincount(mu_sifted, k)
         errors += _bincount(mu_sifted[res.errors()], k)
         block_offsets.append((start, stop, post.j_d_opt))

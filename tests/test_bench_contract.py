@@ -2,16 +2,18 @@
 
 The benchmark's tracer skips a function it cannot find, so a renamed or
 deleted layer would read as zero calls instead of failing; its child
-process reads the decoy summary of every Monte Carlo run.  These tests
-import the benchmark's modules and change nothing in them.
+process reads the decoy summary of every Monte Carlo run, and its runner
+checks every seed-42 run against the goldens.  These tests import the
+benchmark's modules, read its goldens and change nothing in them.
 """
+import hashlib
 import json
 import math
 from pathlib import Path
 
 import pytest
 
-from pmqkd import cli
+from pmqkd import cli, simcore
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -59,3 +61,18 @@ def test_decoy_summary_of_a_seeded_simulate(perfbench, tmp_path, capsys):
     assert sorted(summary) == ["Y_1", "key_rate"]
     assert 0.0 < summary["Y_1"] <= 1.0
     assert math.isfinite(summary["key_rate"]) and summary["key_rate"] >= 0.0
+
+
+@pytest.mark.parametrize("workload", ["mc_fixed", "mc_drift"])
+def test_smoke_size_monte_carlo_matches_its_golden(perfbench, workload):
+    _, run, _ = perfbench
+    goldens = json.loads((PERFBENCH / "golden" / "mc.json").read_text())
+    assert goldens["seed"] == run.DEFAULT_SEED
+    golden = goldens[workload]["smoke"]
+    _, base = run.WORKLOADS[workload]
+    cfg = simcore.SimConfig.from_json_dict(run.mc_config(base, run.DEFAULT_SEED, "smoke"))
+    res = simcore.simulate(cfg)
+    csv = simcore.tallies_to_csv(res.tallies)
+    assert csv == golden["tally_csv"]
+    assert hashlib.sha256(csv.encode()).hexdigest() == golden["tally_sha256"]
+    assert [list(b) for b in res.block_offsets] == golden["block_offsets"]

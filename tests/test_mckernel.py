@@ -8,7 +8,14 @@ import pytest
 
 from pmqkd import _mckernel_np, simcore
 from pmqkd.detection import ChannelParams
-from pmqkd.simcore import RNG_BLOCK_ROUNDS, Phi0Model, SimConfig, simulate, tallies_to_csv
+from pmqkd.simcore import (
+    MAX_M_SLICES,
+    RNG_BLOCK_ROUNDS,
+    Phi0Model,
+    SimConfig,
+    simulate,
+    tallies_to_csv,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -91,6 +98,25 @@ def test_kernel_matches_full_array_oracle(p_d, mus, eta, phi0, n):
     want, _ = run_kernel(oracle_block, u, *params)
     got, _ = run_kernel(_mckernel_np.simulate_block, u, *params)
     assert_same_bytes(got, want)
+
+
+@pytest.mark.parametrize("m", [2, 6, 16, 32, MAX_M_SLICES])
+def test_slice_map_at_the_slice_edges(m):
+    # phases at 0, just below 2*pi, and one ulp either side of every slice
+    # centre k/M and every rounding edge (k + 1/2)/M, where the rounded
+    # slice can reach M and must wrap to 0
+    marks = np.concatenate([np.arange(m + 1) / m, (np.arange(m) + 0.5) / m])
+    edges = np.concatenate([marks, np.nextafter(marks, 0.0), np.nextafter(marks, 1.0)])
+    edges = np.concatenate([[0.0, 1.0 - 2.0**-53], edges[edges < 1.0]])
+    u = np.random.default_rng(m).random((7, len(edges)))
+    u[2] = edges
+    u[3] = edges[::-1]
+    params = (0.1, 7.2e-8, np.asarray((0.1, 0.5)), m, 0.0, 0.0, 0)
+    want, _ = run_kernel(oracle_block, u, *params)
+    got, _ = run_kernel(_mckernel_np.simulate_block, u, *params)
+    assert_same_bytes(got, want)
+    assert got["j_a"][1] == got["j_b"][-2] == 0  # u = 1 - 2**-53 wraps
+    assert got["j_a"].max() == m - 1
 
 
 # --- the seeded round stream ---------------------------------------------------

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -92,7 +93,7 @@ def test_click_rate_matches_gain():
     cfg = base_config(rounds=1_000_000, channel=ChannelParams(eta_arm=0.1, p_d=0.0), seed=11)
     data = collect_rounds(cfg)
     q = 1 - math.exp(-0.05)
-    p_hat = data.single_click_mask().mean()
+    p_hat = len(data.single_clicks()) / cfg.rounds
     se = math.sqrt(q * (1 - q) / cfg.rounds)
     assert abs(p_hat - q) < 4 * se
 
@@ -169,9 +170,12 @@ def test_sift_offset_compensates():
     assert len(sift(data, 1, 16).indices) == 0
 
 
+SINGLE_CLICKS = (Outcome.LEFT, Outcome.RIGHT)
+
+
 def sift_over_all_rounds(data, j_d, m):
-    # the rule evaluated on every round, as the oracle for sift's single-click subset
-    single = data.single_click_mask()
+    # the rule evaluated on every round, then restricted to the single clicks
+    single = np.isin(data.outcome, SINGLE_CLICKS)
     dmod = (data.j_b.astype(np.int32) + j_d - data.j_a.astype(np.int32)) % m
     keep = single & ((dmod == 0) | (dmod == m // 2))
     idx = np.nonzero(keep)[0]
@@ -179,6 +183,21 @@ def sift_over_all_rounds(data, j_d, m):
         data.kappa_b[idx].astype(np.int8)
         ^ (data.outcome[idx] == Outcome.RIGHT).astype(np.int8)
         ^ (dmod[idx] == m // 2).astype(np.int8)
+    )
+    return idx, data.kappa_a[idx].copy(), bob
+
+
+def sift_over_single_clicks(data, j_d, m):
+    # the rule evaluated on the gathered single-click rounds only
+    single = np.flatnonzero(np.isin(data.outcome, SINGLE_CLICKS))
+    dmod = (data.j_b[single].astype(np.int32) + j_d - data.j_a[single].astype(np.int32)) % m
+    half = m // 2
+    keep = (dmod == 0) | (dmod == half)
+    idx = single[keep]
+    bob = (
+        data.kappa_b[idx].astype(np.int8)
+        ^ (data.outcome[idx] == Outcome.RIGHT).astype(np.int8)
+        ^ (dmod[keep] == half).astype(np.int8)
     )
     return idx, data.kappa_a[idx].copy(), bob
 
@@ -199,9 +218,11 @@ def test_sift_equals_the_all_rounds_rule(m):
     )
     for j_d in sorted({0, 1, m // 2, m - 1}):
         res = sift(data, j_d, m)
-        for got, want in zip((res.indices, res.alice_bits, res.bob_bits),
-                             sift_over_all_rounds(data, j_d, m)):
-            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert res.bob_bits.dtype == np.int8
+        for oracle in (sift_over_all_rounds, sift_over_single_clicks):
+            for got, want in zip((res.indices, res.alice_bits, res.bob_bits),
+                                 oracle(data, j_d, m)):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
     none_clicked = data.take(np.flatnonzero(data.outcome == Outcome.NONE))
     res = sift(none_clicked, 0, m)
     assert len(res.indices) == len(res.alice_bits) == len(res.bob_bits) == 0
@@ -215,6 +236,17 @@ def test_bincount_in_slices_equals_one_bincount(extra):
     assert counts.dtype == np.int64
     assert np.array_equal(counts, np.bincount(values, minlength=4))
     assert np.array_equal(simcore._bincount(values[:0], 4), np.zeros(4, dtype=np.int64))
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1, 12345])
+def test_single_clicks_in_slices_equals_one_scan(extra):
+    n = 2 * simcore.RNG_BLOCK_ROUNDS + extra
+    outcome = np.random.default_rng(6).integers(0, 4, n).astype(np.int8)
+    data = dataclasses.replace(RoundData.empty(n), outcome=outcome)
+    got = data.single_clicks()
+    assert got.dtype == np.intp
+    assert np.array_equal(got, np.flatnonzero(np.isin(outcome, SINGLE_CLICKS)))
+    assert len(data.take(slice(0, 0)).single_clicks()) == 0
 
 
 # --- postcompensation ----------------------------------------------------------------
@@ -313,6 +345,85 @@ def test_slow_drift_tracked_per_block():
     offsets = [jd for (_, _, jd) in res.block_offsets]
     # phi0 advances half a slice per block: offsets follow 0,1,1,2
     assert offsets == [0, 1, 1, 2]
+
+
+def simulate_on_full_blocks(cfg):
+    """The tallies and offsets of ``simulate`` with ``postcompensate`` and
+    ``sift`` run on every round of each jd block, not on its single clicks."""
+    data = collect_rounds(cfg)
+    n, k = len(data), len(cfg.intensities)
+    chunk = cfg.jd_block_rounds or n
+    counts = np.zeros((4, k), dtype=np.int64)
+    offsets = []
+    for bi, start in enumerate(range(0, n, chunk)):
+        stop = min(start + chunk, n)
+        part = data.take(slice(start, stop))
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.seed, 1, bi])))
+        post = postcompensate(part, cfg.sample_fraction, rng, cfg.m_slices)
+        res = sift(part, post.j_d_opt, cfg.m_slices)
+        mu_sifted = part.mu_idx[res.indices]
+        single = np.isin(part.outcome, SINGLE_CLICKS)
+        for row, mu in zip(counts, (part.mu_idx, part.mu_idx[single], mu_sifted,
+                                    mu_sifted[res.errors()])):
+            row += np.bincount(mu, minlength=k)
+        offsets.append((start, stop, post.j_d_opt))
+    return counts.T.tolist(), offsets
+
+
+def tallies_and_offsets(cfg):
+    res = simulate(cfg)
+    rows = [[t.emitted, t.clicked_single, t.sifted, t.errors] for t in res.tallies]
+    return rows, res.block_offsets
+
+
+SUBSET_CONFIGS = {
+    # jd blocks longer than an RNG block, straddling RNG blocks, with a vacuum intensity
+    "drift_straddling": dict(
+        rounds=2 * simcore.RNG_BLOCK_ROUNDS + 1234, seed=8, intensities=(0.0, 0.1, 0.4),
+        channel=ChannelParams(eta_arm=0.1, p_d=7.2e-8), jd_block_rounds=300_001,
+        phi0=Phi0Model("slow_drift", 0.2, 2 * PI / 16 / 200_000),
+    ),
+    "two_slices": dict(m_slices=2, intensities=(0.0, 0.5), jd_block_rounds=50_000),
+    "mostly_double_clicks": dict(channel=ChannelParams(eta_arm=0.1, p_d=0.99)),
+    # the last jd block has 1,000 rounds: too few sampled clicks
+    "low_click_block": dict(rounds=91_000, jd_block_rounds=45_000),
+}
+
+
+@pytest.mark.parametrize("name", list(SUBSET_CONFIGS))
+def test_single_click_subset_equals_the_full_block_pipeline(name):
+    cfg = base_config(**SUBSET_CONFIGS[name])
+    outputs = []
+    for run in (simulate_on_full_blocks, tallies_and_offsets):
+        try:
+            outputs.append(run(cfg))
+        except InsufficientSamplesError as exc:
+            outputs.append(str(exc))
+    assert outputs[0] == outputs[1]
+    if name == "low_click_block":
+        assert re.fullmatch(r"only \d+ sampled clicked rounds; need >= 100", outputs[0])
+    else:
+        assert sum(row[2] for row in outputs[0][0]) > 0
+
+
+def test_simulate_memory_scales_with_clicks_not_block_rounds(monkeypatch):
+    # one jd block of eight RNG blocks at a 0.5% click rate: the peak may
+    # grow with RNG_BLOCK_ROUNDS (bincount's intp copy of one slice is 8 B
+    # a round) and with the clicks; two bool masks as wide as the jd block
+    # (2 B a round) exceed the bound
+    cfg = base_config(rounds=8 * simcore.RNG_BLOCK_ROUNDS + 1234, intensities=(0.0, 0.1, 0.5),
+                      channel=ChannelParams(eta_arm=0.01, p_d=7.2e-8))
+    data = collect_rounds(cfg)
+    monkeypatch.setattr(simcore, "collect_rounds", lambda _cfg: data)
+    tracemalloc.start()
+    try:
+        res = simulate(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    clicks = sum(t.clicked_single for t in res.tallies)
+    assert 0 < clicks < 0.01 * cfg.rounds
+    assert peak <= 10 * simcore.RNG_BLOCK_ROUNDS + 100 * clicks
 
 
 # --- tallies and model comparison ----------------------------------------------------
