@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .detection import MAX_INTENSITY, binary_entropy
+from .detection import MAX_INTENSITY, _check_prob, binary_entropy
 from .rate import _fraction, _phase_error
 
 NORMALIZATIONS = ("per_click", "literal")
@@ -48,8 +48,7 @@ class ViolationReport:
 def _check_point(mu_total: float, eta: float) -> None:
     if not (0.0 <= mu_total <= MAX_INTENSITY):
         raise ValueError(f"mu_total must be in [0, {MAX_INTENSITY:g}], got {mu_total!r}")
-    if not (0.0 <= eta <= 1.0):
-        raise ValueError("eta must be in [0, 1]")
+    _check_prob("eta", eta)
 
 
 def usd_success(mu_total: float, eta: float) -> float:

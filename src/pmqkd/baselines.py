@@ -150,8 +150,8 @@ def _check_mdi(mu_a, mu_b, eta_a, eta_b, e_d, f_ec) -> None:
             f"intensities must be finite and nonnegative (at most {MAX_INTENSITY:g}),"
             f" got mu_a={mu_a!r}, mu_b={mu_b!r}"
         )
-    if not (0 <= eta_a <= 1) or not (0 <= eta_b <= 1):
-        raise ValueError("transmittances must be in [0, 1]")
+    _check_prob("eta_a", eta_a)
+    _check_prob("eta_b", eta_b)
     _check_prob("e_d", e_d)
     _check_f_ec(f_ec)
 
@@ -247,12 +247,12 @@ def mdi_rate_grid(
 def tgw_bound(eta: float) -> float:
     """Takeoka-Guha-Wilde bound -log2((1-eta)/(1+eta))."""
     if not (0.0 <= eta < 1.0):
-        raise ValueError("eta must be in [0, 1)")
+        raise ValueError(f"eta must be in [0, 1), got {eta!r}")
     return -math.log2((1.0 - eta) / (1.0 + eta))
 
 
 def plob_bound(eta: float) -> float:
     """Pirandola-Laurenza-Ottaviani-Banchi bound -log2(1-eta)."""
     if not (0.0 <= eta < 1.0):
-        raise ValueError("eta must be in [0, 1)")
+        raise ValueError(f"eta must be in [0, 1), got {eta!r}")
     return -math.log1p(-eta) / math.log(2.0)

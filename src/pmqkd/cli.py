@@ -210,7 +210,8 @@ def _sweep_point(
     if variable == "eta":
         distance = None
         ch_arm = ChannelParams(value, p_d)
-        eta_total = min(value * value / eta_d, 1.0) if eta_d > 0 else value * value
+        # run_sweep checked value <= eta_d, so eta_d is 0 only when value is
+        eta_total = value * value / eta_d if value else 0.0
     elif variable in ("distance_km", "mu"):
         distance = value if variable == "distance_km" else distance_for_mu
         ch_arm = ChannelParams.from_distance(distance, eta_d=eta_d, p_d=p_d, alpha_db_per_km=alpha)
@@ -297,6 +298,11 @@ def run_sweep(
         if v + step == v:
             raise ValueError(f"sweep --step must advance the grid past {v!r}, got {step!r}")
         v += step
+    if variable == "eta":
+        # eta_arm includes the detector efficiency, so no arm transmits more than eta_d
+        over = next((v for v in values if v > preset.eta_d), None)
+        if over is not None:
+            raise ValueError(f"sweep eta_arm {over!r} exceeds eta_d {preset.eta_d!r}")
     return [
         _sweep_point(v, variable, preset, protocols, optimize_mu, fixed_mu, distance_for_mu)
         for v in values

@@ -18,6 +18,11 @@ def _check_prob(name: str, value: float) -> None:
         raise ValueError(f"{name} must be in [0, 1], got {value!r}")
 
 
+def _check_photon_number(k: int) -> None:
+    if k < 0:
+        raise ValueError(f"photon number must be nonnegative, got {k}")
+
+
 # The largest intensity the formulas take: sinh(mu) overflows a float above ~710.
 MAX_INTENSITY = 500.0
 
@@ -133,8 +138,7 @@ def k_photon_clicks(k: int, eta: float, phi_delta: float) -> ClickProbs:
     least one photon at L (R) and none at R (L), the remainder is a
     double click.
     """
-    if k < 0:
-        raise ValueError(f"photon number must be nonnegative, got {k}")
+    _check_photon_number(k)
     p1 = single_photon_clicks(eta, phi_delta)
     if k == 1:
         return p1

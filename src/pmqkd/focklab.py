@@ -1,12 +1,13 @@
 """Truncated-Fock-space oracle for states, parity relations and clicks.
 
-Dense complex amplitudes over (qubit, qubit, mode, mode), truncated at
-the photon number of the input.  A beam splitter conserves the photon
-number, so two-mode mixing is applied one n-photon block at a time and
-nothing grows faster than the amplitudes themselves.  Channel loss is
-modeled by an explicit beam splitter into an environment mode followed
-by a probability marginal, which keeps every click probability exact
-within the truncation.
+States are plain complex amplitude arrays of shape (2, 2, d, d) over
+(qubit, qubit, mode, mode), with d - 1 the photon number of the input.
+A beam splitter conserves the photon number, so two-mode mixing is
+applied one n-photon block at a time, nothing grows faster than the
+amplitudes themselves, and no truncation can cut a populated state.
+Channel loss is modeled by an explicit beam splitter into an
+environment mode followed by a probability marginal, which keeps every
+click probability exact.
 """
 from __future__ import annotations
 
@@ -17,13 +18,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .detection import ClickProbs
+from .detection import ClickProbs, _check_photon_number, _check_prob
 
 _AMP_TOL = 1e-14
-
-
-class CutoffOverflowError(ValueError):
-    """A transformation would push amplitude beyond the photon cutoff."""
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +60,7 @@ def _apply_pair(amps: np.ndarray, axis1: int, axis2: int, u: tuple) -> np.ndarra
     """Mix two Fock axes of an amplitude array, one photon number at a time.
 
     Block n acts on the anti-diagonal n1 + n2 = n.  Entries with
-    n1 + n2 > cutoff stay zero; callers must ensure those inputs are
+    n1 + n2 >= d stay zero; callers must ensure those inputs are
     unpopulated.
     """
     moved = np.moveaxis(amps, (axis1, axis2), (-2, -1))
@@ -75,93 +72,62 @@ def _apply_pair(amps: np.ndarray, axis1: int, axis2: int, u: tuple) -> np.ndarra
 
 
 # ---------------------------------------------------------------------------
-# protocol states on (qubit, qubit, mode, mode)
+# protocol states: complex arrays over (qubit, qubit, mode, mode)
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class TwoModeState:
-    """Pure state on qubit_a x qubit_b x two truncated optical modes."""
-
-    cutoff_n: int
-    amplitudes: np.ndarray  # complex, shape (2, 2, cutoff+1, cutoff+1)
-
-    @classmethod
-    def from_fock(cls, n_a: int, n_b: int, cutoff: int) -> "TwoModeState":
-        if not (0 <= n_a <= cutoff and 0 <= n_b <= cutoff):
-            raise CutoffOverflowError(f"photon numbers ({n_a}, {n_b}) exceed cutoff {cutoff}")
-        amps = np.zeros((2, 2, cutoff + 1, cutoff + 1), dtype=complex)
-        amps[0, 0, n_a, n_b] = 1.0
-        return cls(cutoff_n=cutoff, amplitudes=amps)
-
-    def mode_marginal(self) -> np.ndarray:
-        """Joint photon-number distribution P(n_a, n_b), qubits traced out."""
-        return np.sum(np.abs(self.amplitudes) ** 2, axis=(0, 1))
-
-    def _max_total_photons(self) -> int:
-        d = self.cutoff_n + 1
-        pops = self.mode_marginal()
-        tot = np.add.outer(np.arange(d), np.arange(d))
-        populated = pops > _AMP_TOL**2
-        return int(tot[populated].max()) if populated.any() else 0
+def fock_state(n_a: int, n_b: int) -> np.ndarray:
+    """|n_a, n_b> with both qubits in |0>, truncated at n_a + n_b photons per mode."""
+    d = n_a + n_b + 1
+    amps = np.zeros((2, 2, d, d), dtype=complex)
+    amps[0, 0, n_a, n_b] = 1.0
+    return amps
 
 
-def beam_split(state: TwoModeState) -> TwoModeState:
-    """50/50 beam splitter on the two optical modes.
+def beam_split(amps: np.ndarray) -> np.ndarray:
+    """50/50 beam splitter on the two optical modes of a (2, 2, d, d) state.
 
     Number-basis substitution a+ -> (a+ + b+)/sqrt(2),
-    b+ -> (a+ - b+)/sqrt(2).  Requires every populated basis state to
-    hold at most ``cutoff`` photons in total so the output is exact.
+    b+ -> (a+ - b+)/sqrt(2).  The output is exact when no populated
+    basis state holds more than d - 1 photons in total.  Every state
+    built here meets that: it is truncated at its own photon number,
+    which the splitter conserves.
     """
-    if state._max_total_photons() > state.cutoff_n:
-        raise CutoffOverflowError(
-            "total photon number exceeds the per-mode cutoff; output would truncate"
-        )
-    out = _apply_pair(state.amplitudes, 2, 3, _BS)
-    return TwoModeState(cutoff_n=state.cutoff_n, amplitudes=out)
+    return _apply_pair(amps, 2, 3, _BS)
 
 
-def hadamard_qubits(state: TwoModeState) -> TwoModeState:
-    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-    amps = np.einsum("ax,by,xynm->abnm", h, h, state.amplitudes)
-    return TwoModeState(cutoff_n=state.cutoff_n, amplitudes=amps)
-
-
+_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 _PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 
 
-def pauli_y_bob(state: TwoModeState) -> TwoModeState:
-    amps = np.einsum("by,xynm->xbnm", _PAULI_Y, state.amplitudes)
-    return TwoModeState(cutoff_n=state.cutoff_n, amplitudes=amps)
+def hadamard_qubits(amps: np.ndarray) -> np.ndarray:
+    return np.einsum("ax,by,xynm->abnm", _HADAMARD, _HADAMARD, amps)
 
 
-def build_protocol_state(k: int, cutoff: int | None = None) -> TwoModeState:
+def pauli_y_bob(amps: np.ndarray) -> np.ndarray:
+    return np.einsum("by,xynm->xbnm", _PAULI_Y, amps)
+
+
+def build_protocol_state(k: int) -> np.ndarray:
     """Entangled qubit-mode state for a k-photon source round.
 
     A k-photon pulse is split on the balanced beam splitter, both
     qubits start in (|0>+i|1>)/sqrt(2), and each party applies its
-    controlled pi-phase gate to its arm.  The truncation defaults to k,
-    the most photons any mode can hold.
+    controlled pi-phase gate to its arm.  No mode can hold more than k
+    photons, so the state is truncated at k.
     """
-    if cutoff is None:
-        cutoff = k
-    if k > cutoff:
-        raise CutoffOverflowError(f"k={k} exceeds cutoff {cutoff}")
-    split = beam_split(TwoModeState.from_fock(k, 0, cutoff))
-    modes = split.amplitudes[0, 0]
-    d = cutoff + 1
-    amps = np.zeros((2, 2, d, d), dtype=complex)
+    modes = beam_split(fock_state(k, 0))[0, 0]
+    amps = np.zeros((2, 2, k + 1, k + 1), dtype=complex)
     qubit_coeff = {(0, 0): 0.5, (0, 1): 0.5j, (1, 0): 0.5j, (1, 1): -0.5}
-    ns = np.arange(d)
-    sign = np.where(ns % 2 == 0, 1.0, -1.0)
+    sign = np.where(np.arange(k + 1) % 2 == 0, 1.0, -1.0)
     for (qa, qb), coeff in qubit_coeff.items():
-        block = modes.copy()
+        block = modes
         if qa:
             block = block * sign[:, None]  # pi phase per photon in arm A
         if qb:
             block = block * sign[None, :]
         amps[qa, qb] = coeff * block
-    return TwoModeState(cutoff_n=cutoff, amplitudes=amps)
+    return amps
 
 
 @dataclass(frozen=True)
@@ -185,14 +151,18 @@ def _disagreement(rho: np.ndarray) -> float:
     return float(rho[1, 1].real + rho[2, 2].real)
 
 
-_H2 = np.kron(
-    np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0),
-    np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0),
-)
+_H2 = np.kron(_HADAMARD, _HADAMARD)
 _IY = np.kron(np.eye(2), _PAULI_Y)
 
 
-def _sector_identity_residual(state_a: TwoModeState, state_b: TwoModeState) -> float:
+def _click_masks(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """L, R and double-click sectors of a (d, d) detector photon-number grid."""
+    n_l = np.arange(d)[:, None]
+    n_r = np.arange(d)[None, :]
+    return (n_l >= 1) & (n_r == 0), (n_l == 0) & (n_r >= 1), (n_l >= 1) & (n_r >= 1)
+
+
+def _sector_identity_residual(amps_a: np.ndarray, amps_b: np.ndarray) -> float:
     """Phase-insensitive comparison within each interference sector.
 
     The symmetric and antisymmetric mode components feed different
@@ -200,12 +170,13 @@ def _sector_identity_residual(state_a: TwoModeState, state_b: TwoModeState) -> f
     announced-outcome measurement statistics.  Interfering both states
     separates the sectors into disjoint photon-number populations.
     """
-    d = state_a.cutoff_n + 1
-    ia = beam_split(state_a).amplitudes
-    ib = beam_split(state_b).amplitudes
+    d = amps_a.shape[-1]
+    ia = beam_split(amps_a)
+    ib = beam_split(amps_b)
     n_l = np.arange(d)[:, None]
     n_r = np.arange(d)[None, :]
     residual = 0.0
+    # unlike the click masks, each sector keeps the vacuum: the states must agree there too
     for mask in ((n_l >= 0) & (n_r == 0), (n_l == 0) & (n_r >= 0)):
         ua = ia[:, :, mask].ravel()
         ub = ib[:, :, mask].ravel()
@@ -227,24 +198,18 @@ def lemma1_check(k: int) -> Lemma1Result:
     then evaluates both error rates under the honest lossless
     interference measurement.  The returned relation residual is
     |e_x - e_z| for odd k and |e_x - (1 - e_z)| for even k.  Every
-    step conserves the photon number, so truncation k is exact.
+    step conserves the photon number, so the truncation at k is exact.
     """
     if k < 1:
         raise ValueError("k must be >= 1; the vacuum never produces a click")
     psi0 = build_protocol_state(k)
-    psi_hh = hadamard_qubits(psi0)
     target = psi0 if k % 2 == 1 else pauli_y_bob(psi0)
-    identity_residual = _sector_identity_residual(psi_hh, target)
+    identity_residual = _sector_identity_residual(hadamard_qubits(psi0), target)
 
     interfered = beam_split(psi0)
-    d = k + 1
-    n_l = np.arange(d)[:, None]
-    n_r = np.arange(d)[None, :]
-    mask_l = (n_l >= 1) & (n_r == 0)
-    mask_r = (n_l == 0) & (n_r >= 1)
-
-    rho = _qubit_density_in_sector(interfered.amplitudes, mask_l)
-    rho_r = _qubit_density_in_sector(interfered.amplitudes, mask_r)
+    mask_l, mask_r, _ = _click_masks(k + 1)
+    rho = _qubit_density_in_sector(interfered, mask_l)
+    rho_r = _qubit_density_in_sector(interfered, mask_r)
     rho = rho + _IY @ rho_r @ _IY.conj().T  # Bob flips on an R announcement
     p_click = float(np.trace(rho).real)
     if p_click <= 0.0:
@@ -263,7 +228,7 @@ def lemma1_check(k: int) -> Lemma1Result:
 
 
 # ---------------------------------------------------------------------------
-# click-probability oracle: loss stage + interference, exact in cutoff
+# click-probability oracle: loss stage + interference
 # ---------------------------------------------------------------------------
 
 
@@ -276,10 +241,8 @@ def k_photon_interference_probs(k: int, eta: float, phi_delta: float) -> ClickPr
     detector modes.  Serves as the independent oracle for the
     closed-form detection model.
     """
-    if k < 0:
-        raise ValueError("photon number must be nonnegative")
-    if not (0.0 <= eta <= 1.0):
-        raise ValueError("eta must be in [0, 1]")
+    _check_photon_number(k)
+    _check_prob("eta", eta)
     d = k + 1
     psi = np.zeros((d, d, d, d), dtype=complex)  # modes: a, b, env_a, env_b
     norm = math.sqrt(2.0**k * math.factorial(k))
@@ -296,10 +259,4 @@ def k_photon_interference_probs(k: int, eta: float, phi_delta: float) -> ClickPr
     psi = _apply_pair(psi, 1, 3, loss)
     psi = _apply_pair(psi, 0, 1, _BS)
     probs = np.sum(np.abs(psi) ** 2, axis=(2, 3))  # marginal over environments
-    n_l = np.arange(d)[:, None]
-    n_r = np.arange(d)[None, :]
-    p_none = float(probs[0, 0])
-    p_left = float(probs[(n_l >= 1) & (n_r == 0)].sum())
-    p_right = float(probs[(n_l == 0) & (n_r >= 1)].sum())
-    p_double = float(probs[(n_l >= 1) & (n_r >= 1)].sum())
-    return ClickProbs(p_none, p_left, p_right, p_double)
+    return ClickProbs(float(probs[0, 0]), *(float(probs[m].sum()) for m in _click_masks(d)))

@@ -64,8 +64,10 @@ class Phi0Model:
             raise ValueError("phi0 kind must be 'fixed' or 'slow_drift'")
         if self.kind == "fixed" and self.rate_rad_per_round != 0.0:
             raise ValueError("fixed phi0 cannot have a drift rate")
-        if not (math.isfinite(self.value_rad) and math.isfinite(self.rate_rad_per_round)):
-            raise ValueError("phi0 value_rad and rate_rad_per_round must be finite")
+        for name in ("value_rad", "rate_rad_per_round"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"phi0 {name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -81,21 +83,24 @@ class SimConfig:
 
     def __post_init__(self):
         if self.rounds < 1:
-            raise ValueError("rounds must be >= 1")
+            raise ValueError(f"rounds must be >= 1, got {self.rounds!r}")
         if not (0 <= self.seed < 2**63):
-            raise ValueError("seed must be a nonnegative 63-bit integer")
+            raise ValueError(f"seed must be a nonnegative 63-bit integer, got {self.seed!r}")
         if not (2 <= self.m_slices <= MAX_M_SLICES) or self.m_slices % 2 != 0:
-            raise ValueError(f"m_slices must be an even integer in [2, {MAX_M_SLICES}]")
+            raise ValueError(
+                f"m_slices must be an even integer in [2, {MAX_M_SLICES}], got {self.m_slices!r}"
+            )
         if len(self.intensities) == 0:
             raise ValueError("intensities must be nonempty")
         if len(set(self.intensities)) != len(self.intensities):
             raise ValueError("intensities must be distinct")
-        if not all(0.0 <= mu <= MAX_INTENSITY for mu in self.intensities):
-            raise ValueError(f"intensities must be in [0, {MAX_INTENSITY:g}]")
+        for i, mu in enumerate(self.intensities):
+            if not (0.0 <= mu <= MAX_INTENSITY):
+                raise ValueError(f"intensities[{i}] must be in [0, {MAX_INTENSITY:g}], got {mu!r}")
         if not (0.0 < self.sample_fraction < 1.0):
-            raise ValueError("sample_fraction must be in (0, 1)")
+            raise ValueError(f"sample_fraction must be in (0, 1), got {self.sample_fraction!r}")
         if self.jd_block_rounds is not None and self.jd_block_rounds < 1:
-            raise ValueError("jd_block_rounds must be positive")
+            raise ValueError(f"jd_block_rounds must be positive, got {self.jd_block_rounds!r}")
 
     # -- JSON round trip ----------------------------------------------------
 

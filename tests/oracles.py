@@ -15,11 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from pmqkd.detection import ClickProbs, _check_prob
-from pmqkd.focklab import CutoffOverflowError
 
 TWO_PI = 2.0 * math.pi
 # the truncation of the coherent-state oracles, raised for large intensities
 DEFAULT_CUTOFF = 16
+
+
+class CutoffOverflowError(ValueError):
+    """A coherent state's Poisson tail beyond the chosen truncation is too large."""
 
 
 # ---------------------------------------------------------------------------

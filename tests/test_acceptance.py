@@ -58,6 +58,26 @@ def test_criterion_3_maximum_distance(fig3b_sweep):
     report(3, ok, f"largest distance with rate > 1e-12 is {max_dist} km (band [395, 440])")
 
 
+def _log_log_slope(rows, column, lo_km, hi_km):
+    # least-squares slope of log(rate) against log(eta_total) over [lo_km, hi_km]
+    sel = [r for r in rows if lo_km <= r["distance_km"] <= hi_km]
+    x = np.log([r["eta_total"] for r in sel])
+    y = np.log([r[column] for r in sel])
+    return float(np.polyfit(x, y, 1)[0])
+
+
+def test_headline_claims_square_root_scaling_and_linear_bound(fig3b_sweep):
+    # the abstract: the rate scales as sqrt(eta) and beats the linear bound eta
+    rows = fig3b_sweep.rows
+    assert 0.49 <= _log_log_slope(rows, "R_pm", 50, 200) <= 0.52
+    for column in ("R_bb84", "R_mdi"):
+        assert 0.98 <= _log_log_slope(rows, column, 50, 200) <= 1.05
+    far = [r for r in rows if 250 <= r["distance_km"] <= 400]
+    assert len(far) == 151
+    assert all(r["R_pm"] > r["eta_total"] for r in far)
+    assert far[0]["distance_km"] == 250 and far[0]["R_pm"] / far[0]["eta_total"] >= 2.0
+
+
 def test_criterion_4_reference_parity():
     rng = np.random.default_rng(20240817)
     worst = 0.0

@@ -307,6 +307,45 @@ def test_sweep_eta_checks_fiber_flags(capsys, flag, named):
     assert err.startswith(f"error: {named} ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "flags, value, eta_d",
+    [(["--preset", "fig3b", "--start", "0.1", "--stop", "0.2"], 0.2, 0.145),
+     (["--eta-d", "0", "--start", "0", "--stop", "0.1"], 0.1, 0.0)],
+    ids=["fig3b", "zero_eta_d"],
+)
+def test_sweep_eta_above_eta_d_is_rejected(capsys, flags, value, eta_d):
+    # eta_arm includes the detector efficiency, so a larger one is no channel at all
+    code, out, err = run_cli(
+        ["sweep", "--variable", "eta", *flags, "--step", "0.1", "--mu", "0.3"], capsys
+    )
+    assert code == 1
+    assert out == ""
+    assert err == f"error: sweep eta_arm {value!r} exceeds eta_d {eta_d!r}\n"
+
+
+@pytest.mark.parametrize(
+    "flags, csv",
+    [
+        (["--preset", "fig3b", "--start", "0.05", "--stop", "0.1", "--step", "0.05"],
+         ",0.050000000000000003,0.017241379310344831,0.29999999999999999,0.00035573151245445206,"
+         "0.0013670382263567241,7.4464799597813265e-06,0.02509098096283045,0.049753035197099449\n"
+         ",0.10000000000000001,0.068965517241379323,0.29999999999999999,0.00073520903821899135,"
+         "0.0054792880339827885,2.9874333821399843e-05,0.1030934929641036,0.19930880822340666\n"),
+        (["--eta-d", "0.5", "--start", "0.25", "--stop", "0.5", "--step", "0.25"],
+         ",0.25,0.125,0.29999999999999999,0.0020248097117486221,0.0099516997055450994,"
+         "0.00018823663664066032,0.19264507794239591,0.36257007938470825\n"
+         ",0.5,0.5,0.29999999999999999,0.0047403752003770446,0.040319155310317954,"
+         "0.00076232785810715232,1,1.5849625007211563\n"),
+    ],
+    ids=["fig3b", "up_to_eta_d"],
+)
+def test_sweep_eta_valid_grid_is_unchanged(capsys, flags, csv):
+    # eta_total = eta_arm**2 / eta_d, and the eta_d check leaves a valid grid's bytes as they were
+    code, out, _ = run_cli(["sweep", "--variable", "eta", *flags, "--mu", "0.3"], capsys)
+    assert code == 0
+    assert out == ",".join(cli.SWEEP_COLUMNS) + "\n" + csv
+
+
 def test_import_loads_no_process_pool_or_optimizer():
     # sweeps run in the calling process, and SciPy's optimizer is imported only where used
     heavy = ("multiprocessing", "concurrent.futures.process", "scipy.optimize")
@@ -510,8 +549,8 @@ def test_unread_flag_is_rejected(capsys, argv, flag):
 def test_sweep_preset_goes_with_every_variable(capsys):
     # only given flags are checked, so a preset's alpha still goes with an eta sweep
     code, out, _ = run_cli(
-        ["sweep", "--preset", "fig3b", "--variable", "eta", "--start", "0.1", "--stop", "0.2",
-         "--step", "0.1", "--mu", "0.5", "--protocols", "pm"],
+        ["sweep", "--preset", "fig3b", "--variable", "eta", "--start", "0.05", "--stop", "0.1",
+         "--step", "0.05", "--mu", "0.5", "--protocols", "pm"],
         capsys,
     )
     assert code == 0

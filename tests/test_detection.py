@@ -13,7 +13,10 @@ from pmqkd.detection import (
     k_photon_clicks,
     single_photon_clicks,
 )
+from pmqkd.attacks import bs_attack
+from pmqkd.baselines import mdi_rate, plob_bound, tgw_bound
 from pmqkd.focklab import k_photon_interference_probs
+from pmqkd.simcore import Phi0Model, SimConfig
 
 from oracles import coherent_clicks, phase_diff_pdf, with_dark_counts
 
@@ -348,6 +351,44 @@ def test_distance_mapping_names_bad_input():
             ChannelParams.from_distance(distance, eta_d=0.145, p_d=0.0)
         with pytest.raises(ValueError, match="^distance_km "):
             fiber_transmittance(distance, 0.145, 0.2)
+
+
+def _sim_config(**overrides):
+    fields = dict(rounds=1000, seed=7, m_slices=16, intensities=(0.5,),
+                  channel=ChannelParams(eta_arm=0.1, p_d=0.0))
+    return SimConfig(**dict(fields, **overrides))
+
+
+@pytest.mark.parametrize(
+    "call, key, value",
+    [
+        (lambda: _sim_config(intensities=(0.5, 600.0)), "intensities[1]", 600.0),
+        (lambda: _sim_config(intensities=(math.nan,)), "intensities[0]", math.nan),
+        (lambda: _sim_config(rounds=0), "rounds", 0),
+        (lambda: _sim_config(seed=-1), "seed", -1),
+        (lambda: _sim_config(m_slices=9), "m_slices", 9),
+        (lambda: _sim_config(sample_fraction=1.0), "sample_fraction", 1.0),
+        (lambda: _sim_config(jd_block_rounds=0), "jd_block_rounds", 0),
+        (lambda: Phi0Model("fixed", math.nan), "value_rad", math.nan),
+        (lambda: Phi0Model("slow_drift", 0.0, math.inf), "rate_rad_per_round", math.inf),
+        (lambda: mdi_rate(0.1, 0.1, 1.5, 0.1, 0.0, 0.0, 1.15), "eta_a", 1.5),
+        (lambda: mdi_rate(0.1, 0.1, 0.1, math.nan, 0.0, 0.0, 1.15), "eta_b", math.nan),
+        (lambda: bs_attack(0.5, -0.2), "eta", -0.2),
+        (lambda: tgw_bound(1.0), "eta", 1.0),
+        (lambda: plob_bound(math.nan), "eta", math.nan),
+        (lambda: k_photon_interference_probs(-1, 0.5, 0.0), "photon number", -1),
+        (lambda: k_photon_interference_probs(2, 1.5, 0.0), "eta", 1.5),
+    ],
+    ids=["intensity", "nan_intensity", "rounds", "seed", "m_slices", "sample_fraction",
+         "jd_block_rounds", "phi0_value", "phi0_rate", "mdi_eta_a", "mdi_eta_b", "attack_eta",
+         "tgw_eta", "plob_eta", "oracle_k", "oracle_eta"],
+)
+def test_range_error_names_key_and_value(call, key, value):
+    with pytest.raises(ValueError) as exc:
+        call()
+    message = str(exc.value)
+    assert message.startswith(key) or f" {key} " in message
+    assert message.endswith(f"got {value!r}")
 
 
 def test_distance_mappings():

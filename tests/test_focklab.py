@@ -6,30 +6,29 @@ import pytest
 
 from pmqkd.detection import k_photon_clicks, single_photon_clicks
 from pmqkd.focklab import (
-    CutoffOverflowError,
-    TwoModeState,
     beam_split,
     build_protocol_state,
+    fock_state,
     hadamard_qubits,
     k_photon_interference_probs,
     lemma1_check,
 )
 
-from oracles import coherent_parity_decompose, coherent_vector, phase_average_dephase
+from oracles import (
+    CutoffOverflowError,
+    coherent_parity_decompose,
+    coherent_vector,
+    phase_average_dephase,
+)
 
 PI = math.pi
-
-
-def mode_vector(state: TwoModeState, qubits=(0, 0)):
-    return state.amplitudes[qubits[0], qubits[1]]
 
 
 # --- beam splitter ------------------------------------------------------------
 
 
 def test_beam_split_single_photon():
-    out = beam_split(TwoModeState.from_fock(1, 0, cutoff=4))
-    modes = mode_vector(out)
+    modes = beam_split(fock_state(1, 0))[0, 0]
     s = 1 / math.sqrt(2)
     assert modes[1, 0] == pytest.approx(s, rel=1e-12)
     assert modes[0, 1] == pytest.approx(s, rel=1e-12)
@@ -37,8 +36,7 @@ def test_beam_split_single_photon():
 
 
 def test_beam_split_hong_ou_mandel():
-    out = beam_split(TwoModeState.from_fock(1, 1, cutoff=4))
-    modes = mode_vector(out)
+    modes = beam_split(fock_state(1, 1))[0, 0]
     s = 1 / math.sqrt(2)
     assert abs(modes[1, 1]) < 1e-14
     assert modes[2, 0] == pytest.approx(s, rel=1e-12)
@@ -46,8 +44,7 @@ def test_beam_split_hong_ou_mandel():
 
 
 def test_beam_split_two_photons_one_arm():
-    out = beam_split(TwoModeState.from_fock(2, 0, cutoff=4))
-    modes = mode_vector(out)
+    modes = beam_split(fock_state(2, 0))[0, 0]
     assert modes[2, 0] == pytest.approx(0.5, rel=1e-12)
     assert modes[1, 1] == pytest.approx(1 / math.sqrt(2), rel=1e-12)
     assert modes[0, 2] == pytest.approx(0.5, rel=1e-12)
@@ -55,38 +52,37 @@ def test_beam_split_two_photons_one_arm():
 
 def test_beam_split_unitary_on_random_states():
     rng = np.random.default_rng(8)
-    cutoff = 8
-    d = cutoff + 1
+    d = 9
     tot = np.add.outer(np.arange(d), np.arange(d))
     for _ in range(20):
         amps = rng.normal(size=(2, 2, d, d)) + 1j * rng.normal(size=(2, 2, d, d))
-        amps[:, :, tot > cutoff] = 0.0  # keep the transform exact
+        amps[:, :, tot >= d] = 0.0  # keep the transform exact
         amps /= np.linalg.norm(amps)
-        state = TwoModeState(cutoff_n=cutoff, amplitudes=amps)
-        out = beam_split(state)
-        assert np.linalg.norm(out.amplitudes) == pytest.approx(1.0, abs=1e-12)
+        out = beam_split(amps)
+        assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
         # applying the splitter twice returns the input (self-inverse map)
-        again = beam_split(out)
-        assert np.max(np.abs(again.amplitudes - amps)) < 1e-12
+        assert np.max(np.abs(beam_split(out) - amps)) < 1e-12
 
 
 def test_beam_split_does_not_depend_on_the_cutoff():
-    # each photon number mixes on its own, so padding the truncation changes no bit
+    # each photon number mixes on its own, so padding the array changes no bit
     rng = np.random.default_rng(8)
     d = 9
     amps = rng.normal(size=(2, 2, d, d)) + 1j * rng.normal(size=(2, 2, d, d))
     amps[:, :, np.add.outer(np.arange(d), np.arange(d)) > 8] = 0.0
     padded = np.zeros((2, 2, 13, 13), dtype=complex)
     padded[:, :, :d, :d] = amps
-    out = beam_split(TwoModeState(cutoff_n=8, amplitudes=amps)).amplitudes
-    out_padded = beam_split(TwoModeState(cutoff_n=12, amplitudes=padded)).amplitudes
+    out = beam_split(amps)
+    out_padded = beam_split(padded)
     assert np.array_equal(out_padded[:, :, :d, :d], out)
     assert not out_padded[:, :, d:, :].any() and not out_padded[:, :, :, d:].any()
 
 
 def test_beam_split_memory_grows_with_the_state_not_its_square():
-    # a dense two-mode matrix at cutoff 40 would take 41**4 * 16 B = 45 MB
-    state = TwoModeState.from_fock(20, 0, cutoff=40)
+    # a dense two-mode matrix on a 41x41 array would take 41**4 * 16 B = 45 MB;
+    # fock_state(20, 0) alone is only 21x21, so pad it
+    state = np.zeros((2, 2, 41, 41), dtype=complex)
+    state[0, 0, 20, 0] = 1.0
     tracemalloc.start()
     try:
         out = beam_split(state)
@@ -95,13 +91,7 @@ def test_beam_split_memory_grows_with_the_state_not_its_square():
         tracemalloc.stop()
     assert peak < 5e6
     assert held < 1e6
-    assert np.linalg.norm(out.amplitudes) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_beam_split_cutoff_overflow_raises():
-    state = TwoModeState.from_fock(3, 3, cutoff=4)
-    with pytest.raises(CutoffOverflowError):
-        beam_split(state)
+    assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
 
 
 # --- protocol states ------------------------------------------------------------
@@ -134,16 +124,14 @@ def _expected_protocol_state(k: int, cutoff: int) -> np.ndarray:
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_protocol_state_coefficients(k):
-    state = build_protocol_state(k, cutoff=8)
-    expected = _expected_protocol_state(k, 8)
-    assert np.max(np.abs(state.amplitudes - expected)) < 1e-12
-    # the default truncation is k itself
-    assert np.array_equal(build_protocol_state(k).amplitudes, state.amplitudes[:, :, : k + 1, : k + 1])
+    state = build_protocol_state(k)
+    assert state.shape == (2, 2, k + 1, k + 1)
+    assert np.max(np.abs(state - _expected_protocol_state(k, k))) < 1e-12
 
 
 def test_protocol_state_vacuum_qubit_rank():
-    state = build_protocol_state(0, cutoff=4)
-    rho = np.einsum("abnm,cdnm->abcd", state.amplitudes, state.amplitudes.conj())
+    state = build_protocol_state(0)
+    rho = np.einsum("abnm,cdnm->abcd", state, state.conj())
     rho4 = rho.reshape(4, 4)
     eigs = np.linalg.eigvalsh(rho4)
     assert (eigs > 1e-12).sum() == 1  # vacuum leaves the qubits pure
@@ -151,14 +139,7 @@ def test_protocol_state_vacuum_qubit_rank():
 
 def test_protocol_state_normalized():
     for k in range(9):
-        assert np.linalg.norm(build_protocol_state(k, cutoff=10).amplitudes) == pytest.approx(
-            1.0, abs=1e-12
-        )
-
-
-def test_protocol_state_cutoff_guard():
-    with pytest.raises(CutoffOverflowError):
-        build_protocol_state(9, cutoff=8)
+        assert np.linalg.norm(build_protocol_state(k)) == pytest.approx(1.0, abs=1e-12)
 
 
 # --- parity relations -------------------------------------------------------------
@@ -181,9 +162,9 @@ def test_lemma1_rejects_vacuum():
 
 
 def test_hadamard_is_involution():
-    state = build_protocol_state(3, cutoff=6)
+    state = build_protocol_state(3)
     twice = hadamard_qubits(hadamard_qubits(state))
-    assert np.max(np.abs(twice.amplitudes - state.amplitudes)) < 1e-12
+    assert np.max(np.abs(twice - state)) < 1e-12
 
 
 # --- coherent state helpers ----------------------------------------------------------

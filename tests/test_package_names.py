@@ -1,0 +1,30 @@
+"""Every module-level function and class in the package has a caller.
+
+The check reads the syntax trees of ``src/pmqkd/*.py``: a name counts as
+used when a ``Name``, an ``Attribute`` or an import alias in the package
+refers to it, or when ``pmqkd.__all__`` exports it.  Comments and
+docstrings do not count.
+"""
+import ast
+from pathlib import Path
+
+import pmqkd
+
+
+def test_every_module_level_definition_has_a_caller():
+    package = Path(pmqkd.__file__).resolve().parent
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py"))}
+    used = set(pmqkd.__all__)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    unused = [f"{module}:{node.name}" for module, tree in trees.items()
+              for node in tree.body if isinstance(node, defs) and node.name not in used]
+    assert unused == []
