@@ -13,7 +13,7 @@ from .detection import (
     single_photon_clicks,
 )
 from .rate import PmParams, RateBreakdown, key_rate, misalignment_e_delta, optimize_mu
-from .baselines import MdiBreakdown, bb84_rate, mdi_rate, plob_bound, tgw_bound
+from .baselines import bb84_rate, mdi_rate, plob_bound, tgw_bound
 from .attacks import (
     AttackPoint,
     ViolationReport,
@@ -50,7 +50,6 @@ __all__ = [
     "key_rate",
     "misalignment_e_delta",
     "optimize_mu",
-    "MdiBreakdown",
     "bb84_rate",
     "mdi_rate",
     "plob_bound",

@@ -12,22 +12,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .detection import MAX_INTENSITY, _check_prob, binary_entropy
+from .detection import _check_intensity, _check_prob, binary_entropy
 from .rate import _fraction, _phase_error
-
-NORMALIZATIONS = ("per_click", "literal")
 
 
 @dataclass(frozen=True)
 class AttackPoint:
-    """All rates at one (mu, eta) point, per sifted click."""
+    """All rates at one (mu, eta) point, per sifted click except ``r_gllp_literal``."""
 
     eta: float
     mu: float
     p_suc: float
     p_bs: float
     r_bs: float
-    r_gllp: float  # per-click normalization
+    r_gllp: float
+    r_gllp_literal: float  # eta*mu*exp(-mu): r_gllp without the gain denominator
     r_pm: float
 
 
@@ -46,8 +45,7 @@ class ViolationReport:
 
 
 def _check_point(mu_total: float, eta: float) -> None:
-    if not (0.0 <= mu_total <= MAX_INTENSITY):
-        raise ValueError(f"mu_total must be in [0, {MAX_INTENSITY:g}], got {mu_total!r}")
+    _check_intensity("mu_total", mu_total)
     _check_prob("eta", eta)
 
 
@@ -79,26 +77,20 @@ def bs_attack(mu_total: float, eta: float) -> AttackPoint:
         p_bs=p_bs,
         r_bs=r_bs,
         r_gllp=gllp_rate_under_bs(mu_total, eta),
+        r_gllp_literal=eta * mu_total * math.exp(-mu_total),
         r_pm=pm_rate_under_bs(mu_total, eta),
     )
 
 
-def gllp_rate_under_bs(
-    mu_total: float, eta: float, normalization: str = "per_click"
-) -> float:
+def gllp_rate_under_bs(mu_total: float, eta: float) -> float:
     """Tagging-style rate under the attack: the single-photon fraction.
 
-    The attack is error-free, so the formula reduces to q_1.  In
-    ``per_click`` normalization q_1 = eta*mu*exp(-mu)/(1-exp(-eta*mu))
-    (fraction of clicked rounds); ``literal`` drops the gain
-    denominator and returns eta*mu*exp(-mu).
+    The attack is error-free, so the formula reduces to
+    q_1 = eta*mu*exp(-mu)/(1-exp(-eta*mu)), the fraction of clicked
+    rounds.
     """
     _check_point(mu_total, eta)
-    if normalization not in NORMALIZATIONS:
-        raise ValueError(f"normalization must be one of {NORMALIZATIONS}")
     bare = eta * mu_total * math.exp(-mu_total)
-    if normalization == "literal":
-        return bare
     q_mu = -math.expm1(-eta * mu_total)
     if q_mu <= 0.0:
         # eta*mu -> 0 limit: every click is single-photon

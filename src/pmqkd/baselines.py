@@ -11,27 +11,13 @@ returns from the scalar functions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import MAX_INTENSITY, ChannelParams, _check_f_ec, _check_prob, binary_entropy
+from .detection import (
+    MAX_INTENSITY, ChannelParams, _check_f_ec, _check_intensity, _check_prob, binary_entropy,
+)
 from .rate import _gain, _yield
-
-
-@dataclass(frozen=True)
-class MdiBreakdown:
-    """Intermediates of one MDI-QKD rate evaluation."""
-
-    Y_11: float
-    e_11: float
-    Q_rect: float
-    E_rect: float
-    Q_rect_C: float
-    Q_rect_E: float
-    mu_prime: float
-    x_param: float
-    rate_R: float
 
 
 def _bb84_single_photon(eta: float, pd: float, e_d: float) -> tuple[float, float]:
@@ -44,11 +30,7 @@ def _bb84_single_photon(eta: float, pd: float, e_d: float) -> tuple[float, float
 
 
 def _check_bb84(mu, e_d, f_ec) -> None:
-    if not (0.0 <= mu <= MAX_INTENSITY):
-        raise ValueError(
-            f"intensity mu must be finite and nonnegative (at most {MAX_INTENSITY:g}),"
-            f" got {mu!r}"
-        )
+    _check_intensity("mu", mu)
     _check_prob("e_d", e_d)
     _check_f_ec(f_ec)
 
@@ -75,7 +57,7 @@ def bb84_rate(mu: float, e_d: float, f_ec: float, channel: ChannelParams) -> flo
     q1 = math.exp(-mu) * mu * y1 / q_mu
     e_mu = min(e_mu, 0.5)
     rate = 0.5 * q_mu * (-f_ec * binary_entropy(e_mu) + q1 * (1.0 - binary_entropy(e1)))
-    return max(rate, 0.0)
+    return max(rate, 0.0) + 0.0  # + 0.0 turns a -0.0 into 0.0
 
 
 def _entropy_grid(x: np.ndarray) -> np.ndarray:
@@ -144,14 +126,12 @@ def _first_rejected(mu: np.ndarray) -> float:
     return float(bad[0] if bad.size else mu.min(initial=0.0))
 
 
-def _check_mdi(mu_a, mu_b, eta_a, eta_b, e_d, f_ec) -> None:
-    if not (0.0 <= mu_a <= MAX_INTENSITY and 0.0 <= mu_b <= MAX_INTENSITY):
-        raise ValueError(
-            f"intensities must be finite and nonnegative (at most {MAX_INTENSITY:g}),"
-            f" got mu_a={mu_a!r}, mu_b={mu_b!r}"
-        )
+def _check_mdi(mu_a, mu_b, eta_a, eta_b, p_d, e_d, f_ec) -> None:
+    _check_intensity("mu_a", mu_a)
+    _check_intensity("mu_b", mu_b)
     _check_prob("eta_a", eta_a)
     _check_prob("eta_b", eta_b)
+    _check_prob("p_d", p_d)
     _check_prob("e_d", e_d)
     _check_f_ec(f_ec)
 
@@ -164,14 +144,13 @@ def mdi_rate(
     p_d: float,
     e_d: float,
     f_ec: float,
-) -> MdiBreakdown:
+) -> float:
     """MDI-QKD rate in the rectilinear-basis threshold-detector model.
 
     R = (1/2) * { Q_11*[1 - H(e_11)] - f*Q_rect*H(E_rect) } with
     Q_11 = mu_a*mu_b*exp(-mu_a-mu_b)*Y_11, floored at 0.
     """
-    _check_mdi(mu_a, mu_b, eta_a, eta_b, e_d, f_ec)
-    e0 = 0.5
+    _check_mdi(mu_a, mu_b, eta_a, eta_b, p_d, e_d, f_ec)
     y11, e11 = _mdi_single_photon(eta_a, eta_b, p_d, e_d)
     mu_prime = eta_a * mu_a + eta_b * mu_b
     x = 0.5 * math.sqrt(eta_a * mu_a * eta_b * mu_b)
@@ -189,22 +168,12 @@ def mdi_rate(
         e_rect = (e_d * q_c + (1.0 - e_d) * q_e) / q_rect
         e_rect = min(max(e_rect, 0.0), 0.5)
     else:
-        e_rect = e0
+        e_rect = 0.5
     q11 = mu_a * mu_b * math.exp(-mu_a - mu_b) * y11
     rate = 0.5 * (
         q11 * (1.0 - binary_entropy(e11)) - f_ec * q_rect * binary_entropy(e_rect)
     )
-    return MdiBreakdown(
-        Y_11=y11,
-        e_11=e11,
-        Q_rect=q_rect,
-        E_rect=e_rect,
-        Q_rect_C=q_c,
-        Q_rect_E=q_e,
-        mu_prime=mu_prime,
-        x_param=x,
-        rate_R=max(rate, 0.0),
-    )
+    return max(rate, 0.0) + 0.0  # + 0.0 turns a -0.0 into 0.0
 
 
 def mdi_rate_grid(
@@ -216,14 +185,14 @@ def mdi_rate_grid(
     e_d: float,
     f_ec: float,
 ) -> np.ndarray:
-    """``mdi_rate(...).rate_R`` over arrays of intensities, not floored at 0.
+    """:func:`mdi_rate` over arrays of intensities, not floored at 0.
 
     Y_11 and e_11 come from the scalar path; the rest agrees with it up
     to the ulp differences between NumPy's and ``math``'s functions.
     """
     mu_a = np.asarray(mu_a, dtype=float)
     mu_b = np.asarray(mu_b, dtype=float)
-    _check_mdi(_first_rejected(mu_a), _first_rejected(mu_b), eta_a, eta_b, e_d, f_ec)
+    _check_mdi(_first_rejected(mu_a), _first_rejected(mu_b), eta_a, eta_b, p_d, e_d, f_ec)
     y11, e11 = _mdi_single_photon(eta_a, eta_b, p_d, e_d)
     mu_prime = eta_a * mu_a + eta_b * mu_b
     x = 0.5 * np.sqrt(eta_a * mu_a * eta_b * mu_b)
@@ -248,7 +217,7 @@ def tgw_bound(eta: float) -> float:
     """Takeoka-Guha-Wilde bound -log2((1-eta)/(1+eta))."""
     if not (0.0 <= eta < 1.0):
         raise ValueError(f"eta must be in [0, 1), got {eta!r}")
-    return -math.log2((1.0 - eta) / (1.0 + eta))
+    return -math.log2((1.0 - eta) / (1.0 + eta)) + 0.0  # 0.0, not -0.0, at eta = 0
 
 
 def plob_bound(eta: float) -> float:

@@ -250,9 +250,7 @@ def _sweep_point(
 
     if "mdi" in protocols:
         row["R_mdi"] = best_rate(
-            lambda m: baselines.mdi_rate(
-                m / 2.0, m / 2.0, eta_arm, eta_arm, p_d, e_d, f_ec
-            ).rate_R,
+            lambda m: baselines.mdi_rate(m / 2.0, m / 2.0, eta_arm, eta_arm, p_d, e_d, f_ec),
             lambda mus: baselines.mdi_rate_grid(
                 mus / 2.0, mus / 2.0, eta_arm, eta_arm, p_d, e_d, f_ec
             ),
@@ -356,8 +354,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_attack(args) -> int:
-    """CSV of :func:`attacks.find_gllp_violation`'s points (plus the ``literal`` GLLP
-    column) and its violation summary; only the swept axis takes a range flag."""
+    """CSV of :func:`attacks.find_gllp_violation`'s points and its violation
+    summary; only the swept axis takes a range flag."""
     if (args.fix_mu is None) == (args.fix_eta is None):
         raise ValueError("give exactly one of --fix-mu or --fix-eta")
     if args.steps > MAX_ATTACK_STEPS:
@@ -384,8 +382,9 @@ def cmd_attack(args) -> int:
     lines = [f"{sweep_name},r_gllp_per_click,r_gllp_literal,r_bs,r_pm"]
     for p in report.points:
         x = p.eta if sweep_name == "eta" else p.mu
-        literal = attacks.gllp_rate_under_bs(p.mu, p.eta, "literal")
-        lines.append(f"{_fmt(x)},{_fmt(p.r_gllp)},{_fmt(literal)},{_fmt(p.r_bs)},{_fmt(p.r_pm)}")
+        lines.append(
+            f"{_fmt(x)},{_fmt(p.r_gllp)},{_fmt(p.r_gllp_literal)},{_fmt(p.r_bs)},{_fmt(p.r_pm)}"
+        )
     summary = "none"
     if report.has_violation:
         spans = ";".join(f"{_fmt(a)}..{_fmt(b)}" for a, b in report.violation_intervals)

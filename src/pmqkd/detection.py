@@ -27,6 +27,11 @@ def _check_photon_number(k: int) -> None:
 MAX_INTENSITY = 500.0
 
 
+def _check_intensity(name: str, mu: float) -> None:
+    if not (0.0 <= mu <= MAX_INTENSITY):  # NaN fails the comparison
+        raise ValueError(f"{name} must be in [0, {MAX_INTENSITY:g}], got {mu!r}")
+
+
 def _check_f_ec(f_ec: float) -> None:
     if not (1.0 <= f_ec < math.inf):
         raise ValueError(f"f_ec must be finite and >= 1, got {f_ec!r}")

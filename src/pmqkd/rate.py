@@ -14,12 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import MAX_INTENSITY, ChannelParams, _check_f_ec, binary_entropy
+from .detection import ChannelParams, _check_f_ec, _check_intensity, binary_entropy
 
 
 # The odd photon orders kept in the phase-error bound: q_1, q_3 and q_5, as
 # in the paper's rate and its reference routine.
 ODD_ORDERS = (1, 3, 5)
+
+# The largest slice count M: every integer up to 2**53 is exact as a float,
+# and (M/pi)**2 in the misalignment error overflows above ~4e153.
+MAX_EXACT_M = 2**53
 
 
 @dataclass(frozen=True)
@@ -34,13 +38,13 @@ class PmParams:
     f_ec: float = 1.15
 
     def __post_init__(self):
-        if not (0.0 < self.mu_total <= MAX_INTENSITY):
+        _check_intensity("mu_total", self.mu_total)
+        if self.mu_total == 0.0:
+            raise ValueError(f"mu_total must be positive, got {self.mu_total!r}")
+        if not (2 <= self.m_slices <= MAX_EXACT_M) or self.m_slices % 2 != 0:
             raise ValueError(
-                f"intensity mu_total must be finite and positive (at most {MAX_INTENSITY:g}),"
-                f" got {self.mu_total!r}"
+                f"m_slices must be an even integer in [2, {MAX_EXACT_M}], got {self.m_slices!r}"
             )
-        if self.m_slices < 2 or self.m_slices % 2 != 0:
-            raise ValueError("m_slices must be an even integer >= 2")
         _check_f_ec(self.f_ec)
 
 
@@ -93,8 +97,8 @@ def _gain(p_d: float, x: float) -> float:
 @functools.lru_cache
 def misalignment_e_delta(m_slices) -> float:
     """Slice-misalignment error rate pi/M - (M/pi)^2 * sin^3(pi/M)."""
-    if not (2 <= m_slices < math.inf):
-        raise ValueError("m_slices must be >= 2")
+    if not (2 <= m_slices <= MAX_EXACT_M):
+        raise ValueError(f"m_slices must be >= 2 and at most {MAX_EXACT_M}, got {m_slices!r}")
     x = math.pi / m_slices
     return x - (m_slices / math.pi) ** 2 * math.sin(x) ** 3
 
@@ -146,7 +150,7 @@ def _phase_error(q0: float, odd_qs, odd_es, q_odd: float, tail: str) -> float:
 
 def _rate(m, q: float, f_ec: float, ez: float, ex: float) -> float:
     bracket = -f_ec * binary_entropy(ez) + 1.0 - binary_entropy(ex)
-    return max((2.0 / m) * q * bracket, 0.0)
+    return max((2.0 / m) * q * bracket, 0.0) + 0.0  # + 0.0 turns a -0.0 into 0.0
 
 
 def key_rate(ch: ChannelParams, pm: PmParams, *, tail: str = "truncated") -> RateBreakdown:

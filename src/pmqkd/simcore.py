@@ -19,7 +19,7 @@ from typing import Iterator
 import numpy as np
 
 from . import _mckernel_np
-from .detection import MAX_INTENSITY, ChannelParams
+from .detection import ChannelParams, _check_intensity
 from .rate import _gain, _qber, misalignment_e_delta
 
 # Rounds per RNG block.  Part of the random-stream definition: changing
@@ -95,8 +95,7 @@ class SimConfig:
         if len(set(self.intensities)) != len(self.intensities):
             raise ValueError("intensities must be distinct")
         for i, mu in enumerate(self.intensities):
-            if not (0.0 <= mu <= MAX_INTENSITY):
-                raise ValueError(f"intensities[{i}] must be in [0, {MAX_INTENSITY:g}], got {mu!r}")
+            _check_intensity(f"intensities[{i}]", mu)
         if not (0.0 < self.sample_fraction < 1.0):
             raise ValueError(f"sample_fraction must be in (0, 1), got {self.sample_fraction!r}")
         if self.jd_block_rounds is not None and self.jd_block_rounds < 1:

@@ -66,16 +66,12 @@ def test_bs_attack_monotonicity():
         assert all(0.0 < v <= 1.0 for v in vals)
 
 
-def test_gllp_normalizations():
+def test_gllp_per_click_and_literal_rates():
     # frozen from 50-digit evaluations
-    assert gllp_rate_under_bs(0.5, 0.2, "per_click") == pytest.approx(
-        0.63736255069437510, rel=1e-12
-    )
-    assert gllp_rate_under_bs(0.5, 0.2, "literal") == pytest.approx(
-        0.060653065971263342, rel=1e-12
-    )
-    with pytest.raises(ValueError):
-        gllp_rate_under_bs(0.5, 0.2, "bogus")
+    assert gllp_rate_under_bs(0.5, 0.2) == pytest.approx(0.63736255069437510, rel=1e-12)
+    point = bs_attack(0.5, 0.2)
+    assert point.r_gllp == gllp_rate_under_bs(0.5, 0.2)
+    assert point.r_gllp_literal == pytest.approx(0.060653065971263342, rel=1e-12)
 
 
 def test_gllp_per_click_limits():

@@ -9,13 +9,14 @@ from pmqkd.baselines import (
     bb84_rate,
     bb84_rate_grid,
     _bessel_i0,
+    _mdi_single_photon,
     mdi_rate,
     mdi_rate_grid,
     plob_bound,
     tgw_bound,
 )
 from pmqkd.attacks import bs_attack
-from pmqkd.detection import MAX_INTENSITY, ChannelParams, fiber_transmittance
+from pmqkd.detection import MAX_INTENSITY, ChannelParams, binary_entropy, fiber_transmittance
 
 
 def full_channel(eta, pd=0.0):
@@ -81,31 +82,35 @@ def test_bb84_below_capacity_bound():
 
 
 def test_mdi_error_free_point():
-    bd = mdi_rate(0.25, 0.25, 0.1, 0.1, 0.0, 0.0, 1.15)
-    assert bd.e_11 == pytest.approx(0.0, abs=1e-15)
-    assert bd.Y_11 == pytest.approx(0.1 * 0.1 / 2, rel=1e-12)
+    y11, e11 = _mdi_single_photon(0.1, 0.1, 0.0, 0.0)
+    assert e11 == pytest.approx(0.0, abs=1e-15)
+    assert y11 == pytest.approx(0.1 * 0.1 / 2, rel=1e-12)
 
 
 def test_mdi_rect_gain_value():
-    bd = mdi_rate(0.25, 0.25, 0.1, 0.1, 0.0, 0.0, 1.15)
-    # 2 exp(-0.025) (1 - exp(-0.0125))^2, frozen from a 50-digit evaluation
-    assert bd.Q_rect_C == pytest.approx(3.0100217480628859e-4, rel=1e-12)
-    assert bd.Q_rect == pytest.approx(bd.Q_rect_C + bd.Q_rect_E, abs=1e-18)
-    assert bd.mu_prime == pytest.approx(0.05, rel=1e-12)
-    assert bd.x_param == pytest.approx(0.5 * math.sqrt(0.1 * 0.25 * 0.1 * 0.25), rel=1e-12)
+    # without dark counts Q_rect is Q_C alone and E_rect = e_11 = e_d, so the rate
+    # is (1/2)[Q_11 (1 - H(e_d)) - f Q_C H(e_d)] with Q_11 = mu_a mu_b exp(-mu_a-mu_b) Y_11
+    e_d, f_ec = 0.015, 1.15
+    # Q_C = 2 exp(-0.025) (1 - exp(-0.0125))^2, frozen from a 50-digit evaluation
+    q_c = 3.0100217480628859e-4
+    q11 = 0.25 * 0.25 * math.exp(-0.5) * (0.1 * 0.1 / 2)
+    h = binary_entropy(e_d)
+    expected = 0.5 * (q11 * (1.0 - h) - f_ec * q_c * h)
+    assert mdi_rate(0.25, 0.25, 0.1, 0.1, 0.0, e_d, f_ec) == pytest.approx(expected, rel=1e-12)
 
 
 def test_mdi_vanishing_intensity():
-    bd = mdi_rate(0.0, 0.25, 0.1, 0.1, 1e-7, 0.015, 1.15)
-    assert bd.rate_R == 0.0
+    assert mdi_rate(0.0, 0.25, 0.1, 0.1, 1e-7, 0.015, 1.15) == 0.0
 
 
 def test_mdi_symmetric_swap_invariance():
     a = mdi_rate(0.2, 0.3, 0.05, 0.08, 1e-7, 0.015, 1.15)
     b = mdi_rate(0.3, 0.2, 0.08, 0.05, 1e-7, 0.015, 1.15)
-    assert a.rate_R == pytest.approx(b.rate_R, rel=1e-12)
-    assert a.Q_rect == pytest.approx(b.Q_rect, rel=1e-12)
-    assert a.Y_11 == pytest.approx(b.Y_11, rel=1e-12)
+    assert a == pytest.approx(b, rel=1e-12)
+    y_a, e_a = _mdi_single_photon(0.05, 0.08, 1e-7, 0.015)
+    y_b, e_b = _mdi_single_photon(0.08, 0.05, 1e-7, 0.015)
+    assert y_a == pytest.approx(y_b, rel=1e-12)
+    assert e_a == pytest.approx(e_b, rel=1e-12)
 
 
 def test_bessel_series_against_scipy():
@@ -115,8 +120,7 @@ def test_bessel_series_against_scipy():
 
 def test_mdi_positive_at_short_distance():
     eta = 0.145 * 10 ** (-0.2 * 25 / 10)  # per arm, 50 km total
-    bd = mdi_rate(0.25, 0.25, eta, eta, 7.2e-8, 0.015, 1.15)
-    assert bd.rate_R > 0
+    assert mdi_rate(0.25, 0.25, eta, eta, 7.2e-8, 0.015, 1.15) > 0
 
 
 # --- capacity bounds ------------------------------------------------------------
@@ -156,8 +160,8 @@ def test_rates_finite_across_range():
         assert math.isfinite(plob_bound(e))
         r = bb84_rate(0.3, 0.015, 1.15, full_channel(e, 7.2e-8))
         assert math.isfinite(r) and r >= 0
-        bd = mdi_rate(0.15, 0.15, e, e, 7.2e-8, 0.015, 1.15)
-        assert math.isfinite(bd.rate_R) and bd.rate_R >= 0
+        r = mdi_rate(0.15, 0.15, e, e, 7.2e-8, 0.015, 1.15)
+        assert math.isfinite(r) and r >= 0
 
 
 def test_params_validation():
@@ -168,9 +172,9 @@ def test_params_validation():
     with pytest.raises(ValueError):
         mdi_rate(0.1, 0.1, 1.5, 0.1, 0.0, 0.0, 1.15)
     for bad in (math.inf, -math.inf, math.nan):
-        with pytest.raises(ValueError, match="intensity mu must be finite and nonnegative"):
+        with pytest.raises(ValueError, match="^mu must be in"):
             bb84_rate(bad, 0.0, 1.15, full_channel(0.1))
-        with pytest.raises(ValueError, match="intensities must be finite and nonnegative"):
+        with pytest.raises(ValueError, match="^mu_b must be in"):
             mdi_rate(0.1, bad, 0.1, 0.1, 0.0, 0.0, 1.15)
 
 
@@ -182,7 +186,7 @@ def test_intensity_bound_and_postprocessing_checks():
         rate.key_rate(ch, rate.PmParams(mu_total=m)).rate_R,
         rate.key_rate(ch, rate.PmParams(mu_total=m), tail="odd").rate_R,
         bb84_rate(m, 0.015, 1.15, ch),
-        mdi_rate(m / 2, m / 2, 0.1, 0.1, 7.2e-8, 0.015, 1.15).rate_R,
+        mdi_rate(m / 2, m / 2, 0.1, 0.1, 7.2e-8, 0.015, 1.15),
         *vars(bs_attack(m, 0.2)).values(),
     ]
     assert all(math.isfinite(v) for v in values)
@@ -233,7 +237,7 @@ def mdi_cell(distance, pd, ed, f_ec=1.15):
     eta = fiber_transmittance(distance / 2.0, 0.145, 0.2)
 
     def f(mu):
-        return mdi_rate(mu / 2.0, mu / 2.0, eta, eta, pd, ed, f_ec).rate_R
+        return mdi_rate(mu / 2.0, mu / 2.0, eta, eta, pd, ed, f_ec)
 
     return f, lambda mus: mdi_rate_grid(mus / 2.0, mus / 2.0, eta, eta, pd, ed, f_ec)
 
@@ -335,7 +339,7 @@ def test_rate_grid_validation():
     with pytest.raises(ValueError):
         mdi_rate_grid(np.array([0.1]), np.array([0.1]), 1.5, 0.1, 0.0, 0.0, 1.15)
     for bad in (math.inf, math.nan):
-        with pytest.raises(ValueError, match=f"intensity mu must be finite.*got {bad}"):
+        with pytest.raises(ValueError, match=f"^mu must be in.*got {bad}"):
             bb84_rate_grid(np.array([0.1, bad, -0.1]), 0.015, 1.15, full_channel(0.1))
-        with pytest.raises(ValueError, match=f"intensities must be finite.*mu_b={bad}"):
+        with pytest.raises(ValueError, match=f"^mu_b must be in.*got {bad}"):
             mdi_rate_grid(np.array([0.1, 0.2]), np.array([0.1, bad]), 0.1, 0.1, 0.0, 0.0, 1.15)

@@ -35,7 +35,7 @@ def test_rate_dead_channel_zero(capsys):
     code, out, _ = run_cli(["rate", "--eta", "0", "--mu", "0.5"], capsys)
     assert code == 0
     fields = dict(line.split(None, 1) for line in out.strip().split("\n"))
-    assert float(fields["rate_R"]) == 0.0
+    assert fields["rate_R"] == "0"  # not -0
 
 
 def test_rate_config_equals_flags(tmp_path, capsys):
@@ -68,6 +68,7 @@ def test_rate_config_equals_flags(tmp_path, capsys):
         ({"distance_km": 100, "mu": [0.3]}, "mu"),
         ({"distance_km": 100, "mu": 0.3, "m_slice": 8}, "'m_slice'"),
         ({"distance_km": 100, "mu": 0.3, "m_slices": 8.5}, "m_slices"),
+        ({"distance_km": 100, "mu": 0.3, "m_slices": 10**400}, "m_slices"),
         ({"distance_km": "100", "mu": 0.3}, "distance_km"),
         ({"eta_arm": None, "mu": 0.3}, "eta_arm"),
         ({"distance_km": 100, "mu": 0.3, "p_d": True}, "p_d"),
@@ -77,8 +78,9 @@ def test_rate_config_equals_flags(tmp_path, capsys):
         ({"distance_km": 100, "mu": 0.3, "preset": "fig9"}, "preset"),
         ([100, 0.3], "config"),
     ],
-    ids=["list_mu", "unknown_key", "fractional_m_slices", "string_distance", "null_eta",
-         "bool_p_d", "nan_mu", "inf_alpha", "list_preset", "unknown_preset", "not_object"],
+    ids=["list_mu", "unknown_key", "fractional_m_slices", "huge_m_slices", "string_distance",
+         "null_eta", "bool_p_d", "nan_mu", "inf_alpha", "list_preset", "unknown_preset",
+         "not_object"],
 )
 def test_rate_bad_config_is_one_line_error(tmp_path, capsys, config, named):
     path = tmp_path / "cfg.json"
@@ -241,11 +243,11 @@ GRID = ["--start", "0", "--stop", "3", "--step", "1"]
 @pytest.mark.parametrize(
     "argv, named",
     [
-        (["sweep", *GRID, "--mu", "inf", "--protocols", "bb84"], "intensity mu "),
-        (["sweep", *GRID, "--mu", "inf", "--protocols", "mdi"], "intensities "),
-        (["sweep", *GRID, "--mu", "inf", "--protocols", "pm"], "intensity mu_total "),
-        (["rate", "--distance", "100", "--mu", "inf"], "intensity mu_total "),
-        (["sweep", *GRID, "--mu", "nan", "--protocols", "bb84"], "intensity mu "),
+        (["sweep", *GRID, "--mu", "inf", "--protocols", "bb84"], "mu "),
+        (["sweep", *GRID, "--mu", "inf", "--protocols", "mdi"], "mu_a "),
+        (["sweep", *GRID, "--mu", "inf", "--protocols", "pm"], "mu_total "),
+        (["rate", "--distance", "100", "--mu", "inf"], "mu_total "),
+        (["sweep", *GRID, "--mu", "nan", "--protocols", "bb84"], "mu "),
     ],
     ids=["sweep_inf_bb84", "sweep_inf_mdi", "sweep_inf_pm", "rate_inf", "sweep_nan_bb84"],
 )
@@ -336,11 +338,18 @@ def test_sweep_eta_above_eta_d_is_rejected(capsys, flags, value, eta_d):
          "0.00018823663664066032,0.19264507794239591,0.36257007938470825\n"
          ",0.5,0.5,0.29999999999999999,0.0047403752003770446,0.040319155310317954,"
          "0.00076232785810715232,1,1.5849625007211563\n"),
+        (["--eta-d", "0.5", "--start", "0", "--stop", "0.1", "--step", "0.05"],
+         ",0,0,0.29999999999999999,0,0,0,0,0\n"
+         ",0.050000000000000003,0.005000000000000001,0.29999999999999999,0.00035581894384107793,"
+         "0.00039634605405911363,7.4504519071367943e-06,0.0072315692310758583,0.014427070635279709\n"
+         ",0.10000000000000001,0.020000000000000004,0.29999999999999999,0.00073529541654103947,"
+         "0.0015862542391786895,2.9882183643192703e-05,0.029146345659516487,0.057715497856287497\n"),
     ],
-    ids=["fig3b", "up_to_eta_d"],
+    ids=["fig3b", "up_to_eta_d", "from_zero"],
 )
 def test_sweep_eta_valid_grid_is_unchanged(capsys, flags, csv):
-    # eta_total = eta_arm**2 / eta_d, and the eta_d check leaves a valid grid's bytes as they were
+    # eta_total = eta_arm**2 / eta_d, and the eta_d check leaves a valid grid's bytes as they
+    # were; a zero rate at eta_arm = 0 prints as 0, not -0
     code, out, _ = run_cli(["sweep", "--variable", "eta", *flags, "--mu", "0.3"], capsys)
     assert code == 0
     assert out == ",".join(cli.SWEEP_COLUMNS) + "\n" + csv
@@ -581,7 +590,7 @@ def test_readme_cli_examples_parse():
         parser.parse_args(argv)
 
 
-EXTREMES = ("nan", "inf", "-inf", "-1", "0", "1000", "1e308")
+EXTREMES = ("nan", "inf", "-inf", "-1", "0", "1000", "1e308", "1" + "0" * 400)
 SWEEP_2 = ["sweep", "--start", "0", "--stop", "10", "--step", "10"]
 SWEEP_MU = ["sweep", "--variable", "mu", "--start", "0.1", "--stop", "0.2", "--step", "0.1"]
 SWEEP_ETA = ["sweep", "--variable", "eta", "--start", "0.1", "--stop", "0.2", "--step", "0.1"]

@@ -13,8 +13,11 @@ from pmqkd.detection import (
     k_photon_clicks,
     single_photon_clicks,
 )
-from pmqkd.attacks import bs_attack
-from pmqkd.baselines import mdi_rate, plob_bound, tgw_bound
+from pmqkd.attacks import bs_attack, gllp_rate_under_bs, pm_rate_under_bs, usd_success
+from pmqkd.baselines import (
+    bb84_rate, bb84_rate_grid, mdi_rate, mdi_rate_grid, plob_bound, tgw_bound,
+)
+from pmqkd.rate import PmParams, misalignment_e_delta
 from pmqkd.focklab import k_photon_interference_probs
 from pmqkd.simcore import Phi0Model, SimConfig
 
@@ -373,6 +376,23 @@ def _sim_config(**overrides):
         (lambda: Phi0Model("slow_drift", 0.0, math.inf), "rate_rad_per_round", math.inf),
         (lambda: mdi_rate(0.1, 0.1, 1.5, 0.1, 0.0, 0.0, 1.15), "eta_a", 1.5),
         (lambda: mdi_rate(0.1, 0.1, 0.1, math.nan, 0.0, 0.0, 1.15), "eta_b", math.nan),
+        (lambda: mdi_rate(-1.0, 0.1, 0.1, 0.1, 0.0, 0.0, 1.15), "mu_a", -1.0),
+        (lambda: mdi_rate(0.1, 600.0, 0.1, 0.1, 0.0, 0.0, 1.15), "mu_b", 600.0),
+        (lambda: mdi_rate(0.1, 0.1, 0.1, 0.1, 5.0, 0.0, 1.15), "p_d", 5.0),
+        (lambda: mdi_rate(0.1, 0.1, 0.1, 0.1, -1.0, 0.0, 1.15), "p_d", -1.0),
+        (lambda: mdi_rate(0.1, 0.1, 0.1, 0.1, math.nan, 0.0, 1.15), "p_d", math.nan),
+        (lambda: mdi_rate_grid(np.array([0.1]), np.array([0.1]), 0.1, 0.1, 5.0, 0.0, 1.15),
+         "p_d", 5.0),
+        (lambda: bb84_rate(600.0, 0.0, 1.15, ChannelParams(0.1, 0.0)), "mu", 600.0),
+        (lambda: bb84_rate_grid(np.array([0.1, math.nan]), 0.0, 1.15, ChannelParams(0.1, 0.0)),
+         "mu", math.nan),
+        (lambda: PmParams(mu_total=600.0), "mu_total", 600.0),
+        (lambda: PmParams(mu_total=0.5, m_slices=3), "m_slices", 3),
+        (lambda: PmParams(mu_total=0.5, m_slices=2**53 + 2), "m_slices", 2**53 + 2),
+        (lambda: misalignment_e_delta(10**400), "m_slices", 10**400),
+        (lambda: usd_success(-1.0, 0.5), "mu_total", -1.0),
+        (lambda: gllp_rate_under_bs(math.inf, 0.5), "mu_total", math.inf),
+        (lambda: pm_rate_under_bs(600.0, 0.5), "mu_total", 600.0),
         (lambda: bs_attack(0.5, -0.2), "eta", -0.2),
         (lambda: tgw_bound(1.0), "eta", 1.0),
         (lambda: plob_bound(math.nan), "eta", math.nan),
@@ -380,7 +400,10 @@ def _sim_config(**overrides):
         (lambda: k_photon_interference_probs(2, 1.5, 0.0), "eta", 1.5),
     ],
     ids=["intensity", "nan_intensity", "rounds", "seed", "m_slices", "sample_fraction",
-         "jd_block_rounds", "phi0_value", "phi0_rate", "mdi_eta_a", "mdi_eta_b", "attack_eta",
+         "jd_block_rounds", "phi0_value", "phi0_rate", "mdi_eta_a", "mdi_eta_b", "mdi_mu_a",
+         "mdi_mu_b", "mdi_pd_5", "mdi_pd_neg", "mdi_pd_nan", "mdi_grid_pd", "bb84_mu",
+         "bb84_grid_mu", "pm_mu_total", "pm_m_slices_odd", "pm_m_slices_huge",
+         "e_delta_m_slices", "usd_mu_total", "gllp_mu_total", "pm_bs_mu_total", "attack_eta",
          "tgw_eta", "plob_eta", "oracle_k", "oracle_eta"],
 )
 def test_range_error_names_key_and_value(call, key, value):

@@ -322,7 +322,7 @@ def test_key_rate_keeps_checks():
 
 @pytest.mark.parametrize("mu", [0.0, -0.1, math.inf, -math.inf, math.nan])
 def test_pm_params_requires_a_finite_positive_intensity(mu):
-    with pytest.raises(ValueError, match="intensity mu_total must be finite and positive"):
+    with pytest.raises(ValueError, match="^mu_total must be "):
         PmParams(mu_total=mu)
 
 
