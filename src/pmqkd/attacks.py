@@ -22,8 +22,6 @@ class AttackPoint:
 
     eta: float
     mu: float
-    p_suc: float
-    p_bs: float
     r_bs: float
     r_gllp: float
     r_gllp_literal: float  # eta*mu*exp(-mu): r_gllp without the gain denominator
@@ -64,18 +62,15 @@ def bs_attack(mu_total: float, eta: float) -> AttackPoint:
     """Full attack evaluation at one parameter point.
 
     Eve needs either party's bit, so her success probability is
-    P_BS = 1 - (1 - P_suc)^2 and her information equals P_BS;
-    the surviving rate is r_BS = exp(-2*(1-eta)*mu).
+    P_BS = 1 - (1 - P_suc)^2 with P_suc from :func:`usd_success`, and her
+    information equals P_BS; the surviving rate is
+    r_BS = 1 - P_BS = exp(-2*(1-eta)*mu).
     """
-    p_suc = usd_success(mu_total, eta)
-    p_bs = 1.0 - (1.0 - p_suc) ** 2
-    r_bs = math.exp(-2.0 * (1.0 - eta) * mu_total)
+    _check_point(mu_total, eta)
     return AttackPoint(
         eta=eta,
         mu=mu_total,
-        p_suc=p_suc,
-        p_bs=p_bs,
-        r_bs=r_bs,
+        r_bs=math.exp(-2.0 * (1.0 - eta) * mu_total),
         r_gllp=gllp_rate_under_bs(mu_total, eta),
         r_gllp_literal=eta * mu_total * math.exp(-mu_total),
         r_pm=pm_rate_under_bs(mu_total, eta),

@@ -233,13 +233,11 @@ def _sweep_point(
         return f(mu) if mu is not None else rate.maximize(f, *rate.MU_RANGE, f_grid=f_grid)[1]
 
     if "pm" in protocols:
-        # optimize_mu takes every field but the intensity from its template
-        pm = rate.PmParams(mu_total=0.5 if mu is None else mu, m_slices=m_slices, f_ec=f_ec)
         if mu is None:
-            row["mu_opt"], bd = rate.optimize_mu(ch_arm, pm)
+            row["mu_opt"], row["R_pm"] = rate.optimize_mu(ch_arm, m_slices, f_ec)
         else:
-            row["mu_opt"], bd = mu, rate.key_rate(ch_arm, pm)
-        row["R_pm"] = bd.rate_R
+            pm = rate.PmParams(mu_total=mu, m_slices=m_slices, f_ec=f_ec)
+            row["mu_opt"], row["R_pm"] = mu, rate.key_rate(ch_arm, pm).rate_R
 
     if "bb84" in protocols:
         ch_full = ChannelParams(eta_total, p_d)

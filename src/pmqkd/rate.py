@@ -21,9 +21,14 @@ from .detection import ChannelParams, _check_f_ec, _check_intensity, binary_entr
 # in the paper's rate and its reference routine.
 ODD_ORDERS = (1, 3, 5)
 
-# The largest slice count M: every integer up to 2**53 is exact as a float,
-# and (M/pi)**2 in the misalignment error overflows above ~4e153.
+# The largest slice count M: every integer up to 2**53 is exact as a float.
 MAX_EXACT_M = 2**53
+
+# From this slice count up, the misalignment error is summed as a series:
+# pi/M - (M/pi)**2 * sin(pi/M)**3 cancels, to ~3e-13 relative error at
+# M = 256 and a negative value from M ~ 2**28, while the series' first
+# omitted term is below 1e-14 relative at M = 256 and shrinks as M**-6.
+SERIES_M = 256
 
 
 @dataclass(frozen=True)
@@ -96,11 +101,18 @@ def _gain(p_d: float, x: float) -> float:
 
 @functools.lru_cache
 def misalignment_e_delta(m_slices) -> float:
-    """Slice-misalignment error rate pi/M - (M/pi)^2 * sin^3(pi/M)."""
+    """Slice-misalignment error rate pi/M - (M/pi)^2 * sin^3(pi/M).
+
+    From ``SERIES_M`` up it is x^3/2 - 13x^5/120 + 41x^7/3024 with
+    x = pi/M, the leading terms of the same function's Taylor series.
+    """
     if not (2 <= m_slices <= MAX_EXACT_M):
         raise ValueError(f"m_slices must be >= 2 and at most {MAX_EXACT_M}, got {m_slices!r}")
     x = math.pi / m_slices
-    return x - (m_slices / math.pi) ** 2 * math.sin(x) ** 3
+    if m_slices < SERIES_M:
+        return x - (m_slices / math.pi) ** 2 * math.sin(x) ** 3
+    x2 = x * x
+    return x * x2 * (0.5 - x2 * (13.0 / 120.0 - x2 * (41.0 / 3024.0)))
 
 
 def _bit_error(p_d: float, loss_k: float, y: float, e_delta: float) -> float:
@@ -259,20 +271,11 @@ def maximize(f, lo: float, hi: float, f_grid=None) -> tuple[float, float]:
 MU_RANGE = (0.01, 2.0)
 
 
-def optimize_mu(ch: ChannelParams, pm_template: PmParams) -> tuple[float, RateBreakdown]:
-    """Intensity in :data:`MU_RANGE` maximizing the key rate, found by
-    :func:`maximize`.
+def optimize_mu(ch: ChannelParams, m_slices: int, f_ec: float) -> tuple[float, float]:
+    """``(mu, rate_R)`` at the intensity in :data:`MU_RANGE` maximizing the
+    key rate, found by :func:`maximize`.
 
     When the rate vanishes everywhere the smallest grid intensity is
     returned with rate 0.
     """
-
-    def rate_at(mu: float) -> float:
-        return key_rate(ch, _with_mu(pm_template, mu)).rate_R
-
-    mu_opt, _ = maximize(rate_at, *MU_RANGE)
-    return mu_opt, key_rate(ch, _with_mu(pm_template, mu_opt))
-
-
-def _with_mu(pm: PmParams, mu: float) -> PmParams:
-    return PmParams(mu_total=mu, m_slices=pm.m_slices, f_ec=pm.f_ec)
+    return maximize(lambda mu: key_rate(ch, PmParams(mu, m_slices, f_ec)).rate_R, *MU_RANGE)

@@ -61,9 +61,11 @@ class Phi0Model:
 
     def __post_init__(self):
         if self.kind not in ("fixed", "slow_drift"):
-            raise ValueError("phi0 kind must be 'fixed' or 'slow_drift'")
+            raise ValueError(f"phi0 kind must be 'fixed' or 'slow_drift', got {self.kind!r}")
         if self.kind == "fixed" and self.rate_rad_per_round != 0.0:
-            raise ValueError("fixed phi0 cannot have a drift rate")
+            raise ValueError(
+                f"fixed phi0 cannot have a drift rate, got {self.rate_rad_per_round!r}"
+            )
         for name in ("value_rad", "rate_rad_per_round"):
             value = getattr(self, name)
             if not math.isfinite(value):
@@ -253,10 +255,9 @@ class RoundData:
         )
 
 
-def _block_rng(seed: int, block_index: int) -> np.random.Generator:
-    return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence([seed, _ROUND_STREAM, block_index]))
-    )
+def _stream_rng(seed: int, stream: int, index: int) -> np.random.Generator:
+    """Generator of block ``index`` of ``stream`` (``_ROUND_STREAM`` or ``_SAMPLE_STREAM``)."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, stream, index])))
 
 
 def run_blocks(cfg: SimConfig, data: RoundData) -> Iterator[RoundData]:
@@ -272,7 +273,7 @@ def run_blocks(cfg: SimConfig, data: RoundData) -> Iterator[RoundData]:
     for block_index, start in enumerate(range(0, cfg.rounds, RNG_BLOCK_ROUNDS)):
         n = min(RNG_BLOCK_ROUNDS, cfg.rounds - start)
         u = buf[: 7 * n].reshape(7, n)
-        _block_rng(cfg.seed, block_index).random(out=u)
+        _stream_rng(cfg.seed, _ROUND_STREAM, block_index).random(out=u)
         block = data.take(slice(start, start + n))
         _mckernel_np.simulate_block(
             u,
@@ -308,23 +309,13 @@ def collect_rounds(cfg: SimConfig) -> RoundData:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SiftResult:
-    """Aligned key-bit pairs of the sifted single-click rounds."""
-
-    indices: np.ndarray  # positions in the input data
-    alice_bits: np.ndarray
-    bob_bits: np.ndarray  # after R-click and half-turn flips
-
-    def errors(self) -> np.ndarray:
-        return self.alice_bits != self.bob_bits
-
-
-def sift(data: RoundData, j_d: int, m_slices: int) -> SiftResult:
+def sift(data: RoundData, j_d: int, m_slices: int) -> tuple[np.ndarray, np.ndarray]:
     """Keep single-click rounds whose compensated slices match.
 
     A round survives when (j_b + j_d - j_a) mod M is 0 or M/2; Bob
     flips his bit on an R-click announcement and again in the M/2 case.
+    Returns the kept positions in ``data`` and, per kept round, whether
+    Bob's flipped bit differs from Alice's.
     """
     outcome = data.outcome
     dmod = data.j_b.astype(np.int32)
@@ -336,8 +327,8 @@ def sift(data: RoundData, j_d: int, m_slices: int) -> SiftResult:
     keep &= (outcome == _LEFT) | (outcome == _RIGHT)
     idx = np.flatnonzero(keep)
     # a kept dmod is 0 or M/2, so the half-turn flip is dmod != 0
-    bob = data.kappa_b[idx] ^ (outcome[idx] == _RIGHT) ^ (dmod[idx] != 0)
-    return SiftResult(indices=idx, alice_bits=data.kappa_a[idx], bob_bits=bob)
+    errors = (data.kappa_a[idx] != data.kappa_b[idx]) ^ (outcome[idx] == _RIGHT) ^ (dmod[idx] != 0)
+    return idx, errors
 
 
 @dataclass
@@ -369,11 +360,9 @@ def postcompensate(
     sample = data.take(picked)
     table = np.full(m_slices, np.nan)
     for j_d in range(m_slices):
-        res = sift(sample, j_d, m_slices)
-        if len(res.indices) > 0:
-            table[j_d] = np.count_nonzero(res.errors()) / len(res.indices)
-    if np.all(np.isnan(table)):
-        raise InsufficientSamplesError("no sampled round satisfied any sifting condition")
+        kept, errors = sift(sample, j_d, m_slices)
+        if len(kept) > 0:
+            table[j_d] = np.count_nonzero(errors) / len(kept)
     j_d_opt = int(np.nanargmin(table))
     return PostcompResult(j_d_opt=j_d_opt, qber_table=table, sampled_clicks=len(picked))
 
@@ -454,14 +443,12 @@ def simulate(cfg: SimConfig) -> SimResult:
         emitted += _bincount(part.mu_idx, k)
         clicks = part.take(part.single_clicks())
         clicked += _bincount(clicks.mu_idx, k)
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence([cfg.seed, _SAMPLE_STREAM, bi]))
-        )
+        rng = _stream_rng(cfg.seed, _SAMPLE_STREAM, bi)
         post = postcompensate(clicks, cfg.sample_fraction, rng, cfg.m_slices)
-        res = sift(clicks, post.j_d_opt, cfg.m_slices)
-        mu_sifted = clicks.mu_idx[res.indices]
+        kept, kept_errors = sift(clicks, post.j_d_opt, cfg.m_slices)
+        mu_sifted = clicks.mu_idx[kept]
         sifted += _bincount(mu_sifted, k)
-        errors += _bincount(mu_sifted[res.errors()], k)
+        errors += _bincount(mu_sifted[kept_errors], k)
         block_offsets.append((start, stop, post.j_d_opt))
 
     tallies = [

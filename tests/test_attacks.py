@@ -34,14 +34,14 @@ def test_usd_saturates_at_high_intensity():
 def test_bs_attack_lossless_channel():
     point = bs_attack(0.5, 1.0)
     assert point.r_bs == 1.0
-    assert point.p_bs == 0.0
+    assert point.r_bs == (1 - usd_success(0.5, 1.0)) ** 2
 
 
 def test_bs_attack_value_and_identities():
     point = bs_attack(0.5, 0.2)
     assert point.r_bs == pytest.approx(0.44932896411722159, rel=1e-12)
-    assert point.p_bs == pytest.approx(1 - (1 - point.p_suc) ** 2, abs=1e-15)
-    assert point.r_bs == pytest.approx(1.0 - point.p_bs, rel=1e-12)
+    # r_BS = 1 - P_BS with P_BS = 1 - (1 - P_suc)^2
+    assert point.r_bs == pytest.approx((1 - usd_success(0.5, 0.2)) ** 2, rel=1e-12)
 
 
 def test_bs_attack_gain_identity_grid():

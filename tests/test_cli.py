@@ -60,6 +60,14 @@ def test_rate_config_equals_flags(tmp_path, capsys):
     )
     assert code1 == code2 == 0
     assert out1 == out2
+    # a preset named in the file fills in like --preset
+    path.write_text(json.dumps({"distance_km": 300, "mu": 0.2, "preset": "fig3b"}))
+    code1, out1, _ = run_cli(["rate", "--config", str(path)], capsys)
+    code2, out2, _ = run_cli(
+        ["rate", "--distance", "300", "--mu", "0.2", "--preset", "fig3b"], capsys
+    )
+    assert code1 == code2 == 0
+    assert out1 == out2
 
 
 @pytest.mark.parametrize(
@@ -143,6 +151,12 @@ def test_rate_missing_mu_is_domain_error(capsys):
     code, _, err = run_cli(["rate", "--distance", "100"], capsys)
     assert code == 1
     assert "error" in err
+    # the channel needs exactly one of the two flags
+    for argv in ([], ["--distance", "100", "--eta", "0.1"]):
+        code, out, err = run_cli(["rate", "--mu", "0.3", *argv], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == "error: give exactly one of --distance or --eta\n"
 
 
 def test_rate_csv_output(tmp_path, capsys):
@@ -389,6 +403,12 @@ def test_sweep_bad_protocols(capsys):
     )
     assert code == 1
     assert "nope" in err
+    code, out, err = run_cli(
+        ["sweep", "--start", "0", "--stop", "10", "--step", "5", "--protocols", ","], capsys
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: protocol set must be nonempty\n"
 
 
 # --- attack -----------------------------------------------------------------------
@@ -726,6 +746,8 @@ def test_simulate_missing_file(capsys):
         ({"jd_block_round": 500}, "'jd_block_round'"),
         ({"channel": {"eta_arm": 0.1, "p_d": 7.2e-8, "pd": 0.0}}, "'pd'"),
         ({"phi0": {"kind": "fixed", "value": 0.1}}, "'value'"),
+        ({"phi0": {"kind": "drift"}}, "'drift'"),
+        ({"phi0": {"kind": "fixed", "rate_rad_per_round": 1e-6}}, "1e-06"),
         # a fiber value next to eta_arm would be ignored: the two channel forms do not mix
         ({"channel": {"eta_arm": 0.1, "p_d": 7.2e-8, "distance_km": 300}}, "'distance_km'"),
         ({"channel": {"eta_arm": 0.1, "p_d": 7.2e-8, "eta_d": 0.145}}, "'eta_d'"),
@@ -733,8 +755,9 @@ def test_simulate_missing_file(capsys):
          "'alpha_db_per_km'"),
     ],
     ids=["m_slices_40000", "rounds_null", "scalar_intensities", "nan_phi0",
-         "unknown_key", "unknown_channel_key", "unknown_phi0_key",
-         "eta_arm_with_distance", "eta_arm_with_eta_d", "eta_arm_with_alpha"],
+         "unknown_key", "unknown_channel_key", "unknown_phi0_key", "bad_phi0_kind",
+         "fixed_phi0_with_rate", "eta_arm_with_distance", "eta_arm_with_eta_d",
+         "eta_arm_with_alpha"],
 )
 def test_simulate_bad_config_is_one_line_error(tmp_path, capsys, overrides, named):
     code, out, err = run_cli(["simulate", str(_sim_config(tmp_path, **overrides))], capsys)

@@ -169,7 +169,7 @@ def test_collect_rounds_equals_fresh_block_runs(drift):
     assert len(data) == cfg.rounds
     for bi, start in enumerate(range(0, cfg.rounds, RNG_BLOCK_ROUNDS)):
         stop = min(start + RNG_BLOCK_ROUNDS, cfg.rounds)
-        u = simcore._block_rng(cfg.seed, bi).random((7, stop - start))
+        u = simcore._stream_rng(cfg.seed, simcore._ROUND_STREAM, bi).random((7, stop - start))
         want, _ = run_kernel(_mckernel_np.simulate_block, u, *kernel_params(cfg), start)
         got = {name: getattr(data, name)[start:stop] for name in OUTPUTS}
         assert_same_bytes(got, want)

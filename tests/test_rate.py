@@ -8,7 +8,7 @@ from pmqkd import rate
 from pmqkd.detection import ChannelParams, binary_entropy, k_photon_clicks
 from pmqkd.rate import PmParams, key_rate, maximize, misalignment_e_delta, optimize_mu
 
-from oracles import coherent_clicks, with_dark_counts
+from oracles import coherent_clicks, e_delta_series, with_dark_counts
 from reference_port import pm_key
 
 PI = math.pi
@@ -110,6 +110,18 @@ def test_e_delta_against_quadrature(m, frozen):
 
 def test_e_delta_vanishes_for_fine_slicing():
     assert misalignment_e_delta(2**16) < 1e-9
+
+
+def test_e_delta_positive_and_decreasing_up_to_the_largest_slice_count():
+    values = [misalignment_e_delta(2**k) for k in range(1, 54)]
+    assert all(v > 0.0 for v in values)
+    assert all(a > b for a, b in zip(values, values[1:]))
+
+
+@pytest.mark.parametrize("k", range(8, 54))
+def test_e_delta_fine_slicing_against_exact_series(k):
+    m = 2**k
+    assert misalignment_e_delta(m) == pytest.approx(e_delta_series(m), rel=1e-12)
 
 
 @pytest.mark.parametrize("m", [math.inf, -math.inf, math.nan, 1])
@@ -370,25 +382,25 @@ def test_breakdown_ranges():
 
 def test_optimize_mu_is_argmax_on_grid():
     c = ch(1.0, 0.0)
-    pm = PmParams(mu_total=0.5, m_slices=16, f_ec=1.15)
-    mu_opt, best = optimize_mu(c, pm)
+    mu_opt, best = optimize_mu(c, 16, 1.15)
+    # the rate comes back as key_rate gives it at the returned intensity
+    assert best == key_rate(c, PmParams(mu_total=mu_opt, m_slices=16, f_ec=1.15)).rate_R
     for mu in np.linspace(0.01, 2.0, 200):
-        assert best.rate_R >= key_rate(c, PmParams(mu_total=float(mu), m_slices=16, f_ec=1.15)).rate_R - 1e-15
+        assert best >= key_rate(c, PmParams(mu_total=float(mu), m_slices=16, f_ec=1.15)).rate_R - 1e-15
 
 
 def test_optimize_mu_fig3b_300km_band():
     c = ChannelParams.from_distance(300.0, eta_d=0.145, p_d=7.2e-8)
-    mu_opt, bd = optimize_mu(c, PmParams(mu_total=0.5, m_slices=16, f_ec=1.15))
+    mu_opt, rate_R = optimize_mu(c, 16, 1.15)
     assert 0.1 <= mu_opt <= 0.4
-    assert bd.rate_R > 0
+    assert rate_R > 0
 
 
 def test_optimize_mu_monotone_in_distance():
-    pm = PmParams(mu_total=0.5, m_slices=16, f_ec=1.15)
     rates = []
     for dist in (100.0, 200.0, 300.0, 400.0):
         c = ChannelParams.from_distance(dist, eta_d=0.145, p_d=7.2e-8)
-        rates.append(optimize_mu(c, pm)[1].rate_R)
+        rates.append(optimize_mu(c, 16, 1.15)[1])
     assert all(a >= b for a, b in zip(rates, rates[1:]))
 
 
@@ -402,16 +414,16 @@ def test_optimize_mu_evaluates_through_key_rate(monkeypatch):
 
     monkeypatch.setattr(rate, "key_rate", counted)
     c = ChannelParams.from_distance(300.0, eta_d=0.145, p_d=7.2e-8)
-    mu_opt, bd = optimize_mu(c, PmParams(mu_total=0.5, m_slices=16, f_ec=1.15))
+    mu_opt, rate_R = optimize_mu(c, 16, 1.15)
     assert len(calls) >= 200
-    assert bd.rate_R > 0
+    assert rate_R > 0
 
 
 def test_optimize_mu_dead_channel_returns_grid_minimum():
     c = ch(0.0, 0.0)
-    mu_opt, bd = optimize_mu(c, PmParams(mu_total=0.5))
+    mu_opt, rate_R = optimize_mu(c, 16, 1.15)
     assert mu_opt == pytest.approx(0.01)
-    assert bd.rate_R == 0.0
+    assert rate_R == 0.0
 
 
 def test_maximize_finds_interior_peak():
@@ -432,3 +444,8 @@ def test_params_validation():
         PmParams(mu_total=0.5, m_slices=7)
     with pytest.raises(ValueError):
         PmParams(mu_total=0.5, f_ec=0.9)
+    # optimize_mu builds its PmParams per step, so the first one names the bad value
+    with pytest.raises(ValueError, match="^m_slices must be an even integer"):
+        optimize_mu(ch(0.1, 0.0), 7, 1.15)
+    with pytest.raises(ValueError, match="^f_ec must be finite and >= 1"):
+        optimize_mu(ch(0.1, 0.0), 16, 0.9)

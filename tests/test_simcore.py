@@ -135,24 +135,23 @@ def _single_round(kappa_a, kappa_b, j_a, j_b, outcome, m=16):
 
 def test_sift_matched_slices_agreement():
     data = _single_round(1, 1, 3, 3, Outcome.LEFT)
-    res = sift(data, 0, 16)
-    assert len(res.indices) == 1
-    assert res.alice_bits[0] == res.bob_bits[0] == 1
+    kept, errors = sift(data, 0, 16)
+    assert kept.tolist() == [0]
+    assert errors.tolist() == [False]
 
 
 def test_sift_half_turn_flip():
     data = _single_round(1, 1, 2, 10, Outcome.LEFT)  # j_b - j_a = M/2
-    res = sift(data, 0, 16)
-    assert len(res.indices) == 1
-    assert res.bob_bits[0] == 0  # flip makes the bits disagree here
-    assert res.errors()[0]
+    kept, errors = sift(data, 0, 16)
+    assert kept.tolist() == [0]
+    assert errors.tolist() == [True]  # flip makes the bits disagree here
 
 
 def test_sift_right_click_flip():
     data = _single_round(0, 0, 5, 5, Outcome.RIGHT)
-    res = sift(data, 0, 16)
-    assert res.bob_bits[0] == 1
-    assert res.errors()[0]
+    kept, errors = sift(data, 0, 16)
+    assert kept.tolist() == [0]
+    assert errors.tolist() == [True]
 
 
 def test_sift_drops_unmatched_and_nonsingle():
@@ -161,13 +160,13 @@ def test_sift_drops_unmatched_and_nonsingle():
         _single_round(0, 0, 2, 2, Outcome.NONE),
         _single_round(0, 0, 2, 2, Outcome.DOUBLE),
     ):
-        assert len(sift(data, 0, 16).indices) == 0
+        assert len(sift(data, 0, 16)[0]) == 0
 
 
 def test_sift_offset_compensates():
     data = _single_round(0, 0, 5, 3, Outcome.LEFT)
-    assert len(sift(data, 2, 16).indices) == 1
-    assert len(sift(data, 1, 16).indices) == 0
+    assert len(sift(data, 2, 16)[0]) == 1
+    assert len(sift(data, 1, 16)[0]) == 0
 
 
 SINGLE_CLICKS = (Outcome.LEFT, Outcome.RIGHT)
@@ -184,7 +183,7 @@ def sift_over_all_rounds(data, j_d, m):
         ^ (data.outcome[idx] == Outcome.RIGHT).astype(np.int8)
         ^ (dmod[idx] == m // 2).astype(np.int8)
     )
-    return idx, data.kappa_a[idx].copy(), bob
+    return idx, data.kappa_a[idx] != bob
 
 
 def sift_over_single_clicks(data, j_d, m):
@@ -199,7 +198,7 @@ def sift_over_single_clicks(data, j_d, m):
         ^ (data.outcome[idx] == Outcome.RIGHT).astype(np.int8)
         ^ (dmod[keep] == half).astype(np.int8)
     )
-    return idx, data.kappa_a[idx].copy(), bob
+    return idx, data.kappa_a[idx] != bob
 
 
 @pytest.mark.parametrize("m", [2, 16, 32766])
@@ -218,14 +217,13 @@ def test_sift_equals_the_all_rounds_rule(m):
     )
     for j_d in sorted({0, 1, m // 2, m - 1}):
         res = sift(data, j_d, m)
-        assert res.bob_bits.dtype == np.int8
+        assert res[1].dtype == np.bool_
         for oracle in (sift_over_all_rounds, sift_over_single_clicks):
-            for got, want in zip((res.indices, res.alice_bits, res.bob_bits),
-                                 oracle(data, j_d, m)):
+            for got, want in zip(res, oracle(data, j_d, m)):
                 assert got.dtype == want.dtype and np.array_equal(got, want)
     none_clicked = data.take(np.flatnonzero(data.outcome == Outcome.NONE))
-    res = sift(none_clicked, 0, m)
-    assert len(res.indices) == len(res.alice_bits) == len(res.bob_bits) == 0
+    kept, errors = sift(none_clicked, 0, m)
+    assert len(kept) == len(errors) == 0
 
 
 @pytest.mark.parametrize("extra", [-1, 0, 1, 12345])
@@ -274,7 +272,7 @@ def test_postcompensation_seventy_degrees(seed):
 def test_half_turn_offset_inverts_qber():
     cfg = base_config(rounds=400_000, seed=21, channel=ChannelParams(eta_arm=0.2, p_d=0.0))
     # simulate's sample stream for its first (here its only) block
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.seed, 1, 0])))
+    rng = simcore._stream_rng(cfg.seed, simcore._SAMPLE_STREAM, 0)
     res = postcompensate(collect_rounds(cfg), cfg.sample_fraction, rng, cfg.m_slices)
     assert res.j_d_opt == simulate(cfg).block_offsets[0][2]
     table = res.qber_table
@@ -358,13 +356,13 @@ def simulate_on_full_blocks(cfg):
     for bi, start in enumerate(range(0, n, chunk)):
         stop = min(start + chunk, n)
         part = data.take(slice(start, stop))
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.seed, 1, bi])))
+        rng = simcore._stream_rng(cfg.seed, simcore._SAMPLE_STREAM, bi)
         post = postcompensate(part, cfg.sample_fraction, rng, cfg.m_slices)
-        res = sift(part, post.j_d_opt, cfg.m_slices)
-        mu_sifted = part.mu_idx[res.indices]
+        kept, errors = sift(part, post.j_d_opt, cfg.m_slices)
+        mu_sifted = part.mu_idx[kept]
         single = np.isin(part.outcome, SINGLE_CLICKS)
         for row, mu in zip(counts, (part.mu_idx, part.mu_idx[single], mu_sifted,
-                                    mu_sifted[res.errors()])):
+                                    mu_sifted[errors])):
             row += np.bincount(mu, minlength=k)
         offsets.append((start, stop, post.j_d_opt))
     return counts.T.tolist(), offsets
@@ -549,9 +547,11 @@ def test_config_validation():
         base_config(intensities=(0.5, math.nan))
     with pytest.raises(ValueError):
         base_config(intensities=(math.inf,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^phi0 value_rad must be finite, got nan$"):
         Phi0Model("fixed", math.nan)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^phi0 rate_rad_per_round must be finite, got inf$"):
         Phi0Model("slow_drift", 0.0, math.inf)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^fixed phi0 cannot have a drift rate, got 1e-06$"):
         Phi0Model("fixed", 0.0, 1e-6)
+    with pytest.raises(ValueError, match="^phi0 kind must be .*, got 'drift'$"):
+        Phi0Model("drift")
