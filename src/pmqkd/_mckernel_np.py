@@ -11,11 +11,13 @@ mapping, and so the random-stream definition, unchanged: a gathered
 subset goes through the same elementwise ufuncs as the full block and
 gives the same bits.
 
-The full-block passes write through ``out=`` into the output arrays and
-one float64 scratch array, whose bytes also hold the slice-wrap mask;
-the candidate masks are the only other full-block temporaries.  The
-outputs may be views into longer arrays; nothing outside them is
-written.
+The passes over every round write through ``out=`` into the output
+arrays and one float64 scratch array, whose bytes also hold the
+slice-wrap mask; the candidate masks are the only other temporaries
+sized by the block.  ``simcore.collect_rounds`` calls the kernel on
+work units of at most ``simcore._UNIT_ROUNDS`` rounds, one per worker
+thread at a time, so these temporaries are per unit.  The outputs may
+be views into longer arrays; nothing outside them is written.
 """
 from __future__ import annotations
 

@@ -1,30 +1,50 @@
 """Round-level Monte Carlo simulation of the practical protocol.
 
 Generates rounds in fixed-size blocks whose RNG substreams derive from
-(seed, block index), so serial and concurrent execution produce
-identical tallies.  Detection uses the independent-detector coherent
-click model; exactly-one-click rounds count as successes and double
-clicks are discarded.
+(seed, block index).  The rounds are made in work units of part of a
+block, shared out over one thread per CPU in the process's affinity
+mask; a unit's variates and outputs are fixed by its block's substream
+and its round positions alone, so the rounds and the tallies do not
+depend on the thread count.  Detection uses the
+independent-detector coherent click model; exactly-one-click rounds
+count as successes and double clicks are discarded.
 """
 from __future__ import annotations
 
 import inspect
 import json
 import math
+import os
 import sys
+import threading
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Iterator
 
 import numpy as np
 
-from . import _mckernel_np
+# Bound here rather than looked up on the module: the kernel runs on
+# worker threads, where a wrapper put on the module attribute (a
+# single-stack profiler's, say) must not run.
+from ._mckernel_np import simulate_block as _simulate_block
 from .detection import ChannelParams, _check_intensity
 from .rate import _gain, _qber, misalignment_e_delta
 
 # Rounds per RNG block.  Part of the random-stream definition: changing
 # it changes which uniforms drive which round.
 RNG_BLOCK_ROUNDS = 1 << 18
+
+# Rounds per work unit of ``run_blocks``; not part of the random-stream
+# definition.  A worker's uniform buffer holds one unit (3.7 MB), and a
+# block makes four units, so a worker on a busier CPU can leave the
+# others more of it.  Of 2^14 .. 2^18 on a 2-core host, 2^16 and 2^17
+# ran fastest, and 2^18 lost most when another process took a core.
+_UNIT_ROUNDS = 1 << 16
+
+try:
+    _WORKERS = len(os.sched_getaffinity(0))
+except AttributeError:  # no affinity call on this platform
+    _WORKERS = os.cpu_count() or 1
 
 _ROUND_STREAM = 0
 _SAMPLE_STREAM = 1
@@ -260,44 +280,125 @@ def _stream_rng(seed: int, stream: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, stream, index])))
 
 
-def run_blocks(cfg: SimConfig, data: RoundData) -> Iterator[RoundData]:
-    """Fill ``data`` (``cfg.rounds`` rounds) one RNG block at a time and
-    yield each block as a view into it; the layout is fixed by (seed, config).
+def _round_units(rounds: int) -> list[tuple[int, int, int, int, int]]:
+    """The work units of a run of ``rounds`` rounds, in round order.
 
-    One uniform buffer of ``7 * min(RNG_BLOCK_ROUNDS, rounds)`` doubles
-    serves every block: ``random(out=)`` on its C-contiguous prefix
-    draws the same doubles as ``random((7, n))``.
+    Each unit is ``(block index, block start, block rounds, a, b)``:
+    rounds ``[a, b)`` of one RNG block, at most ``_UNIT_ROUNDS`` of them.
     """
-    buf = np.empty(7 * min(RNG_BLOCK_ROUNDS, cfg.rounds))
+    units = []
+    for block_index, start in enumerate(range(0, rounds, RNG_BLOCK_ROUNDS)):
+        n = min(RNG_BLOCK_ROUNDS, rounds - start)
+        units += [(block_index, start, n, a, min(a + _UNIT_ROUNDS, n))
+                  for a in range(0, n, _UNIT_ROUNDS)]
+    return units
+
+
+def _run_units(start_worker, count: int) -> None:
+    """Run units ``0 .. count - 1`` on ``min(_WORKERS, count)`` workers, at least one.
+
+    The calling thread is one worker and every other one runs on a
+    thread of its own.  A worker calls ``start_worker()`` once for its
+    unit runner, then runs the lowest unit not yet taken until none is
+    left, so a worker whose CPU is busier runs fewer units.  Once a unit
+    fails no unit is started; every thread is joined before the failure
+    of the lowest unit is raised.
+    """
+    lock = threading.Lock()
+    taken = 0
+    failed = {}  # unit index (-1: before the first) -> exception
+
+    def work():
+        nonlocal taken
+        i = -1
+        try:
+            run_unit = start_worker()
+            while True:
+                with lock:
+                    if failed or taken == count:
+                        return
+                    i = taken
+                    taken += 1
+                run_unit(i)
+        except BaseException as exc:  # raised in the caller below
+            with lock:
+                failed[i] = exc
+
+    threads = []
+    try:
+        for _ in range(1, min(_WORKERS, count)):
+            thread = threading.Thread(target=work)
+            thread.start()
+            threads.append(thread)
+        work()
+    finally:
+        for thread in threads:
+            thread.join()
+    if failed:
+        raise failed[min(failed)]
+
+
+def run_blocks(cfg: SimConfig, data: RoundData) -> Iterator[RoundData]:
+    """Fill ``data`` (``cfg.rounds`` rounds), then yield each RNG block as
+    a view into it; the layout is fixed by (seed, config).
+
+    The run is cut into units of at most ``_UNIT_ROUNDS`` rounds of one
+    RNG block (``_round_units``), which ``_run_units`` shares out over one
+    thread per CPU in the process's affinity mask; no worker waits for a
+    block to finish before it starts on the next.  Unit ``[a, b)`` of an
+    ``n``-round block reads columns ``a:b`` of the block's ``(7, n)``
+    uniforms: row ``r`` is doubles ``[r*n + a, r*n + b)`` of the block's
+    stream, drawn after advancing its generator past the doubles before
+    them.  PCG64 makes each double from one 64-bit output, so these are
+    the doubles of one ``random((7, n))`` call, and the rounds do not
+    depend on the unit size or the thread count.  Each worker draws into
+    its own ``(7, _UNIT_ROUNDS)`` buffer and runs the kernel on it, which
+    writes the unit's rounds in place.
+    """
+    units = _round_units(cfg.rounds)
     intensities = np.asarray(cfg.intensities, dtype=np.float64)
-    for block_index, start in enumerate(range(0, cfg.rounds, RNG_BLOCK_ROUNDS)):
-        n = min(RNG_BLOCK_ROUNDS, cfg.rounds - start)
-        u = buf[: 7 * n].reshape(7, n)
-        _stream_rng(cfg.seed, _ROUND_STREAM, block_index).random(out=u)
-        block = data.take(slice(start, start + n))
-        _mckernel_np.simulate_block(
-            u,
-            cfg.channel.eta_arm,
-            cfg.channel.p_d,
-            intensities,
-            cfg.m_slices,
-            cfg.phi0.value_rad,
-            cfg.phi0.rate_rad_per_round,
-            start,
-            block.kappa_a,
-            block.kappa_b,
-            block.mu_idx,
-            block.j_a,
-            block.j_b,
-            block.outcome,
-            block.phi_a,
-            block.phi_b,
-        )
-        yield block
+
+    def start_worker():
+        buf = np.empty((7, min(_UNIT_ROUNDS, cfg.rounds)))
+
+        def run_unit(i):
+            block_index, start, n, a, b = units[i]
+            u = buf[:, : b - a]
+            rng = _stream_rng(cfg.seed, _ROUND_STREAM, block_index)
+            passed = 0  # doubles of the block's stream drawn or skipped
+            for r in range(7):
+                rng.bit_generator.advance(r * n + a - passed)
+                rng.random(out=u[r])
+                passed = r * n + b
+            rounds = data.take(slice(start + a, start + b))
+            _simulate_block(
+                u,
+                cfg.channel.eta_arm,
+                cfg.channel.p_d,
+                intensities,
+                cfg.m_slices,
+                cfg.phi0.value_rad,
+                cfg.phi0.rate_rad_per_round,
+                start + a,
+                rounds.kappa_a,
+                rounds.kappa_b,
+                rounds.mu_idx,
+                rounds.j_a,
+                rounds.j_b,
+                rounds.outcome,
+                rounds.phi_a,
+                rounds.phi_b,
+            )
+
+        return run_unit
+
+    _run_units(start_worker, len(units))
+    for start in range(0, cfg.rounds, RNG_BLOCK_ROUNDS):
+        yield data.take(slice(start, min(start + RNG_BLOCK_ROUNDS, cfg.rounds)))
 
 
 def collect_rounds(cfg: SimConfig) -> RoundData:
-    """All rounds of the run, each block written in place by the kernel."""
+    """All rounds of the run, each unit written in place by the kernel."""
     data = RoundData.empty(cfg.rounds)
     for _ in run_blocks(cfg, data):
         pass

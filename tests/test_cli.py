@@ -370,15 +370,17 @@ def test_sweep_eta_valid_grid_is_unchanged(capsys, flags, csv):
 
 
 def test_import_loads_no_process_pool_or_optimizer():
-    # sweeps run in the calling process, and SciPy's optimizer is imported only where used
-    heavy = ("multiprocessing", "concurrent.futures.process", "scipy.optimize")
-    code = f"import sys, pmqkd.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    # sweeps run in the calling process, the Monte Carlo's threads start only when a
+    # block is simulated, and SciPy's optimizer is imported only where used
+    heavy = ("multiprocessing", "concurrent.futures", "scipy.optimize")
+    code = (f"import sys, threading, pmqkd.cli; "
+            f"print([m for m in {heavy!r} if m in sys.modules], threading.active_count())")
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert done.stdout == "[]\n"
+    assert done.stdout == "[] 1\n"
 
 
 def test_sweep_eta_variable(capsys):

@@ -1,6 +1,8 @@
-"""The kernel against a full-array oracle, and the seeded round stream."""
+"""The kernel against a full-array oracle, the seeded round stream, and its threaded fill."""
 import dataclasses
 import math
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -159,21 +161,28 @@ def kernel_params(cfg):
 
 
 @pytest.mark.parametrize("drift", [False, True], ids=["fixed", "drift"])
-def test_collect_rounds_equals_fresh_block_runs(drift):
-    # three RNG blocks, the last one short: a stale tail of the reused
-    # uniform buffer or of a reused output would show in the last block
+def test_collect_rounds_equals_fresh_block_runs(monkeypatch, drift):
+    # three RNG blocks, the last one short, in nine work units: a unit
+    # drawn from the wrong place in its block's stream, a stale tail of a
+    # worker's uniform buffer, or (under drift) a unit's first round index
+    # off its block's would show against one draw and kernel call per block
     cfg = dataclasses.replace(slow_drift_config(), rounds=2 * RNG_BLOCK_ROUNDS + 1234)
     if not drift:
         cfg = dataclasses.replace(cfg, phi0=Phi0Model("fixed", 0.7))
-    data = simcore.collect_rounds(cfg)
-    assert len(data) == cfg.rounds
+    assert len(simcore._round_units(cfg.rounds)) == 9
+    want = {}
     for bi, start in enumerate(range(0, cfg.rounds, RNG_BLOCK_ROUNDS)):
         stop = min(start + RNG_BLOCK_ROUNDS, cfg.rounds)
         u = simcore._stream_rng(cfg.seed, simcore._ROUND_STREAM, bi).random((7, stop - start))
-        want, _ = run_kernel(_mckernel_np.simulate_block, u, *kernel_params(cfg), start)
-        got = {name: getattr(data, name)[start:stop] for name in OUTPUTS}
-        assert_same_bytes(got, want)
+        want[start], _ = run_kernel(_mckernel_np.simulate_block, u, *kernel_params(cfg), start)
     assert stop == cfg.rounds
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(simcore, "_WORKERS", workers)
+        data = simcore.collect_rounds(cfg)
+        assert len(data) == cfg.rounds
+        for start, block in want.items():
+            stop = start + len(block["outcome"])
+            assert_same_bytes({name: getattr(data, name)[start:stop] for name in OUTPUTS}, block)
 
 
 @pytest.mark.parametrize("phi0", list(PHI0), ids=list(PHI0))
@@ -189,15 +198,105 @@ def test_kernel_writes_only_inside_its_views(phi0):
     assert_same_bytes({name: o[a:b] for name, o in zip(OUTPUTS, outs)}, want)
 
 
-def test_collect_rounds_memory_peak():
-    # the round arrays (25 B a round), one (7, RNG_BLOCK_ROUNDS) uniform
-    # buffer (56 B a block round) and the kernel's block temporaries
+def test_collect_rounds_memory_peak(monkeypatch):
+    # the round arrays (25 B a round) and, per worker, one (7, _UNIT_ROUNDS)
+    # uniform buffer (56 B a unit round) and the kernel's temporaries, which
+    # are sized by the unit: with up to four workers, less than 96 B a block round
     cfg = dataclasses.replace(slow_drift_config(), rounds=2 * RNG_BLOCK_ROUNDS + 1234)
-    tracemalloc.start()
-    try:
+    for workers in (1, 2):
+        monkeypatch.setattr(simcore, "_WORKERS", workers)
+        tracemalloc.start()
+        try:
+            data = simcore.collect_rounds(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(data) == cfg.rounds
+        assert peak <= 25 * cfg.rounds + 96 * RNG_BLOCK_ROUNDS, workers
+
+
+# --- the worker count ----------------------------------------------------------
+
+WORKER_CASES = {
+    "fixed": lambda cfg: dataclasses.replace(
+        cfg, rounds=2 * RNG_BLOCK_ROUNDS + 1234, phi0=Phi0Model("fixed", 0.7)),
+    "slow_drift": lambda cfg: dataclasses.replace(cfg, rounds=2 * RNG_BLOCK_ROUNDS + 1234),
+    # below one unit: the draw and the kernel run on the calling thread alone
+    "below_one_unit": lambda cfg: dataclasses.replace(
+        cfg, rounds=simcore._UNIT_ROUNDS - 1, channel=ChannelParams(eta_arm=0.5, p_d=7.2e-8),
+        jd_block_rounds=None),
+}
+
+
+@pytest.mark.parametrize("case", list(WORKER_CASES))
+def test_output_does_not_depend_on_the_worker_count(monkeypatch, case):
+    cfg = WORKER_CASES[case](slow_drift_config())
+    runs = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(simcore, "_WORKERS", workers)
         data = simcore.collect_rounds(cfg)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(data) == cfg.rounds
-    assert peak <= 25 * cfg.rounds + 96 * RNG_BLOCK_ROUNDS
+        res = simulate(cfg)
+        runs.append(([getattr(data, name).tobytes() for name in OUTPUTS],
+                     tallies_to_csv(res.tallies), res.block_offsets))
+    assert runs[1] == runs[0]
+    assert runs[2] == runs[0]
+
+
+def test_every_unit_runs_once_on_its_own_worker(monkeypatch):
+    monkeypatch.setattr(simcore, "_WORKERS", 3)
+    ran = []
+    starts = []  # the thread objects: an idle worker's ident can be reused
+
+    def start_worker():
+        starts.append(threading.current_thread())
+        return lambda i: ran.append((i, threading.current_thread()))
+
+    simcore._run_units(start_worker, 40)
+    assert sorted(i for i, _ in ran) == list(range(40))
+    assert len(starts) == len(set(starts)) == 3
+    assert {thread for _, thread in ran} <= set(starts)
+    assert threading.main_thread() in starts  # the calling thread is a worker
+
+
+def test_unit_failure_reaches_the_caller_after_every_thread_is_joined(monkeypatch):
+    monkeypatch.setattr(simcore, "_WORKERS", 3)
+    before = threading.active_count()
+
+    def later_units_fail(i):
+        if i == 1:
+            time.sleep(0.05)  # unit 1 fails after unit 2, but is raised
+        if i > 0:
+            raise ValueError(f"unit {i}")
+
+    with pytest.raises(ValueError, match="^unit 1$"):
+        simcore._run_units(lambda: later_units_fail, 6)
+    assert threading.active_count() == before
+
+    ran = []
+
+    def first_unit_fails(i):
+        ran.append(i)
+        if i == 0:
+            raise KeyError(i)
+        time.sleep(0.2)
+
+    with pytest.raises(KeyError):
+        simcore._run_units(lambda: first_unit_fails, 6)
+    assert threading.active_count() == before
+    # no unit starts after the failure: beside unit 0, at most the one
+    # unit each other worker had taken before it failed ran
+    assert 0 in ran and sorted(ran) == list(range(len(ran))) and len(ran) <= 3
+
+
+def test_below_one_unit_starts_no_thread(monkeypatch):
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(simcore, "_WORKERS", 3)
+    monkeypatch.setattr(threading, "Thread", no_thread)
+    ran = []
+    simcore._run_units(lambda: ran.append, 1)
+    assert ran == [0]
+    cfg = WORKER_CASES["below_one_unit"](slow_drift_config())
+    assert len(simcore._round_units(cfg.rounds)) == 1
+    assert len(simcore.collect_rounds(cfg)) == cfg.rounds

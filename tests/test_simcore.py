@@ -64,9 +64,10 @@ def test_csv_byte_identical_across_runs():
     assert csv1 == csv2
 
 
-def test_block_partition_invariant():
-    # tallies must not depend on how rounds are grouped into RNG blocks,
-    # which is what makes block-parallel execution equivalent to serial
+def test_block_partition_invariant(monkeypatch):
+    # the rounds must not depend on how they are grouped into RNG blocks
+    # and work units, which is what makes the threaded fill equivalent to
+    # one serial pass
     from pmqkd import simcore
 
     cfg = base_config(rounds=simcore.RNG_BLOCK_ROUNDS + 1234)
@@ -78,6 +79,22 @@ def test_block_partition_invariant():
     # the blocks are views that tile the run's arrays
     assert blocks[1].outcome.base is data.outcome
     assert blocks[1].outcome.ctypes.data == data.outcome[simcore.RNG_BLOCK_ROUNDS:].ctypes.data
+    # the units tile the run in order, each inside one RNG block
+    units = simcore._round_units(cfg.rounds)
+    assert len(units) == simcore.RNG_BLOCK_ROUNDS // simcore._UNIT_ROUNDS + 1
+    stop = 0
+    for block_index, start, n, a, b in units:
+        assert start + a == stop
+        assert start == block_index * simcore.RNG_BLOCK_ROUNDS
+        assert n == min(simcore.RNG_BLOCK_ROUNDS, cfg.rounds - start)
+        assert 0 <= a < b <= n and b - a <= simcore._UNIT_ROUNDS
+        stop = start + b
+    assert stop == cfg.rounds
+    monkeypatch.setattr(simcore, "_UNIT_ROUNDS", 1000)
+    assert len(simcore._round_units(cfg.rounds)) == 263 + 2
+    other = simcore.collect_rounds(cfg)
+    for name, values in vars(data).items():
+        assert values.tobytes() == getattr(other, name).tobytes(), name
 
 
 # --- physics of the round stream --------------------------------------------------
