@@ -12,11 +12,12 @@ subset goes through the same elementwise ufuncs as the full block and
 gives the same bits.
 
 The passes over every round write through ``out=`` into the output
-arrays and one float64 scratch array, whose bytes also hold the
-slice-wrap mask; the candidate masks are the only other temporaries
-sized by the block.  ``simcore.collect_rounds`` calls the kernel on
-work units of at most ``simcore._UNIT_ROUNDS`` rounds, one per worker
-thread at a time, so these temporaries are per unit.  The outputs may
+arrays and one float64 scratch array, which holds each phase on its
+way to its slice and whose bytes also hold the slice-wrap mask; the
+candidate masks are the only other temporaries sized by the block.
+The workers of ``simcore.run_blocks`` call the kernel on work units of
+at most ``simcore._UNIT_ROUNDS`` rounds, one per worker thread at a
+time, so these temporaries are per unit.  The outputs may
 be views into longer arrays; nothing outside them is written.
 """
 from __future__ import annotations
@@ -43,8 +44,6 @@ def simulate_block(
     j_a: np.ndarray,
     j_b: np.ndarray,
     outcome: np.ndarray,
-    phi_a: np.ndarray,
-    phi_b: np.ndarray,
 ) -> None:
     """Fill per-round outputs from a (7, n) block of uniforms.
 
@@ -54,8 +53,6 @@ def simulate_block(
     scratch = np.empty(u.shape[1])
     np.less(u[0], 0.5, out=kappa_a.view(np.bool_))
     np.less(u[1], 0.5, out=kappa_b.view(np.bool_))
-    np.multiply(u[2], TWO_PI, out=phi_a)
-    np.multiply(u[3], TWO_PI, out=phi_b)
     k = len(intensities)
     np.multiply(u[4], k, out=scratch)
     mu_idx[:] = scratch  # truncates, as astype does
@@ -76,7 +73,9 @@ def simulate_block(
         phi0 = phi0_value + phi0_rate * (t0 + idx.astype(np.float64))
     else:
         phi0 = phi0_value
-    delta = (phi_b[idx] + math.pi * kappa_b[idx]) - (phi_a[idx] + math.pi * kappa_a[idx]) + phi0
+    phi_a = u[2, idx] * TWO_PI
+    phi_b = u[3, idx] * TWO_PI
+    delta = (phi_b + math.pi * kappa_b[idx]) - (phi_a + math.pi * kappa_a[idx]) + phi0
     # half-angle identities: one cosine per round covers both detectors
     c = np.cos(delta)
     c2 = 0.5 * (1.0 + c)
@@ -91,8 +90,9 @@ def simulate_block(
     # 0 <= phi < 2*pi, so the rounded slice lies in [0, M]; M wraps to 0
     scale = m_slices / TWO_PI
     wrap = scratch.view(np.bool_)[: len(scratch)]
-    for phi, j in ((phi_a, j_a), (phi_b, j_b)):
-        np.multiply(phi, scale, out=scratch)
+    for r, j in ((2, j_a), (3, j_b)):
+        np.multiply(u[r], TWO_PI, out=scratch)
+        scratch *= scale
         scratch += 0.5
         j[:] = scratch  # truncation is floor here: the value is >= 0.5
         np.equal(j, m_slices, out=wrap)

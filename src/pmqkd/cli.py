@@ -16,7 +16,6 @@ evaluate every grid point in the calling process.  ``p_d``, ``eta_d``,
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from dataclasses import dataclass, fields, replace
@@ -114,8 +113,7 @@ def _json_preset(value, name: str) -> str:
 def _read_rate_config(path: str) -> dict:
     """``rate --config`` document with every value checked; each key fills the
     flag of the same dest when that flag is not given."""
-    with open(path, "r", encoding="utf-8") as f:
-        doc = json.load(f)
+    doc = simcore._read_json(path)
     numbers = ("distance_km", "eta_arm", "mu", "p_d", "eta_d", "f_ec", "alpha_db_per_km")
     parsers = dict.fromkeys(numbers, simcore._json_number)
     parsers.update(m_slices=simcore._json_integer, preset=_json_preset)

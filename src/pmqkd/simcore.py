@@ -122,6 +122,17 @@ class SimConfig:
             raise ValueError(f"sample_fraction must be in (0, 1), got {self.sample_fraction!r}")
         if self.jd_block_rounds is not None and self.jd_block_rounds < 1:
             raise ValueError(f"jd_block_rounds must be positive, got {self.jd_block_rounds!r}")
+        # phi0 reaches |value_rad| + |rate_rad_per_round| * rounds; past the
+        # largest float the kernel's phase difference would be inf or nan
+        rate = self.phi0.rate_rad_per_round
+        if rate and not (
+            self.rounds <= sys.float_info.max
+            and math.isfinite(abs(self.phi0.value_rad) + abs(rate) * self.rounds)
+        ):
+            raise ValueError(
+                f"phi0.rate_rad_per_round must keep phi0 finite over {self.rounds} rounds,"
+                f" got {rate!r}"
+            )
 
     # -- JSON round trip ----------------------------------------------------
 
@@ -147,8 +158,20 @@ class SimConfig:
 
     @classmethod
     def from_json_file(cls, path) -> "SimConfig":
-        with open(path, "r", encoding="utf-8") as f:
-            return cls.from_json_dict(json.load(f))
+        return cls.from_json_dict(_read_json(path))
+
+
+def _read_json(path):
+    """The JSON document in the file ``path``.
+
+    Malformed text, or nesting too deep for the parser, raises a
+    one-line ValueError naming the file.
+    """
+    with open(path, "r", encoding="utf-8") as f:
+        try:
+            return json.load(f)
+        except (ValueError, RecursionError) as exc:
+            raise ValueError(f"{path} is not a readable JSON document: {exc}") from None
 
 
 def _json_fields(doc, name: str, parsers: dict, required) -> dict:
@@ -230,8 +253,6 @@ class RoundData:
     j_a: np.ndarray  # int16
     j_b: np.ndarray  # int16
     outcome: np.ndarray  # int8
-    phi_a: np.ndarray
-    phi_b: np.ndarray
 
     @classmethod
     def empty(cls, n: int) -> "RoundData":
@@ -243,8 +264,6 @@ class RoundData:
             j_a=np.empty(n, dtype=np.int16),
             j_b=np.empty(n, dtype=np.int16),
             outcome=np.empty(n, dtype=np.int8),
-            phi_a=np.empty(n, dtype=np.float64),
-            phi_b=np.empty(n, dtype=np.float64),
         )
 
     def __len__(self) -> int:
@@ -270,8 +289,6 @@ class RoundData:
             j_a=self.j_a[index],
             j_b=self.j_b[index],
             outcome=self.outcome[index],
-            phi_a=self.phi_a[index],
-            phi_b=self.phi_b[index],
         )
 
 
@@ -386,8 +403,6 @@ def run_blocks(cfg: SimConfig, data: RoundData) -> Iterator[RoundData]:
                 rounds.j_a,
                 rounds.j_b,
                 rounds.outcome,
-                rounds.phi_a,
-                rounds.phi_b,
             )
 
         return run_unit

@@ -733,6 +733,17 @@ def test_simulate_unallocatable_rounds_is_one_line_error(tmp_path, capsys):
     assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [["simulate"], ["rate", "--config"]], ids=["simulate", "rate"])
+def test_deeply_nested_config_is_one_line_error(tmp_path, capsys, argv):
+    # deeper than the JSON parser's recursion limit
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    code, out, err = run_cli([*argv, str(path)], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {path} is not a readable JSON document: ")
+    assert err.count("\n") == 1
+
+
 def test_simulate_missing_file(capsys):
     code, _, err = run_cli(["simulate", "/nonexistent/cfg.json"], capsys)
     assert code == 1
@@ -755,11 +766,14 @@ def test_simulate_missing_file(capsys):
         ({"channel": {"eta_arm": 0.1, "p_d": 7.2e-8, "eta_d": 0.145}}, "'eta_d'"),
         ({"channel": {"eta_arm": 0.1, "p_d": 7.2e-8, "alpha_db_per_km": 0.2}},
          "'alpha_db_per_km'"),
+        # the drift passes the largest float within the run: the kernel's phase would be inf
+        ({"rounds": 1000, "phi0": {"kind": "slow_drift", "rate_rad_per_round": 1e308}},
+         "phi0.rate_rad_per_round must keep phi0 finite over 1000 rounds, got 1e+308"),
     ],
     ids=["m_slices_40000", "rounds_null", "scalar_intensities", "nan_phi0",
          "unknown_key", "unknown_channel_key", "unknown_phi0_key", "bad_phi0_kind",
          "fixed_phi0_with_rate", "eta_arm_with_distance", "eta_arm_with_eta_d",
-         "eta_arm_with_alpha"],
+         "eta_arm_with_alpha", "overflowing_drift"],
 )
 def test_simulate_bad_config_is_one_line_error(tmp_path, capsys, overrides, named):
     code, out, err = run_cli(["simulate", str(_sim_config(tmp_path, **overrides))], capsys)

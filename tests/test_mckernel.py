@@ -21,18 +21,18 @@ from pmqkd.simcore import (
 
 TWO_PI = 2.0 * math.pi
 
-OUTPUTS = ("kappa_a", "kappa_b", "mu_idx", "j_a", "j_b", "outcome", "phi_a", "phi_b")
-DTYPES = (np.int8, np.int8, np.int16, np.int16, np.int16, np.int8, np.float64, np.float64)
+OUTPUTS = ("kappa_a", "kappa_b", "mu_idx", "j_a", "j_b", "outcome")
+DTYPES = (np.int8, np.int8, np.int16, np.int16, np.int16, np.int8)
 
 
 def oracle_block(u, eta, p_d, intensities, m_slices, phi0_value, phi0_rate, t0,
-                 kappa_a, kappa_b, mu_idx, j_a, j_b, outcome, phi_a, phi_b):
+                 kappa_a, kappa_b, mu_idx, j_a, j_b, outcome):
     """The click model evaluated on every round of the block."""
     n = u.shape[1]
     kappa_a[:] = u[0] < 0.5
     kappa_b[:] = u[1] < 0.5
-    np.multiply(u[2], TWO_PI, out=phi_a)
-    np.multiply(u[3], TWO_PI, out=phi_b)
+    phi_a = u[2] * TWO_PI
+    phi_b = u[3] * TWO_PI
     np.minimum(
         (u[4] * len(intensities)).astype(mu_idx.dtype), len(intensities) - 1, out=mu_idx
     )
@@ -199,10 +199,12 @@ def test_kernel_writes_only_inside_its_views(phi0):
 
 
 def test_collect_rounds_memory_peak(monkeypatch):
-    # the round arrays (25 B a round) and, per worker, one (7, _UNIT_ROUNDS)
+    # the round arrays (9 B a round) and, per worker, one (7, _UNIT_ROUNDS)
     # uniform buffer (56 B a unit round) and the kernel's temporaries, which
-    # are sized by the unit: with up to four workers, less than 96 B a block round
-    cfg = dataclasses.replace(slow_drift_config(), rounds=2 * RNG_BLOCK_ROUNDS + 1234)
+    # are sized by the unit: with up to four workers, less than 96 B a block
+    # round.  Over eight RNG blocks the per-round term outweighs the fixed
+    # one, so a record that kept the two float64 phases (25 B) would fail.
+    cfg = dataclasses.replace(slow_drift_config(), rounds=8 * RNG_BLOCK_ROUNDS + 1234)
     for workers in (1, 2):
         monkeypatch.setattr(simcore, "_WORKERS", workers)
         tracemalloc.start()
@@ -212,7 +214,7 @@ def test_collect_rounds_memory_peak(monkeypatch):
         finally:
             tracemalloc.stop()
         assert len(data) == cfg.rounds
-        assert peak <= 25 * cfg.rounds + 96 * RNG_BLOCK_ROUNDS, workers
+        assert peak <= 9 * cfg.rounds + 96 * RNG_BLOCK_ROUNDS, workers
 
 
 # --- the worker count ----------------------------------------------------------
@@ -236,7 +238,7 @@ def test_output_does_not_depend_on_the_worker_count(monkeypatch, case):
         monkeypatch.setattr(simcore, "_WORKERS", workers)
         data = simcore.collect_rounds(cfg)
         res = simulate(cfg)
-        runs.append(([getattr(data, name).tobytes() for name in OUTPUTS],
+        runs.append(({name: values.tobytes() for name, values in vars(data).items()},
                      tallies_to_csv(res.tallies), res.block_offsets))
     assert runs[1] == runs[0]
     assert runs[2] == runs[0]

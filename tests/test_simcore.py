@@ -53,8 +53,8 @@ def test_identical_seeds_identical_streams():
     cfg = base_config(rounds=5_000)
     a = collect_rounds(cfg)
     b = collect_rounds(cfg)
-    for field in ("kappa_a", "kappa_b", "mu_idx", "j_a", "j_b", "outcome", "phi_a", "phi_b"):
-        assert np.array_equal(getattr(a, field), getattr(b, field))
+    for name, values in vars(a).items():
+        assert np.array_equal(values, getattr(b, name)), name
 
 
 def test_csv_byte_identical_across_runs():
@@ -129,7 +129,9 @@ def test_slice_indices_round_the_phases():
     for m in (2, 16, 30, MAX_M_SLICES):
         cfg = base_config(rounds=20_000, m_slices=m)
         data = collect_rounds(cfg)
-        for j, phi in ((data.j_a, data.phi_a), (data.j_b, data.phi_b)):
+        # the phases are rows 2 and 3 of the round stream's uniforms, times 2*pi
+        u = simcore._stream_rng(cfg.seed, simcore._ROUND_STREAM, 0).random((7, cfg.rounds))
+        for j, phi in ((data.j_a, u[2] * (2 * PI)), (data.j_b, u[3] * (2 * PI))):
             expect = np.floor(phi * m / (2 * PI) + 0.5).astype(np.int64) % m
             assert np.array_equal(j, expect)
 
@@ -145,8 +147,6 @@ def _single_round(kappa_a, kappa_b, j_a, j_b, outcome, m=16):
         j_a=np.array([j_a], dtype=np.int16),
         j_b=np.array([j_b], dtype=np.int16),
         outcome=np.array([outcome], dtype=np.int8),
-        phi_a=np.zeros(1),
-        phi_b=np.zeros(1),
     )
 
 
@@ -229,8 +229,6 @@ def test_sift_equals_the_all_rounds_rule(m):
         j_a=rng.integers(0, m, n).astype(np.int16),
         j_b=rng.integers(0, min(m, 4), n).astype(np.int16),  # many matches even at large M
         outcome=rng.integers(0, 4, n).astype(np.int8),
-        phi_a=np.zeros(n),
-        phi_b=np.zeros(n),
     )
     for j_d in sorted({0, 1, m // 2, m - 1}):
         res = sift(data, j_d, m)
@@ -305,15 +303,10 @@ def test_qber_table_invariant_under_common_slice_shift():
     rng = np.random.default_rng(1)
     base = postcompensate(data, 0.3, rng, cfg.m_slices)
     for shift in (1, 5, 11):
-        shifted = RoundData(
-            kappa_a=data.kappa_a,
-            kappa_b=data.kappa_b,
-            mu_idx=data.mu_idx,
+        shifted = dataclasses.replace(
+            data,
             j_a=(data.j_a + shift) % cfg.m_slices,
             j_b=(data.j_b + shift) % cfg.m_slices,
-            outcome=data.outcome,
-            phi_a=data.phi_a,
-            phi_b=data.phi_b,
         )
         rng = np.random.default_rng(1)
         res = postcompensate(shifted, 0.3, rng, cfg.m_slices)
