@@ -6,7 +6,8 @@ BB84 and the bounds take the full-distance transmittance; MDI takes
 per-arm values.  ``bb84_rate_grid``/``mdi_rate_grid`` evaluate the same
 rates over an intensity array in one NumPy pass; they only select the
 bracket of :func:`pmqkd.rate.maximize`, which takes every value it
-returns from the scalar functions.
+returns from the scalar functions.  The phase-matching optimizer
+:func:`pmqkd.rate.optimize_mu` takes the same grid path.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ import numpy as np
 from .detection import (
     MAX_INTENSITY, ChannelParams, _check_f_ec, _check_intensity, _check_prob, binary_entropy,
 )
-from .rate import _gain, _yield
+from .rate import _entropy_grid, _gain, _yield
 
 
 def _bb84_single_photon(eta: float, pd: float, e_d: float) -> tuple[float, float]:
@@ -58,13 +59,6 @@ def bb84_rate(mu: float, e_d: float, f_ec: float, channel: ChannelParams) -> flo
     e_mu = min(e_mu, 0.5)
     rate = 0.5 * q_mu * (-f_ec * binary_entropy(e_mu) + q1 * (1.0 - binary_entropy(e1)))
     return max(rate, 0.0) + 0.0  # + 0.0 turns a -0.0 into 0.0
-
-
-def _entropy_grid(x: np.ndarray) -> np.ndarray:
-    # binary_entropy over an array with entries in [0, 1/2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h = -x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x)
-    return np.where(x > 0.0, h, 0.0)
 
 
 def bb84_rate_grid(mu: np.ndarray, e_d: float, f_ec: float, channel: ChannelParams) -> np.ndarray:

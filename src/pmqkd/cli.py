@@ -9,9 +9,9 @@ Sweeps give phase-matching and MDI the per-arm channel of
 :meth:`pmqkd.detection.ChannelParams.from_distance`, BB84 and the capacity
 bounds the full-distance :func:`pmqkd.detection.fiber_transmittance`, and
 evaluate every grid point in the calling process.  ``p_d``, ``eta_d``,
-``alpha_db_per_km``, ``f_ec`` and ``e_d`` are checked once per command, in
-:class:`Preset`.  Exit codes: 0 success, 1 domain error, 2 usage error,
-3 failed statistical/numerical check.
+``alpha_db_per_km``, ``f_ec``, ``e_d`` and ``m_slices`` are checked once
+per command, in :class:`Preset`.  Exit codes: 0 success, 1 domain error,
+2 usage error, 3 failed statistical/numerical check.
 """
 from __future__ import annotations
 
@@ -56,11 +56,12 @@ class Preset:
     alpha_db_per_km: float
 
     def __post_init__(self):
-        # once per command; m_slices is checked by the protocol parameters
+        # once per command, whichever protocols run
         detection._check_prob("p_d", self.p_d)
         detection._check_fiber(self.eta_d, self.alpha_db_per_km)
         detection._check_f_ec(self.f_ec)
         detection._check_prob("e_d", self.e_d)
+        rate._check_m_slices(self.m_slices)
 
 
 PRESETS = {

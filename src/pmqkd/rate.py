@@ -46,11 +46,15 @@ class PmParams:
         _check_intensity("mu_total", self.mu_total)
         if self.mu_total == 0.0:
             raise ValueError(f"mu_total must be positive, got {self.mu_total!r}")
-        if not (2 <= self.m_slices <= MAX_EXACT_M) or self.m_slices % 2 != 0:
-            raise ValueError(
-                f"m_slices must be an even integer in [2, {MAX_EXACT_M}], got {self.m_slices!r}"
-            )
+        _check_m_slices(self.m_slices)
         _check_f_ec(self.f_ec)
+
+
+def _check_m_slices(m_slices) -> None:
+    if not (2 <= m_slices <= MAX_EXACT_M) or m_slices % 2 != 0:
+        raise ValueError(
+            f"m_slices must be an even integer in [2, {MAX_EXACT_M}], got {m_slices!r}"
+        )
 
 
 @dataclass(slots=True)
@@ -165,14 +169,10 @@ def _rate(m, q: float, f_ec: float, ez: float, ex: float) -> float:
     return max((2.0 / m) * q * bracket, 0.0) + 0.0  # + 0.0 turns a -0.0 into 0.0
 
 
-def key_rate(ch: ChannelParams, pm: PmParams, *, tail: str = "truncated") -> RateBreakdown:
-    """Key rate per emitted pulse pair, (2/M)*Q*[1 - f*H(E^Z) - H(E^X)].
-
-    Negative bracket values are floored to rate 0.
-    """
-    p_d, mu, m = ch.p_d, pm.mu_total, pm.m_slices
-    x = ch.eta_arm * mu
-    loss = 1.0 - ch.eta_arm
+def _key_rate_terms(p_d: float, eta: float, mu: float, m, f_ec: float, tail: str) -> tuple:
+    # every RateBreakdown field, in its order; the optimizer reads the last, rate_R
+    x = eta * mu
+    loss = 1.0 - eta
     e_delta = misalignment_e_delta(m)
     q = _gain(p_d, x)
     fractions, bit_errors = {}, {}
@@ -185,15 +185,16 @@ def key_rate(ch: ChannelParams, pm: PmParams, *, tail: str = "truncated") -> Rat
     ez = _qber(q, p_d, x, e_delta)
     odd_qs, odd_es = [fractions[k] for k in ODD_ORDERS], [bit_errors[k] for k in ODD_ORDERS]
     ex = _phase_error(fractions[0], odd_qs, odd_es, q_odd, tail)
+    return q, ez, ex, fractions, q_odd, bit_errors, e_delta, _rate(m, q, f_ec, ez, ex)
+
+
+def key_rate(ch: ChannelParams, pm: PmParams, *, tail: str = "truncated") -> RateBreakdown:
+    """Key rate per emitted pulse pair, (2/M)*Q*[1 - f*H(E^Z) - H(E^X)].
+
+    Negative bracket values are floored to rate 0.
+    """
     return RateBreakdown(
-        gain_Q=q,
-        qber_Z=ez,
-        phase_err_X=ex,
-        fractions=fractions,
-        q_odd=q_odd,
-        bit_errors=bit_errors,
-        e_delta=e_delta,
-        rate_R=_rate(m, q, pm.f_ec, ez, ex),
+        *_key_rate_terms(ch.p_d, ch.eta_arm, pm.mu_total, pm.m_slices, pm.f_ec, tail)
     )
 
 
@@ -218,12 +219,26 @@ def _golden_max(f, lo: float, hi: float, tol: float = 1e-9) -> tuple[float, floa
 
 
 # How far ``maximize``'s ``f_grid`` may be from ``f``: this share of the
-# grid's largest |value| plus an absolute term.  The baselines' grids are
-# tested against it (tests/test_baselines.py); their measured deviation
-# is below 7.4e-10 of the largest |value| and, where 1 - exp(-eta*mu)
-# cancels (BB84 with p_d = 0 at long distance), below 3e-17 absolute.
+# grid's largest |value| plus an absolute term.  The baselines' and the
+# phase-matching rate's grids are tested against it
+# (tests/test_baselines.py).  Their measured deviation is below 7.4e-10
+# (BB84, MDI) and 3.6e-9 (pm) of the largest |value|; the larger ones sit
+# where 1 - exp(-eta*mu) cancels (p_d = 0 at long distance), and there
+# they are below 8e-17 absolute.
 GRID_REL_TOL = 1e-8
 GRID_ABS_TOL = 1e-15
+
+# the number of points of maximize's grid
+N_GRID = 200
+
+
+@functools.lru_cache(maxsize=8)
+def _grid(lo: float, hi: float) -> tuple[tuple[float, ...], np.ndarray]:
+    # maximize's grid as floats and as a read-only array, built once per range
+    xs = tuple(lo + (hi - lo) * i / (N_GRID - 1) for i in range(N_GRID))
+    arr = np.array(xs)
+    arr.flags.writeable = False
+    return xs, arr
 
 
 def maximize(f, lo: float, hi: float, f_grid=None) -> tuple[float, float]:
@@ -234,17 +249,18 @@ def maximize(f, lo: float, hi: float, f_grid=None) -> tuple[float, float]:
     does worse.  Returns ``(x, f(x))``; when ``f <= 0`` on the whole
     grid it returns ``(lo, 0.0)``.
 
-    ``f_grid``, if given, maps the grid (a NumPy array) to ``f``'s
-    values, not floored at 0, in one pass, to within ``GRID_REL_TOL``
-    of its largest |value| plus ``GRID_ABS_TOL``.  It only selects the
-    best grid point: ``f`` is evaluated at every point the bound cannot
-    rule out as the maximum, so the result is the same as without it.
+    ``f_grid``, if given, maps the grid (a read-only NumPy array) to
+    ``f``'s values, not floored at 0, in one pass, to within
+    ``GRID_REL_TOL`` of its largest |value| plus ``GRID_ABS_TOL``.  It
+    only selects the best grid point: ``f`` is evaluated at every point
+    the bound cannot rule out as the maximum, so the result is the same
+    as without it.  The phase-matching rate (:func:`optimize_mu`) and
+    the BB84 and MDI baselines all pass one.
     """
-    n_grid = 200
-    xs = [lo + (hi - lo) * i / (n_grid - 1) for i in range(n_grid)]
+    xs, grid = _grid(lo, hi)
     vals = None
     if f_grid is not None:
-        g = np.asarray(f_grid(np.array(xs)), dtype=float)
+        g = np.asarray(f_grid(grid), dtype=float)
         top = g.max()
         tol = GRID_REL_TOL * np.abs(g).max() + GRID_ABS_TOL
         if np.isfinite(tol):  # else a NaN or infinite entry: scan on the scalar path
@@ -260,11 +276,53 @@ def maximize(f, lo: float, hi: float, f_grid=None) -> tuple[float, float]:
     if vals[best] <= 0.0:
         return xs[0], 0.0
     a = xs[max(best - 1, 0)]
-    b = xs[min(best + 1, n_grid - 1)]
+    b = xs[min(best + 1, N_GRID - 1)]
     x_opt, v_opt = _golden_max(f, a, b, tol=1e-9 * (hi - lo))
     if v_opt < vals[best]:
         return xs[best], vals[best]
     return x_opt, v_opt
+
+
+def _entropy_grid(x: np.ndarray) -> np.ndarray:
+    # binary_entropy over an array with entries in [0, 1/2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = -x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x)
+    return np.where(x > 0.0, h, 0.0)
+
+
+def _key_rate_grid(mu: np.ndarray, p_d: float, eta: float, m, f_ec: float) -> np.ndarray:
+    """``key_rate``'s truncated-tail ``rate_R`` over an array of intensities,
+    not floored at 0: ``maximize``'s ``f_grid`` for :func:`optimize_mu`.
+
+    It mirrors ``_key_rate_terms`` term by term.  e_delta, the yields and
+    the bit errors do not depend on mu and come from the scalar path; the
+    rest agrees with it up to the ulp differences between NumPy's and
+    ``math``'s ``exp``/``log2``/powers.
+    """
+    x = eta * mu
+    loss = 1.0 - eta
+    e_delta = misalignment_e_delta(m)
+    damp_x, damp_mu = np.exp(-x), np.exp(-mu)
+    q = 1.0 - (1.0 - 2.0 * p_d) * damp_x
+    live = q > 0.0  # where the scalar _qber and _fraction do not short-cut
+    qs, es = [], []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ez = np.where(live, np.clip((p_d + x * e_delta) * damp_x / q, 0.0, 0.5), 0.5)
+        for k in (0, *ODD_ORDERS):
+            loss_k = loss**k
+            y = _yield(k, p_d, loss_k)
+            qs.append(np.where(live, y * mu**k * damp_mu / (math.factorial(k) * q), 0.0))
+            es.append(_bit_error(p_d, loss_k, y, e_delta))
+    # _phase_error's truncated tail, accumulated in its order
+    ex = qs[0] * 0.5
+    for qk, ek in zip(qs[1:], es[1:]):
+        ex = ex + qk * ek
+    tail_term = 1.0 - qs[0]
+    for qk in qs[1:]:
+        tail_term = tail_term - qk
+    ex = np.clip(ex + tail_term, 0.0, 0.5)
+    bracket = -f_ec * _entropy_grid(ez) + 1.0 - _entropy_grid(ex)
+    return (2.0 / m) * q * bracket
 
 
 # the intensity search range of every protocol's optimization
@@ -273,9 +331,19 @@ MU_RANGE = (0.01, 2.0)
 
 def optimize_mu(ch: ChannelParams, m_slices: int, f_ec: float) -> tuple[float, float]:
     """``(mu, rate_R)`` at the intensity in :data:`MU_RANGE` maximizing the
-    key rate, found by :func:`maximize`.
+    key rate, found by :func:`maximize` on the NumPy grid of the rate.
 
     When the rate vanishes everywhere the smallest grid intensity is
-    returned with rate 0.
+    returned with rate 0.  Every returned value is ``key_rate``'s.
     """
-    return maximize(lambda mu: key_rate(ch, PmParams(mu, m_slices, f_ec)).rate_R, *MU_RANGE)
+    _check_m_slices(m_slices)
+    _check_f_ec(f_ec)
+    p_d, eta = ch.p_d, ch.eta_arm
+
+    def f(mu):
+        return _key_rate_terms(p_d, eta, mu, m_slices, f_ec, "truncated")[-1]
+
+    def f_grid(mus):
+        return _key_rate_grid(mus, p_d, eta, m_slices, f_ec)
+
+    return maximize(f, *MU_RANGE, f_grid=f_grid)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -242,17 +243,34 @@ def mdi_cell(distance, pd, ed, f_ec=1.15):
     return f, lambda mus: mdi_rate_grid(mus / 2.0, mus / 2.0, eta, eta, pd, ed, f_ec)
 
 
-CELLS = {"bb84": bb84_cell, "mdi": mdi_cell}
+def pm_cell(distance, pd, m_slices, f_ec=1.15):
+    ch = ChannelParams.from_distance(distance, eta_d=0.145, p_d=pd)
+
+    def f(mu):
+        return rate.key_rate(ch, rate.PmParams(mu, m_slices, f_ec)).rate_R
+
+    return f, lambda mus: rate._key_rate_grid(mus, pd, ch.eta_arm, m_slices, f_ec)
 
 
-@pytest.mark.parametrize("e_d", [0.0, 0.015, 0.1])
-@pytest.mark.parametrize("p_d", [0.0, 7.2e-8, 1e-5])
-@pytest.mark.parametrize("protocol", ["bb84", "mdi"])
-def test_rate_grid_within_the_maximize_bound(protocol, p_d, e_d):
+# each cell takes (distance, p_d, setting, f_ec): the setting is e_d for the
+# baselines and the slice count M for phase matching
+CELLS = {"bb84": bb84_cell, "mdi": mdi_cell, "pm": pm_cell}
+P_DS = [0.0, 7.2e-8, 1e-5]
+
+
+@pytest.mark.parametrize(
+    "protocol, p_d, setting",
+    [
+        *itertools.product(["bb84", "mdi"], P_DS, [0.0, 0.015, 0.1]),
+        # from M = 256 up misalignment_e_delta takes its series branch
+        *itertools.product(["pm"], P_DS, [2, 16, 256, 2**20]),
+    ],
+)
+def test_rate_grid_within_the_maximize_bound(protocol, p_d, setting):
     # the bound maximize relies on: the unfloored grid value is within tol of
     # the scalar value where that is positive, and below tol where it is 0
     for distance in GRID_DISTANCES:
-        f, f_grid = CELLS[protocol](distance, p_d, e_d)
+        f, f_grid = CELLS[protocol](distance, p_d, setting)
         g = f_grid(MU_GRID)
         scalar = np.array([f(mu) for mu in MU_GRID])
         tol = rate.GRID_REL_TOL * np.abs(g).max() + rate.GRID_ABS_TOL
@@ -270,13 +288,15 @@ def counting(f):
     return counted, calls
 
 
-@pytest.mark.parametrize("protocol", ["bb84", "mdi"])
+@pytest.mark.parametrize("protocol", ["bb84", "mdi", "pm"])
 def test_maximize_with_grid_equals_scalar_maximize(protocol):
-    rng = np.random.default_rng(6 if protocol == "bb84" else 7)
+    rng = np.random.default_rng({"bb84": 6, "mdi": 7, "pm": 8}[protocol])
     for _ in range(40):
         distance = rng.uniform(0.0, 600.0)
         p_d = 0.0 if rng.random() < 0.3 else 10 ** rng.uniform(-9, -4)
-        f, f_grid = CELLS[protocol](distance, p_d, rng.uniform(0, 0.1), rng.uniform(1.0, 1.3))
+        # e_d for the baselines, an even M from 2 up to 2**21 for phase matching
+        setting = 2 * int(2 ** rng.uniform(0, 20)) if protocol == "pm" else rng.uniform(0, 0.1)
+        f, f_grid = CELLS[protocol](distance, p_d, setting, rng.uniform(1.0, 1.3))
         assert rate.maximize(f, 0.01, 2.0, f_grid=f_grid) == rate.maximize(f, 0.01, 2.0)
 
 

@@ -224,8 +224,8 @@ def test_sweep_fig3b_rows_match_golden(fig3b_sweep):
         assert row == golden
 
 
-def test_sweep_fig3b_baselines_take_no_scalar_fallback(monkeypatch):
-    # every optimized BB84/MDI cell selects its bracket on the NumPy grid; a full
+def test_sweep_fig3b_optimizers_take_no_scalar_fallback(monkeypatch):
+    # every optimized pm/BB84/MDI cell selects its bracket on the NumPy grid; a full
     # scalar scan of maximize's 200-point grid would show as >= 200 scalar calls
     maximize = cli.rate.maximize
     scalar_calls = []
@@ -244,10 +244,10 @@ def test_sweep_fig3b_baselines_take_no_scalar_fallback(monkeypatch):
 
     monkeypatch.setattr(cli.rate, "maximize", counting_maximize)
     rows = cli.run_sweep(
-        "distance_km", 0, 500, 1, ("bb84", "mdi"), cli.PRESETS["fig3b"], optimize_mu=True
+        "distance_km", 0, 500, 1, ("pm", "bb84", "mdi"), cli.PRESETS["fig3b"], optimize_mu=True
     )
     assert len(rows) == 501
-    assert len(scalar_calls) == 2 * 501
+    assert len(scalar_calls) == 3 * 501
     assert max(scalar_calls) < 200
 
 
@@ -270,6 +270,23 @@ def test_non_finite_intensity_is_named(capsys, argv, named):
     assert code == 1
     assert out == ""
     assert err.startswith(f"error: {named}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--preset", "fig3b", *GRID, "--optimize-mu", "--protocols", protocols]
+        for protocols in ("pm", "bb84", "plob")
+    ] + [["rate", "--distance", "100", "--mu", "0.3"]],
+    ids=["sweep_pm", "sweep_bb84", "sweep_plob", "rate"],
+)
+@pytest.mark.parametrize("m_slices", ["3", "0", str(2**53 + 2)])
+def test_bad_m_slices_is_one_line_error(capsys, argv, m_slices):
+    # checked once per command, also when no phase-matching cell runs
+    code, out, err = run_cli([*argv, "--m-slices", m_slices], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: m_slices must be an even integer ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

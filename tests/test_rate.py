@@ -404,19 +404,34 @@ def test_optimize_mu_monotone_in_distance():
     assert all(a >= b for a, b in zip(rates, rates[1:]))
 
 
-def test_optimize_mu_evaluates_through_key_rate(monkeypatch):
-    calls = []
-    real = rate.key_rate
+def test_optimize_mu_equals_the_scalar_maximize():
+    # the NumPy grid only selects the bracket: on every fig3b distance and on the edge
+    # channels the optimum is the scalar-only search's, bit for bit
+    cases = [
+        (ChannelParams.from_distance(float(d), eta_d=0.145, p_d=7.2e-8), 16)
+        for d in range(501)
+    ]
+    cases += [(ch(eta, pd), m) for eta in (0.0, 1.0) for pd in (0.0, 7.2e-8) for m in (2, 16)]
+    cases += [
+        (ChannelParams.from_distance(d, eta_d=0.145, p_d=0.0), m)
+        for d in (0.0, 100.0, 300.0, 500.0) for m in (16, 2**20)
+    ]
+    for c, m in cases:
+        scalar = maximize(lambda mu: key_rate(c, PmParams(mu, m, 1.15)).rate_R, *rate.MU_RANGE)
+        assert optimize_mu(c, m, 1.15) == scalar, (c, m)
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
 
-    monkeypatch.setattr(rate, "key_rate", counted)
-    c = ChannelParams.from_distance(300.0, eta_d=0.145, p_d=7.2e-8)
-    mu_opt, rate_R = optimize_mu(c, 16, 1.15)
-    assert len(calls) >= 200
-    assert rate_R > 0
+@pytest.mark.parametrize(
+    "m_slices, f_ec, named",
+    [(3, 1.15, "m_slices must be an even integer"), (0, 1.15, "m_slices"),
+     (2**54, 1.15, "m_slices"), (16, 0.5, "f_ec"), (16, math.nan, "f_ec")],
+)
+def test_optimize_mu_checks_its_parameters(m_slices, f_ec, named):
+    with pytest.raises(ValueError, match=named) as raised:
+        optimize_mu(ch(0.1), m_slices, f_ec)
+    with pytest.raises(ValueError) as built:
+        PmParams(mu_total=0.5, m_slices=m_slices, f_ec=f_ec)
+    assert str(raised.value) == str(built.value)
 
 
 def test_optimize_mu_dead_channel_returns_grid_minimum():
