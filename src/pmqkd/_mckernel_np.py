@@ -1,24 +1,27 @@
-"""Vectorized NumPy per-round simulation kernel.
+"""Vectorized NumPy simulation kernel: one work unit of rounds to its
+emitted counts and its single-click records.
 
-Maps a block of uniform variates to per-round outputs.  The mapping is
+Maps a block of uniform variates to per-round outcomes.  The mapping is
 part of the random-stream definition: changing it changes the round
 stream, and with it the tallies, of every seeded run.
 
-The click model is evaluated only on rounds whose detector draws fall
-below the largest click probability any round of the block can have;
-every other round has no click.  This leaves the uniform-to-round
-mapping, and so the random-stream definition, unchanged: a gathered
-subset goes through the same elementwise ufuncs as the full block and
-gives the same bits.
+Over every round of the unit the kernel computes three things only:
+the scaled intensity draw, from which the per-intensity emitted counts
+follow; the candidate mask; and its ``flatnonzero``.  A candidate is a
+round whose detector draws fall below the largest click probability
+any round of the unit can have; every other round has no click.  The
+intensity index, the key bits, the phases, the click law and the slices
+are evaluated only on the gathered candidates, with the same
+elementwise ufuncs on the same doubles as a pass over every round, so
+they give the same bits.
 
-The passes over every round write through ``out=`` into the output
-arrays and one float64 scratch array, which holds each phase on its
-way to its slice and whose bytes also hold the slice-wrap mask; the
-candidate masks are the only other temporaries sized by the block.
-The workers of ``simcore.run_blocks`` call the kernel on work units of
-at most ``simcore._UNIT_ROUNDS`` rounds, one per worker thread at a
-time, so these temporaries are per unit.  The outputs may
-be views into longer arrays; nothing outside them is written.
+The records follow the clicks, not the rounds: the kernel returns one
+record per round with exactly one click, in round order, and no
+per-round output.  The passes over every round write through ``out=``
+into two buffers the caller owns; the other temporaries are sized by
+the candidates.  The workers of
+``simcore.run_blocks`` call the kernel on work units of at most
+``simcore._UNIT_ROUNDS`` rounds, each worker with its own buffers.
 """
 from __future__ import annotations
 
@@ -38,62 +41,76 @@ def simulate_block(
     phi0_value: float,
     phi0_rate: float,
     t0: int,
-    kappa_a: np.ndarray,
-    kappa_b: np.ndarray,
-    mu_idx: np.ndarray,
-    j_a: np.ndarray,
-    j_b: np.ndarray,
-    outcome: np.ndarray,
-) -> None:
-    """Fill per-round outputs from a (7, n) block of uniforms.
+    scaled: np.ndarray,
+    mask: np.ndarray,
+) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """The emitted counts and single-click records of a (7, n) block of uniforms.
 
     Variate layout: key bit a, key bit b, phase a, phase b, intensity
-    pick, L-detector draw, R-detector draw.
+    pick, L-detector draw, R-detector draw.  ``t0`` is the run index of
+    the block's first round; ``scaled`` (float64) and ``mask`` (bool)
+    are n-entry buffers the kernel overwrites.
+
+    Returns the int64 count of rounds per intensity, and the records
+    ``(kappa_a, kappa_b, mu_idx, j_a, j_b, outcome)`` of the rounds with
+    exactly one click, in round order: int8 key bits, int16 intensity
+    index and slices, int8 outcome (1: left, 2: right).
     """
-    scratch = np.empty(u.shape[1])
-    np.less(u[0], 0.5, out=kappa_a.view(np.bool_))
-    np.less(u[1], 0.5, out=kappa_b.view(np.bool_))
-    k = len(intensities)
-    np.multiply(u[4], k, out=scratch)
-    mu_idx[:] = scratch  # truncates, as astype does
-    np.minimum(mu_idx, k - 1, out=mu_idx)
-
     # A detector clicks when its draw is below -expm1(log_q - eta*mu*c2);
-    # as c2, s2 <= 1, no round's click probability exceeds p_max.  The
-    # margin covers the few ulp by which math.expm1 and np.expm1 may differ.
+    # as c2, s2 <= 1, no round's click probability exceeds its intensity's
+    # p_max.  The margin covers the few ulp by which math.expm1 and
+    # np.expm1 may differ.  The candidates are the rounds with a draw below
+    # the largest p_max, then those with a draw below their own.
     log_q = math.log1p(-p_d)
-    p_max = -math.expm1(log_q - eta * float(np.max(intensities)))
-    bound = min(1.0, p_max * (1.0 + 1e-9))
-    candidate = u[5] < bound
-    candidate |= u[6] < bound
-    idx = np.flatnonzero(candidate)
+    p_max = [min(1.0, -math.expm1(log_q - eta * mu) * (1.0 + 1e-9)) for mu in intensities]
+    np.minimum(u[5], u[6], out=scaled)
+    np.less(scaled, max(p_max), out=mask)
+    idx = np.flatnonzero(mask)
 
-    mu = intensities[mu_idx[idx]]
+    k = len(intensities)
+    # a round's intensity index is min(trunc(scaled), k - 1), which is
+    # >= i exactly when scaled >= i, for 1 <= i <= k - 1
+    np.multiply(u[4], k, out=scaled)
+    at_least = [u.shape[1]]
+    for i in range(1, k):
+        np.greater_equal(scaled, i, out=mask)
+        at_least.append(np.count_nonzero(mask))
+    at_least.append(0)
+    emitted = -np.diff(np.asarray(at_least, dtype=np.int64))
+
+    mu_idx = np.minimum(scaled[idx].astype(np.int16), k - 1)  # astype truncates
+    u_left = u[5][idx]  # u[r][idx] gathers from one row; u[r, idx] is a slower mixed index
+    u_right = u[6][idx]
+    near = np.flatnonzero(np.minimum(u_left, u_right) < np.asarray(p_max)[mu_idx])
+    idx, mu_idx, u_left, u_right = idx[near], mu_idx[near], u_left[near], u_right[near]
+
+    kappa_a = (u[0][idx] < 0.5).view(np.int8)
+    kappa_b = (u[1][idx] < 0.5).view(np.int8)
+    mu = intensities[mu_idx]
     if phi0_rate != 0.0:
         phi0 = phi0_value + phi0_rate * (t0 + idx.astype(np.float64))
     else:
         phi0 = phi0_value
-    phi_a = u[2, idx] * TWO_PI
-    phi_b = u[3, idx] * TWO_PI
-    delta = (phi_b + math.pi * kappa_b[idx]) - (phi_a + math.pi * kappa_a[idx]) + phi0
+    phi_a = u[2][idx] * TWO_PI
+    phi_b = u[3][idx] * TWO_PI
+    delta = (phi_b + math.pi * kappa_b) - (phi_a + math.pi * kappa_a) + phi0
     # half-angle identities: one cosine per round covers both detectors
     c = np.cos(delta)
     c2 = 0.5 * (1.0 + c)
     s2 = 0.5 * (1.0 - c)
     p_left = -np.expm1(log_q - eta * mu * c2)
     p_right = -np.expm1(log_q - eta * mu * s2)
-    l_click = u[5, idx] < p_left
-    r_click = u[6, idx] < p_right
-    outcome.fill(0)
-    outcome[idx] = l_click + 2 * r_click
+    l_click = u_left < p_left
+    r_click = u_right < p_right
+    single = np.flatnonzero(l_click != r_click)
 
     # 0 <= phi < 2*pi, so the rounded slice lies in [0, M]; M wraps to 0
     scale = m_slices / TWO_PI
-    wrap = scratch.view(np.bool_)[: len(scratch)]
-    for r, j in ((2, j_a), (3, j_b)):
-        np.multiply(u[r], TWO_PI, out=scratch)
-        scratch *= scale
-        scratch += 0.5
-        j[:] = scratch  # truncation is floor here: the value is >= 0.5
-        np.equal(j, m_slices, out=wrap)
-        np.putmask(j, wrap, 0)
+    slices = []
+    for phi in (phi_a, phi_b):
+        j = (phi[single] * scale + 0.5).astype(np.int16)  # truncation is floor: >= 0.5
+        j[j == m_slices] = 0
+        slices.append(j)
+    outcome = r_click[single].view(np.int8) + np.int8(1)
+    records = (kappa_a[single], kappa_b[single], mu_idx[single], *slices, outcome)
+    return emitted, records

@@ -1,13 +1,19 @@
 """Round-level Monte Carlo simulation of the practical protocol.
 
 Generates rounds in fixed-size blocks whose RNG substreams derive from
-(seed, block index).  The rounds are made in work units of part of a
-block, shared out over one thread per CPU in the process's affinity
-mask; a unit's variates and outputs are fixed by its block's substream
-and its round positions alone, so the rounds and the tallies do not
-depend on the thread count.  Detection uses the
-independent-detector coherent click model; exactly-one-click rounds
-count as successes and double clicks are discarded.
+(seed, block index).  The rounds are made in work units of part of one
+RNG block and one jd block (the rounds that share a slice offset),
+shared out over one thread per CPU in the process's affinity mask; a
+unit's variates and outputs are fixed by its block's substream and its
+round positions alone, so the records and the tallies do not depend on
+the thread count.  Detection uses the independent-detector coherent
+click model; exactly-one-click rounds count as successes and double
+clicks are discarded.
+
+What is kept follows the clicks, not the rounds: a unit leaves only its
+count of rounds per intensity and one record per single click, and the
+offset search, sifting and tallies read those records.  Outside them,
+the memory is a few unit-sized buffers per worker.
 """
 from __future__ import annotations
 
@@ -17,7 +23,7 @@ import math
 import os
 import sys
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import IntEnum
 from typing import Iterator
 
@@ -34,11 +40,12 @@ from .rate import _gain, _qber, misalignment_e_delta
 # it changes which uniforms drive which round.
 RNG_BLOCK_ROUNDS = 1 << 18
 
-# Rounds per work unit of ``run_blocks``; not part of the random-stream
-# definition.  A worker's uniform buffer holds one unit (3.7 MB), and a
-# block makes four units, so a worker on a busier CPU can leave the
-# others more of it.  Of 2^14 .. 2^18 on a 2-core host, 2^16 and 2^17
-# ran fastest, and 2^18 lost most when another process took a core.
+# Most rounds in a work unit of ``run_blocks``, which also ends one at
+# each jd block boundary; not part of the random-stream definition.  A
+# worker's uniform buffer holds one unit (3.7 MB), and a block makes
+# four units, so a worker on a busier CPU can leave the others more of
+# it.  Of 2^14 .. 2^18 on a 2-core host, 2^16 and 2^17 ran fastest, and
+# 2^18 lost most when another process took a core.
 _UNIT_ROUNDS = 1 << 16
 
 try:
@@ -50,6 +57,12 @@ _ROUND_STREAM = 0
 _SAMPLE_STREAM = 1
 
 MIN_SAMPLED_CLICKS = 100
+
+# Nothing is allocated per round, so no allocation failure stops an
+# oversized run: this bound does.  The work-unit list and the click
+# records grow with the rounds; at 2^32 rounds and a 5% click rate the
+# records take about 2 GB, twice that while they are concatenated.
+MAX_ROUNDS = 1 << 32
 
 # Slice indices are int16 and M is even.
 MAX_M_SLICES = 32766
@@ -104,8 +117,8 @@ class SimConfig:
     jd_block_rounds: int | None = None  # None: one offset for the whole run
 
     def __post_init__(self):
-        if self.rounds < 1:
-            raise ValueError(f"rounds must be >= 1, got {self.rounds!r}")
+        if not (1 <= self.rounds <= MAX_ROUNDS):
+            raise ValueError(f"rounds must be in [1, {MAX_ROUNDS}], got {self.rounds!r}")
         if not (0 <= self.seed < 2**63):
             raise ValueError(f"seed must be a nonnegative 63-bit integer, got {self.seed!r}")
         if not (2 <= self.m_slices <= MAX_M_SLICES) or self.m_slices % 2 != 0:
@@ -120,15 +133,16 @@ class SimConfig:
             _check_intensity(f"intensities[{i}]", mu)
         if not (0.0 < self.sample_fraction < 1.0):
             raise ValueError(f"sample_fraction must be in (0, 1), got {self.sample_fraction!r}")
-        if self.jd_block_rounds is not None and self.jd_block_rounds < 1:
-            raise ValueError(f"jd_block_rounds must be positive, got {self.jd_block_rounds!r}")
+        # a sampled click is a round of the block, so a shorter block always
+        # fails the offset search; a block makes at least one work unit
+        if self.jd_block_rounds is not None and self.jd_block_rounds < MIN_SAMPLED_CLICKS:
+            raise ValueError(
+                f"jd_block_rounds must be >= {MIN_SAMPLED_CLICKS}, got {self.jd_block_rounds!r}"
+            )
         # phi0 reaches |value_rad| + |rate_rad_per_round| * rounds; past the
         # largest float the kernel's phase difference would be inf or nan
         rate = self.phi0.rate_rad_per_round
-        if rate and not (
-            self.rounds <= sys.float_info.max
-            and math.isfinite(abs(self.phi0.value_rad) + abs(rate) * self.rounds)
-        ):
+        if rate and not math.isfinite(abs(self.phi0.value_rad) + abs(rate) * self.rounds):
             raise ValueError(
                 f"phi0.rate_rad_per_round must keep phi0 finite over {self.rounds} rounds,"
                 f" got {rate!r}"
@@ -245,7 +259,8 @@ def _json_phi0(value, name: str) -> Phi0Model:
 
 @dataclass
 class RoundData:
-    """Struct-of-arrays view of simulated rounds."""
+    """Struct-of-arrays view of simulated rounds: in ``simulate``, the
+    single-click records; in a full-round reference, every round."""
 
     kappa_a: np.ndarray  # int8
     kappa_b: np.ndarray  # int8
@@ -254,32 +269,8 @@ class RoundData:
     j_b: np.ndarray  # int16
     outcome: np.ndarray  # int8
 
-    @classmethod
-    def empty(cls, n: int) -> "RoundData":
-        """Uninitialized arrays for ``n`` rounds."""
-        return cls(
-            kappa_a=np.empty(n, dtype=np.int8),
-            kappa_b=np.empty(n, dtype=np.int8),
-            mu_idx=np.empty(n, dtype=np.int16),
-            j_a=np.empty(n, dtype=np.int16),
-            j_b=np.empty(n, dtype=np.int16),
-            outcome=np.empty(n, dtype=np.int8),
-        )
-
     def __len__(self) -> int:
         return len(self.outcome)
-
-    def single_clicks(self) -> np.ndarray:
-        """Positions of the rounds with exactly one click, in round order.
-
-        Scanned ``RNG_BLOCK_ROUNDS`` rounds at a time, so no temporary is
-        as long as the data.
-        """
-        found = [np.empty(0, dtype=np.intp)]
-        for start in range(0, len(self), RNG_BLOCK_ROUNDS):
-            outcome = self.outcome[start:start + RNG_BLOCK_ROUNDS]
-            found.append(np.flatnonzero((outcome == _LEFT) | (outcome == _RIGHT)) + start)
-        return np.concatenate(found)
 
     def take(self, index) -> "RoundData":
         return RoundData(
@@ -292,22 +283,48 @@ class RoundData:
         )
 
 
+@dataclass
+class RunClicks(RoundData):
+    """The single-click records of a run, in round order, with the emitted
+    rounds of each jd block.
+
+    Jd block ``b``'s records are ``stops[b - 1]:stops[b]`` (from 0 for
+    ``b = 0``); ``len()`` counts the records.
+    """
+
+    emitted: np.ndarray  # int64 (jd blocks, intensities): rounds per intensity
+    stops: np.ndarray  # int64 (jd blocks,): the end of each jd block's records
+
+    def block(self, b: int) -> RoundData:
+        """The records of jd block ``b``, as views."""
+        return self.take(slice(self.stops[b - 1] if b else 0, self.stops[b]))
+
+
 def _stream_rng(seed: int, stream: int, index: int) -> np.random.Generator:
     """Generator of block ``index`` of ``stream`` (``_ROUND_STREAM`` or ``_SAMPLE_STREAM``)."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, stream, index])))
 
 
-def _round_units(rounds: int) -> list[tuple[int, int, int, int, int]]:
-    """The work units of a run of ``rounds`` rounds, in round order.
+def _jd_rounds(cfg: SimConfig) -> int:
+    """Rounds per jd block: the run is cut into blocks of this many, the last one shorter."""
+    return cfg.jd_block_rounds or cfg.rounds
 
-    Each unit is ``(block index, block start, block rounds, a, b)``:
-    rounds ``[a, b)`` of one RNG block, at most ``_UNIT_ROUNDS`` of them.
+
+def _round_units(cfg: SimConfig) -> list[tuple[int, int, int, int, int, int]]:
+    """The work units of the run, in round order.
+
+    Each unit is ``(jd block, RNG block index, block start, block rounds,
+    a, b)``: rounds ``[a, b)`` of one RNG block, at most ``_UNIT_ROUNDS``
+    of them, all in one jd block.  A unit starts at each multiple of
+    ``_UNIT_ROUNDS`` within an RNG block and at each jd block boundary.
     """
+    chunk = _jd_rounds(cfg)
     units = []
-    for block_index, start in enumerate(range(0, rounds, RNG_BLOCK_ROUNDS)):
-        n = min(RNG_BLOCK_ROUNDS, rounds - start)
-        units += [(block_index, start, n, a, min(a + _UNIT_ROUNDS, n))
-                  for a in range(0, n, _UNIT_ROUNDS)]
+    for block_index, start in enumerate(range(0, cfg.rounds, RNG_BLOCK_ROUNDS)):
+        n = min(RNG_BLOCK_ROUNDS, cfg.rounds - start)
+        cuts = sorted({*range(0, n, _UNIT_ROUNDS), *range(-start % chunk, n, chunk)})
+        units += [((start + a) // chunk, block_index, start, n, a, b)
+                  for a, b in zip(cuts, cuts[1:] + [n])]
     return units
 
 
@@ -355,31 +372,37 @@ def _run_units(start_worker, count: int) -> None:
         raise failed[min(failed)]
 
 
-def run_blocks(cfg: SimConfig, data: RoundData) -> Iterator[RoundData]:
-    """Fill ``data`` (``cfg.rounds`` rounds), then yield each RNG block as
-    a view into it; the layout is fixed by (seed, config).
+def run_blocks(cfg: SimConfig) -> Iterator[tuple[int, np.ndarray, RoundData]]:
+    """Run every work unit, then yield each one's jd block, emitted counts
+    per intensity and single-click records, in round order; all three are
+    fixed by (seed, config).
 
     The run is cut into units of at most ``_UNIT_ROUNDS`` rounds of one
-    RNG block (``_round_units``), which ``_run_units`` shares out over one
-    thread per CPU in the process's affinity mask; no worker waits for a
-    block to finish before it starts on the next.  Unit ``[a, b)`` of an
-    ``n``-round block reads columns ``a:b`` of the block's ``(7, n)``
-    uniforms: row ``r`` is doubles ``[r*n + a, r*n + b)`` of the block's
-    stream, drawn after advancing its generator past the doubles before
-    them.  PCG64 makes each double from one 64-bit output, so these are
-    the doubles of one ``random((7, n))`` call, and the rounds do not
-    depend on the unit size or the thread count.  Each worker draws into
-    its own ``(7, _UNIT_ROUNDS)`` buffer and runs the kernel on it, which
-    writes the unit's rounds in place.
+    RNG block and one jd block (``_round_units``), which ``_run_units``
+    shares out over one thread per CPU in the process's affinity mask;
+    no worker waits for a block to finish before it starts on the next.
+    Unit ``[a, b)`` of an ``n``-round block reads columns ``a:b`` of the
+    block's ``(7, n)`` uniforms: row ``r`` is doubles ``[r*n + a, r*n + b)``
+    of the block's stream, drawn after advancing its generator past the
+    doubles before them.  PCG64 makes each double from one 64-bit output,
+    so these are the doubles of one ``random((7, n))`` call, and the
+    rounds do not depend on the unit size or the thread count.  Each
+    worker draws into its own ``(7, _UNIT_ROUNDS)`` buffer and runs the
+    kernel on it with its own scratch buffers; it keeps only what the
+    kernel returns.
     """
-    units = _round_units(cfg.rounds)
+    units = _round_units(cfg)
     intensities = np.asarray(cfg.intensities, dtype=np.float64)
+    results = [None] * len(units)
 
     def start_worker():
-        buf = np.empty((7, min(_UNIT_ROUNDS, cfg.rounds)))
+        size = min(_UNIT_ROUNDS, cfg.rounds)
+        buf = np.empty((7, size))
+        scaled = np.empty(size)
+        mask = np.empty(size, dtype=np.bool_)
 
         def run_unit(i):
-            block_index, start, n, a, b = units[i]
+            _, block_index, start, n, a, b = units[i]
             u = buf[:, : b - a]
             rng = _stream_rng(cfg.seed, _ROUND_STREAM, block_index)
             passed = 0  # doubles of the block's stream drawn or skipped
@@ -387,8 +410,7 @@ def run_blocks(cfg: SimConfig, data: RoundData) -> Iterator[RoundData]:
                 rng.bit_generator.advance(r * n + a - passed)
                 rng.random(out=u[r])
                 passed = r * n + b
-            rounds = data.take(slice(start + a, start + b))
-            _simulate_block(
+            emitted, records = _simulate_block(
                 u,
                 cfg.channel.eta_arm,
                 cfg.channel.p_d,
@@ -397,27 +419,32 @@ def run_blocks(cfg: SimConfig, data: RoundData) -> Iterator[RoundData]:
                 cfg.phi0.value_rad,
                 cfg.phi0.rate_rad_per_round,
                 start + a,
-                rounds.kappa_a,
-                rounds.kappa_b,
-                rounds.mu_idx,
-                rounds.j_a,
-                rounds.j_b,
-                rounds.outcome,
+                scaled[: b - a],
+                mask[: b - a],
             )
+            results[i] = emitted, RoundData(*records)
 
         return run_unit
 
     _run_units(start_worker, len(units))
-    for start in range(0, cfg.rounds, RNG_BLOCK_ROUNDS):
-        yield data.take(slice(start, min(start + RNG_BLOCK_ROUNDS, cfg.rounds)))
+    for unit, (emitted, records) in zip(units, results):
+        yield unit[0], emitted, records
 
 
-def collect_rounds(cfg: SimConfig) -> RoundData:
-    """All rounds of the run, each unit written in place by the kernel."""
-    data = RoundData.empty(cfg.rounds)
-    for _ in run_blocks(cfg, data):
-        pass
-    return data
+def collect_rounds(cfg: SimConfig) -> RunClicks:
+    """The run's single-click records and emitted counts, the units' records
+    concatenated once, in round order, so each jd block's are contiguous."""
+    jd_blocks = len(range(0, cfg.rounds, _jd_rounds(cfg)))
+    emitted = np.zeros((jd_blocks, len(cfg.intensities)), dtype=np.int64)
+    stops = np.zeros(jd_blocks, dtype=np.int64)
+    parts = []
+    for jd_block, unit_emitted, records in run_blocks(cfg):
+        emitted[jd_block] += unit_emitted
+        stops[jd_block] += len(records)
+        parts.append(records)
+    np.cumsum(stops, out=stops)
+    columns = [np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(RoundData)]
+    return RunClicks(*columns, emitted=emitted, stops=stops)
 
 
 # ---------------------------------------------------------------------------
@@ -455,25 +482,24 @@ class PostcompResult:
 
 
 def postcompensate(
-    data: RoundData,
+    clicks: RoundData,
     sample_fraction: float,
     rng: np.random.Generator,
     m_slices: int,
 ) -> PostcompResult:
     """Search the slice offset minimizing the sampled QBER.
 
-    Reads only the single-click rounds of ``data``: draws the announced
-    test sample from them, one uniform each in round order, with a
-    dedicated generator, evaluates the sampled QBER for every offset,
-    and returns the minimizer (smallest index on ties) with the table.
+    ``clicks`` are single-click rounds in round order.  Draws the
+    announced test sample from them, one uniform each, with a dedicated
+    generator, evaluates the sampled QBER for every offset, and returns
+    the minimizer (smallest index on ties) with the table.
     """
-    single_idx = data.single_clicks()
-    picked = single_idx[rng.random(len(single_idx)) < sample_fraction]
+    picked = np.flatnonzero(rng.random(len(clicks)) < sample_fraction)
     if len(picked) < MIN_SAMPLED_CLICKS:
         raise InsufficientSamplesError(
             f"only {len(picked)} sampled clicked rounds; need >= {MIN_SAMPLED_CLICKS}"
         )
-    sample = data.take(picked)
+    sample = clicks.take(picked)
     table = np.full(m_slices, np.nan)
     for j_d in range(m_slices):
         kept, errors = sift(sample, j_d, m_slices)
@@ -528,44 +554,35 @@ class SimResult:
     block_offsets: list[tuple[int, int, int]]  # (start, stop, j_d)
 
 
-def _bincount(values: np.ndarray, k: int) -> np.ndarray:
-    """``np.bincount(values, minlength=k)``, counted in slices of
-    ``RNG_BLOCK_ROUNDS``: bincount copies its input to intp, 8 B a value."""
-    counts = np.zeros(k, dtype=np.int64)
-    for start in range(0, len(values), RNG_BLOCK_ROUNDS):
-        counts += np.bincount(values[start:start + RNG_BLOCK_ROUNDS], minlength=k)
-    return counts
-
-
 def simulate(cfg: SimConfig) -> SimResult:
     """Run the full pipeline: rounds, offset search, sifting, tallies.
 
     Every round of a jd block counts as emitted; the rest of the pipeline
-    reads only the block's single-click rounds, found in one scan and
-    taken once, in round order.
+    reads only the block's single-click records, in round order.  A jd
+    block with too few sampled clicks raises InsufficientSamplesError
+    naming the block.
     """
     data = collect_rounds(cfg)
-    n = len(data)
-    chunk = cfg.jd_block_rounds if cfg.jd_block_rounds is not None else n
-    starts = list(range(0, n, chunk))
-
+    chunk = _jd_rounds(cfg)
     k = len(cfg.intensities)
-    emitted, clicked, sifted, errors = np.zeros((4, k), dtype=np.int64)
+    clicked, sifted, errors = np.zeros((3, k), dtype=np.int64)
 
     block_offsets = []
-    for bi, start in enumerate(starts):
-        stop = min(start + chunk, n)
-        part = data.take(slice(start, stop))
-        emitted += _bincount(part.mu_idx, k)
-        clicks = part.take(part.single_clicks())
-        clicked += _bincount(clicks.mu_idx, k)
+    for bi, start in enumerate(range(0, cfg.rounds, chunk)):
+        stop = min(start + chunk, cfg.rounds)
+        clicks = data.block(bi)
+        clicked += np.bincount(clicks.mu_idx, minlength=k)
         rng = _stream_rng(cfg.seed, _SAMPLE_STREAM, bi)
-        post = postcompensate(clicks, cfg.sample_fraction, rng, cfg.m_slices)
+        try:
+            post = postcompensate(clicks, cfg.sample_fraction, rng, cfg.m_slices)
+        except InsufficientSamplesError as exc:
+            raise InsufficientSamplesError(f"jd block [{start}, {stop}): {exc}") from None
         kept, kept_errors = sift(clicks, post.j_d_opt, cfg.m_slices)
         mu_sifted = clicks.mu_idx[kept]
-        sifted += _bincount(mu_sifted, k)
-        errors += _bincount(mu_sifted[kept_errors], k)
+        sifted += np.bincount(mu_sifted, minlength=k)
+        errors += np.bincount(mu_sifted[kept_errors], minlength=k)
         block_offsets.append((start, stop, post.j_d_opt))
+    emitted = data.emitted.sum(axis=0)
 
     tallies = [
         Tally(

@@ -76,3 +76,28 @@ def test_smoke_size_monte_carlo_matches_its_golden(perfbench, workload):
     assert csv == golden["tally_csv"]
     assert hashlib.sha256(csv.encode()).hexdigest() == golden["tally_sha256"]
     assert [list(b) for b in res.block_offsets] == golden["block_offsets"]
+
+
+def test_traced_smoke_simulate_gives_finite_layer_metrics(perfbench, monkeypatch, tmp_path, capsys):
+    # the tracer's wrappers and probes run in this process; every module
+    # attribute install replaces is put back afterwards
+    _, run, tracing = perfbench
+    import pmqkd
+    from pmqkd import _mckernel_np
+
+    modules = [getattr(pmqkd, name) for name in ("baselines", "cli", "decoy", "rate", "simcore")]
+    for module in modules + [_mckernel_np]:
+        for name, value in list(vars(module).items()):
+            if callable(value):
+                monkeypatch.setattr(module, name, value)
+    tracer = tracing.Tracer()
+    tracing.install(tracer)
+    cfg = run.mc_config(run.MC_BASE, run.DEFAULT_SEED, "smoke")
+    cfg_path, csv_path = tmp_path / "config.json", tmp_path / "tallies.csv"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main(["simulate", str(cfg_path), "--output", str(csv_path)]) == 0
+    capsys.readouterr()
+    metrics = tracing.layer_metrics(tracer)
+    assert metrics["simcore.postcompensate.calls"] == 1
+    assert metrics["simcore.round_bytes_per_round"] > 0
+    assert all(math.isfinite(value) for value in metrics.values())

@@ -368,10 +368,12 @@ def _sim_config(**overrides):
         (lambda: _sim_config(intensities=(0.5, 600.0)), "intensities[1]", 600.0),
         (lambda: _sim_config(intensities=(math.nan,)), "intensities[0]", math.nan),
         (lambda: _sim_config(rounds=0), "rounds", 0),
+        (lambda: _sim_config(rounds=2**32 + 1), "rounds", 2**32 + 1),
         (lambda: _sim_config(seed=-1), "seed", -1),
         (lambda: _sim_config(m_slices=9), "m_slices", 9),
         (lambda: _sim_config(sample_fraction=1.0), "sample_fraction", 1.0),
         (lambda: _sim_config(jd_block_rounds=0), "jd_block_rounds", 0),
+        (lambda: _sim_config(jd_block_rounds=99), "jd_block_rounds", 99),
         (lambda: Phi0Model("fixed", math.nan), "value_rad", math.nan),
         (lambda: Phi0Model("slow_drift", 0.0, math.inf), "rate_rad_per_round", math.inf),
         (lambda: mdi_rate(0.1, 0.1, 1.5, 0.1, 0.0, 0.0, 1.15), "eta_a", 1.5),
@@ -399,12 +401,13 @@ def _sim_config(**overrides):
         (lambda: k_photon_interference_probs(-1, 0.5, 0.0), "photon number", -1),
         (lambda: k_photon_interference_probs(2, 1.5, 0.0), "eta", 1.5),
     ],
-    ids=["intensity", "nan_intensity", "rounds", "seed", "m_slices", "sample_fraction",
-         "jd_block_rounds", "phi0_value", "phi0_rate", "mdi_eta_a", "mdi_eta_b", "mdi_mu_a",
-         "mdi_mu_b", "mdi_pd_5", "mdi_pd_neg", "mdi_pd_nan", "mdi_grid_pd", "bb84_mu",
-         "bb84_grid_mu", "pm_mu_total", "pm_m_slices_odd", "pm_m_slices_huge",
-         "e_delta_m_slices", "usd_mu_total", "gllp_mu_total", "pm_bs_mu_total", "attack_eta",
-         "tgw_eta", "plob_eta", "oracle_k", "oracle_eta"],
+    ids=["intensity", "nan_intensity", "rounds", "rounds_above_bound", "seed", "m_slices",
+         "sample_fraction", "jd_block_rounds", "jd_block_below_min_samples", "phi0_value",
+         "phi0_rate", "mdi_eta_a", "mdi_eta_b", "mdi_mu_a", "mdi_mu_b", "mdi_pd_5", "mdi_pd_neg",
+         "mdi_pd_nan", "mdi_grid_pd", "bb84_mu", "bb84_grid_mu", "pm_mu_total",
+         "pm_m_slices_odd", "pm_m_slices_huge", "e_delta_m_slices", "usd_mu_total",
+         "gllp_mu_total", "pm_bs_mu_total", "attack_eta", "tgw_eta", "plob_eta", "oracle_k",
+         "oracle_eta"],
 )
 def test_range_error_names_key_and_value(call, key, value):
     with pytest.raises(ValueError) as exc:

@@ -14,6 +14,7 @@ from pmqkd.simcore import (
     MAX_M_SLICES,
     RNG_BLOCK_ROUNDS,
     Phi0Model,
+    RoundData,
     SimConfig,
     simulate,
     tallies_to_csv,
@@ -23,19 +24,18 @@ TWO_PI = 2.0 * math.pi
 
 OUTPUTS = ("kappa_a", "kappa_b", "mu_idx", "j_a", "j_b", "outcome")
 DTYPES = (np.int8, np.int8, np.int16, np.int16, np.int16, np.int8)
+SINGLE_CLICKS = (1, 2)
 
 
-def oracle_block(u, eta, p_d, intensities, m_slices, phi0_value, phi0_rate, t0,
-                 kappa_a, kappa_b, mu_idx, j_a, j_b, outcome):
-    """The click model evaluated on every round of the block."""
+def oracle_block(u, eta, p_d, intensities, m_slices, phi0_value, phi0_rate, t0):
+    """The click model evaluated on every round of the block: every round's
+    outputs, and each round's two click probabilities."""
     n = u.shape[1]
-    kappa_a[:] = u[0] < 0.5
-    kappa_b[:] = u[1] < 0.5
+    kappa_a = (u[0] < 0.5).astype(np.int8)
+    kappa_b = (u[1] < 0.5).astype(np.int8)
     phi_a = u[2] * TWO_PI
     phi_b = u[3] * TWO_PI
-    np.minimum(
-        (u[4] * len(intensities)).astype(mu_idx.dtype), len(intensities) - 1, out=mu_idx
-    )
+    mu_idx = np.minimum((u[4] * len(intensities)).astype(np.int16), len(intensities) - 1)
     mu = intensities[mu_idx]
 
     if phi0_rate != 0.0:
@@ -51,30 +51,51 @@ def oracle_block(u, eta, p_d, intensities, m_slices, phi0_value, phi0_rate, t0,
     p_right = -np.expm1(log_q - eta * mu * s2)
     l_click = u[5] < p_left
     r_click = u[6] < p_right
-    outcome[:] = l_click + 2 * r_click
+    outcome = (l_click + 2 * r_click).astype(np.int8)
 
     scale = m_slices / TWO_PI
-    j_a[:] = np.floor(phi_a * scale + 0.5).astype(j_a.dtype) % m_slices
-    j_b[:] = np.floor(phi_b * scale + 0.5).astype(j_b.dtype) % m_slices
-    return p_left, p_right
+    j_a = (np.floor(phi_a * scale + 0.5).astype(np.int16) % m_slices).astype(np.int16)
+    j_b = (np.floor(phi_b * scale + 0.5).astype(np.int16) % m_slices).astype(np.int16)
+    return RoundData(kappa_a, kappa_b, mu_idx, j_a, j_b, outcome), (p_left, p_right)
 
 
-def run_kernel(kernel, u, *params):
+def single_clicks(rounds):
+    """The single-click rows of ``rounds``, in round order."""
+    return rounds.take(np.flatnonzero(np.isin(rounds.outcome, SINGLE_CLICKS)))
+
+
+def oracle_records(u, *params):
+    """The oracle's emitted counts, ``bincount(mu_idx)``, and its single-click rows."""
+    rounds, _ = oracle_block(u, *params)
+    return np.bincount(rounds.mu_idx, minlength=len(params[2])), single_clicks(rounds)
+
+
+def run_kernel(u, *params):
+    """The kernel's emitted counts and records, on buffers holding stale values."""
     n = u.shape[1]
-    out = [np.full(n, 99, dtype=dt) for dt in DTYPES]  # stale values must be overwritten
-    extra = kernel(u, *params, *out)
-    return dict(zip(OUTPUTS, out)), extra
+    scaled, mask = np.full(n, np.nan), np.ones(n, dtype=np.bool_)
+    emitted, records = _mckernel_np.simulate_block(u, *params, scaled, mask)
+    return emitted, RoundData(*records)
 
 
-def assert_same_bytes(got, want):
-    for name in OUTPUTS:
-        assert got[name].dtype == want[name].dtype, name
-        assert got[name].tobytes() == want[name].tobytes(), name
+def assert_same_records(got, want):
+    for name, dtype in zip(OUTPUTS, DTYPES):
+        assert getattr(got, name).dtype == getattr(want, name).dtype == dtype, name
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+def assert_kernel_matches_oracle(u, *params):
+    emitted, records = run_kernel(u, *params)
+    want_emitted, want_records = oracle_records(u, *params)
+    assert emitted.dtype == np.int64 and np.array_equal(emitted, want_emitted)
+    assert_same_records(records, want_records)
+    return records
 
 
 INTENSITY_SETS = {
     "with_vacuum": (0.0, 0.1, 0.5),
-    "bound_reaches_one": (0.2, 30.0),  # eta=1: p_max rounds to 1
+    "bound_reaches_one": (0.2, 30.0),  # eta=1: p_max rounds to 1, every round is a candidate
+    "one_intensity": (0.3,),
 }
 PHI0 = {
     "fixed": (0.7, 0.0, 0),
@@ -91,15 +112,16 @@ def test_kernel_matches_full_array_oracle(p_d, mus, eta, phi0, n):
     intensities = np.asarray(INTENSITY_SETS[mus], dtype=np.float64)
     u = np.random.default_rng(n).random((7, n))
     params = (eta, p_d, intensities, 16, *PHI0[phi0])
-    want, (p_left, p_right) = run_kernel(oracle_block, u, *params)
+    _, (p_left, p_right) = oracle_block(u, *params)
     # put some detector draws just below and at their click probability,
     # where a bound below the true maximum would drop a click
     edge = np.arange(0, n, 3)
     u[5, edge] = np.nextafter(p_left[edge], 0.0)
     u[6, edge[::2]] = p_right[edge[::2]]
-    want, _ = run_kernel(oracle_block, u, *params)
-    got, _ = run_kernel(_mckernel_np.simulate_block, u, *params)
-    assert_same_bytes(got, want)
+    # and some intensity draws where u[4] * k lands on or next to an integer
+    u[4, 1::5] = np.arange(len(u[4, 1::5])) % (2 * len(intensities) + 1) / (2 * len(intensities))
+    u[4, 2::5] = np.nextafter(u[4, 1::5][: len(u[4, 2::5])], 0.0)
+    assert_kernel_matches_oracle(u, *params)
 
 
 @pytest.mark.parametrize("m", [2, 6, 16, 32, MAX_M_SLICES])
@@ -113,12 +135,14 @@ def test_slice_map_at_the_slice_edges(m):
     u = np.random.default_rng(m).random((7, len(edges)))
     u[2] = edges
     u[3] = edges[::-1]
-    params = (0.1, 7.2e-8, np.asarray((0.1, 0.5)), m, 0.0, 0.0, 0)
-    want, _ = run_kernel(oracle_block, u, *params)
-    got, _ = run_kernel(_mckernel_np.simulate_block, u, *params)
-    assert_same_bytes(got, want)
-    assert got["j_a"][1] == got["j_b"][-2] == 0  # u = 1 - 2**-53 wraps
-    assert got["j_a"].max() == m - 1
+    # every round is a single click: the L draw is below p_d, the R draw never clicks
+    u[5] = 0.0
+    u[6] = 1.0
+    params = (0.1, 0.5, np.asarray((0.1, 0.5)), m, 0.0, 0.0, 0)
+    got = assert_kernel_matches_oracle(u, *params)
+    assert len(got) == len(edges)
+    assert got.j_a[1] == got.j_b[-2] == 0  # u = 1 - 2**-53 wraps
+    assert got.j_a.max() == m - 1
 
 
 # --- the seeded round stream ---------------------------------------------------
@@ -160,50 +184,80 @@ def kernel_params(cfg):
             cfg.phi0.value_rad, cfg.phi0.rate_rad_per_round)
 
 
-@pytest.mark.parametrize("drift", [False, True], ids=["fixed", "drift"])
-def test_collect_rounds_equals_fresh_block_runs(monkeypatch, drift):
-    # three RNG blocks, the last one short, in nine work units: a unit
-    # drawn from the wrong place in its block's stream, a stale tail of a
-    # worker's uniform buffer, or (under drift) a unit's first round index
-    # off its block's would show against one draw and kernel call per block
-    cfg = dataclasses.replace(slow_drift_config(), rounds=2 * RNG_BLOCK_ROUNDS + 1234)
-    if not drift:
-        cfg = dataclasses.replace(cfg, phi0=Phi0Model("fixed", 0.7))
-    assert len(simcore._round_units(cfg.rounds)) == 9
-    want = {}
+def full_rounds(cfg):
+    """Every round of ``cfg``'s seeded stream, from the oracle: one
+    ``random((7, n))`` draw and one oracle call per RNG block."""
+    blocks = []
     for bi, start in enumerate(range(0, cfg.rounds, RNG_BLOCK_ROUNDS)):
-        stop = min(start + RNG_BLOCK_ROUNDS, cfg.rounds)
-        u = simcore._stream_rng(cfg.seed, simcore._ROUND_STREAM, bi).random((7, stop - start))
-        want[start], _ = run_kernel(_mckernel_np.simulate_block, u, *kernel_params(cfg), start)
-    assert stop == cfg.rounds
+        n = min(RNG_BLOCK_ROUNDS, cfg.rounds - start)
+        u = simcore._stream_rng(cfg.seed, simcore._ROUND_STREAM, bi).random((7, n))
+        blocks.append(oracle_block(u, *kernel_params(cfg), start)[0])
+    return RoundData(*(np.concatenate([getattr(b, name) for b in blocks]) for name in OUTPUTS))
+
+
+def jd_blocks(cfg):
+    chunk = cfg.jd_block_rounds or cfg.rounds
+    return [(start, min(start + chunk, cfg.rounds)) for start in range(0, cfg.rounds, chunk)]
+
+
+RECORD_CASES = {
+    "fixed": dict(phi0=Phi0Model("fixed", 0.7)),
+    "drift": {},
+    "two_slices_with_vacuum": dict(m_slices=2, intensities=(0.0, 0.5)),
+    "most_slices_one_intensity": dict(m_slices=MAX_M_SLICES, intensities=(0.4,)),
+    "dark_counts": dict(channel=ChannelParams(eta_arm=0.1, p_d=0.99)),
+}
+
+
+@pytest.mark.parametrize("case", list(RECORD_CASES))
+def test_collect_rounds_equals_fresh_block_runs(monkeypatch, case):
+    # three RNG blocks, the last one short, cut into units at the 2^16-round
+    # grid and at the jd block boundaries: a unit drawn from the wrong place
+    # in its block's stream, a stale tail of a worker's buffer, (under
+    # drift) a unit's first round index off its block's, or a record put
+    # in the wrong jd block would show against one oracle pass per block
+    cfg = dataclasses.replace(slow_drift_config(), rounds=2 * RNG_BLOCK_ROUNDS + 1234,
+                              **RECORD_CASES[case])
+    units = simcore._round_units(cfg)
+    assert len(units) == 9 + 3
+    assert 150_001 in [start + a for _, _, start, _, a, _ in units]
+    full = full_rounds(cfg)
     for workers in (1, 2, 3):
         monkeypatch.setattr(simcore, "_WORKERS", workers)
         data = simcore.collect_rounds(cfg)
-        assert len(data) == cfg.rounds
-        for start, block in want.items():
-            stop = start + len(block["outcome"])
-            assert_same_bytes({name: getattr(data, name)[start:stop] for name in OUTPUTS}, block)
+        assert len(data.stops) == len(data.emitted) == len(jd_blocks(cfg))
+        for b, (start, stop) in enumerate(jd_blocks(cfg)):
+            part = full.take(slice(start, stop))
+            emitted = np.bincount(part.mu_idx, minlength=len(cfg.intensities))
+            assert np.array_equal(data.emitted[b], emitted)
+            assert_same_records(data.block(b), single_clicks(part))
+        assert len(data) == data.stops[-1]
 
 
 @pytest.mark.parametrize("phi0", list(PHI0), ids=list(PHI0))
 def test_kernel_writes_only_inside_its_views(phi0):
+    # the scratch buffers are views into longer arrays, as a worker's are
+    # on a short unit; the uniforms are read only
     n, a, b = 5000, 123, 123 + 5000
     u = np.random.default_rng(3).random((7, n))
+    before = u.copy()
     params = (0.1, 7.2e-8, np.asarray((0.0, 0.1, 0.5)), 16, *PHI0[phi0])
-    outs = [np.full(b + 77, 55, dtype=dt) for dt in DTYPES]
-    _mckernel_np.simulate_block(u, *params, *(o[a:b] for o in outs))
-    want, _ = run_kernel(oracle_block, u, *params)
-    for name, o in zip(OUTPUTS, outs):
-        assert np.all(o[:a] == 55) and np.all(o[b:] == 55), name
-    assert_same_bytes({name: o[a:b] for name, o in zip(OUTPUTS, outs)}, want)
+    scaled, mask = np.full(b + 77, 55.0), np.ones(b + 77, dtype=np.bool_)
+    emitted, records = _mckernel_np.simulate_block(u, *params, scaled[a:b], mask[a:b])
+    assert np.all(scaled[:a] == 55.0) and np.all(scaled[b:] == 55.0)
+    assert np.all(mask[:a]) and np.all(mask[b:])
+    assert u.tobytes() == before.tobytes()
+    want_emitted, want_records = oracle_records(u, *params)
+    assert np.array_equal(emitted, want_emitted)
+    assert_same_records(RoundData(*records), want_records)
 
 
 def test_collect_rounds_memory_peak(monkeypatch):
-    # the round arrays (9 B a round) and, per worker, one (7, _UNIT_ROUNDS)
-    # uniform buffer (56 B a unit round) and the kernel's temporaries, which
-    # are sized by the unit: with up to four workers, less than 96 B a block
-    # round.  Over eight RNG blocks the per-round term outweighs the fixed
-    # one, so a record that kept the two float64 phases (25 B) would fail.
+    # per worker, one (7, _UNIT_ROUNDS) uniform buffer (56 B a unit round),
+    # the kernel's two scratch buffers (9 B) and its temporaries, which
+    # are sized by the candidates; then 9 B a click record, twice while the
+    # units' records are concatenated.  Over eight RNG blocks a record of
+    # every round (9 B a round, 19 MB) exceeds the bound.
     cfg = dataclasses.replace(slow_drift_config(), rounds=8 * RNG_BLOCK_ROUNDS + 1234)
     for workers in (1, 2):
         monkeypatch.setattr(simcore, "_WORKERS", workers)
@@ -213,8 +267,8 @@ def test_collect_rounds_memory_peak(monkeypatch):
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(data) == cfg.rounds
-        assert peak <= 9 * cfg.rounds + 96 * RNG_BLOCK_ROUNDS, workers
+        assert data.emitted.sum() == cfg.rounds
+        assert peak <= 40 * len(data) + workers * 80 * simcore._UNIT_ROUNDS, workers
 
 
 # --- the worker count ----------------------------------------------------------
@@ -300,5 +354,5 @@ def test_below_one_unit_starts_no_thread(monkeypatch):
     simcore._run_units(lambda: ran.append, 1)
     assert ran == [0]
     cfg = WORKER_CASES["below_one_unit"](slow_drift_config())
-    assert len(simcore._round_units(cfg.rounds)) == 1
-    assert len(simcore.collect_rounds(cfg)) == cfg.rounds
+    assert len(simcore._round_units(cfg)) == 1
+    assert simcore.collect_rounds(cfg).emitted.sum() == cfg.rounds

@@ -24,6 +24,7 @@ from pmqkd.simcore import (
     simulate,
     tallies_to_csv,
 )
+from test_mckernel import assert_same_records, full_rounds, single_clicks
 
 PI = math.pi
 
@@ -65,36 +66,35 @@ def test_csv_byte_identical_across_runs():
 
 
 def test_block_partition_invariant(monkeypatch):
-    # the rounds must not depend on how they are grouped into RNG blocks
-    # and work units, which is what makes the threaded fill equivalent to
+    # the records and counts must not depend on how the rounds are grouped
+    # into work units, which is what makes the threaded fill equivalent to
     # one serial pass
-    from pmqkd import simcore
-
-    cfg = base_config(rounds=simcore.RNG_BLOCK_ROUNDS + 1234)
-    data = RoundData.empty(cfg.rounds)
-    blocks = list(simcore.run_blocks(cfg, data))
-    assert len(blocks) == 2
-    assert len(blocks[0]) == simcore.RNG_BLOCK_ROUNDS
-    assert len(blocks[1]) == 1234
-    # the blocks are views that tile the run's arrays
-    assert blocks[1].outcome.base is data.outcome
-    assert blocks[1].outcome.ctypes.data == data.outcome[simcore.RNG_BLOCK_ROUNDS:].ctypes.data
-    # the units tile the run in order, each inside one RNG block
-    units = simcore._round_units(cfg.rounds)
-    assert len(units) == simcore.RNG_BLOCK_ROUNDS // simcore._UNIT_ROUNDS + 1
-    stop = 0
-    for block_index, start, n, a, b in units:
-        assert start + a == stop
-        assert start == block_index * simcore.RNG_BLOCK_ROUNDS
-        assert n == min(simcore.RNG_BLOCK_ROUNDS, cfg.rounds - start)
-        assert 0 <= a < b <= n and b - a <= simcore._UNIT_ROUNDS
-        stop = start + b
-    assert stop == cfg.rounds
-    monkeypatch.setattr(simcore, "_UNIT_ROUNDS", 1000)
-    assert len(simcore._round_units(cfg.rounds)) == 263 + 2
-    other = simcore.collect_rounds(cfg)
-    for name, values in vars(data).items():
-        assert values.tobytes() == getattr(other, name).tobytes(), name
+    for jd_block_rounds, jd_cuts in ((None, 0), (100_001, 2)):
+        cfg = base_config(rounds=simcore.RNG_BLOCK_ROUNDS + 1234, jd_block_rounds=jd_block_rounds)
+        chunk = jd_block_rounds or cfg.rounds
+        units = simcore._round_units(cfg)
+        # a unit starts at each multiple of _UNIT_ROUNDS in an RNG block and at each jd boundary
+        assert len(units) == simcore.RNG_BLOCK_ROUNDS // simcore._UNIT_ROUNDS + 1 + jd_cuts
+        # the units tile the run in order, each inside one RNG block and one jd block
+        stop = 0
+        for jd, block_index, start, n, a, b in units:
+            assert start + a == stop
+            assert start == block_index * simcore.RNG_BLOCK_ROUNDS
+            assert n == min(simcore.RNG_BLOCK_ROUNDS, cfg.rounds - start)
+            assert 0 <= a < b <= n and b - a <= simcore._UNIT_ROUNDS
+            assert jd == (start + a) // chunk == (start + b - 1) // chunk
+            stop = start + b
+        assert stop == cfg.rounds
+        yielded = list(simcore.run_blocks(cfg))
+        assert [jd for jd, _, _ in yielded] == [unit[0] for unit in units]
+        data = simcore.collect_rounds(cfg)
+        assert len(data) == sum(len(records) for _, _, records in yielded)
+        with monkeypatch.context() as patch:
+            patch.setattr(simcore, "_UNIT_ROUNDS", 1000)
+            assert len(simcore._round_units(cfg)) == 263 + 2 + jd_cuts
+            other = simcore.collect_rounds(cfg)
+        for name, values in vars(data).items():
+            assert values.tobytes() == getattr(other, name).tobytes(), name
 
 
 # --- physics of the round stream --------------------------------------------------
@@ -103,14 +103,14 @@ def test_block_partition_invariant(monkeypatch):
 def test_no_light_no_dark_never_clicks():
     cfg = base_config(rounds=20_000, intensities=(0.0,), channel=ChannelParams(eta_arm=0.3, p_d=0.0))
     data = collect_rounds(cfg)
-    assert np.all(data.outcome == Outcome.NONE)
+    assert len(data) == 0 and data.emitted.sum() == cfg.rounds
 
 
 def test_click_rate_matches_gain():
     cfg = base_config(rounds=1_000_000, channel=ChannelParams(eta_arm=0.1, p_d=0.0), seed=11)
     data = collect_rounds(cfg)
     q = 1 - math.exp(-0.05)
-    p_hat = len(data.single_clicks()) / cfg.rounds
+    p_hat = len(data) / cfg.rounds
     se = math.sqrt(q * (1 - q) / cfg.rounds)
     assert abs(p_hat - q) < 4 * se
 
@@ -129,10 +129,13 @@ def test_slice_indices_round_the_phases():
     for m in (2, 16, 30, MAX_M_SLICES):
         cfg = base_config(rounds=20_000, m_slices=m)
         data = collect_rounds(cfg)
-        # the phases are rows 2 and 3 of the round stream's uniforms, times 2*pi
+        # the phases are rows 2 and 3 of the round stream's uniforms, times
+        # 2*pi; the oracle's outcomes say which rounds have a record
         u = simcore._stream_rng(cfg.seed, simcore._ROUND_STREAM, 0).random((7, cfg.rounds))
+        single = np.isin(full_rounds(cfg).outcome, SINGLE_CLICKS)
+        assert len(data) == np.count_nonzero(single) > 0
         for j, phi in ((data.j_a, u[2] * (2 * PI)), (data.j_b, u[3] * (2 * PI))):
-            expect = np.floor(phi * m / (2 * PI) + 0.5).astype(np.int64) % m
+            expect = np.floor(phi[single] * m / (2 * PI) + 0.5).astype(np.int64) % m
             assert np.array_equal(j, expect)
 
 
@@ -241,25 +244,35 @@ def test_sift_equals_the_all_rounds_rule(m):
     assert len(kept) == len(errors) == 0
 
 
+def partition_config(extra):
+    # four intensities, a vacuum one among them, over two RNG blocks and
+    # jd blocks that cut units off the 2^16-round grid
+    return base_config(rounds=2 * simcore.RNG_BLOCK_ROUNDS + extra, seed=5,
+                       intensities=(0.0, 0.1, 0.3, 0.5), jd_block_rounds=100_003,
+                       channel=ChannelParams(eta_arm=0.1, p_d=7.2e-8))
+
+
 @pytest.mark.parametrize("extra", [-1, 0, 1, 12345])
 def test_bincount_in_slices_equals_one_bincount(extra):
-    n = 2 * simcore.RNG_BLOCK_ROUNDS + extra
-    values = np.random.default_rng(5).integers(0, 3, n).astype(np.int16)
-    counts = simcore._bincount(values, 4)
-    assert counts.dtype == np.int64
-    assert np.array_equal(counts, np.bincount(values, minlength=4))
-    assert np.array_equal(simcore._bincount(values[:0], 4), np.zeros(4, dtype=np.int64))
+    # the emitted counts are counted per work unit, without a bincount;
+    # per jd block they equal one bincount of the oracle's intensity indices
+    cfg = partition_config(extra)
+    data = collect_rounds(cfg)
+    full = full_rounds(cfg)
+    assert data.emitted.dtype == np.int64
+    for b, start in enumerate(range(0, cfg.rounds, cfg.jd_block_rounds)):
+        mu_idx = full.mu_idx[start:start + cfg.jd_block_rounds]
+        assert np.array_equal(data.emitted[b], np.bincount(mu_idx, minlength=4))
 
 
 @pytest.mark.parametrize("extra", [-1, 0, 1, 12345])
 def test_single_clicks_in_slices_equals_one_scan(extra):
-    n = 2 * simcore.RNG_BLOCK_ROUNDS + extra
-    outcome = np.random.default_rng(6).integers(0, 4, n).astype(np.int8)
-    data = dataclasses.replace(RoundData.empty(n), outcome=outcome)
-    got = data.single_clicks()
-    assert got.dtype == np.intp
-    assert np.array_equal(got, np.flatnonzero(np.isin(outcome, SINGLE_CLICKS)))
-    assert len(data.take(slice(0, 0)).single_clicks()) == 0
+    # the records are found per work unit; together they are one scan of
+    # the oracle's outcomes for the single clicks
+    cfg = partition_config(extra)
+    data = collect_rounds(cfg)
+    assert data.stops.dtype == np.int64 and data.stops[-1] == len(data)
+    assert_same_records(data, single_clicks(full_rounds(cfg)))
 
 
 # --- postcompensation ----------------------------------------------------------------
@@ -356,9 +369,10 @@ def test_slow_drift_tracked_per_block():
 
 
 def simulate_on_full_blocks(cfg):
-    """The tallies and offsets of ``simulate`` with ``postcompensate`` and
-    ``sift`` run on every round of each jd block, not on its single clicks."""
-    data = collect_rounds(cfg)
+    """The tallies and offsets of ``simulate`` from every round of each jd
+    block, made by the oracle, with ``sift`` run on every round and
+    ``postcompensate`` on the single clicks picked out of them."""
+    data = full_rounds(cfg)
     n, k = len(data), len(cfg.intensities)
     chunk = cfg.jd_block_rounds or n
     counts = np.zeros((4, k), dtype=np.int64)
@@ -367,7 +381,10 @@ def simulate_on_full_blocks(cfg):
         stop = min(start + chunk, n)
         part = data.take(slice(start, stop))
         rng = simcore._stream_rng(cfg.seed, simcore._SAMPLE_STREAM, bi)
-        post = postcompensate(part, cfg.sample_fraction, rng, cfg.m_slices)
+        try:
+            post = postcompensate(single_clicks(part), cfg.sample_fraction, rng, cfg.m_slices)
+        except InsufficientSamplesError as exc:
+            raise InsufficientSamplesError(f"jd block [{start}, {stop}): {exc}") from None
         kept, errors = sift(part, post.j_d_opt, cfg.m_slices)
         mu_sifted = part.mu_idx[kept]
         single = np.isin(part.outcome, SINGLE_CLICKS)
@@ -409,29 +426,32 @@ def test_single_click_subset_equals_the_full_block_pipeline(name):
             outputs.append(str(exc))
     assert outputs[0] == outputs[1]
     if name == "low_click_block":
-        assert re.fullmatch(r"only \d+ sampled clicked rounds; need >= 100", outputs[0])
+        assert re.fullmatch(r"jd block \[90000, 91000\): only \d+ sampled clicked rounds;"
+                            r" need >= 100", outputs[0])
     else:
         assert sum(row[2] for row in outputs[0][0]) > 0
 
 
 def test_simulate_memory_scales_with_clicks_not_block_rounds(monkeypatch):
-    # one jd block of eight RNG blocks at a 0.5% click rate: the peak may
-    # grow with RNG_BLOCK_ROUNDS (bincount's intp copy of one slice is 8 B
-    # a round) and with the clicks; two bool masks as wide as the jd block
-    # (2 B a round) exceed the bound
-    cfg = base_config(rounds=8 * simcore.RNG_BLOCK_ROUNDS + 1234, intensities=(0.0, 0.1, 0.5),
-                      channel=ChannelParams(eta_arm=0.01, p_d=7.2e-8))
-    data = collect_rounds(cfg)
-    monkeypatch.setattr(simcore, "collect_rounds", lambda _cfg: data)
-    tracemalloc.start()
-    try:
-        res = simulate(cfg)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    clicks = sum(t.clicked_single for t in res.tallies)
-    assert 0 < clicks < 0.01 * cfg.rounds
-    assert peak <= 10 * simcore.RNG_BLOCK_ROUNDS + 100 * clicks
+    # eight RNG blocks at a 46% single-click rate, so the records dominate:
+    # they are 9 B a click, held twice while the units' records are
+    # concatenated, and the post-processing of one jd block reads them
+    # with a few bytes a click of temporaries; each worker adds its unit
+    # buffers and the kernel's temporaries, which here cover most of a
+    # unit.  A record 16 B wider exceeds the bound.
+    cfg = base_config(rounds=8 * simcore.RNG_BLOCK_ROUNDS + 1234, intensities=(1.0, 2.0),
+                      channel=ChannelParams(eta_arm=0.5, p_d=7.2e-8))
+    for workers in (1, 2):
+        monkeypatch.setattr(simcore, "_WORKERS", workers)
+        tracemalloc.start()
+        try:
+            res = simulate(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        clicks = sum(t.clicked_single for t in res.tallies)
+        assert clicks > 0.4 * cfg.rounds
+        assert peak <= 20 * clicks + workers * 120 * simcore._UNIT_ROUNDS, workers
 
 
 # --- tallies and model comparison ----------------------------------------------------
