@@ -4,13 +4,19 @@ Decoy-state BB84 and MDI-QKD in the standard threshold-detector model,
 plus the TGW and PLOB upper bounds on repeaterless secret-key capacity.
 BB84 and the bounds take the full-distance transmittance; MDI takes
 per-arm values.  ``bb84_rate_grid``/``mdi_rate_grid`` evaluate the same
-rates over an intensity array in one NumPy pass; they only select the
-bracket of :func:`pmqkd.rate.maximize`, which takes every value it
-returns from the scalar functions.  The phase-matching optimizer
-:func:`pmqkd.rate.optimize_mu` takes the same grid path.
+rates over an intensity row for a column of channels (a chunk of sweep
+points) in one NumPy pass; they only select each channel's bracket in
+:func:`pmqkd.rate.maximize`, which takes every value it returns
+from the scalar path.  :func:`bb84_optimize_mu` and
+:func:`mdi_optimize_mu` run that search, as
+:func:`pmqkd.rate.optimize_mu_chunk` does for phase matching.  The
+terms that do not depend on the intensity (the single-photon yield and
+1 - H of its error) are computed once per channel and shared by the
+grid and the scalar steps, which check no input.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -18,16 +24,17 @@ import numpy as np
 from .detection import (
     MAX_INTENSITY, ChannelParams, _check_f_ec, _check_intensity, _check_prob, binary_entropy,
 )
-from .rate import _entropy_grid, _gain, _yield
+from .rate import MU_RANGE, _columns, _entropy_grid, _gain, _yield, maximize
 
 
-def _bb84_single_photon(eta: float, pd: float, e_d: float) -> tuple[float, float]:
-    # infinite-decoy single-photon yield and error: (y_1, e_1)
+def _bb84_point(eta: float, pd: float, e_d: float) -> tuple[float, float]:
+    # the mu-independent terms of bb84_rate on one channel: the infinite-decoy
+    # single-photon yield y_1 and 1 - H(e_1)
     y0 = 2.0 * pd
     e0 = 0.5
     y1 = _yield(1, pd, 1.0 - eta)
     e1 = e_d + (e0 - e_d) * y0 / y1 if y1 > 0 else e0
-    return y1, min(e1, 0.5)
+    return y1, 1.0 - binary_entropy(min(e1, 0.5))
 
 
 def _check_bb84(mu, e_d, f_ec) -> None:
@@ -46,41 +53,60 @@ def bb84_rate(mu: float, e_d: float, f_ec: float, channel: ChannelParams) -> flo
     efficiency included).
     """
     _check_bb84(mu, e_d, f_ec)
-    eta = channel.eta_arm
-    pd = channel.p_d
+    eta, pd = channel.eta_arm, channel.p_d
+    return _bb84_rate_at(e_d, f_ec, eta, pd, *_bb84_point(eta, pd, e_d), mu)
+
+
+def _bb84_rate_at(e_d, f_ec, eta, pd, y1, h1, mu) -> float:
+    # bb84_rate at one intensity from the channel's _bb84_point, unchecked
     y0 = 2.0 * pd
     e0 = 0.5
     q_mu = _gain(pd, eta * mu)
     if q_mu <= 0.0:
         return 0.0
     e_mu = e_d + (e0 - e_d) * y0 / q_mu
-    y1, e1 = _bb84_single_photon(eta, pd, e_d)
     q1 = math.exp(-mu) * mu * y1 / q_mu
     e_mu = min(e_mu, 0.5)
-    rate = 0.5 * q_mu * (-f_ec * binary_entropy(e_mu) + q1 * (1.0 - binary_entropy(e1)))
+    rate = 0.5 * q_mu * (-f_ec * binary_entropy(e_mu) + q1 * h1)
     return max(rate, 0.0) + 0.0  # + 0.0 turns a -0.0 into 0.0
 
 
-def bb84_rate_grid(mu: np.ndarray, e_d: float, f_ec: float, channel: ChannelParams) -> np.ndarray:
+def bb84_rate_grid(mu: np.ndarray, e_d: float, f_ec: float, eta, pd, y1, h1) -> np.ndarray:
     """:func:`bb84_rate` over an array of intensities, not floored at 0.
 
-    The mu-independent single-photon terms come from the scalar path;
-    the rest agrees with it up to the ulp differences between NumPy's
-    and ``math``'s ``exp``/``log2``.
+    ``eta``, ``pd`` and the channel's mu-independent terms ``y1``,
+    ``h1`` (:func:`_bb84_point`, from the scalar path) are floats, or
+    ``(n, 1)`` columns with one row per channel, which broadcast against
+    the intensities.  The rest agrees with the scalar path up to the ulp
+    differences between NumPy's and ``math``'s ``exp``/``log2``.
     """
     mu = np.asarray(mu, dtype=float)
     _check_bb84(_first_rejected(mu), e_d, f_ec)
-    eta = channel.eta_arm
-    pd = channel.p_d
+    _check_prob("eta", _first_rejected(eta, 1.0))
+    _check_prob("p_d", _first_rejected(pd, 1.0))
     y0 = 2.0 * pd
     e0 = 0.5
     q_mu = 1.0 - (1.0 - 2.0 * pd) * np.exp(-(eta * mu))
-    y1, e1 = _bb84_single_photon(eta, pd, e_d)
     with np.errstate(divide="ignore", invalid="ignore"):
         e_mu = np.minimum(e_d + (e0 - e_d) * y0 / q_mu, 0.5)
         q1 = np.exp(-mu) * mu * y1 / q_mu
-        rate = 0.5 * q_mu * (-f_ec * _entropy_grid(e_mu) + q1 * (1.0 - binary_entropy(e1)))
+        rate = 0.5 * q_mu * (-f_ec * _entropy_grid(e_mu) + q1 * h1)
     return np.where(q_mu > 0.0, rate, 0.0)
+
+
+def bb84_optimize_mu(channels, e_d: float, f_ec: float) -> list[tuple[float, float]]:
+    """``(mu, rate)`` of :func:`bb84_rate` on each channel at the intensity in
+    ``MU_RANGE`` maximizing it, by ``maximize`` on one grid pass."""
+    _check_prob("e_d", e_d)
+    _check_f_ec(f_ec)
+    cells = [(ch.eta_arm, ch.p_d, *_bb84_point(ch.eta_arm, ch.p_d, e_d)) for ch in channels]
+    fs = [functools.partial(_bb84_rate_at, e_d, f_ec, *cell) for cell in cells]
+    eta, pd, y1, h1 = _columns(cells)
+
+    def f_grid(mus):
+        return bb84_rate_grid(mus, e_d, f_ec, eta, pd, y1, h1)
+
+    return maximize(fs, *MU_RANGE, f_grid=f_grid)
 
 
 def _bessel_i0(z: float) -> float:
@@ -113,11 +139,18 @@ def _mdi_single_photon(
     return y11, e11
 
 
-def _first_rejected(mu: np.ndarray) -> float:
-    # the grid entry the scalar intensity checks reject first: a NaN or one above
-    # MAX_INTENSITY, else the smallest (0 when none is negative)
-    bad = mu[~(mu <= MAX_INTENSITY)]
-    return float(bad[0] if bad.size else mu.min(initial=0.0))
+def _mdi_point(eta_a: float, eta_b: float, p_d: float, e_d: float) -> tuple[float, float]:
+    # the mu-independent terms of mdi_rate on one channel: Y_11 and 1 - H(e_11)
+    y11, e11 = _mdi_single_photon(eta_a, eta_b, p_d, e_d)
+    return y11, 1.0 - binary_entropy(e11)
+
+
+def _first_rejected(x, upper: float = MAX_INTENSITY) -> float:
+    # the entry of x the scalar range checks reject first: a NaN or one above
+    # upper, else the smallest (0 when none is negative)
+    x = np.asarray(x, dtype=float)
+    bad = x[~(x <= upper)]
+    return float(bad[0] if bad.size else x.min(initial=0.0))
 
 
 def _check_mdi(mu_a, mu_b, eta_a, eta_b, p_d, e_d, f_ec) -> None:
@@ -145,7 +178,12 @@ def mdi_rate(
     Q_11 = mu_a*mu_b*exp(-mu_a-mu_b)*Y_11, floored at 0.
     """
     _check_mdi(mu_a, mu_b, eta_a, eta_b, p_d, e_d, f_ec)
-    y11, e11 = _mdi_single_photon(eta_a, eta_b, p_d, e_d)
+    point = _mdi_point(eta_a, eta_b, p_d, e_d)
+    return _mdi_rate_at(eta_a, eta_b, p_d, e_d, f_ec, *point, mu_a, mu_b)
+
+
+def _mdi_rate_at(eta_a, eta_b, p_d, e_d, f_ec, y11, h11, mu_a, mu_b) -> float:
+    # mdi_rate at one pair of intensities from the channel's _mdi_point, unchecked
     mu_prime = eta_a * mu_a + eta_b * mu_b
     x = 0.5 * math.sqrt(eta_a * mu_a * eta_b * mu_b)
     damp = math.exp(-mu_prime / 2.0)
@@ -164,30 +202,41 @@ def mdi_rate(
     else:
         e_rect = 0.5
     q11 = mu_a * mu_b * math.exp(-mu_a - mu_b) * y11
-    rate = 0.5 * (
-        q11 * (1.0 - binary_entropy(e11)) - f_ec * q_rect * binary_entropy(e_rect)
-    )
+    rate = 0.5 * (q11 * h11 - f_ec * q_rect * binary_entropy(e_rect))
     return max(rate, 0.0) + 0.0  # + 0.0 turns a -0.0 into 0.0
+
+
+def _mdi_symmetric_step(e_d, f_ec, eta, p_d, y11, h11, mu) -> float:
+    # one optimizer step: mdi_rate with mu split evenly over two arms of eta
+    return _mdi_rate_at(eta, eta, p_d, e_d, f_ec, y11, h11, mu / 2.0, mu / 2.0)
 
 
 def mdi_rate_grid(
     mu_a: np.ndarray,
     mu_b: np.ndarray,
-    eta_a: float,
-    eta_b: float,
-    p_d: float,
+    eta_a,
+    eta_b,
+    p_d,
     e_d: float,
     f_ec: float,
+    y11,
+    h11,
 ) -> np.ndarray:
     """:func:`mdi_rate` over arrays of intensities, not floored at 0.
 
-    Y_11 and e_11 come from the scalar path; the rest agrees with it up
-    to the ulp differences between NumPy's and ``math``'s functions.
+    ``eta_a``, ``eta_b``, ``p_d`` and the channel's mu-independent
+    terms ``y11``, ``h11`` (:func:`_mdi_point`, from the scalar path)
+    are floats, or ``(n, 1)`` columns with one row per channel, which
+    broadcast against the intensities.  The rest agrees with the scalar
+    path up to the ulp differences between NumPy's and ``math``'s
+    functions.
     """
     mu_a = np.asarray(mu_a, dtype=float)
     mu_b = np.asarray(mu_b, dtype=float)
-    _check_mdi(_first_rejected(mu_a), _first_rejected(mu_b), eta_a, eta_b, p_d, e_d, f_ec)
-    y11, e11 = _mdi_single_photon(eta_a, eta_b, p_d, e_d)
+    _check_mdi(
+        _first_rejected(mu_a), _first_rejected(mu_b), _first_rejected(eta_a, 1.0),
+        _first_rejected(eta_b, 1.0), _first_rejected(p_d, 1.0), e_d, f_ec,
+    )
     mu_prime = eta_a * mu_a + eta_b * mu_b
     x = 0.5 * np.sqrt(eta_a * mu_a * eta_b * mu_b)
     damp = np.exp(-mu_prime / 2.0)
@@ -204,7 +253,25 @@ def mdi_rate_grid(
         e_rect = np.clip((e_d * q_c + (1.0 - e_d) * q_e) / q_rect, 0.0, 0.5)
     e_rect = np.where(q_rect > 0.0, e_rect, 0.5)
     q11 = mu_a * mu_b * np.exp(-mu_a - mu_b) * y11
-    return 0.5 * (q11 * (1.0 - binary_entropy(e11)) - f_ec * q_rect * _entropy_grid(e_rect))
+    return 0.5 * (q11 * h11 - f_ec * q_rect * _entropy_grid(e_rect))
+
+
+def mdi_optimize_mu(channels, e_d: float, f_ec: float) -> list[tuple[float, float]]:
+    """``(mu, rate)`` of :func:`mdi_rate` on each channel, whose two arms
+    both have its ``eta_arm`` and share the total intensity mu evenly, at
+    the mu in ``MU_RANGE`` maximizing it, by ``maximize`` on one grid
+    pass."""
+    _check_prob("e_d", e_d)
+    _check_f_ec(f_ec)
+    cells = [(ch.eta_arm, ch.p_d, *_mdi_point(ch.eta_arm, ch.eta_arm, ch.p_d, e_d))
+             for ch in channels]
+    fs = [functools.partial(_mdi_symmetric_step, e_d, f_ec, *cell) for cell in cells]
+    eta, p_d, y11, h11 = _columns(cells)
+
+    def f_grid(mus):
+        return mdi_rate_grid(mus / 2.0, mus / 2.0, eta, eta, p_d, e_d, f_ec, y11, h11)
+
+    return maximize(fs, *MU_RANGE, f_grid=f_grid)
 
 
 def tgw_bound(eta: float) -> float:

@@ -8,10 +8,12 @@ config), ``fock-check`` (truncated-Fock-space self-checks).
 Sweeps give phase-matching and MDI the per-arm channel of
 :meth:`pmqkd.detection.ChannelParams.from_distance`, BB84 and the capacity
 bounds the full-distance :func:`pmqkd.detection.fiber_transmittance`, and
-evaluate every grid point in the calling process.  ``p_d``, ``eta_d``,
-``alpha_db_per_km``, ``f_ec``, ``e_d`` and ``m_slices`` are checked once
-per command, in :class:`Preset`.  Exit codes: 0 success, 1 domain error,
-2 usage error, 3 failed statistical/numerical check.
+evaluate the grid in the calling process, ``SWEEP_CHUNK`` points at a
+time with one intensity-grid pass per optimized protocol and chunk.
+``p_d``, ``eta_d``, ``alpha_db_per_km``, ``f_ec``, ``e_d`` and
+``m_slices`` are checked once per command, in :class:`Preset`.  Exit
+codes: 0 success, 1 domain error, 2 usage error, 3 failed
+statistical/numerical check.
 """
 from __future__ import annotations
 
@@ -192,72 +194,88 @@ def cmd_rate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _sweep_point(
-    value: float,
+# Sweep points whose intensity grids run in one NumPy pass: 16 keeps the
+# (points x 200) temporaries to a few hundred KB.
+SWEEP_CHUNK = 16
+
+
+def _sweep_chunk(
+    values: list[float],
     variable: str,
     preset: Preset,
     protocols: tuple[str, ...],
     optimize: bool,
     fixed_mu: float,
     distance_for_mu: float,
-) -> dict:
+) -> list[dict]:
     p_d, f_ec, eta_d, m_slices, e_d, alpha = (
         preset.p_d, preset.f_ec, preset.eta_d, preset.m_slices, preset.e_d,
         preset.alpha_db_per_km,
     )
 
-    if variable == "eta":
-        distance = None
-        ch_arm = ChannelParams(value, p_d)
-        # run_sweep checked value <= eta_d, so eta_d is 0 only when value is
-        eta_total = value * value / eta_d if value else 0.0
-    elif variable in ("distance_km", "mu"):
-        distance = value if variable == "distance_km" else distance_for_mu
-        ch_arm = ChannelParams.from_distance(distance, eta_d=eta_d, p_d=p_d, alpha_db_per_km=alpha)
-        eta_total = fiber_transmittance(distance, eta_d, alpha)
-    else:
-        raise ValueError(f"unknown sweep variable {variable!r}")
-    eta_arm = ch_arm.eta_arm
+    rows, arms = [], []
+    for value in values:
+        if variable == "eta":
+            distance = None
+            ch_arm = ChannelParams(value, p_d)
+            # run_sweep checked value <= eta_d, so eta_d is 0 only when value is
+            eta_total = value * value / eta_d if value else 0.0
+        elif variable in ("distance_km", "mu"):
+            distance = value if variable == "distance_km" else distance_for_mu
+            ch_arm = ChannelParams.from_distance(
+                distance, eta_d=eta_d, p_d=p_d, alpha_db_per_km=alpha
+            )
+            eta_total = fiber_transmittance(distance, eta_d, alpha)
+        else:
+            raise ValueError(f"unknown sweep variable {variable!r}")
+        rows.append({
+            "distance_km": distance,
+            "eta_arm": ch_arm.eta_arm,
+            "eta_total": eta_total,
+            "mu_opt": None,
+        })
+        arms.append(ch_arm)
 
-    row: dict[str, object] = {
-        "distance_km": distance,
-        "eta_arm": eta_arm,
-        "eta_total": eta_total,
-        "mu_opt": None,
-    }
-    # one intensity for every protocol: the swept one, None to optimize, else the fixed one
-    mu = value if variable == "mu" else None if optimize else fixed_mu
+    # one intensity per point for every protocol: the swept one, None to optimize,
+    # else the fixed one
+    mus = values if variable == "mu" else None if optimize else [fixed_mu] * len(values)
 
-    def best_rate(f, f_grid):
-        return f(mu) if mu is not None else rate.maximize(f, *rate.MU_RANGE, f_grid=f_grid)[1]
+    def rates(optimized, at_mu, channels):
+        # each point's (mu, rate): optimized over the chunk, or at the point's mu
+        if mus is None:
+            return optimized(channels)
+        return [(mu, at_mu(mu, ch)) for mu, ch in zip(mus, channels)]
 
     if "pm" in protocols:
-        if mu is None:
-            row["mu_opt"], row["R_pm"] = rate.optimize_mu(ch_arm, m_slices, f_ec)
-        else:
-            pm = rate.PmParams(mu_total=mu, m_slices=m_slices, f_ec=f_ec)
-            row["mu_opt"], row["R_pm"] = mu, rate.key_rate(ch_arm, pm).rate_R
-
+        for row, (mu, r) in zip(rows, rates(
+            lambda chs: rate.optimize_mu_chunk(chs, m_slices, f_ec),
+            lambda mu, ch: rate.key_rate(ch, rate.PmParams(mu, m_slices, f_ec)).rate_R,
+            arms,
+        )):
+            row.update(mu_opt=mu, R_pm=r)
     if "bb84" in protocols:
-        ch_full = ChannelParams(eta_total, p_d)
-        row["R_bb84"] = best_rate(
-            lambda m: baselines.bb84_rate(m, e_d, f_ec, ch_full),
-            lambda mus: baselines.bb84_rate_grid(mus, e_d, f_ec, ch_full),
-        )
-
+        for row, (_, r) in zip(rows, rates(
+            lambda chs: baselines.bb84_optimize_mu(chs, e_d, f_ec),
+            lambda mu, ch: baselines.bb84_rate(mu, e_d, f_ec, ch),
+            [ChannelParams(row["eta_total"], p_d) for row in rows],
+        )):
+            row["R_bb84"] = r
     if "mdi" in protocols:
-        row["R_mdi"] = best_rate(
-            lambda m: baselines.mdi_rate(m / 2.0, m / 2.0, eta_arm, eta_arm, p_d, e_d, f_ec),
-            lambda mus: baselines.mdi_rate_grid(
-                mus / 2.0, mus / 2.0, eta_arm, eta_arm, p_d, e_d, f_ec
+        for row, (_, r) in zip(rows, rates(
+            lambda chs: baselines.mdi_optimize_mu(chs, e_d, f_ec),
+            lambda mu, ch: baselines.mdi_rate(
+                mu / 2.0, mu / 2.0, ch.eta_arm, ch.eta_arm, p_d, e_d, f_ec
             ),
-        )
-
-    if "plob" in protocols:
-        row["R_plob"] = baselines.plob_bound(min(eta_total, 1.0 - 1e-15))
-    if "tgw" in protocols:
-        row["R_tgw"] = baselines.tgw_bound(min(eta_total, 1.0 - 1e-15))
-    return row
+            arms,
+        )):
+            row["R_mdi"] = r
+    for row in rows:
+        eta_capped = min(row["eta_total"], 1.0 - 1e-15)
+        if "plob" in protocols:
+            row["R_plob"] = baselines.plob_bound(eta_capped)
+        if "tgw" in protocols:
+            row["R_tgw"] = baselines.tgw_bound(eta_capped)
+    return rows
 
 
 def run_sweep(
@@ -299,8 +317,12 @@ def run_sweep(
         if over is not None:
             raise ValueError(f"sweep eta_arm {over!r} exceeds eta_d {preset.eta_d!r}")
     return [
-        _sweep_point(v, variable, preset, protocols, optimize_mu, fixed_mu, distance_for_mu)
-        for v in values
+        row
+        for i in range(0, len(values), SWEEP_CHUNK)
+        for row in _sweep_chunk(
+            values[i : i + SWEEP_CHUNK], variable, preset, protocols, optimize_mu, fixed_mu,
+            distance_for_mu,
+        )
     ]
 
 

@@ -169,23 +169,36 @@ def _rate(m, q: float, f_ec: float, ez: float, ex: float) -> float:
     return max((2.0 / m) * q * bracket, 0.0) + 0.0  # + 0.0 turns a -0.0 into 0.0
 
 
-def _key_rate_terms(p_d: float, eta: float, mu: float, m, f_ec: float, tail: str) -> tuple:
-    # every RateBreakdown field, in its order; the optimizer reads the last, rate_R
-    x = eta * mu
+# the photon numbers whose yield and bit error the rate reads: the vacuum and
+# the odd orders
+ORDERS = (0, *ODD_ORDERS)
+
+
+def _point_terms(p_d: float, eta: float, m) -> tuple:
+    # the mu-independent terms of the rate on one channel: (e_delta, the
+    # yields of ORDERS, their bit errors)
     loss = 1.0 - eta
     e_delta = misalignment_e_delta(m)
-    q = _gain(p_d, x)
-    fractions, bit_errors = {}, {}
-    for k in (0, *ODD_ORDERS):
+    ys, es = [], []
+    for k in ORDERS:
         loss_k = loss**k
         y = _yield(k, p_d, loss_k)
-        fractions[k] = _fraction(k, y, mu, q)
-        bit_errors[k] = _bit_error(p_d, loss_k, y, e_delta)
-    q_odd = _odd_fraction(q, p_d, loss, mu)
+        ys.append(y)
+        es.append(_bit_error(p_d, loss_k, y, e_delta))
+    return e_delta, ys, es
+
+
+def _key_rate_terms(p_d: float, eta: float, mu: float, m, f_ec: float, tail: str, point) -> tuple:
+    # the mu-dependent terms at one intensity, from the channel's _point_terms:
+    # (gain_Q, qber_Z, phase_err_X, the fractions of ORDERS, q_odd, rate_R)
+    e_delta, ys, es = point
+    x = eta * mu
+    q = _gain(p_d, x)
+    qs = [_fraction(k, y, mu, q) for k, y in zip(ORDERS, ys)]
+    q_odd = _odd_fraction(q, p_d, 1.0 - eta, mu)
     ez = _qber(q, p_d, x, e_delta)
-    odd_qs, odd_es = [fractions[k] for k in ODD_ORDERS], [bit_errors[k] for k in ODD_ORDERS]
-    ex = _phase_error(fractions[0], odd_qs, odd_es, q_odd, tail)
-    return q, ez, ex, fractions, q_odd, bit_errors, e_delta, _rate(m, q, f_ec, ez, ex)
+    ex = _phase_error(qs[0], qs[1:], es[1:], q_odd, tail)
+    return q, ez, ex, qs, q_odd, _rate(m, q, f_ec, ez, ex)
 
 
 def key_rate(ch: ChannelParams, pm: PmParams, *, tail: str = "truncated") -> RateBreakdown:
@@ -193,8 +206,13 @@ def key_rate(ch: ChannelParams, pm: PmParams, *, tail: str = "truncated") -> Rat
 
     Negative bracket values are floored to rate 0.
     """
+    point = _point_terms(ch.p_d, ch.eta_arm, pm.m_slices)
+    q, ez, ex, qs, q_odd, rate_R = _key_rate_terms(
+        ch.p_d, ch.eta_arm, pm.mu_total, pm.m_slices, pm.f_ec, tail, point
+    )
+    e_delta, _, es = point
     return RateBreakdown(
-        *_key_rate_terms(ch.p_d, ch.eta_arm, pm.mu_total, pm.m_slices, pm.f_ec, tail)
+        q, ez, ex, dict(zip(ORDERS, qs)), q_odd, dict(zip(ORDERS, es)), e_delta, rate_R
     )
 
 
@@ -241,39 +259,51 @@ def _grid(lo: float, hi: float) -> tuple[tuple[float, ...], np.ndarray]:
     return xs, arr
 
 
-def maximize(f, lo: float, hi: float, f_grid=None) -> tuple[float, float]:
-    """Deterministic maximization of ``f`` over ``[lo, hi]``.
+def maximize(fs, lo: float, hi: float, f_grid=None) -> list[tuple[float, float]]:
+    """Deterministic maximization of each function in ``fs`` over ``[lo, hi]``.
 
-    Scans a 200-point grid and refines the best bracket by
-    golden-section search, keeping the grid point if the refinement
-    does worse.  Returns ``(x, f(x))``; when ``f <= 0`` on the whole
-    grid it returns ``(lo, 0.0)``.
+    For each ``f`` it scans a 200-point grid and refines the best
+    bracket by golden-section search, keeping the grid point if the
+    refinement does worse.  Returns one ``(x, f(x))`` per function;
+    when ``f <= 0`` on the whole grid that is ``(lo, 0.0)``.  One
+    function is the one-row case, ``maximize([f], lo, hi)[0]``.
 
     ``f_grid``, if given, maps the grid (a read-only NumPy array) to
-    ``f``'s values, not floored at 0, in one pass, to within
-    ``GRID_REL_TOL`` of its largest |value| plus ``GRID_ABS_TOL``.  It
-    only selects the best grid point: ``f`` is evaluated at every point
-    the bound cannot rule out as the maximum, so the result is the same
-    as without it.  The phase-matching rate (:func:`optimize_mu`) and
-    the BB84 and MDI baselines all pass one.
+    every function's values in one pass, a ``(len(fs), 200)`` array (or
+    200 values for one function): row i holds ``fs[i]``'s values, not
+    floored at 0, to within ``GRID_REL_TOL`` of the row's largest
+    |value| plus ``GRID_ABS_TOL``.  A row only selects its function's
+    best grid point: ``f`` is evaluated at every point the bound cannot
+    rule out as the maximum, so the result is the same as without it.
+    The phase-matching rate (:func:`optimize_mu_chunk`) and the BB84 and
+    MDI baselines pass one for a chunk of sweep points at a time, so a
+    sweep makes one grid pass per protocol and chunk.
     """
     xs, grid = _grid(lo, hi)
-    vals = None
+    n = len(fs)
+    scans = [range(N_GRID)] * n  # the grid indices at which to evaluate each f
     if f_grid is not None:
-        g = np.asarray(f_grid(grid), dtype=float)
-        top = g.max()
-        tol = GRID_REL_TOL * np.abs(g).max() + GRID_ABS_TOL
-        if np.isfinite(tol):  # else a NaN or infinite entry: scan on the scalar path
+        g = np.asarray(f_grid(grid), dtype=float).reshape(n, N_GRID)
+        tops = g.max(axis=1).tolist()
+        tols = (GRID_REL_TOL * np.abs(g).max(axis=1) + GRID_ABS_TOL).tolist()
+        for i, (row, top, tol) in enumerate(zip(g, tops, tols)):
+            if not math.isfinite(tol):  # a NaN or infinite entry: scan on the scalar path
+                continue
             if top < -tol:
-                return xs[0], 0.0
-            cand = np.flatnonzero(g >= top - 2.0 * tol).tolist()
+                scans[i] = ()
+                continue
+            cand = np.flatnonzero(row >= top - 2.0 * tol).tolist()
             # near 0 or on several peaks, scan the whole grid on the scalar path
             if top > tol and cand[-1] - cand[0] == len(cand) - 1:
-                vals = {i: f(xs[i]) for i in cand}
-    if vals is None:
-        vals = {i: f(x) for i, x in enumerate(xs)}
-    best = max(vals, key=vals.__getitem__)
-    if vals[best] <= 0.0:
+                scans[i] = cand
+    return [_refine(f, xs, lo, hi, scan) for f, scan in zip(fs, scans)]
+
+
+def _refine(f, xs: tuple[float, ...], lo: float, hi: float, scan) -> tuple[float, float]:
+    # f at the grid indices in scan, then golden-section search in the best one's bracket
+    vals = {i: f(xs[i]) for i in scan}
+    best = max(vals, key=vals.__getitem__, default=None)
+    if best is None or vals[best] <= 0.0:
         return xs[0], 0.0
     a = xs[max(best - 1, 0)]
     b = xs[min(best + 1, N_GRID - 1)]
@@ -290,29 +320,34 @@ def _entropy_grid(x: np.ndarray) -> np.ndarray:
     return np.where(x > 0.0, h, 0.0)
 
 
-def _key_rate_grid(mu: np.ndarray, p_d: float, eta: float, m, f_ec: float) -> np.ndarray:
-    """``key_rate``'s truncated-tail ``rate_R`` over an array of intensities,
-    not floored at 0: ``maximize``'s ``f_grid`` for :func:`optimize_mu`.
+def _columns(rows) -> list[np.ndarray]:
+    # per-point tuples of floats as one (len(rows), 1) column per entry
+    return list(np.array(rows, dtype=float).T[:, :, None])
 
-    It mirrors ``_key_rate_terms`` term by term.  e_delta, the yields and
-    the bit errors do not depend on mu and come from the scalar path; the
-    rest agrees with it up to the ulp differences between NumPy's and
+
+def _key_rate_grid(mu: np.ndarray, p_d, eta, m, f_ec: float, point) -> np.ndarray:
+    """``key_rate``'s truncated-tail ``rate_R`` over an array of intensities,
+    not floored at 0: ``maximize``'s ``f_grid`` for
+    :func:`optimize_mu_chunk`.
+
+    ``p_d``, ``eta`` and the terms in ``point`` (the channel's
+    ``_point_terms``) are floats, or ``(n, 1)`` columns with one row per
+    channel, which broadcast against the intensities.  It mirrors
+    ``_key_rate_terms`` term by term.  e_delta, the yields and the bit
+    errors do not depend on mu and come from the scalar path; the rest
+    agrees with it up to the ulp differences between NumPy's and
     ``math``'s ``exp``/``log2``/powers.
     """
+    e_delta, ys, es = point
     x = eta * mu
-    loss = 1.0 - eta
-    e_delta = misalignment_e_delta(m)
     damp_x, damp_mu = np.exp(-x), np.exp(-mu)
     q = 1.0 - (1.0 - 2.0 * p_d) * damp_x
     live = q > 0.0  # where the scalar _qber and _fraction do not short-cut
-    qs, es = [], []
+    qs = []
     with np.errstate(divide="ignore", invalid="ignore"):
         ez = np.where(live, np.clip((p_d + x * e_delta) * damp_x / q, 0.0, 0.5), 0.5)
-        for k in (0, *ODD_ORDERS):
-            loss_k = loss**k
-            y = _yield(k, p_d, loss_k)
+        for k, y in zip(ORDERS, ys):
             qs.append(np.where(live, y * mu**k * damp_mu / (math.factorial(k) * q), 0.0))
-            es.append(_bit_error(p_d, loss_k, y, e_delta))
     # _phase_error's truncated tail, accumulated in its order
     ex = qs[0] * 0.5
     for qk, ek in zip(qs[1:], es[1:]):
@@ -329,21 +364,35 @@ def _key_rate_grid(mu: np.ndarray, p_d: float, eta: float, m, f_ec: float) -> np
 MU_RANGE = (0.01, 2.0)
 
 
-def optimize_mu(ch: ChannelParams, m_slices: int, f_ec: float) -> tuple[float, float]:
-    """``(mu, rate_R)`` at the intensity in :data:`MU_RANGE` maximizing the
-    key rate, found by :func:`maximize` on the NumPy grid of the rate.
+def optimize_mu_chunk(channels, m_slices: int, f_ec: float) -> list[tuple[float, float]]:
+    """``(mu, rate_R)`` of each channel at the intensity in :data:`MU_RANGE`
+    maximizing the key rate, found by :func:`maximize` on one NumPy
+    grid of the rate over every channel.
 
-    When the rate vanishes everywhere the smallest grid intensity is
+    Where the rate vanishes everywhere the smallest grid intensity is
     returned with rate 0.  Every returned value is ``key_rate``'s.
     """
     _check_m_slices(m_slices)
     _check_f_ec(f_ec)
-    p_d, eta = ch.p_d, ch.eta_arm
-
-    def f(mu):
-        return _key_rate_terms(p_d, eta, mu, m_slices, f_ec, "truncated")[-1]
+    cells = [(ch.p_d, ch.eta_arm, _point_terms(ch.p_d, ch.eta_arm, m_slices)) for ch in channels]
+    fs = [functools.partial(_rate_step, *cell, m_slices, f_ec) for cell in cells]
+    p_d, eta, e_delta, *terms = _columns(
+        [(p_d, eta, e_delta, *ys, *es) for p_d, eta, (e_delta, ys, es) in cells]
+    )
+    point = e_delta, terms[: len(ORDERS)], terms[len(ORDERS) :]
 
     def f_grid(mus):
-        return _key_rate_grid(mus, p_d, eta, m_slices, f_ec)
+        return _key_rate_grid(mus, p_d, eta, m_slices, f_ec, point)
 
-    return maximize(f, *MU_RANGE, f_grid=f_grid)
+    return maximize(fs, *MU_RANGE, f_grid=f_grid)
+
+
+def _rate_step(p_d: float, eta: float, point, m_slices: int, f_ec: float, mu: float) -> float:
+    # one optimizer step: rate_R at mu from the channel's _point_terms
+    return _key_rate_terms(p_d, eta, mu, m_slices, f_ec, "truncated", point)[-1]
+
+
+def optimize_mu(ch: ChannelParams, m_slices: int, f_ec: float) -> tuple[float, float]:
+    """``(mu, rate_R)`` at the intensity in :data:`MU_RANGE` maximizing the
+    key rate on ``ch``: :func:`optimize_mu_chunk` of the one channel."""
+    return optimize_mu_chunk([ch], m_slices, f_ec)[0]

@@ -66,6 +66,8 @@ MAX_ROUNDS = 1 << 32
 
 # Slice indices are int16 and M is even.
 MAX_M_SLICES = 32766
+# The intensity index is int16, so it holds at most 2^15 intensities.
+MAX_INTENSITIES = 1 << 15
 
 
 class InsufficientSamplesError(ValueError):
@@ -127,6 +129,11 @@ class SimConfig:
             )
         if len(self.intensities) == 0:
             raise ValueError("intensities must be nonempty")
+        if len(self.intensities) > MAX_INTENSITIES:
+            raise ValueError(
+                f"intensities must hold at most {MAX_INTENSITIES} values, "
+                f"got {len(self.intensities)}"
+            )
         if len(set(self.intensities)) != len(self.intensities):
             raise ValueError("intensities must be distinct")
         for i, mu in enumerate(self.intensities):

@@ -7,10 +7,14 @@ from scipy import special
 
 from pmqkd import rate
 from pmqkd.baselines import (
+    bb84_optimize_mu,
     bb84_rate,
     bb84_rate_grid,
+    _bb84_point,
     _bessel_i0,
+    _mdi_point,
     _mdi_single_photon,
+    mdi_optimize_mu,
     mdi_rate,
     mdi_rate_grid,
     plob_bound,
@@ -23,6 +27,22 @@ from pmqkd.detection import MAX_INTENSITY, ChannelParams, binary_entropy, fiber_
 def full_channel(eta, pd=0.0):
     # BB84 and the bounds take the full-distance transmittance
     return ChannelParams(eta_arm=eta, p_d=pd)
+
+
+def bb84_grid(mus, e_d, f_ec, ch):
+    # bb84_rate_grid on one channel, its mu-independent terms from the scalar path
+    return bb84_rate_grid(mus, e_d, f_ec, ch.eta_arm, ch.p_d, *_bb84_point(ch.eta_arm, ch.p_d, e_d))
+
+
+def mdi_grid(mu_a, mu_b, eta_a, eta_b, p_d, e_d, f_ec):
+    # mdi_rate_grid on one channel, its mu-independent terms from the scalar path
+    point = _mdi_point(eta_a, eta_b, p_d, e_d)
+    return mdi_rate_grid(mu_a, mu_b, eta_a, eta_b, p_d, e_d, f_ec, *point)
+
+
+def maximize_one(f, lo, hi, f_grid=None):
+    # maximize's one-row case
+    return rate.maximize([f], lo, hi, f_grid)[0]
 
 
 # --- BB84 -------------------------------------------------------------------
@@ -195,9 +215,9 @@ def test_intensity_bound_and_postprocessing_checks():
     for call in (
         lambda: rate.PmParams(mu_total=over),
         lambda: bb84_rate(over, 0.0, 1.15, ch),
-        lambda: bb84_rate_grid(grid, 0.0, 1.15, ch),
+        lambda: bb84_grid(grid, 0.0, 1.15, ch),
         lambda: mdi_rate(0.1, over, 0.1, 0.1, 0.0, 0.0, 1.15),
-        lambda: mdi_rate_grid(grid, grid, 0.1, 0.1, 0.0, 0.0, 1.15),
+        lambda: mdi_grid(grid, grid, 0.1, 0.1, 0.0, 0.0, 1.15),
         lambda: bs_attack(over, 0.2),
     ):
         with pytest.raises(ValueError, match=f"{m:g}"):
@@ -208,7 +228,7 @@ def test_intensity_bound_and_postprocessing_checks():
         for call in (
             lambda: bb84_rate(0.5, e_d, f_ec, ch),
             lambda: mdi_rate(0.1, 0.1, 0.1, 0.1, 0.0, e_d, f_ec),
-            lambda: mdi_rate_grid(grid / m, grid / m, 0.1, 0.1, 0.0, e_d, f_ec),
+            lambda: mdi_rate_grid(grid / m, grid / m, 0.1, 0.1, 0.0, e_d, f_ec, 0.0, 0.0),
         ):
             with pytest.raises(ValueError, match=named):
                 call()
@@ -231,7 +251,7 @@ def bb84_cell(distance, pd, ed, f_ec=1.15):
     def f(mu):
         return bb84_rate(mu, ed, f_ec, ch)
 
-    return f, lambda mus: bb84_rate_grid(mus, ed, f_ec, ch)
+    return f, lambda mus: bb84_grid(mus, ed, f_ec, ch)
 
 
 def mdi_cell(distance, pd, ed, f_ec=1.15):
@@ -240,7 +260,7 @@ def mdi_cell(distance, pd, ed, f_ec=1.15):
     def f(mu):
         return mdi_rate(mu / 2.0, mu / 2.0, eta, eta, pd, ed, f_ec)
 
-    return f, lambda mus: mdi_rate_grid(mus / 2.0, mus / 2.0, eta, eta, pd, ed, f_ec)
+    return f, lambda mus: mdi_grid(mus / 2.0, mus / 2.0, eta, eta, pd, ed, f_ec)
 
 
 def pm_cell(distance, pd, m_slices, f_ec=1.15):
@@ -249,7 +269,8 @@ def pm_cell(distance, pd, m_slices, f_ec=1.15):
     def f(mu):
         return rate.key_rate(ch, rate.PmParams(mu, m_slices, f_ec)).rate_R
 
-    return f, lambda mus: rate._key_rate_grid(mus, pd, ch.eta_arm, m_slices, f_ec)
+    point = rate._point_terms(pd, ch.eta_arm, m_slices)
+    return f, lambda mus: rate._key_rate_grid(mus, pd, ch.eta_arm, m_slices, f_ec, point)
 
 
 # each cell takes (distance, p_d, setting, f_ec): the setting is e_d for the
@@ -297,22 +318,22 @@ def test_maximize_with_grid_equals_scalar_maximize(protocol):
         # e_d for the baselines, an even M from 2 up to 2**21 for phase matching
         setting = 2 * int(2 ** rng.uniform(0, 20)) if protocol == "pm" else rng.uniform(0, 0.1)
         f, f_grid = CELLS[protocol](distance, p_d, setting, rng.uniform(1.0, 1.3))
-        assert rate.maximize(f, 0.01, 2.0, f_grid=f_grid) == rate.maximize(f, 0.01, 2.0)
+        assert maximize_one(f, 0.01, 2.0, f_grid=f_grid) == maximize_one(f, 0.01, 2.0)
 
 
 def test_maximize_with_grid_on_a_nonpositive_cell():
     # BB84 with dark counts has no key beyond ~140 km: no scalar call at all
     f, f_grid = bb84_cell(300.0, 7.2e-8, 0.015)
     counted, calls = counting(f)
-    assert rate.maximize(counted, 0.01, 2.0, f_grid=f_grid) == (0.01, 0.0)
+    assert maximize_one(counted, 0.01, 2.0, f_grid=f_grid) == (0.01, 0.0)
     assert calls == []
-    assert rate.maximize(f, 0.01, 2.0) == (0.01, 0.0)
+    assert maximize_one(f, 0.01, 2.0) == (0.01, 0.0)
 
 
 def test_maximize_with_grid_takes_few_scalar_calls():
     f, f_grid = mdi_cell(200.0, 7.2e-8, 0.015)
     counted, calls = counting(f)
-    assert rate.maximize(counted, 0.01, 2.0, f_grid=f_grid) == rate.maximize(f, 0.01, 2.0)
+    assert maximize_one(counted, 0.01, 2.0, f_grid=f_grid) == maximize_one(f, 0.01, 2.0)
     assert len(calls) < 50  # the candidates plus the golden-section steps
 
 
@@ -328,8 +349,8 @@ def test_maximize_with_a_flipped_grid_argmax_returns_the_scalar_answer():
         flipped[neighbour] = g[best] + 0.9 * tol
         assert int(np.argmax(flipped)) == neighbour
         counted, calls = counting(f)
-        out = rate.maximize(counted, 0.01, 2.0, f_grid=lambda mus, v=flipped: v)
-        assert out == rate.maximize(f, 0.01, 2.0)
+        out = maximize_one(counted, 0.01, 2.0, f_grid=lambda mus, v=flipped: v)
+        assert out == maximize_one(f, 0.01, 2.0)
         assert MU_GRID[best] in calls
 
 
@@ -342,24 +363,70 @@ def test_maximize_with_grid_falls_back_to_the_scalar_scan():
     near_zero = np.where(np.abs(np.arange(200) - 100) <= 3, 0.5 * rate.GRID_ABS_TOL, -1e-7)
     not_finite = g.copy()
     not_finite[3] = np.nan
-    expected = rate.maximize(f, 0.01, 2.0)
+    expected = maximize_one(f, 0.01, 2.0)
     for grid in (two_peaks, near_zero, not_finite):
         counted, calls = counting(f)
-        assert rate.maximize(counted, 0.01, 2.0, f_grid=lambda mus, v=grid: v) == expected
+        assert maximize_one(counted, 0.01, 2.0, f_grid=lambda mus, v=grid: v) == expected
         assert set(MU_GRID.tolist()) <= set(calls)
+
+
+def test_maximize_selects_each_row_on_its_own():
+    # one grid pass for four functions: a peak, a nonpositive cell, a NaN entry
+    # and two peaks; each row gets what its own one-row search gets
+    f, f_grid = mdi_cell(200.0, 7.2e-8, 0.015)
+    f_dead, grid_dead = bb84_cell(300.0, 7.2e-8, 0.015)
+    g = f_grid(MU_GRID)
+    not_finite, two_peaks = g.copy(), g.copy()
+    not_finite[3] = np.nan
+    two_peaks[-1] = g.max()
+    rows = np.stack([g, grid_dead(MU_GRID), not_finite, two_peaks])
+    counted = [counting(h) for h in (f, f_dead, f, f)]
+    out = rate.maximize([c for c, _ in counted], 0.01, 2.0, lambda mus: rows)
+    assert out == [maximize_one(h, 0.01, 2.0) for h in (f, f_dead, f, f)]
+    calls = [len(c) for _, c in counted]
+    assert calls[0] < 50 and calls[1] == 0 and min(calls[2:]) >= 200
 
 
 def test_rate_grid_validation():
     with pytest.raises(ValueError):
-        bb84_rate_grid(np.array([0.1, -0.1]), 0.015, 1.15, full_channel(0.1))
+        bb84_grid(np.array([0.1, -0.1]), 0.015, 1.15, full_channel(0.1))
     with pytest.raises(ValueError):
-        bb84_rate_grid(np.array([0.1]), 0.015, 0.5, full_channel(0.1))
+        bb84_grid(np.array([0.1]), 0.015, 0.5, full_channel(0.1))
     with pytest.raises(ValueError):
-        mdi_rate_grid(np.array([0.1]), np.array([-0.1]), 0.1, 0.1, 0.0, 0.0, 1.15)
+        mdi_grid(np.array([0.1]), np.array([-0.1]), 0.1, 0.1, 0.0, 0.0, 1.15)
     with pytest.raises(ValueError):
-        mdi_rate_grid(np.array([0.1]), np.array([0.1]), 1.5, 0.1, 0.0, 0.0, 1.15)
+        mdi_grid(np.array([0.1]), np.array([0.1]), 1.5, 0.1, 0.0, 0.0, 1.15)
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError, match=f"^mu must be in.*got {bad}"):
-            bb84_rate_grid(np.array([0.1, bad, -0.1]), 0.015, 1.15, full_channel(0.1))
+            bb84_grid(np.array([0.1, bad, -0.1]), 0.015, 1.15, full_channel(0.1))
         with pytest.raises(ValueError, match=f"^mu_b must be in.*got {bad}"):
-            mdi_rate_grid(np.array([0.1, 0.2]), np.array([0.1, bad]), 0.1, 0.1, 0.0, 0.0, 1.15)
+            mdi_grid(np.array([0.1, 0.2]), np.array([0.1, bad]), 0.1, 0.1, 0.0, 0.0, 1.15)
+    # a column of channels is checked as a whole, naming its first bad entry
+    etas = np.array([[0.1], [1.5], [2.0]])
+    with pytest.raises(ValueError, match=r"^eta must be in \[0, 1\], got 1.5$"):
+        bb84_rate_grid(MU_GRID, 0.015, 1.15, etas, 0.0, 0.0, 0.0)
+    with pytest.raises(ValueError, match=r"^eta_b must be in \[0, 1\], got 1.5$"):
+        mdi_rate_grid(MU_GRID, MU_GRID, 0.1, etas, 0.0, 0.015, 1.15, 0.0, 0.0)
+
+
+def test_optimizers_check_their_inputs_before_any_step():
+    # a NaN e_d would otherwise first reach binary_entropy through e_1 or e_11
+    chs = [full_channel(0.1), full_channel(0.2)]
+    for optimize in (bb84_optimize_mu, mdi_optimize_mu):
+        with pytest.raises(ValueError, match="^e_d must be in .*got nan$"):
+            optimize(chs, math.nan, 1.15)
+        with pytest.raises(ValueError, match="^f_ec must be finite .*got 0.5$"):
+            optimize(chs, 0.015, 0.5)
+
+
+def test_optimizers_equal_the_one_row_maximize():
+    # a chunk of channels gives each channel the result of its own one-row search
+    etas = [fiber_transmittance(d, 0.145, 0.2) for d in (0.0, 50.0, 150.0, 300.0)]
+    chs = [full_channel(eta, 7.2e-8) for eta in etas]
+    for f_of, chunk in (
+        (lambda eta: lambda mu: bb84_rate(mu, 0.015, 1.15, full_channel(eta, 7.2e-8)),
+         bb84_optimize_mu(chs, 0.015, 1.15)),
+        (lambda eta: lambda mu: mdi_rate(mu / 2, mu / 2, eta, eta, 7.2e-8, 0.015, 1.15),
+         mdi_optimize_mu(chs, 0.015, 1.15)),
+    ):
+        assert chunk == [maximize_one(f_of(eta), *rate.MU_RANGE) for eta in etas]

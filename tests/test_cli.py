@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from pmqkd import cli
+from pmqkd.detection import ChannelParams, fiber_transmittance
 
 
 def run_cli(argv, capsys):
@@ -230,25 +232,122 @@ def test_sweep_fig3b_optimizers_take_no_scalar_fallback(monkeypatch):
     maximize = cli.rate.maximize
     scalar_calls = []
 
-    def counting_maximize(f, lo, hi, f_grid=None):
-        calls = [0]
+    def counting_maximize(fs, lo, hi, f_grid=None):
+        calls = [0] * len(fs)
 
-        def counted(x):
-            calls[0] += 1
-            return f(x)
+        def counted(i, x):
+            calls[i] += 1
+            return fs[i](x)
 
         assert f_grid is not None
-        out = maximize(counted, lo, hi, f_grid=f_grid)
-        scalar_calls.append(calls[0])
+        out = maximize([functools.partial(counted, i) for i in range(len(fs))], lo, hi, f_grid)
+        scalar_calls.extend(calls)
         return out
 
-    monkeypatch.setattr(cli.rate, "maximize", counting_maximize)
+    # baselines binds maximize by name
+    for module in (cli.rate, cli.baselines):
+        monkeypatch.setattr(module, "maximize", counting_maximize)
     rows = cli.run_sweep(
         "distance_km", 0, 500, 1, ("pm", "bb84", "mdi"), cli.PRESETS["fig3b"], optimize_mu=True
     )
     assert len(rows) == 501
     assert len(scalar_calls) == 3 * 501
     assert max(scalar_calls) < 200
+
+
+@pytest.mark.parametrize("points", [2, cli.SWEEP_CHUNK, cli.SWEEP_CHUNK + 1, 501])
+def test_sweep_runs_one_grid_pass_per_protocol_and_chunk(monkeypatch, points):
+    grids = {"pm": (cli.rate, "_key_rate_grid"), "bb84": (cli.baselines, "bb84_rate_grid"),
+             "mdi": (cli.baselines, "mdi_rate_grid")}
+    passes = dict.fromkeys(grids, 0)
+
+    def counting(protocol, grid):
+        def counted(*args):
+            passes[protocol] += 1
+            return grid(*args)
+        return counted
+
+    for protocol, (module, name) in grids.items():
+        monkeypatch.setattr(module, name, counting(protocol, getattr(module, name)))
+    rows = cli.run_sweep(
+        "distance_km", 0, points - 1, 1, tuple(grids), cli.PRESETS["fig3b"], optimize_mu=True
+    )
+    assert len(rows) == points
+    assert passes == dict.fromkeys(grids, math.ceil(points / cli.SWEEP_CHUNK))
+
+
+def per_point_rows(variable, values, preset):
+    """Each point optimized on its own: pm by optimize_mu, BB84 and MDI by the
+    one-row maximize on their public rate functions, with and without a grid."""
+    p_d, e_d, f_ec = preset.p_d, preset.e_d, preset.f_ec
+    rows = []
+    for v in values:
+        if variable == "eta":
+            arm, full = v, v * v / preset.eta_d
+        else:
+            arm = ChannelParams.from_distance(v, eta_d=preset.eta_d, p_d=p_d).eta_arm
+            full = fiber_transmittance(v, preset.eta_d, preset.alpha_db_per_km)
+        ch_arm, ch_full = ChannelParams(arm, p_d), ChannelParams(full, p_d)
+        mu_opt, r_pm = cli.rate.optimize_mu(ch_arm, preset.m_slices, f_ec)
+
+        def bb84(mu):
+            return cli.baselines.bb84_rate(mu, e_d, f_ec, ch_full)
+
+        def mdi(mu):
+            return cli.baselines.mdi_rate(mu / 2.0, mu / 2.0, arm, arm, p_d, e_d, f_ec)
+
+        def bb84_grid(mus):
+            point = cli.baselines._bb84_point(full, p_d, e_d)
+            return cli.baselines.bb84_rate_grid(mus, e_d, f_ec, full, p_d, *point)
+
+        def mdi_grid(mus):
+            point = cli.baselines._mdi_point(arm, arm, p_d, e_d)
+            return cli.baselines.mdi_rate_grid(mus / 2, mus / 2, arm, arm, p_d, e_d, f_ec, *point)
+
+        row = {"mu_opt": mu_opt, "R_pm": r_pm}
+        for name, f, f_grid in (("R_bb84", bb84, bb84_grid), ("R_mdi", mdi, mdi_grid)):
+            best = cli.rate.maximize([f], *cli.rate.MU_RANGE, f_grid)[0]
+            assert best == cli.rate.maximize([f], *cli.rate.MU_RANGE)[0]
+            row[name] = best[1]
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize(
+    "variable, start, stop, step",
+    [("distance_km", 0.0, 40.0, 1.0), ("eta", 0.0, 0.1, 0.0025)],
+    ids=["distance_0_40km", "eta"],
+)
+def test_chunked_sweep_equals_the_per_point_optimizers(variable, start, stop, step):
+    # 41 points: two full chunks and a partial one
+    preset = cli.PRESETS["fig3b"]
+    rows = cli.run_sweep(variable, start, stop, step, ("pm", "bb84", "mdi"), preset, True)
+    assert len(rows) == 41 and 2 * cli.SWEEP_CHUNK < 41 < 3 * cli.SWEEP_CHUNK
+    values = [round(start + i * step, 12) for i in range(41)]
+    got = [{k: row[k] for k in ("mu_opt", "R_pm", "R_bb84", "R_mdi")} for row in rows]
+    assert got == per_point_rows(variable, values, preset)
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        # the bad intensity sits in the second chunk of points
+        (["--variable", "mu", "--start", "480", "--stop", "520", "--protocols", "bb84"],
+         "mu must be in [0, 500], got 501.0"),
+        (["--variable", "mu", "--start", "480", "--stop", "520", "--protocols", "pm,mdi"],
+         "mu_total must be in [0, 500], got 501.0"),
+        (["--start", "0", "--stop", "40", "--optimize-mu", "--e-d", "nan"],
+         "e_d must be in [0, 1], got nan"),
+        (["--start", "0", "--stop", "40", "--optimize-mu", "--f-ec", "0.5"],
+         "f_ec must be finite and >= 1, got 0.5"),
+    ],
+    ids=["mu_bb84", "mu_pm", "e_d", "f_ec"],
+)
+def test_chunked_sweep_bad_input_is_one_line_error(capsys, argv, named):
+    code, out, err = run_cli(["sweep", "--preset", "fig3b", "--step", "1", *argv], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {named}\n"
 
 
 GRID = ["--start", "0", "--stop", "3", "--step", "1"]
@@ -787,11 +886,14 @@ def test_simulate_missing_file(capsys):
         # the drift passes the largest float within the run: the kernel's phase would be inf
         ({"rounds": 1000, "phi0": {"kind": "slow_drift", "rate_rad_per_round": 1e308}},
          "phi0.rate_rad_per_round must keep phi0 finite over 1000 rounds, got 1e+308"),
+        # the intensity index is int16
+        ({"rounds": 1000, "intensities": [i * 1e-4 for i in range(40_000)]},
+         "intensities must hold at most 32768 values, got 40000"),
     ],
     ids=["m_slices_40000", "rounds_null", "scalar_intensities", "nan_phi0",
          "unknown_key", "unknown_channel_key", "unknown_phi0_key", "bad_phi0_kind",
          "fixed_phi0_with_rate", "eta_arm_with_distance", "eta_arm_with_eta_d",
-         "eta_arm_with_alpha", "overflowing_drift"],
+         "eta_arm_with_alpha", "overflowing_drift", "intensities_40000"],
 )
 def test_simulate_bad_config_is_one_line_error(tmp_path, capsys, overrides, named):
     code, out, err = run_cli(["simulate", str(_sim_config(tmp_path, **overrides))], capsys)

@@ -383,10 +383,10 @@ def _sim_config(**overrides):
         (lambda: mdi_rate(0.1, 0.1, 0.1, 0.1, 5.0, 0.0, 1.15), "p_d", 5.0),
         (lambda: mdi_rate(0.1, 0.1, 0.1, 0.1, -1.0, 0.0, 1.15), "p_d", -1.0),
         (lambda: mdi_rate(0.1, 0.1, 0.1, 0.1, math.nan, 0.0, 1.15), "p_d", math.nan),
-        (lambda: mdi_rate_grid(np.array([0.1]), np.array([0.1]), 0.1, 0.1, 5.0, 0.0, 1.15),
-         "p_d", 5.0),
+        (lambda: mdi_rate_grid(np.array([0.1]), np.array([0.1]), 0.1, 0.1, 5.0, 0.0, 1.15,
+                               0.0, 0.0), "p_d", 5.0),
         (lambda: bb84_rate(600.0, 0.0, 1.15, ChannelParams(0.1, 0.0)), "mu", 600.0),
-        (lambda: bb84_rate_grid(np.array([0.1, math.nan]), 0.0, 1.15, ChannelParams(0.1, 0.0)),
+        (lambda: bb84_rate_grid(np.array([0.1, math.nan]), 0.0, 1.15, 0.1, 0.0, 0.0, 0.0),
          "mu", math.nan),
         (lambda: PmParams(mu_total=600.0), "mu_total", 600.0),
         (lambda: PmParams(mu_total=0.5, m_slices=3), "m_slices", 3),

@@ -11,6 +11,7 @@ import pytest
 from pmqkd import _mckernel_np, simcore
 from pmqkd.detection import ChannelParams
 from pmqkd.simcore import (
+    MAX_INTENSITIES,
     MAX_M_SLICES,
     RNG_BLOCK_ROUNDS,
     Phi0Model,
@@ -122,6 +123,18 @@ def test_kernel_matches_full_array_oracle(p_d, mus, eta, phi0, n):
     u[4, 1::5] = np.arange(len(u[4, 1::5])) % (2 * len(intensities) + 1) / (2 * len(intensities))
     u[4, 2::5] = np.nextafter(u[4, 1::5][: len(u[4, 2::5])], 0.0)
     assert_kernel_matches_oracle(u, *params)
+
+
+@pytest.mark.parametrize(
+    "k", [3, _mckernel_np.BINCOUNT_MIN_K - 1, _mckernel_np.BINCOUNT_MIN_K, 64, MAX_INTENSITIES]
+)
+def test_emitted_counts_on_both_sides_of_the_bincount_switch(k):
+    # k - 1 compare-and-count passes below BINCOUNT_MIN_K, one bincount from it up
+    n = 1 << 16 if k < MAX_INTENSITIES else 1000
+    intensities = np.linspace(0.01, 2.0, k)
+    u = np.random.default_rng(k).random((7, n))
+    u[4, :3] = (0.0, np.nextafter(1.0, 0.0), (k - 1) / k)  # the first and last index
+    assert_kernel_matches_oracle(u, 0.1, 7.2e-8, intensities, 16, 0.0, 0.0, 0)
 
 
 @pytest.mark.parametrize("m", [2, 6, 16, 32, MAX_M_SLICES])

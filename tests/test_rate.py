@@ -6,7 +6,7 @@ from scipy import integrate
 
 from pmqkd import rate
 from pmqkd.detection import ChannelParams, binary_entropy, k_photon_clicks
-from pmqkd.rate import PmParams, key_rate, maximize, misalignment_e_delta, optimize_mu
+from pmqkd.rate import PmParams, key_rate, misalignment_e_delta, optimize_mu
 
 from oracles import coherent_clicks, e_delta_series, with_dark_counts
 from reference_port import pm_key
@@ -17,6 +17,11 @@ FIG3B = dict(p_d=7.2e-8, eta_d=0.145, m_slices=16, f_ec=1.15)
 
 def ch(eta, pd=0.0):
     return ChannelParams(eta_arm=eta, p_d=pd)
+
+
+def maximize_one(f, lo, hi):
+    # maximize's one-row case, without a grid
+    return rate.maximize([f], lo, hi)[0]
 
 
 # --- yields and gain ---------------------------------------------------------
@@ -417,7 +422,7 @@ def test_optimize_mu_equals_the_scalar_maximize():
         for d in (0.0, 100.0, 300.0, 500.0) for m in (16, 2**20)
     ]
     for c, m in cases:
-        scalar = maximize(lambda mu: key_rate(c, PmParams(mu, m, 1.15)).rate_R, *rate.MU_RANGE)
+        scalar = maximize_one(lambda mu: key_rate(c, PmParams(mu, m, 1.15)).rate_R, *rate.MU_RANGE)
         assert optimize_mu(c, m, 1.15) == scalar, (c, m)
 
 
@@ -442,14 +447,14 @@ def test_optimize_mu_dead_channel_returns_grid_minimum():
 
 
 def test_maximize_finds_interior_peak():
-    x, fx = maximize(lambda x: 1.0 - (x - 1.3) ** 2, 0.0, 2.0)
+    x, fx = maximize_one(lambda x: 1.0 - (x - 1.3) ** 2, 0.0, 2.0)
     assert x == pytest.approx(1.3, abs=1e-6)
     assert fx == 1.0 - (x - 1.3) ** 2
 
 
 def test_maximize_nonpositive_returns_lower_end():
-    assert maximize(lambda x: -x, 0.25, 2.0) == (0.25, 0.0)
-    assert maximize(lambda x: 0.0, 0.01, 2.0) == (0.01, 0.0)
+    assert maximize_one(lambda x: -x, 0.25, 2.0) == (0.25, 0.0)
+    assert maximize_one(lambda x: 0.0, 0.01, 2.0) == (0.01, 0.0)
 
 
 def test_params_validation():

@@ -11,6 +11,7 @@ import pytest
 from pmqkd import rate, simcore
 from pmqkd.detection import ChannelParams
 from pmqkd.simcore import (
+    MAX_INTENSITIES,
     MAX_M_SLICES,
     InsufficientSamplesError,
     Outcome,
@@ -573,6 +574,10 @@ def test_config_validation():
         base_config(m_slices=9)
     with pytest.raises(ValueError):
         base_config(m_slices=MAX_M_SLICES + 2)
+    most = tuple(i * 1e-3 for i in range(MAX_INTENSITIES))
+    assert len(base_config(intensities=most).intensities) == MAX_INTENSITIES
+    with pytest.raises(ValueError, match=f"^intensities must hold at most {MAX_INTENSITIES} "):
+        base_config(intensities=(*most, 40.0))
     with pytest.raises(ValueError):
         base_config(intensities=(0.5, math.nan))
     with pytest.raises(ValueError):
