@@ -7,9 +7,7 @@ stream, and with it the tallies, of every seeded run.
 
 Over every round of the unit the kernel computes three things only:
 the scaled intensity draw, from which the per-intensity emitted counts
-follow (by compare-and-count passes, or one bincount from
-``BINCOUNT_MIN_K`` intensities up); the candidate mask; and its
-``flatnonzero``.  A candidate is a
+follow; the candidate mask; and its ``flatnonzero``.  A candidate is a
 round whose detector draws fall below the largest click probability
 any round of the unit can have; every other round has no click.  The
 intensity index, the key bits, the phases, the click law and the slices
@@ -32,13 +30,6 @@ import math
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
-
-# From this many intensities k up, the emitted counts come from one bincount
-# of the intensity index instead of k - 1 compare-and-count passes, whose
-# cost grows with k.  On a 2^16-round unit (one thread, 2-core host) the
-# passes took 61 / 309 / 484 / 830 us at k = 3 / 16 / 32 / 64 and the
-# bincount 480-780 us at any k; the two cross between k = 32 and 40.
-BINCOUNT_MIN_K = 40
 
 
 def simulate_block(
@@ -80,15 +71,12 @@ def simulate_block(
     # a round's intensity index is min(trunc(scaled), k - 1), which is
     # >= i exactly when scaled >= i, for 1 <= i <= k - 1
     np.multiply(u[4], k, out=scaled)
-    if k >= BINCOUNT_MIN_K:
-        emitted = np.bincount(np.minimum(scaled.astype(np.intp), k - 1), minlength=k)
-    else:
-        at_least = [u.shape[1]]
-        for i in range(1, k):
-            np.greater_equal(scaled, i, out=mask)
-            at_least.append(np.count_nonzero(mask))
-        at_least.append(0)
-        emitted = -np.diff(np.asarray(at_least, dtype=np.int64))
+    at_least = [u.shape[1]]
+    for i in range(1, k):
+        np.greater_equal(scaled, i, out=mask)
+        at_least.append(np.count_nonzero(mask))
+    at_least.append(0)
+    emitted = -np.diff(np.asarray(at_least, dtype=np.int64))
 
     mu_idx = np.minimum(scaled[idx].astype(np.int16), k - 1)  # astype truncates
     u_left = u[5][idx]  # u[r][idx] gathers from one row; u[r, idx] is a slower mixed index

@@ -8,7 +8,8 @@ rates over an intensity row for a column of channels (a chunk of sweep
 points) in one NumPy pass; they only select each channel's bracket in
 :func:`pmqkd.rate.maximize`, which takes every value it returns
 from the scalar path.  :func:`bb84_optimize_mu` and
-:func:`mdi_optimize_mu` run that search, as
+:func:`mdi_optimize_mu` run that search through
+:func:`pmqkd.rate.maximize_cells`, as
 :func:`pmqkd.rate.optimize_mu_chunk` does for phase matching.  The
 terms that do not depend on the intensity (the single-photon yield and
 1 - H of its error) are computed once per channel and shared by the
@@ -24,7 +25,7 @@ import numpy as np
 from .detection import (
     MAX_INTENSITY, ChannelParams, _check_f_ec, _check_intensity, _check_prob, binary_entropy,
 )
-from .rate import MU_RANGE, _columns, _entropy_grid, _gain, _yield, maximize
+from .rate import _entropy_grid, _gain, _yield, maximize_cells
 
 
 def _bb84_point(eta: float, pd: float, e_d: float) -> tuple[float, float]:
@@ -96,17 +97,14 @@ def bb84_rate_grid(mu: np.ndarray, e_d: float, f_ec: float, eta, pd, y1, h1) -> 
 
 def bb84_optimize_mu(channels, e_d: float, f_ec: float) -> list[tuple[float, float]]:
     """``(mu, rate)`` of :func:`bb84_rate` on each channel at the intensity in
-    ``MU_RANGE`` maximizing it, by ``maximize`` on one grid pass."""
+    ``MU_RANGE`` maximizing it, by ``maximize_cells``."""
     _check_prob("e_d", e_d)
     _check_f_ec(f_ec)
-    cells = [(ch.eta_arm, ch.p_d, *_bb84_point(ch.eta_arm, ch.p_d, e_d)) for ch in channels]
-    fs = [functools.partial(_bb84_rate_at, e_d, f_ec, *cell) for cell in cells]
-    eta, pd, y1, h1 = _columns(cells)
-
-    def f_grid(mus):
-        return bb84_rate_grid(mus, e_d, f_ec, eta, pd, y1, h1)
-
-    return maximize(fs, *MU_RANGE, f_grid=f_grid)
+    return maximize_cells(
+        [(ch.eta_arm, ch.p_d, *_bb84_point(ch.eta_arm, ch.p_d, e_d)) for ch in channels],
+        functools.partial(_bb84_rate_at, e_d, f_ec),
+        lambda mus, *columns: bb84_rate_grid(mus, e_d, f_ec, *columns),
+    )
 
 
 def _bessel_i0(z: float) -> float:
@@ -259,19 +257,16 @@ def mdi_rate_grid(
 def mdi_optimize_mu(channels, e_d: float, f_ec: float) -> list[tuple[float, float]]:
     """``(mu, rate)`` of :func:`mdi_rate` on each channel, whose two arms
     both have its ``eta_arm`` and share the total intensity mu evenly, at
-    the mu in ``MU_RANGE`` maximizing it, by ``maximize`` on one grid
-    pass."""
+    the mu in ``MU_RANGE`` maximizing it, by ``maximize_cells``."""
     _check_prob("e_d", e_d)
     _check_f_ec(f_ec)
-    cells = [(ch.eta_arm, ch.p_d, *_mdi_point(ch.eta_arm, ch.eta_arm, ch.p_d, e_d))
-             for ch in channels]
-    fs = [functools.partial(_mdi_symmetric_step, e_d, f_ec, *cell) for cell in cells]
-    eta, p_d, y11, h11 = _columns(cells)
-
-    def f_grid(mus):
-        return mdi_rate_grid(mus / 2.0, mus / 2.0, eta, eta, p_d, e_d, f_ec, y11, h11)
-
-    return maximize(fs, *MU_RANGE, f_grid=f_grid)
+    return maximize_cells(
+        [(ch.eta_arm, ch.p_d, *_mdi_point(ch.eta_arm, ch.eta_arm, ch.p_d, e_d)) for ch in channels],
+        functools.partial(_mdi_symmetric_step, e_d, f_ec),
+        lambda mus, eta, p_d, y11, h11: mdi_rate_grid(
+            mus / 2.0, mus / 2.0, eta, eta, p_d, e_d, f_ec, y11, h11
+        ),
+    )
 
 
 def tgw_bound(eta: float) -> float:

@@ -239,36 +239,27 @@ def _sweep_chunk(
     # one intensity per point for every protocol: the swept one, None to optimize,
     # else the fixed one
     mus = values if variable == "mu" else None if optimize else [fixed_mu] * len(values)
-
-    def rates(optimized, at_mu, channels):
-        # each point's (mu, rate): optimized over the chunk, or at the point's mu
-        if mus is None:
-            return optimized(channels)
-        return [(mu, at_mu(mu, ch)) for mu, ch in zip(mus, channels)]
-
+    full = [ChannelParams(row["eta_total"], p_d) for row in rows]
+    best = {}  # each rate column's (mu, rate) per point
     if "pm" in protocols:
-        for row, (mu, r) in zip(rows, rates(
-            lambda chs: rate.optimize_mu_chunk(chs, m_slices, f_ec),
-            lambda mu, ch: rate.key_rate(ch, rate.PmParams(mu, m_slices, f_ec)).rate_R,
-            arms,
-        )):
-            row.update(mu_opt=mu, R_pm=r)
+        best["R_pm"] = rate.optimize_mu_chunk(arms, m_slices, f_ec) if mus is None else [
+            (mu, rate.key_rate(ch, rate.PmParams(mu, m_slices, f_ec)).rate_R)
+            for mu, ch in zip(mus, arms)
+        ]
     if "bb84" in protocols:
-        for row, (_, r) in zip(rows, rates(
-            lambda chs: baselines.bb84_optimize_mu(chs, e_d, f_ec),
-            lambda mu, ch: baselines.bb84_rate(mu, e_d, f_ec, ch),
-            [ChannelParams(row["eta_total"], p_d) for row in rows],
-        )):
-            row["R_bb84"] = r
+        best["R_bb84"] = baselines.bb84_optimize_mu(full, e_d, f_ec) if mus is None else [
+            (mu, baselines.bb84_rate(mu, e_d, f_ec, ch)) for mu, ch in zip(mus, full)
+        ]
     if "mdi" in protocols:
-        for row, (_, r) in zip(rows, rates(
-            lambda chs: baselines.mdi_optimize_mu(chs, e_d, f_ec),
-            lambda mu, ch: baselines.mdi_rate(
-                mu / 2.0, mu / 2.0, ch.eta_arm, ch.eta_arm, p_d, e_d, f_ec
-            ),
-            arms,
-        )):
-            row["R_mdi"] = r
+        best["R_mdi"] = baselines.mdi_optimize_mu(arms, e_d, f_ec) if mus is None else [
+            (mu, baselines.mdi_rate(mu / 2.0, mu / 2.0, ch.eta_arm, ch.eta_arm, p_d, e_d, f_ec))
+            for mu, ch in zip(mus, arms)
+        ]
+    for column, pairs in best.items():
+        for row, (mu, r) in zip(rows, pairs):
+            row[column] = r
+            if column == "R_pm":
+                row["mu_opt"] = mu
     for row in rows:
         eta_capped = min(row["eta_total"], 1.0 - 1e-15)
         if "plob" in protocols:

@@ -188,10 +188,12 @@ def _point_terms(p_d: float, eta: float, m) -> tuple:
     return e_delta, ys, es
 
 
-def _key_rate_terms(p_d: float, eta: float, mu: float, m, f_ec: float, tail: str, point) -> tuple:
-    # the mu-dependent terms at one intensity, from the channel's _point_terms:
-    # (gain_Q, qber_Z, phase_err_X, the fractions of ORDERS, q_odd, rate_R)
-    e_delta, ys, es = point
+def _key_rate_terms(
+    p_d: float, eta: float, mu: float, m, f_ec: float, tail: str, e_delta: float, ys, es
+) -> tuple:
+    # the mu-dependent terms at one intensity, from the channel's _point_terms
+    # (e_delta, ys, es): (gain_Q, qber_Z, phase_err_X, the fractions of ORDERS,
+    # q_odd, rate_R)
     x = eta * mu
     q = _gain(p_d, x)
     qs = [_fraction(k, y, mu, q) for k, y in zip(ORDERS, ys)]
@@ -208,7 +210,7 @@ def key_rate(ch: ChannelParams, pm: PmParams, *, tail: str = "truncated") -> Rat
     """
     point = _point_terms(ch.p_d, ch.eta_arm, pm.m_slices)
     q, ez, ex, qs, q_odd, rate_R = _key_rate_terms(
-        ch.p_d, ch.eta_arm, pm.mu_total, pm.m_slices, pm.f_ec, tail, point
+        ch.p_d, ch.eta_arm, pm.mu_total, pm.m_slices, pm.f_ec, tail, *point
     )
     e_delta, _, es = point
     return RateBreakdown(
@@ -275,9 +277,9 @@ def maximize(fs, lo: float, hi: float, f_grid=None) -> list[tuple[float, float]]
     |value| plus ``GRID_ABS_TOL``.  A row only selects its function's
     best grid point: ``f`` is evaluated at every point the bound cannot
     rule out as the maximum, so the result is the same as without it.
-    The phase-matching rate (:func:`optimize_mu_chunk`) and the BB84 and
-    MDI baselines pass one for a chunk of sweep points at a time, so a
-    sweep makes one grid pass per protocol and chunk.
+    :func:`maximize_cells`, which the phase-matching rate and the BB84
+    and MDI baselines call, passes one for a chunk of sweep points at a
+    time, so a sweep makes one grid pass per protocol and chunk.
     """
     xs, grid = _grid(lo, hi)
     n = len(fs)
@@ -320,9 +322,14 @@ def _entropy_grid(x: np.ndarray) -> np.ndarray:
     return np.where(x > 0.0, h, 0.0)
 
 
-def _columns(rows) -> list[np.ndarray]:
-    # per-point tuples of floats as one (len(rows), 1) column per entry
-    return list(np.array(rows, dtype=float).T[:, :, None])
+def _columns(cells) -> list:
+    # each entry of the per-point cells as one (len(cells), 1) column, and an
+    # entry that is a list of floats as a list of such columns
+    cols = []
+    for entry in zip(*cells):
+        arr = np.array(entry, dtype=float)
+        cols.append(arr[:, None] if arr.ndim == 1 else list(arr.T[:, :, None]))
+    return cols
 
 
 def _key_rate_grid(mu: np.ndarray, p_d, eta, m, f_ec: float, point) -> np.ndarray:
@@ -364,32 +371,41 @@ def _key_rate_grid(mu: np.ndarray, p_d, eta, m, f_ec: float, point) -> np.ndarra
 MU_RANGE = (0.01, 2.0)
 
 
+def maximize_cells(cells, step, grid) -> list[tuple[float, float]]:
+    """:func:`maximize` of one protocol's rate over :data:`MU_RANGE` on
+    each channel of a chunk, with one grid pass for the whole chunk.
+
+    ``cells`` holds each channel's terms from the scalar path, a tuple
+    whose entries are floats or lists of floats.  ``step(*cell, mu)`` is
+    the rate at one intensity, and ``grid(mus, *columns)`` its NumPy
+    grid over every channel, where each entry of the cells comes as an
+    ``(n, 1)`` column (a list entry as a list of columns).
+    """
+    fs = [functools.partial(step, *cell) for cell in cells]
+    columns = _columns(cells)
+    return maximize(fs, *MU_RANGE, f_grid=lambda mus: grid(mus, *columns))
+
+
 def optimize_mu_chunk(channels, m_slices: int, f_ec: float) -> list[tuple[float, float]]:
     """``(mu, rate_R)`` of each channel at the intensity in :data:`MU_RANGE`
-    maximizing the key rate, found by :func:`maximize` on one NumPy
-    grid of the rate over every channel.
+    maximizing the key rate, found by :func:`maximize_cells`.
 
     Where the rate vanishes everywhere the smallest grid intensity is
     returned with rate 0.  Every returned value is ``key_rate``'s.
     """
     _check_m_slices(m_slices)
     _check_f_ec(f_ec)
-    cells = [(ch.p_d, ch.eta_arm, _point_terms(ch.p_d, ch.eta_arm, m_slices)) for ch in channels]
-    fs = [functools.partial(_rate_step, *cell, m_slices, f_ec) for cell in cells]
-    p_d, eta, e_delta, *terms = _columns(
-        [(p_d, eta, e_delta, *ys, *es) for p_d, eta, (e_delta, ys, es) in cells]
+    return maximize_cells(
+        [(ch.p_d, ch.eta_arm, *_point_terms(ch.p_d, ch.eta_arm, m_slices)) for ch in channels],
+        functools.partial(_rate_step, m_slices, f_ec),
+        lambda mus, p_d, eta, *point: _key_rate_grid(mus, p_d, eta, m_slices, f_ec, point),
     )
-    point = e_delta, terms[: len(ORDERS)], terms[len(ORDERS) :]
-
-    def f_grid(mus):
-        return _key_rate_grid(mus, p_d, eta, m_slices, f_ec, point)
-
-    return maximize(fs, *MU_RANGE, f_grid=f_grid)
 
 
-def _rate_step(p_d: float, eta: float, point, m_slices: int, f_ec: float, mu: float) -> float:
+def _rate_step(m_slices: int, f_ec: float, p_d: float, eta: float, e_delta: float, ys, es,
+               mu: float) -> float:
     # one optimizer step: rate_R at mu from the channel's _point_terms
-    return _key_rate_terms(p_d, eta, mu, m_slices, f_ec, "truncated", point)[-1]
+    return _key_rate_terms(p_d, eta, mu, m_slices, f_ec, "truncated", e_delta, ys, es)[-1]
 
 
 def optimize_mu(ch: ChannelParams, m_slices: int, f_ec: float) -> tuple[float, float]:

@@ -244,9 +244,8 @@ def test_sweep_fig3b_optimizers_take_no_scalar_fallback(monkeypatch):
         scalar_calls.extend(calls)
         return out
 
-    # baselines binds maximize by name
-    for module in (cli.rate, cli.baselines):
-        monkeypatch.setattr(module, "maximize", counting_maximize)
+    # every protocol reaches maximize through rate.maximize_cells
+    monkeypatch.setattr(cli.rate, "maximize", counting_maximize)
     rows = cli.run_sweep(
         "distance_km", 0, 500, 1, ("pm", "bb84", "mdi"), cli.PRESETS["fig3b"], optimize_mu=True
     )

@@ -125,11 +125,9 @@ def test_kernel_matches_full_array_oracle(p_d, mus, eta, phi0, n):
     assert_kernel_matches_oracle(u, *params)
 
 
-@pytest.mark.parametrize(
-    "k", [3, _mckernel_np.BINCOUNT_MIN_K - 1, _mckernel_np.BINCOUNT_MIN_K, 64, MAX_INTENSITIES]
-)
-def test_emitted_counts_on_both_sides_of_the_bincount_switch(k):
-    # k - 1 compare-and-count passes below BINCOUNT_MIN_K, one bincount from it up
+@pytest.mark.parametrize("k", [3, 64, MAX_INTENSITIES])
+def test_emitted_counts_at_few_and_many_intensities(k):
+    # the k - 1 compare-and-count passes, up to the largest k a config may have
     n = 1 << 16 if k < MAX_INTENSITIES else 1000
     intensities = np.linspace(0.01, 2.0, k)
     u = np.random.default_rng(k).random((7, n))
