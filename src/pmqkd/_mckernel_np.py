@@ -17,11 +17,13 @@ they give the same bits.
 
 The records follow the clicks, not the rounds: the kernel returns one
 record per round with exactly one click, in round order, and no
-per-round output.  The passes over every round write through ``out=``
-into two buffers the caller owns; the other temporaries are sized by
-the candidates.  The workers of
-``simcore.run_blocks`` call the kernel on work units of at most
-``simcore._UNIT_ROUNDS`` rounds, each worker with its own buffers.
+per-round output.  A record holds what sifting and postcompensation
+read: the intensity index, the slice difference d0 = (j_b - j_a) mod M
+and the raw disagreement e0 = kappa_a ^ kappa_b ^ [R click].  The
+passes over every round write through ``out=`` into two buffers the
+caller owns; the other temporaries are sized by the candidates.  The
+workers of ``simcore.run_blocks`` call the kernel on work units of at
+most ``simcore._UNIT_ROUNDS`` rounds, each worker with its own buffers.
 """
 from __future__ import annotations
 
@@ -52,9 +54,10 @@ def simulate_block(
     are n-entry buffers the kernel overwrites.
 
     Returns the int64 count of rounds per intensity, and the records
-    ``(kappa_a, kappa_b, mu_idx, j_a, j_b, outcome)`` of the rounds with
-    exactly one click, in round order: int8 key bits, int16 intensity
-    index and slices, int8 outcome (1: left, 2: right).
+    ``(mu_idx, d0, e0)`` of the rounds with exactly one click, in round
+    order: the int16 intensity index, the int16 slice difference
+    ``(j_b - j_a) mod M`` and the int8 raw disagreement
+    ``kappa_a ^ kappa_b ^ [R click]``.
     """
     # A detector clicks when its draw is below -expm1(log_q - eta*mu*c2);
     # as c2, s2 <= 1, no round's click probability exceeds its intensity's
@@ -104,13 +107,11 @@ def simulate_block(
     r_click = u_right < p_right
     single = np.flatnonzero(l_click != r_click)
 
-    # 0 <= phi < 2*pi, so the rounded slice lies in [0, M]; M wraps to 0
+    # 0 <= phi < 2*pi, so the rounded slice lies in [0, M], and mod M
+    # wraps slice M to 0
     scale = m_slices / TWO_PI
-    slices = []
-    for phi in (phi_a, phi_b):
-        j = (phi[single] * scale + 0.5).astype(np.int16)  # truncation is floor: >= 0.5
-        j[j == m_slices] = 0
-        slices.append(j)
-    outcome = r_click[single].view(np.int8) + np.int8(1)
-    records = (kappa_a[single], kappa_b[single], mu_idx[single], *slices, outcome)
-    return emitted, records
+    j_a, j_b = ((phi[single] * scale + 0.5).astype(np.int32)  # truncation is floor: >= 0.5
+                for phi in (phi_a, phi_b))
+    d0 = ((j_b - j_a) % m_slices).astype(np.int16)
+    e0 = kappa_a[single] ^ kappa_b[single] ^ r_click[single].view(np.int8)
+    return emitted, (mu_idx[single], d0, e0)

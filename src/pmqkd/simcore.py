@@ -64,7 +64,7 @@ MIN_SAMPLED_CLICKS = 100
 # records take about 2 GB, twice that while they are concatenated.
 MAX_ROUNDS = 1 << 32
 
-# Slice indices are int16 and M is even.
+# The slice difference is int16 and M is even.
 MAX_M_SLICES = 32766
 # The intensity index is int16, so it holds at most 2^15 intensities.
 MAX_INTENSITIES = 1 << 15
@@ -75,15 +75,13 @@ class InsufficientSamplesError(ValueError):
 
 
 class Outcome(IntEnum):
+    """A round's clicks.  A record is kept for LEFT and RIGHT only, and
+    holds the R click in its ``e0``."""
+
     NONE = 0
     LEFT = 1
     RIGHT = 2
     DOUBLE = 3
-
-
-# The codes as plain ints, which NumPy compares without an enum lookup.
-_LEFT = int(Outcome.LEFT)
-_RIGHT = int(Outcome.RIGHT)
 
 
 @dataclass(frozen=True)
@@ -266,28 +264,18 @@ def _json_phi0(value, name: str) -> Phi0Model:
 
 @dataclass
 class RoundData:
-    """Struct-of-arrays view of simulated rounds: in ``simulate``, the
-    single-click records; in a full-round reference, every round."""
+    """Struct-of-arrays single-click records, one per round with exactly
+    one click: all that sifting, the offset search and the tallies read."""
 
-    kappa_a: np.ndarray  # int8
-    kappa_b: np.ndarray  # int8
     mu_idx: np.ndarray  # int16, index into the config intensities
-    j_a: np.ndarray  # int16
-    j_b: np.ndarray  # int16
-    outcome: np.ndarray  # int8
+    d0: np.ndarray  # int16, the slice difference (j_b - j_a) mod M
+    e0: np.ndarray  # int8, the raw disagreement kappa_a ^ kappa_b ^ [R click]
 
     def __len__(self) -> int:
-        return len(self.outcome)
+        return len(self.mu_idx)
 
     def take(self, index) -> "RoundData":
-        return RoundData(
-            kappa_a=self.kappa_a[index],
-            kappa_b=self.kappa_b[index],
-            mu_idx=self.mu_idx[index],
-            j_a=self.j_a[index],
-            j_b=self.j_b[index],
-            outcome=self.outcome[index],
-        )
+        return RoundData(self.mu_idx[index], self.d0[index], self.e0[index])
 
 
 @dataclass
@@ -460,24 +448,22 @@ def collect_rounds(cfg: SimConfig) -> RunClicks:
 
 
 def sift(data: RoundData, j_d: int, m_slices: int) -> tuple[np.ndarray, np.ndarray]:
-    """Keep single-click rounds whose compensated slices match.
+    """Keep the single clicks whose compensated slices match.
 
-    A round survives when (j_b + j_d - j_a) mod M is 0 or M/2; Bob
-    flips his bit on an R-click announcement and again in the M/2 case.
-    Returns the kept positions in ``data`` and, per kept round, whether
-    Bob's flipped bit differs from Alice's.
+    A round survives when (d0 + j_d) mod M, that is (j_b + j_d - j_a)
+    mod M, is 0 or M/2; Bob flips his bit on an R click, which ``e0``
+    holds, and again in the M/2 case.  Returns the kept positions in
+    ``data`` and, per kept round, whether Bob's flipped bit differs
+    from Alice's.
     """
-    outcome = data.outcome
-    dmod = data.j_b.astype(np.int32)
+    dmod = data.d0.astype(np.int32)
     dmod += j_d
-    dmod -= data.j_a
     dmod %= m_slices
     keep = dmod == 0
     keep |= dmod == m_slices // 2
-    keep &= (outcome == _LEFT) | (outcome == _RIGHT)
     idx = np.flatnonzero(keep)
     # a kept dmod is 0 or M/2, so the half-turn flip is dmod != 0
-    errors = (data.kappa_a[idx] != data.kappa_b[idx]) ^ (outcome[idx] == _RIGHT) ^ (dmod[idx] != 0)
+    errors = (data.e0[idx] != 0) ^ (dmod[idx] != 0)
     return idx, errors
 
 
@@ -496,22 +482,28 @@ def postcompensate(
 ) -> PostcompResult:
     """Search the slice offset minimizing the sampled QBER.
 
-    ``clicks`` are single-click rounds in round order.  Draws the
+    ``clicks`` are single-click records in round order.  Draws the
     announced test sample from them, one uniform each, with a dedicated
     generator, evaluates the sampled QBER for every offset, and returns
     the minimizer (smallest index on ties) with the table.
+
+    The table is read from one count of the sample per (d0, e0): offset
+    j keeps the bins d0 = -j, where an error is e0 = 1, and d0 = M/2 - j
+    (mod M), where Bob's half-turn flip makes it e0 = 0.  An offset that
+    keeps no sampled click reads NaN.
     """
     picked = np.flatnonzero(rng.random(len(clicks)) < sample_fraction)
     if len(picked) < MIN_SAMPLED_CLICKS:
         raise InsufficientSamplesError(
             f"only {len(picked)} sampled clicked rounds; need >= {MIN_SAMPLED_CLICKS}"
         )
-    sample = clicks.take(picked)
-    table = np.full(m_slices, np.nan)
-    for j_d in range(m_slices):
-        kept, errors = sift(sample, j_d, m_slices)
-        if len(kept) > 0:
-            table[j_d] = np.count_nonzero(errors) / len(kept)
+    bins = 2 * clicks.d0[picked].astype(np.intp) + clicks.e0[picked]
+    counts = np.bincount(bins, minlength=2 * m_slices).reshape(m_slices, 2)
+    matched = -np.arange(m_slices) % m_slices
+    flipped = (matched + m_slices // 2) % m_slices
+    kept = counts[matched].sum(axis=1) + counts[flipped].sum(axis=1)
+    wrong = counts[matched, 1] + counts[flipped, 0]
+    table = np.divide(wrong, kept, out=np.full(m_slices, np.nan), where=kept > 0)
     j_d_opt = int(np.nanargmin(table))
     return PostcompResult(j_d_opt=j_d_opt, qber_table=table, sampled_clicks=len(picked))
 

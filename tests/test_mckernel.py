@@ -14,6 +14,7 @@ from pmqkd.simcore import (
     MAX_INTENSITIES,
     MAX_M_SLICES,
     RNG_BLOCK_ROUNDS,
+    Outcome,
     Phi0Model,
     RoundData,
     SimConfig,
@@ -23,9 +24,24 @@ from pmqkd.simcore import (
 
 TWO_PI = 2.0 * math.pi
 
-OUTPUTS = ("kappa_a", "kappa_b", "mu_idx", "j_a", "j_b", "outcome")
-DTYPES = (np.int8, np.int8, np.int16, np.int16, np.int16, np.int8)
-SINGLE_CLICKS = (1, 2)
+OUTPUTS = ("mu_idx", "d0", "e0")
+DTYPES = (np.int16, np.int16, np.int8)
+SINGLE_CLICKS = (Outcome.LEFT, Outcome.RIGHT)
+
+
+@dataclasses.dataclass
+class Rounds:
+    """Every round of a block, as the oracle computes it."""
+
+    kappa_a: np.ndarray  # int8
+    kappa_b: np.ndarray  # int8
+    mu_idx: np.ndarray  # int16
+    j_a: np.ndarray  # int16
+    j_b: np.ndarray  # int16
+    outcome: np.ndarray  # int8, an Outcome code
+
+    def take(self, index):
+        return Rounds(*(getattr(self, f.name)[index] for f in dataclasses.fields(self)))
 
 
 def oracle_block(u, eta, p_d, intensities, m_slices, phi0_value, phi0_rate, t0):
@@ -57,18 +73,22 @@ def oracle_block(u, eta, p_d, intensities, m_slices, phi0_value, phi0_rate, t0):
     scale = m_slices / TWO_PI
     j_a = (np.floor(phi_a * scale + 0.5).astype(np.int16) % m_slices).astype(np.int16)
     j_b = (np.floor(phi_b * scale + 0.5).astype(np.int16) % m_slices).astype(np.int16)
-    return RoundData(kappa_a, kappa_b, mu_idx, j_a, j_b, outcome), (p_left, p_right)
+    return Rounds(kappa_a, kappa_b, mu_idx, j_a, j_b, outcome), (p_left, p_right)
 
 
-def single_clicks(rounds):
-    """The single-click rows of ``rounds``, in round order."""
-    return rounds.take(np.flatnonzero(np.isin(rounds.outcome, SINGLE_CLICKS)))
+def single_clicks(rounds, m_slices):
+    """The records of the single clicks of ``rounds``, in round order,
+    derived from their key bits, slices and outcomes."""
+    single = rounds.take(np.flatnonzero(np.isin(rounds.outcome, SINGLE_CLICKS)))
+    d0 = (single.j_b.astype(np.int64) - single.j_a) % m_slices
+    e0 = single.kappa_a ^ single.kappa_b ^ (single.outcome == Outcome.RIGHT)
+    return RoundData(single.mu_idx, d0.astype(np.int16), e0.astype(np.int8))
 
 
 def oracle_records(u, *params):
-    """The oracle's emitted counts, ``bincount(mu_idx)``, and its single-click rows."""
+    """The oracle's emitted counts, ``bincount(mu_idx)``, and its single-click records."""
     rounds, _ = oracle_block(u, *params)
-    return np.bincount(rounds.mu_idx, minlength=len(params[2])), single_clicks(rounds)
+    return np.bincount(rounds.mu_idx, minlength=len(params[2])), single_clicks(rounds, params[3])
 
 
 def run_kernel(u, *params):
@@ -143,17 +163,21 @@ def test_slice_map_at_the_slice_edges(m):
     marks = np.concatenate([np.arange(m + 1) / m, (np.arange(m) + 0.5) / m])
     edges = np.concatenate([marks, np.nextafter(marks, 0.0), np.nextafter(marks, 1.0)])
     edges = np.concatenate([[0.0, 1.0 - 2.0**-53], edges[edges < 1.0]])
-    u = np.random.default_rng(m).random((7, len(edges)))
-    u[2] = edges
-    u[3] = edges[::-1]
+    n = len(edges)
+    u = np.random.default_rng(m).random((7, 2 * n))
+    # one party's phase at 0, in slice 0, so that d0 reads the other's slice
+    u[2] = np.concatenate([edges, np.zeros(n)])
+    u[3] = np.concatenate([np.zeros(n), edges])
     # every round is a single click: the L draw is below p_d, the R draw never clicks
     u[5] = 0.0
     u[6] = 1.0
     params = (0.1, 0.5, np.asarray((0.1, 0.5)), m, 0.0, 0.0, 0)
     got = assert_kernel_matches_oracle(u, *params)
-    assert len(got) == len(edges)
-    assert got.j_a[1] == got.j_b[-2] == 0  # u = 1 - 2**-53 wraps
-    assert got.j_a.max() == m - 1
+    assert len(got) == 2 * n
+    j_a, j_b = -got.d0[:n] % m, got.d0[n:]
+    assert np.array_equal(j_a, j_b)
+    assert j_a[1] == j_b[1] == 0  # u = 1 - 2**-53 wraps
+    assert j_b.max() == m - 1
 
 
 # --- the seeded round stream ---------------------------------------------------
@@ -203,7 +227,8 @@ def full_rounds(cfg):
         n = min(RNG_BLOCK_ROUNDS, cfg.rounds - start)
         u = simcore._stream_rng(cfg.seed, simcore._ROUND_STREAM, bi).random((7, n))
         blocks.append(oracle_block(u, *kernel_params(cfg), start)[0])
-    return RoundData(*(np.concatenate([getattr(b, name) for b in blocks]) for name in OUTPUTS))
+    return Rounds(*(np.concatenate([getattr(b, f.name) for b in blocks])
+                    for f in dataclasses.fields(Rounds)))
 
 
 def jd_blocks(cfg):
@@ -241,7 +266,7 @@ def test_collect_rounds_equals_fresh_block_runs(monkeypatch, case):
             part = full.take(slice(start, stop))
             emitted = np.bincount(part.mu_idx, minlength=len(cfg.intensities))
             assert np.array_equal(data.emitted[b], emitted)
-            assert_same_records(data.block(b), single_clicks(part))
+            assert_same_records(data.block(b), single_clicks(part, cfg.m_slices))
         assert len(data) == data.stops[-1]
 
 
@@ -266,9 +291,9 @@ def test_kernel_writes_only_inside_its_views(phi0):
 def test_collect_rounds_memory_peak(monkeypatch):
     # per worker, one (7, _UNIT_ROUNDS) uniform buffer (56 B a unit round),
     # the kernel's two scratch buffers (9 B) and its temporaries, which
-    # are sized by the candidates; then 9 B a click record, twice while the
+    # are sized by the candidates; then 5 B a click record, twice while the
     # units' records are concatenated.  Over eight RNG blocks a record of
-    # every round (9 B a round, 19 MB) exceeds the bound.
+    # every round (5 B a round, 10.5 MB) exceeds the bound.
     cfg = dataclasses.replace(slow_drift_config(), rounds=8 * RNG_BLOCK_ROUNDS + 1234)
     for workers in (1, 2):
         monkeypatch.setattr(simcore, "_WORKERS", workers)

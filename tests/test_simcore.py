@@ -25,7 +25,14 @@ from pmqkd.simcore import (
     simulate,
     tallies_to_csv,
 )
-from test_mckernel import assert_same_records, full_rounds, single_clicks
+from test_mckernel import (
+    SINGLE_CLICKS,
+    Rounds,
+    assert_same_records,
+    full_rounds,
+    run_kernel,
+    single_clicks,
+)
 
 PI = math.pi
 
@@ -135,62 +142,64 @@ def test_slice_indices_round_the_phases():
         u = simcore._stream_rng(cfg.seed, simcore._ROUND_STREAM, 0).random((7, cfg.rounds))
         single = np.isin(full_rounds(cfg).outcome, SINGLE_CLICKS)
         assert len(data) == np.count_nonzero(single) > 0
-        for j, phi in ((data.j_a, u[2] * (2 * PI)), (data.j_b, u[3] * (2 * PI))):
-            expect = np.floor(phi[single] * m / (2 * PI) + 0.5).astype(np.int64) % m
-            assert np.array_equal(j, expect)
+        j_a, j_b = (np.floor(phi[single] * m / (2 * PI) + 0.5).astype(np.int64) % m
+                    for phi in (u[2] * (2 * PI), u[3] * (2 * PI)))
+        assert np.array_equal(data.d0, (j_b - j_a) % m)
 
 
 # --- sifting rules ------------------------------------------------------------------
 
 
-def _single_round(kappa_a, kappa_b, j_a, j_b, outcome, m=16):
+def _record(d0, e0):
     return RoundData(
-        kappa_a=np.array([kappa_a], dtype=np.int8),
-        kappa_b=np.array([kappa_b], dtype=np.int8),
         mu_idx=np.zeros(1, dtype=np.int16),
-        j_a=np.array([j_a], dtype=np.int16),
-        j_b=np.array([j_b], dtype=np.int16),
-        outcome=np.array([outcome], dtype=np.int8),
+        d0=np.array([d0], dtype=np.int16),
+        e0=np.array([e0], dtype=np.int8),
     )
 
 
+def _kernel_records(u_left, u_right):
+    """The kernel's records of rounds with equal key bits (1) and phases (0),
+    with the given detector draws: a draw of 0 clicks (p_d = 0.5), 1 never."""
+    u = np.zeros((7, len(u_left)))
+    u[5], u[6] = u_left, u_right
+    return run_kernel(u, 0.1, 0.5, np.asarray((0.1,)), 16, 0.0, 0.0, 0)[1]
+
+
 def test_sift_matched_slices_agreement():
-    data = _single_round(1, 1, 3, 3, Outcome.LEFT)
-    kept, errors = sift(data, 0, 16)
+    kept, errors = sift(_record(0, 0), 0, 16)
     assert kept.tolist() == [0]
     assert errors.tolist() == [False]
 
 
 def test_sift_half_turn_flip():
-    data = _single_round(1, 1, 2, 10, Outcome.LEFT)  # j_b - j_a = M/2
+    data = _record(8, 0)  # j_b - j_a = M/2
     kept, errors = sift(data, 0, 16)
     assert kept.tolist() == [0]
     assert errors.tolist() == [True]  # flip makes the bits disagree here
 
 
 def test_sift_right_click_flip():
-    data = _single_round(0, 0, 5, 5, Outcome.RIGHT)
+    # the kernel puts Bob's R-click flip into e0: on equal key bits and
+    # matched slices an R click is an error, an L click is not
+    data = _kernel_records(u_left=(1.0, 0.0), u_right=(0.0, 1.0))
+    assert data.e0.tolist() == [1, 0]
     kept, errors = sift(data, 0, 16)
-    assert kept.tolist() == [0]
-    assert errors.tolist() == [True]
+    assert kept.tolist() == [0, 1]
+    assert errors.tolist() == [True, False]
 
 
 def test_sift_drops_unmatched_and_nonsingle():
-    for data in (
-        _single_round(0, 0, 1, 3, Outcome.LEFT),
-        _single_round(0, 0, 2, 2, Outcome.NONE),
-        _single_round(0, 0, 2, 2, Outcome.DOUBLE),
-    ):
-        assert len(sift(data, 0, 16)[0]) == 0
+    assert len(sift(_record(2, 0), 0, 16)[0]) == 0
+    # a round with no click or with two has no record to sift
+    data = _kernel_records(u_left=(1.0, 0.0), u_right=(1.0, 0.0))
+    assert len(data) == len(sift(data, 0, 16)[0]) == 0
 
 
 def test_sift_offset_compensates():
-    data = _single_round(0, 0, 5, 3, Outcome.LEFT)
+    data = _record(14, 0)  # j_a = 5, j_b = 3
     assert len(sift(data, 2, 16)[0]) == 1
     assert len(sift(data, 1, 16)[0]) == 0
-
-
-SINGLE_CLICKS = (Outcome.LEFT, Outcome.RIGHT)
 
 
 def sift_over_all_rounds(data, j_d, m):
@@ -224,9 +233,11 @@ def sift_over_single_clicks(data, j_d, m):
 
 @pytest.mark.parametrize("m", [2, 16, 32766])
 def test_sift_equals_the_all_rounds_rule(m):
+    # sift on the records of random rounds keeps, of the single clicks,
+    # the rounds the rule on every round keeps, with the same errors
     rng = np.random.default_rng(m)
     n = 20_000
-    data = RoundData(
+    rounds = Rounds(
         kappa_a=rng.integers(0, 2, n).astype(np.int8),
         kappa_b=rng.integers(0, 2, n).astype(np.int8),
         mu_idx=rng.integers(0, 3, n).astype(np.int16),
@@ -234,15 +245,15 @@ def test_sift_equals_the_all_rounds_rule(m):
         j_b=rng.integers(0, min(m, 4), n).astype(np.int16),  # many matches even at large M
         outcome=rng.integers(0, 4, n).astype(np.int8),
     )
+    single = np.flatnonzero(np.isin(rounds.outcome, SINGLE_CLICKS))
+    data = single_clicks(rounds, m)
     for j_d in sorted({0, 1, m // 2, m - 1}):
-        res = sift(data, j_d, m)
-        assert res[1].dtype == np.bool_
+        kept, errors = sift(data, j_d, m)
+        assert errors.dtype == np.bool_
         for oracle in (sift_over_all_rounds, sift_over_single_clicks):
-            for got, want in zip(res, oracle(data, j_d, m)):
-                assert got.dtype == want.dtype and np.array_equal(got, want)
-    none_clicked = data.take(np.flatnonzero(data.outcome == Outcome.NONE))
-    kept, errors = sift(none_clicked, 0, m)
-    assert len(kept) == len(errors) == 0
+            want_kept, want_errors = oracle(rounds, j_d, m)
+            assert np.array_equal(single[kept], want_kept)
+            assert errors.dtype == want_errors.dtype and np.array_equal(errors, want_errors)
 
 
 def partition_config(extra):
@@ -273,7 +284,7 @@ def test_single_clicks_in_slices_equals_one_scan(extra):
     cfg = partition_config(extra)
     data = collect_rounds(cfg)
     assert data.stops.dtype == np.int64 and data.stops[-1] == len(data)
-    assert_same_records(data, single_clicks(full_rounds(cfg)))
+    assert_same_records(data, single_clicks(full_rounds(cfg), cfg.m_slices))
 
 
 # --- postcompensation ----------------------------------------------------------------
@@ -312,23 +323,70 @@ def test_half_turn_offset_inverts_qber():
 
 
 def test_qber_table_invariant_under_common_slice_shift():
+    # the records keep j_b - j_a alone, so a slice shift common to both
+    # parties leaves the table as it is; a shift of d0 rotates it
     cfg = base_config(rounds=300_000, seed=33)
+    m = cfg.m_slices
+    full = full_rounds(cfg)
     data = collect_rounds(cfg)
-    rng = np.random.default_rng(1)
-    base = postcompensate(data, 0.3, rng, cfg.m_slices)
+    base = postcompensate(data, 0.3, np.random.default_rng(1), m)
     for shift in (1, 5, 11):
-        shifted = dataclasses.replace(
-            data,
-            j_a=(data.j_a + shift) % cfg.m_slices,
-            j_b=(data.j_b + shift) % cfg.m_slices,
-        )
-        rng = np.random.default_rng(1)
-        res = postcompensate(shifted, 0.3, rng, cfg.m_slices)
-        assert np.array_equal(
-            np.nan_to_num(res.qber_table, nan=-1.0),
-            np.nan_to_num(base.qber_table, nan=-1.0),
-        )
+        shifted = dataclasses.replace(full, j_a=(full.j_a + shift) % m, j_b=(full.j_b + shift) % m)
+        res = postcompensate(single_clicks(shifted, m), 0.3, np.random.default_rng(1), m)
+        assert res.qber_table.tobytes() == base.qber_table.tobytes()
         assert res.j_d_opt == base.j_d_opt
+        rotated = dataclasses.replace(data, d0=(data.d0 + shift) % m)
+        res = postcompensate(rotated, 0.3, np.random.default_rng(1), m)
+        assert res.qber_table.tobytes() == np.roll(base.qber_table, -shift).tobytes()
+
+
+def postcompensate_by_offset_loop(clicks, sample_fraction, rng, m_slices):
+    """``postcompensate``'s offset and table from one ``sift`` call per offset."""
+    sample = clicks.take(np.flatnonzero(rng.random(len(clicks)) < sample_fraction))
+    table = np.full(m_slices, np.nan)
+    for j_d in range(m_slices):
+        kept, errors = sift(sample, j_d, m_slices)
+        if len(kept) > 0:
+            table[j_d] = np.count_nonzero(errors) / len(kept)
+    return int(np.nanargmin(table)), table
+
+
+def table_sample(case, m):
+    """Records for the offset table: random ones, ones in few slices, or
+    ones whose table has tied minima."""
+    rng = np.random.default_rng(m)
+    n = 3000
+    if case == "random":
+        d0 = rng.integers(0, m, n)
+        e0 = rng.random(n) < 0.3
+    elif case == "few_slices":  # at M = 32766 almost every offset keeps nothing
+        d0 = rng.choice([5 % m, (m // 2 + 7) % m, m - 1], n)
+        e0 = rng.random(n) < 0.3
+    elif m == 2:  # offsets 0 and 1 both read 1/2
+        d0 = np.zeros(n, dtype=np.int64)
+        e0 = np.arange(n) % 2
+    else:  # offsets M - 3 and M - 1 both read 0
+        d0 = 1 + 2 * (np.arange(n) % 2)
+        e0 = np.zeros(n)
+    return RoundData(rng.integers(0, 3, n).astype(np.int16), d0.astype(np.int16),
+                     e0.astype(np.int8))
+
+
+@pytest.mark.parametrize("case", ["random", "few_slices", "tied"])
+@pytest.mark.parametrize("m", [2, 16, 32, MAX_M_SLICES])
+def test_qber_table_equals_the_offset_loop(m, case):
+    clicks = table_sample(case, m)
+    fraction = 1.0 if case == "tied" else 0.5  # a tie holds on the whole sample
+    res = postcompensate(clicks, fraction, np.random.default_rng(7), m)
+    j_d, table = postcompensate_by_offset_loop(clicks, fraction, np.random.default_rng(7), m)
+    assert res.qber_table.dtype == np.float64
+    assert res.qber_table.tobytes() == table.tobytes()  # NaN where nothing is kept
+    assert res.j_d_opt == j_d
+    if case == "tied":
+        assert np.count_nonzero(table == np.nanmin(table)) == 2
+        assert res.j_d_opt == (0 if m == 2 else m - 3)
+    if case == "few_slices" and m == MAX_M_SLICES:
+        assert np.count_nonzero(np.isnan(table)) == m - 6
 
 
 def test_reference_shift_moves_offset():
@@ -371,10 +429,10 @@ def test_slow_drift_tracked_per_block():
 
 def simulate_on_full_blocks(cfg):
     """The tallies and offsets of ``simulate`` from every round of each jd
-    block, made by the oracle, with ``sift`` run on every round and
-    ``postcompensate`` on the single clicks picked out of them."""
+    block, made by the oracle, with the sifting rule run on every round
+    and ``postcompensate`` on the records of the single clicks among them."""
     data = full_rounds(cfg)
-    n, k = len(data), len(cfg.intensities)
+    n, k = cfg.rounds, len(cfg.intensities)
     chunk = cfg.jd_block_rounds or n
     counts = np.zeros((4, k), dtype=np.int64)
     offsets = []
@@ -383,10 +441,11 @@ def simulate_on_full_blocks(cfg):
         part = data.take(slice(start, stop))
         rng = simcore._stream_rng(cfg.seed, simcore._SAMPLE_STREAM, bi)
         try:
-            post = postcompensate(single_clicks(part), cfg.sample_fraction, rng, cfg.m_slices)
+            post = postcompensate(single_clicks(part, cfg.m_slices), cfg.sample_fraction, rng,
+                                  cfg.m_slices)
         except InsufficientSamplesError as exc:
             raise InsufficientSamplesError(f"jd block [{start}, {stop}): {exc}") from None
-        kept, errors = sift(part, post.j_d_opt, cfg.m_slices)
+        kept, errors = sift_over_all_rounds(part, post.j_d_opt, cfg.m_slices)
         mu_sifted = part.mu_idx[kept]
         single = np.isin(part.outcome, SINGLE_CLICKS)
         for row, mu in zip(counts, (part.mu_idx, part.mu_idx[single], mu_sifted,
@@ -435,11 +494,11 @@ def test_single_click_subset_equals_the_full_block_pipeline(name):
 
 def test_simulate_memory_scales_with_clicks_not_block_rounds(monkeypatch):
     # eight RNG blocks at a 46% single-click rate, so the records dominate:
-    # they are 9 B a click, held twice while the units' records are
+    # they are 5 B a click, held twice while the units' records are
     # concatenated, and the post-processing of one jd block reads them
     # with a few bytes a click of temporaries; each worker adds its unit
     # buffers and the kernel's temporaries, which here cover most of a
-    # unit.  A record 16 B wider exceeds the bound.
+    # unit.  A record 8 B wider exceeds the bound.
     cfg = base_config(rounds=8 * simcore.RNG_BLOCK_ROUNDS + 1234, intensities=(1.0, 2.0),
                       channel=ChannelParams(eta_arm=0.5, p_d=7.2e-8))
     for workers in (1, 2):
@@ -452,7 +511,7 @@ def test_simulate_memory_scales_with_clicks_not_block_rounds(monkeypatch):
             tracemalloc.stop()
         clicks = sum(t.clicked_single for t in res.tallies)
         assert clicks > 0.4 * cfg.rounds
-        assert peak <= 20 * clicks + workers * 120 * simcore._UNIT_ROUNDS, workers
+        assert peak <= 14 * clicks + workers * 120 * simcore._UNIT_ROUNDS, workers
 
 
 # --- tallies and model comparison ----------------------------------------------------
