@@ -20,10 +20,10 @@ record per round with exactly one click, in round order, and no
 per-round output.  A record holds what sifting and postcompensation
 read: the intensity index, the slice difference d0 = (j_b - j_a) mod M
 and the raw disagreement e0 = kappa_a ^ kappa_b ^ [R click].  The
-passes over every round write through ``out=`` into two buffers the
-caller owns; the other temporaries are sized by the candidates.  The
-workers of ``simcore.run_blocks`` call the kernel on work units of at
-most ``simcore._UNIT_ROUNDS`` rounds, each worker with its own buffers.
+passes over every round write through ``out=`` into two per-unit
+temporaries, one float64 and one bool array; the others are sized by
+the candidates.  The workers of ``simcore.run_blocks`` call the kernel
+on work units of at most ``simcore._UNIT_ROUNDS`` rounds.
 """
 from __future__ import annotations
 
@@ -43,15 +43,12 @@ def simulate_block(
     phi0_value: float,
     phi0_rate: float,
     t0: int,
-    scaled: np.ndarray,
-    mask: np.ndarray,
 ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """The emitted counts and single-click records of a (7, n) block of uniforms.
 
     Variate layout: key bit a, key bit b, phase a, phase b, intensity
     pick, L-detector draw, R-detector draw.  ``t0`` is the run index of
-    the block's first round; ``scaled`` (float64) and ``mask`` (bool)
-    are n-entry buffers the kernel overwrites.
+    the block's first round.  The uniforms are only read.
 
     Returns the int64 count of rounds per intensity, and the records
     ``(mu_idx, d0, e0)`` of the rounds with exactly one click, in round
@@ -66,8 +63,8 @@ def simulate_block(
     # the largest p_max, then those with a draw below their own.
     log_q = math.log1p(-p_d)
     p_max = [min(1.0, -math.expm1(log_q - eta * mu) * (1.0 + 1e-9)) for mu in intensities]
-    np.minimum(u[5], u[6], out=scaled)
-    np.less(scaled, max(p_max), out=mask)
+    scaled = np.minimum(u[5], u[6])
+    mask = np.less(scaled, max(p_max))
     idx = np.flatnonzero(mask)
 
     k = len(intensities)

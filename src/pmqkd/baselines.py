@@ -3,17 +3,17 @@
 Decoy-state BB84 and MDI-QKD in the standard threshold-detector model,
 plus the TGW and PLOB upper bounds on repeaterless secret-key capacity.
 BB84 and the bounds take the full-distance transmittance; MDI takes
-per-arm values.  ``bb84_rate_grid``/``mdi_rate_grid`` evaluate the same
-rates over an intensity row for a column of channels (a chunk of sweep
-points) in one NumPy pass; they only select each channel's bracket in
-:func:`pmqkd.rate.maximize`, which takes every value it returns
-from the scalar path.  :func:`bb84_optimize_mu` and
-:func:`mdi_optimize_mu` run that search through
-:func:`pmqkd.rate.maximize_cells`, as
-:func:`pmqkd.rate.optimize_mu_chunk` does for phase matching.  The
-terms that do not depend on the intensity (the single-photon yield and
-1 - H of its error) are computed once per channel and shared by the
-grid and the scalar steps, which check no input.
+per-arm values.  :func:`bb84_optimize_mu` and :func:`mdi_optimize_mu`
+run the intensity search through :func:`pmqkd.rate.maximize_cells`, as
+:func:`pmqkd.rate.optimize_mu_chunk` does for phase matching.  Their
+private grid twins ``_bb84_rate_grid``/``_mdi_rate_grid`` evaluate the
+rate over the intensity grid for a chunk of channels in one NumPy pass;
+they only select each channel's bracket in :func:`pmqkd.rate.maximize`,
+which takes every value it returns from the scalar path.  The terms
+that do not depend on the intensity (the single-photon yield and 1 - H
+of its error) are computed once per channel.  The twins and the scalar
+steps check no input: the optimizers check ``e_d`` and ``f_ec``,
+``ChannelParams`` the channels, and mu is the fixed ``MU_RANGE`` grid.
 """
 from __future__ import annotations
 
@@ -22,9 +22,7 @@ import math
 
 import numpy as np
 
-from .detection import (
-    MAX_INTENSITY, ChannelParams, _check_f_ec, _check_intensity, _check_prob, binary_entropy,
-)
+from .detection import ChannelParams, _check_f_ec, _check_intensity, _check_prob, binary_entropy
 from .rate import _entropy_grid, _gain, _yield, maximize_cells
 
 
@@ -38,12 +36,6 @@ def _bb84_point(eta: float, pd: float, e_d: float) -> tuple[float, float]:
     return y1, 1.0 - binary_entropy(min(e1, 0.5))
 
 
-def _check_bb84(mu, e_d, f_ec) -> None:
-    _check_intensity("mu", mu)
-    _check_prob("e_d", e_d)
-    _check_f_ec(f_ec)
-
-
 def bb84_rate(mu: float, e_d: float, f_ec: float, channel: ChannelParams) -> float:
     """Asymptotic decoy-state BB84 key rate per emitted pulse.
 
@@ -53,7 +45,9 @@ def bb84_rate(mu: float, e_d: float, f_ec: float, channel: ChannelParams) -> flo
     the full-distance transmittance (source to measurement, detector
     efficiency included).
     """
-    _check_bb84(mu, e_d, f_ec)
+    _check_intensity("mu", mu)
+    _check_prob("e_d", e_d)
+    _check_f_ec(f_ec)
     eta, pd = channel.eta_arm, channel.p_d
     return _bb84_rate_at(e_d, f_ec, eta, pd, *_bb84_point(eta, pd, e_d), mu)
 
@@ -72,8 +66,9 @@ def _bb84_rate_at(e_d, f_ec, eta, pd, y1, h1, mu) -> float:
     return max(rate, 0.0) + 0.0  # + 0.0 turns a -0.0 into 0.0
 
 
-def bb84_rate_grid(mu: np.ndarray, e_d: float, f_ec: float, eta, pd, y1, h1) -> np.ndarray:
-    """:func:`bb84_rate` over an array of intensities, not floored at 0.
+def _bb84_rate_grid(mu: np.ndarray, e_d: float, f_ec: float, eta, pd, y1, h1) -> np.ndarray:
+    """:func:`bb84_rate` over an array of intensities, not floored at 0,
+    unchecked: ``maximize``'s ``f_grid`` for :func:`bb84_optimize_mu`.
 
     ``eta``, ``pd`` and the channel's mu-independent terms ``y1``,
     ``h1`` (:func:`_bb84_point`, from the scalar path) are floats, or
@@ -81,10 +76,6 @@ def bb84_rate_grid(mu: np.ndarray, e_d: float, f_ec: float, eta, pd, y1, h1) -> 
     the intensities.  The rest agrees with the scalar path up to the ulp
     differences between NumPy's and ``math``'s ``exp``/``log2``.
     """
-    mu = np.asarray(mu, dtype=float)
-    _check_bb84(_first_rejected(mu), e_d, f_ec)
-    _check_prob("eta", _first_rejected(eta, 1.0))
-    _check_prob("p_d", _first_rejected(pd, 1.0))
     y0 = 2.0 * pd
     e0 = 0.5
     q_mu = 1.0 - (1.0 - 2.0 * pd) * np.exp(-(eta * mu))
@@ -103,7 +94,7 @@ def bb84_optimize_mu(channels, e_d: float, f_ec: float) -> list[tuple[float, flo
     return maximize_cells(
         [(ch.eta_arm, ch.p_d, *_bb84_point(ch.eta_arm, ch.p_d, e_d)) for ch in channels],
         functools.partial(_bb84_rate_at, e_d, f_ec),
-        lambda mus, *columns: bb84_rate_grid(mus, e_d, f_ec, *columns),
+        lambda mus, *columns: _bb84_rate_grid(mus, e_d, f_ec, *columns),
     )
 
 
@@ -143,24 +134,6 @@ def _mdi_point(eta_a: float, eta_b: float, p_d: float, e_d: float) -> tuple[floa
     return y11, 1.0 - binary_entropy(e11)
 
 
-def _first_rejected(x, upper: float = MAX_INTENSITY) -> float:
-    # the entry of x the scalar range checks reject first: a NaN or one above
-    # upper, else the smallest (0 when none is negative)
-    x = np.asarray(x, dtype=float)
-    bad = x[~(x <= upper)]
-    return float(bad[0] if bad.size else x.min(initial=0.0))
-
-
-def _check_mdi(mu_a, mu_b, eta_a, eta_b, p_d, e_d, f_ec) -> None:
-    _check_intensity("mu_a", mu_a)
-    _check_intensity("mu_b", mu_b)
-    _check_prob("eta_a", eta_a)
-    _check_prob("eta_b", eta_b)
-    _check_prob("p_d", p_d)
-    _check_prob("e_d", e_d)
-    _check_f_ec(f_ec)
-
-
 def mdi_rate(
     mu_a: float,
     mu_b: float,
@@ -175,7 +148,13 @@ def mdi_rate(
     R = (1/2) * { Q_11*[1 - H(e_11)] - f*Q_rect*H(E_rect) } with
     Q_11 = mu_a*mu_b*exp(-mu_a-mu_b)*Y_11, floored at 0.
     """
-    _check_mdi(mu_a, mu_b, eta_a, eta_b, p_d, e_d, f_ec)
+    _check_intensity("mu_a", mu_a)
+    _check_intensity("mu_b", mu_b)
+    _check_prob("eta_a", eta_a)
+    _check_prob("eta_b", eta_b)
+    _check_prob("p_d", p_d)
+    _check_prob("e_d", e_d)
+    _check_f_ec(f_ec)
     point = _mdi_point(eta_a, eta_b, p_d, e_d)
     return _mdi_rate_at(eta_a, eta_b, p_d, e_d, f_ec, *point, mu_a, mu_b)
 
@@ -209,18 +188,9 @@ def _mdi_symmetric_step(e_d, f_ec, eta, p_d, y11, h11, mu) -> float:
     return _mdi_rate_at(eta, eta, p_d, e_d, f_ec, y11, h11, mu / 2.0, mu / 2.0)
 
 
-def mdi_rate_grid(
-    mu_a: np.ndarray,
-    mu_b: np.ndarray,
-    eta_a,
-    eta_b,
-    p_d,
-    e_d: float,
-    f_ec: float,
-    y11,
-    h11,
-) -> np.ndarray:
-    """:func:`mdi_rate` over arrays of intensities, not floored at 0.
+def _mdi_rate_grid(mu_a, mu_b, eta_a, eta_b, p_d, e_d: float, f_ec: float, y11, h11) -> np.ndarray:
+    """:func:`mdi_rate` over arrays of intensities, not floored at 0,
+    unchecked: ``maximize``'s ``f_grid`` for :func:`mdi_optimize_mu`.
 
     ``eta_a``, ``eta_b``, ``p_d`` and the channel's mu-independent
     terms ``y11``, ``h11`` (:func:`_mdi_point`, from the scalar path)
@@ -229,12 +199,6 @@ def mdi_rate_grid(
     path up to the ulp differences between NumPy's and ``math``'s
     functions.
     """
-    mu_a = np.asarray(mu_a, dtype=float)
-    mu_b = np.asarray(mu_b, dtype=float)
-    _check_mdi(
-        _first_rejected(mu_a), _first_rejected(mu_b), _first_rejected(eta_a, 1.0),
-        _first_rejected(eta_b, 1.0), _first_rejected(p_d, 1.0), e_d, f_ec,
-    )
     mu_prime = eta_a * mu_a + eta_b * mu_b
     x = 0.5 * np.sqrt(eta_a * mu_a * eta_b * mu_b)
     damp = np.exp(-mu_prime / 2.0)
@@ -263,7 +227,7 @@ def mdi_optimize_mu(channels, e_d: float, f_ec: float) -> list[tuple[float, floa
     return maximize_cells(
         [(ch.eta_arm, ch.p_d, *_mdi_point(ch.eta_arm, ch.eta_arm, ch.p_d, e_d)) for ch in channels],
         functools.partial(_mdi_symmetric_step, e_d, f_ec),
-        lambda mus, eta, p_d, y11, h11: mdi_rate_grid(
+        lambda mus, eta, p_d, y11, h11: _mdi_rate_grid(
             mus / 2.0, mus / 2.0, eta, eta, p_d, e_d, f_ec, y11, h11
         ),
     )

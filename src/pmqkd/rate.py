@@ -379,8 +379,11 @@ def maximize_cells(cells, step, grid) -> list[tuple[float, float]]:
     whose entries are floats or lists of floats.  ``step(*cell, mu)`` is
     the rate at one intensity, and ``grid(mus, *columns)`` its NumPy
     grid over every channel, where each entry of the cells comes as an
-    ``(n, 1)`` column (a list entry as a list of columns).
+    ``(n, 1)`` column (a list entry as a list of columns).  Empty
+    ``cells`` give ``[]``.
     """
+    if not cells:
+        return []
     fs = [functools.partial(step, *cell) for cell in cells]
     columns = _columns(cells)
     return maximize(fs, *MU_RANGE, f_grid=lambda mus: grid(mus, *columns))

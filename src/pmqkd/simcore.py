@@ -117,6 +117,13 @@ class SimConfig:
     jd_block_rounds: int | None = None  # None: one offset for the whole run
 
     def __post_init__(self):
+        # a float or bool count passes the range checks below, then fails inside the run
+        for name in ("rounds", "seed", "m_slices", "jd_block_rounds"):
+            value = getattr(self, name)
+            if value is None and name == "jd_block_rounds":
+                continue
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not (1 <= self.rounds <= MAX_ROUNDS):
             raise ValueError(f"rounds must be in [1, {MAX_ROUNDS}], got {self.rounds!r}")
         if not (0 <= self.seed < 2**63):
@@ -383,18 +390,14 @@ def run_blocks(cfg: SimConfig) -> Iterator[tuple[int, np.ndarray, RoundData]]:
     so these are the doubles of one ``random((7, n))`` call, and the
     rounds do not depend on the unit size or the thread count.  Each
     worker draws into its own ``(7, _UNIT_ROUNDS)`` buffer and runs the
-    kernel on it with its own scratch buffers; it keeps only what the
-    kernel returns.
+    kernel on it; it keeps only what the kernel returns.
     """
     units = _round_units(cfg)
     intensities = np.asarray(cfg.intensities, dtype=np.float64)
     results = [None] * len(units)
 
     def start_worker():
-        size = min(_UNIT_ROUNDS, cfg.rounds)
-        buf = np.empty((7, size))
-        scaled = np.empty(size)
-        mask = np.empty(size, dtype=np.bool_)
+        buf = np.empty((7, min(_UNIT_ROUNDS, cfg.rounds)))
 
         def run_unit(i):
             _, block_index, start, n, a, b = units[i]
@@ -414,8 +417,6 @@ def run_blocks(cfg: SimConfig) -> Iterator[tuple[int, np.ndarray, RoundData]]:
                 cfg.phi0.value_rad,
                 cfg.phi0.rate_rad_per_round,
                 start + a,
-                scaled[: b - a],
-                mask[: b - a],
             )
             results[i] = emitted, RoundData(*records)
 

@@ -9,14 +9,14 @@ from pmqkd import rate
 from pmqkd.baselines import (
     bb84_optimize_mu,
     bb84_rate,
-    bb84_rate_grid,
     _bb84_point,
+    _bb84_rate_grid,
     _bessel_i0,
     _mdi_point,
     _mdi_single_photon,
     mdi_optimize_mu,
     mdi_rate,
-    mdi_rate_grid,
+    _mdi_rate_grid,
     plob_bound,
     tgw_bound,
 )
@@ -30,14 +30,15 @@ def full_channel(eta, pd=0.0):
 
 
 def bb84_grid(mus, e_d, f_ec, ch):
-    # bb84_rate_grid on one channel, its mu-independent terms from the scalar path
-    return bb84_rate_grid(mus, e_d, f_ec, ch.eta_arm, ch.p_d, *_bb84_point(ch.eta_arm, ch.p_d, e_d))
+    # _bb84_rate_grid on one channel, its mu-independent terms from the scalar path
+    point = _bb84_point(ch.eta_arm, ch.p_d, e_d)
+    return _bb84_rate_grid(mus, e_d, f_ec, ch.eta_arm, ch.p_d, *point)
 
 
 def mdi_grid(mu_a, mu_b, eta_a, eta_b, p_d, e_d, f_ec):
-    # mdi_rate_grid on one channel, its mu-independent terms from the scalar path
+    # _mdi_rate_grid on one channel, its mu-independent terms from the scalar path
     point = _mdi_point(eta_a, eta_b, p_d, e_d)
-    return mdi_rate_grid(mu_a, mu_b, eta_a, eta_b, p_d, e_d, f_ec, *point)
+    return _mdi_rate_grid(mu_a, mu_b, eta_a, eta_b, p_d, e_d, f_ec, *point)
 
 
 def maximize_one(f, lo, hi, f_grid=None):
@@ -211,13 +212,11 @@ def test_intensity_bound_and_postprocessing_checks():
         *vars(bs_attack(m, 0.2)).values(),
     ]
     assert all(math.isfinite(v) for v in values)
-    over, grid = 2 * m, np.array([0.1, 2 * m])
+    over = 2 * m
     for call in (
         lambda: rate.PmParams(mu_total=over),
         lambda: bb84_rate(over, 0.0, 1.15, ch),
-        lambda: bb84_grid(grid, 0.0, 1.15, ch),
         lambda: mdi_rate(0.1, over, 0.1, 0.1, 0.0, 0.0, 1.15),
-        lambda: mdi_grid(grid, grid, 0.1, 0.1, 0.0, 0.0, 1.15),
         lambda: bs_attack(over, 0.2),
     ):
         with pytest.raises(ValueError, match=f"{m:g}"):
@@ -228,7 +227,6 @@ def test_intensity_bound_and_postprocessing_checks():
         for call in (
             lambda: bb84_rate(0.5, e_d, f_ec, ch),
             lambda: mdi_rate(0.1, 0.1, 0.1, 0.1, 0.0, e_d, f_ec),
-            lambda: mdi_rate_grid(grid / m, grid / m, 0.1, 0.1, 0.0, e_d, f_ec, 0.0, 0.0),
         ):
             with pytest.raises(ValueError, match=named):
                 call()
@@ -387,28 +385,6 @@ def test_maximize_selects_each_row_on_its_own():
     assert calls[0] < 50 and calls[1] == 0 and min(calls[2:]) >= 200
 
 
-def test_rate_grid_validation():
-    with pytest.raises(ValueError):
-        bb84_grid(np.array([0.1, -0.1]), 0.015, 1.15, full_channel(0.1))
-    with pytest.raises(ValueError):
-        bb84_grid(np.array([0.1]), 0.015, 0.5, full_channel(0.1))
-    with pytest.raises(ValueError):
-        mdi_grid(np.array([0.1]), np.array([-0.1]), 0.1, 0.1, 0.0, 0.0, 1.15)
-    with pytest.raises(ValueError):
-        mdi_grid(np.array([0.1]), np.array([0.1]), 1.5, 0.1, 0.0, 0.0, 1.15)
-    for bad in (math.inf, math.nan):
-        with pytest.raises(ValueError, match=f"^mu must be in.*got {bad}"):
-            bb84_grid(np.array([0.1, bad, -0.1]), 0.015, 1.15, full_channel(0.1))
-        with pytest.raises(ValueError, match=f"^mu_b must be in.*got {bad}"):
-            mdi_grid(np.array([0.1, 0.2]), np.array([0.1, bad]), 0.1, 0.1, 0.0, 0.0, 1.15)
-    # a column of channels is checked as a whole, naming its first bad entry
-    etas = np.array([[0.1], [1.5], [2.0]])
-    with pytest.raises(ValueError, match=r"^eta must be in \[0, 1\], got 1.5$"):
-        bb84_rate_grid(MU_GRID, 0.015, 1.15, etas, 0.0, 0.0, 0.0)
-    with pytest.raises(ValueError, match=r"^eta_b must be in \[0, 1\], got 1.5$"):
-        mdi_rate_grid(MU_GRID, MU_GRID, 0.1, etas, 0.0, 0.015, 1.15, 0.0, 0.0)
-
-
 def test_optimizers_check_their_inputs_before_any_step():
     # a NaN e_d would otherwise first reach binary_entropy through e_1 or e_11
     chs = [full_channel(0.1), full_channel(0.2)]
@@ -417,6 +393,17 @@ def test_optimizers_check_their_inputs_before_any_step():
             optimize(chs, math.nan, 1.15)
         with pytest.raises(ValueError, match="^f_ec must be finite .*got 0.5$"):
             optimize(chs, 0.015, 0.5)
+
+
+def test_optimizers_of_no_channels_return_nothing():
+    # an empty chunk makes no grid pass and no scalar step
+    def never(*args):
+        raise AssertionError("called")
+
+    assert rate.maximize_cells([], never, never) == []
+    assert rate.optimize_mu_chunk([], 16, 1.15) == []
+    for optimize in (bb84_optimize_mu, mdi_optimize_mu):
+        assert optimize([], 0.015, 1.15) == []
 
 
 def test_optimizers_equal_the_one_row_maximize():

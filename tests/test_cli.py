@@ -256,8 +256,8 @@ def test_sweep_fig3b_optimizers_take_no_scalar_fallback(monkeypatch):
 
 @pytest.mark.parametrize("points", [2, cli.SWEEP_CHUNK, cli.SWEEP_CHUNK + 1, 501])
 def test_sweep_runs_one_grid_pass_per_protocol_and_chunk(monkeypatch, points):
-    grids = {"pm": (cli.rate, "_key_rate_grid"), "bb84": (cli.baselines, "bb84_rate_grid"),
-             "mdi": (cli.baselines, "mdi_rate_grid")}
+    grids = {"pm": (cli.rate, "_key_rate_grid"), "bb84": (cli.baselines, "_bb84_rate_grid"),
+             "mdi": (cli.baselines, "_mdi_rate_grid")}
     passes = dict.fromkeys(grids, 0)
 
     def counting(protocol, grid):
@@ -297,11 +297,12 @@ def per_point_rows(variable, values, preset):
 
         def bb84_grid(mus):
             point = cli.baselines._bb84_point(full, p_d, e_d)
-            return cli.baselines.bb84_rate_grid(mus, e_d, f_ec, full, p_d, *point)
+            return cli.baselines._bb84_rate_grid(mus, e_d, f_ec, full, p_d, *point)
 
         def mdi_grid(mus):
             point = cli.baselines._mdi_point(arm, arm, p_d, e_d)
-            return cli.baselines.mdi_rate_grid(mus / 2, mus / 2, arm, arm, p_d, e_d, f_ec, *point)
+            return cli.baselines._mdi_rate_grid(mus / 2, mus / 2, arm, arm, p_d, e_d, f_ec,
+                                                *point)
 
         row = {"mu_opt": mu_opt, "R_pm": r_pm}
         for name, f, f_grid in (("R_bb84", bb84, bb84_grid), ("R_mdi", mdi, mdi_grid)):
@@ -339,10 +340,27 @@ def test_chunked_sweep_equals_the_per_point_optimizers(variable, start, stop, st
          "e_d must be in [0, 1], got nan"),
         (["--start", "0", "--stop", "40", "--optimize-mu", "--f-ec", "0.5"],
          "f_ec must be finite and >= 1, got 0.5"),
+        (["--start", "0", "--stop", "40", "--optimize-mu", "--pd", "5"],
+         "p_d must be in [0, 1], got 5.0"),
+        (["--start", "0", "--stop", "40", "--optimize-mu", "--pd", "nan"],
+         "p_d must be in [0, 1], got nan"),
+        (["--start", "0", "--stop", "40", "--optimize-mu", "--eta-d", "1.5"],
+         "eta_d must be in [0, 1], got 1.5"),
+        (["--start", "0", "--stop", "40", "--optimize-mu", "--alpha", "nan"],
+         "alpha_db_per_km must be positive and finite, got nan"),
+        (["--start", "0", "--stop", "40", "--optimize-mu", "--m-slices", "3"],
+         f"m_slices must be an even integer in [2, {2**53}], got 3"),
     ],
-    ids=["mu_bb84", "mu_pm", "e_d", "f_ec"],
+    ids=["mu_bb84", "mu_pm", "e_d", "f_ec", "p_d", "p_d_nan", "eta_d", "alpha", "m_slices"],
 )
-def test_chunked_sweep_bad_input_is_one_line_error(capsys, argv, named):
+def test_chunked_sweep_bad_input_is_one_line_error(monkeypatch, capsys, argv, named):
+    # the inputs are checked before any grid pass, which checks none of them
+    def no_grid_pass(*args):
+        raise AssertionError("a grid pass ran")
+
+    for module, name in ((cli.rate, "_key_rate_grid"), (cli.baselines, "_bb84_rate_grid"),
+                         (cli.baselines, "_mdi_rate_grid")):
+        monkeypatch.setattr(module, name, no_grid_pass)
     code, out, err = run_cli(["sweep", "--preset", "fig3b", "--step", "1", *argv], capsys)
     assert code == 1
     assert out == ""

@@ -14,9 +14,7 @@ from pmqkd.detection import (
     single_photon_clicks,
 )
 from pmqkd.attacks import bs_attack, gllp_rate_under_bs, pm_rate_under_bs, usd_success
-from pmqkd.baselines import (
-    bb84_rate, bb84_rate_grid, mdi_rate, mdi_rate_grid, plob_bound, tgw_bound,
-)
+from pmqkd.baselines import bb84_rate, mdi_rate, plob_bound, tgw_bound
 from pmqkd.rate import PmParams, misalignment_e_delta
 from pmqkd.focklab import k_photon_interference_probs
 from pmqkd.simcore import Phi0Model, SimConfig
@@ -369,6 +367,11 @@ def _sim_config(**overrides):
         (lambda: _sim_config(intensities=(math.nan,)), "intensities[0]", math.nan),
         (lambda: _sim_config(rounds=0), "rounds", 0),
         (lambda: _sim_config(rounds=2**32 + 1), "rounds", 2**32 + 1),
+        (lambda: _sim_config(rounds=200000.0), "rounds", 200000.0),
+        (lambda: _sim_config(rounds=True), "rounds", True),
+        (lambda: _sim_config(seed=1.5), "seed", 1.5),
+        (lambda: _sim_config(m_slices=16.0), "m_slices", 16.0),
+        (lambda: _sim_config(jd_block_rounds=100000.0), "jd_block_rounds", 100000.0),
         (lambda: _sim_config(seed=-1), "seed", -1),
         (lambda: _sim_config(m_slices=9), "m_slices", 9),
         (lambda: _sim_config(sample_fraction=1.0), "sample_fraction", 1.0),
@@ -383,11 +386,7 @@ def _sim_config(**overrides):
         (lambda: mdi_rate(0.1, 0.1, 0.1, 0.1, 5.0, 0.0, 1.15), "p_d", 5.0),
         (lambda: mdi_rate(0.1, 0.1, 0.1, 0.1, -1.0, 0.0, 1.15), "p_d", -1.0),
         (lambda: mdi_rate(0.1, 0.1, 0.1, 0.1, math.nan, 0.0, 1.15), "p_d", math.nan),
-        (lambda: mdi_rate_grid(np.array([0.1]), np.array([0.1]), 0.1, 0.1, 5.0, 0.0, 1.15,
-                               0.0, 0.0), "p_d", 5.0),
         (lambda: bb84_rate(600.0, 0.0, 1.15, ChannelParams(0.1, 0.0)), "mu", 600.0),
-        (lambda: bb84_rate_grid(np.array([0.1, math.nan]), 0.0, 1.15, 0.1, 0.0, 0.0, 0.0),
-         "mu", math.nan),
         (lambda: PmParams(mu_total=600.0), "mu_total", 600.0),
         (lambda: PmParams(mu_total=0.5, m_slices=3), "m_slices", 3),
         (lambda: PmParams(mu_total=0.5, m_slices=2**53 + 2), "m_slices", 2**53 + 2),
@@ -401,13 +400,13 @@ def _sim_config(**overrides):
         (lambda: k_photon_interference_probs(-1, 0.5, 0.0), "photon number", -1),
         (lambda: k_photon_interference_probs(2, 1.5, 0.0), "eta", 1.5),
     ],
-    ids=["intensity", "nan_intensity", "rounds", "rounds_above_bound", "seed", "m_slices",
-         "sample_fraction", "jd_block_rounds", "jd_block_below_min_samples", "phi0_value",
-         "phi0_rate", "mdi_eta_a", "mdi_eta_b", "mdi_mu_a", "mdi_mu_b", "mdi_pd_5", "mdi_pd_neg",
-         "mdi_pd_nan", "mdi_grid_pd", "bb84_mu", "bb84_grid_mu", "pm_mu_total",
-         "pm_m_slices_odd", "pm_m_slices_huge", "e_delta_m_slices", "usd_mu_total",
-         "gllp_mu_total", "pm_bs_mu_total", "attack_eta", "tgw_eta", "plob_eta", "oracle_k",
-         "oracle_eta"],
+    ids=["intensity", "nan_intensity", "rounds", "rounds_above_bound", "rounds_float",
+         "rounds_bool", "seed_float", "m_slices_float", "jd_block_rounds_float", "seed",
+         "m_slices", "sample_fraction", "jd_block_rounds", "jd_block_below_min_samples",
+         "phi0_value", "phi0_rate", "mdi_eta_a", "mdi_eta_b", "mdi_mu_a", "mdi_mu_b",
+         "mdi_pd_5", "mdi_pd_neg", "mdi_pd_nan", "bb84_mu", "pm_mu_total", "pm_m_slices_odd",
+         "pm_m_slices_huge", "e_delta_m_slices", "usd_mu_total", "gllp_mu_total",
+         "pm_bs_mu_total", "attack_eta", "tgw_eta", "plob_eta", "oracle_k", "oracle_eta"],
 )
 def test_range_error_names_key_and_value(call, key, value):
     with pytest.raises(ValueError) as exc:

@@ -92,10 +92,8 @@ def oracle_records(u, *params):
 
 
 def run_kernel(u, *params):
-    """The kernel's emitted counts and records, on buffers holding stale values."""
-    n = u.shape[1]
-    scaled, mask = np.full(n, np.nan), np.ones(n, dtype=np.bool_)
-    emitted, records = _mckernel_np.simulate_block(u, *params, scaled, mask)
+    """The kernel's emitted counts and records."""
+    emitted, records = _mckernel_np.simulate_block(u, *params)
     return emitted, RoundData(*records)
 
 
@@ -272,17 +270,15 @@ def test_collect_rounds_equals_fresh_block_runs(monkeypatch, case):
 
 @pytest.mark.parametrize("phi0", list(PHI0), ids=list(PHI0))
 def test_kernel_writes_only_inside_its_views(phi0):
-    # the scratch buffers are views into longer arrays, as a worker's are
-    # on a short unit; the uniforms are read only
-    n, a, b = 5000, 123, 123 + 5000
-    u = np.random.default_rng(3).random((7, n))
-    before = u.copy()
+    # the uniforms are a view of the first columns of a wider buffer, as a
+    # worker's are on a short unit, and are read only
+    n = 5000
+    buf = np.random.default_rng(3).random((7, n + 77))
+    before = buf.copy()
+    u = buf[:, :n]
     params = (0.1, 7.2e-8, np.asarray((0.0, 0.1, 0.5)), 16, *PHI0[phi0])
-    scaled, mask = np.full(b + 77, 55.0), np.ones(b + 77, dtype=np.bool_)
-    emitted, records = _mckernel_np.simulate_block(u, *params, scaled[a:b], mask[a:b])
-    assert np.all(scaled[:a] == 55.0) and np.all(scaled[b:] == 55.0)
-    assert np.all(mask[:a]) and np.all(mask[b:])
-    assert u.tobytes() == before.tobytes()
+    emitted, records = _mckernel_np.simulate_block(u, *params)
+    assert buf.tobytes() == before.tobytes()
     want_emitted, want_records = oracle_records(u, *params)
     assert np.array_equal(emitted, want_emitted)
     assert_same_records(RoundData(*records), want_records)
@@ -290,7 +286,7 @@ def test_kernel_writes_only_inside_its_views(phi0):
 
 def test_collect_rounds_memory_peak(monkeypatch):
     # per worker, one (7, _UNIT_ROUNDS) uniform buffer (56 B a unit round),
-    # the kernel's two scratch buffers (9 B) and its temporaries, which
+    # the kernel's two per-round temporaries (9 B) and the others, which
     # are sized by the candidates; then 5 B a click record, twice while the
     # units' records are concatenated.  Over eight RNG blocks a record of
     # every round (5 B a round, 10.5 MB) exceeds the bound.

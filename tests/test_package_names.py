@@ -1,14 +1,18 @@
-"""Every module-level function and class in the package has a caller.
+"""Every module-level function and class in the package, and every method
+and property of its classes, has a caller.
 
 The check reads the syntax trees of ``src/pmqkd/*.py``: a name counts as
 used when a ``Name``, an ``Attribute`` or an import alias in the package
 refers to it, or when ``pmqkd.__all__`` exports it.  Comments and
-docstrings do not count.
+docstrings do not count.  Dunder methods are called by Python itself
+and are not checked.
 """
 import ast
 from pathlib import Path
 
 import pmqkd
+
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def test_every_module_level_definition_has_a_caller():
@@ -24,7 +28,13 @@ def test_every_module_level_definition_has_a_caller():
                 used.add(node.attr)
             elif isinstance(node, ast.alias):
                 used.add(node.name)
-    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    unused = [f"{module}:{node.name}" for module, tree in trees.items()
-              for node in tree.body if isinstance(node, defs) and node.name not in used]
+    unused = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, DEFS) and node.name not in used:
+                unused.append(f"{module}:{node.name}")
+            if isinstance(node, ast.ClassDef):
+                unused += [f"{module}:{node.name}.{method.name}" for method in node.body
+                           if isinstance(method, DEFS[:2]) and method.name not in used
+                           and not (method.name.startswith("__") and method.name.endswith("__"))]
     assert unused == []
