@@ -24,7 +24,6 @@ from .attacks import (
     usd_success,
 )
 from .simcore import (
-    Outcome,
     Phi0Model,
     SimConfig,
     SimResult,
@@ -61,7 +60,6 @@ __all__ = [
     "gllp_rate_under_bs",
     "pm_rate_under_bs",
     "usd_success",
-    "Outcome",
     "Phi0Model",
     "SimConfig",
     "SimResult",

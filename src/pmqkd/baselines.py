@@ -3,27 +3,25 @@
 Decoy-state BB84 and MDI-QKD in the standard threshold-detector model,
 plus the TGW and PLOB upper bounds on repeaterless secret-key capacity.
 BB84 and the bounds take the full-distance transmittance; MDI takes
-per-arm values.  :func:`bb84_optimize_mu` and :func:`mdi_optimize_mu`
-run the intensity search through :func:`pmqkd.rate.maximize_cells`, as
-:func:`pmqkd.rate.optimize_mu_chunk` does for phase matching.  Their
-private grid twins ``_bb84_rate_grid``/``_mdi_rate_grid`` evaluate the
-rate over the intensity grid for a chunk of channels in one NumPy pass;
-they only select each channel's bracket in :func:`pmqkd.rate.maximize`,
-which takes every value it returns from the scalar path.  The terms
-that do not depend on the intensity (the single-photon yield and 1 - H
-of its error) are computed once per channel.  The twins and the scalar
-steps check no input: the optimizers check ``e_d`` and ``f_ec``,
-``ChannelParams`` the channels, and mu is the fixed ``MU_RANGE`` grid.
+per-arm values.  Each rate is one array function of the intensity,
+``_bb84_rate`` and ``_mdi_rate``, evaluated with the transcendentals of
+a :class:`pmqkd.rate.Ops` as :func:`pmqkd.rate._key_rate_terms` is:
+:func:`bb84_rate` and :func:`mdi_rate` at one element, and
+:func:`bb84_optimize_mu` and :func:`mdi_optimize_mu` over a batch of
+channels through :func:`pmqkd.rate.maximize_cells`.  The terms that do
+not depend on the intensity (the single-photon yield and 1 - H of its
+error) are computed once per channel.  The array functions check no
+input: the public functions check ``e_d``, ``f_ec`` and the
+intensities, ``ChannelParams`` the channels.
 """
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
 
 from .detection import ChannelParams, _check_f_ec, _check_intensity, _check_prob, binary_entropy
-from .rate import _entropy_grid, _gain, _yield, maximize_cells
+from .rate import EXACT, _clip_half, _entropy, _gain, _where, _yield, maximize_cells
 
 
 def _bb84_point(eta: float, pd: float, e_d: float) -> tuple[float, float]:
@@ -49,63 +47,50 @@ def bb84_rate(mu: float, e_d: float, f_ec: float, channel: ChannelParams) -> flo
     _check_prob("e_d", e_d)
     _check_f_ec(f_ec)
     eta, pd = channel.eta_arm, channel.p_d
-    return _bb84_rate_at(e_d, f_ec, eta, pd, *_bb84_point(eta, pd, e_d), mu)
+    return _bb84_rate(mu, e_d, f_ec, eta, pd, *_bb84_point(eta, pd, e_d))
 
 
-def _bb84_rate_at(e_d, f_ec, eta, pd, y1, h1, mu) -> float:
-    # bb84_rate at one intensity from the channel's _bb84_point, unchecked
+def _bb84_rate(mu, e_d, f_ec, eta, pd, y1, h1, ops=EXACT):
+    # bb84_rate at the intensity mu from the channel's _bb84_point: floats,
+    # or arrays that broadcast together
     y0 = 2.0 * pd
     e0 = 0.5
-    q_mu = _gain(pd, eta * mu)
-    if q_mu <= 0.0:
-        return 0.0
-    e_mu = e_d + (e0 - e_d) * y0 / q_mu
-    q1 = math.exp(-mu) * mu * y1 / q_mu
-    e_mu = min(e_mu, 0.5)
-    rate = 0.5 * q_mu * (-f_ec * binary_entropy(e_mu) + q1 * h1)
-    return max(rate, 0.0) + 0.0  # + 0.0 turns a -0.0 into 0.0
+    q_mu = _gain(pd, eta * mu, ops.exp)
+    live = q_mu > 0.0
+    q_live = _where(live, q_mu, 1.0)  # so that nothing divides by 0
+    e_mu = e_d + (e0 - e_d) * y0 / q_live
+    e_mu = _where(0.5 < e_mu, 0.5, e_mu)  # min(e_mu, 0.5)
+    q1 = ops.exp(-mu) * mu * y1 / q_live
+    rate = 0.5 * q_mu * (-f_ec * _entropy(e_mu, ops.log2) + q1 * h1)
+    return _where(live, ops.floor(rate), 0.0)
 
 
-def _bb84_rate_grid(mu: np.ndarray, e_d: float, f_ec: float, eta, pd, y1, h1) -> np.ndarray:
-    """:func:`bb84_rate` over an array of intensities, not floored at 0,
-    unchecked: ``maximize``'s ``f_grid`` for :func:`bb84_optimize_mu`.
-
-    ``eta``, ``pd`` and the channel's mu-independent terms ``y1``,
-    ``h1`` (:func:`_bb84_point`, from the scalar path) are floats, or
-    ``(n, 1)`` columns with one row per channel, which broadcast against
-    the intensities.  The rest agrees with the scalar path up to the ulp
-    differences between NumPy's and ``math``'s ``exp``/``log2``.
-    """
-    y0 = 2.0 * pd
-    e0 = 0.5
-    q_mu = 1.0 - (1.0 - 2.0 * pd) * np.exp(-(eta * mu))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        e_mu = np.minimum(e_d + (e0 - e_d) * y0 / q_mu, 0.5)
-        q1 = np.exp(-mu) * mu * y1 / q_mu
-        rate = 0.5 * q_mu * (-f_ec * _entropy_grid(e_mu) + q1 * h1)
-    return np.where(q_mu > 0.0, rate, 0.0)
-
-
-def bb84_optimize_mu(channels, e_d: float, f_ec: float) -> list[tuple[float, float]]:
+def bb84_optimize_mu(channels, e_d: float, f_ec: float, mus=None) -> list[tuple[float, float]]:
     """``(mu, rate)`` of :func:`bb84_rate` on each channel at the intensity in
-    ``MU_RANGE`` maximizing it, by ``maximize_cells``."""
+    ``MU_RANGE`` maximizing it, by ``maximize_cells``; with ``mus``, at one
+    given intensity each."""
     _check_prob("e_d", e_d)
     _check_f_ec(f_ec)
+    for mu in mus or ():
+        _check_intensity("mu", mu)
     return maximize_cells(
         [(ch.eta_arm, ch.p_d, *_bb84_point(ch.eta_arm, ch.p_d, e_d)) for ch in channels],
-        functools.partial(_bb84_rate_at, e_d, f_ec),
-        lambda mus, *columns: _bb84_rate_grid(mus, e_d, f_ec, *columns),
+        lambda mu, *columns: _bb84_rate(mu, e_d, f_ec, *columns),
+        mus,
     )
 
 
-def _bessel_i0(z: float) -> float:
-    # power series; z is small in every regime used here
-    total = 1.0
-    term = 1.0
+def _bessel_i0(z):
+    # power series, summed (for each element of an array) until its term
+    # falls below 1e-16 of its total; z is small in every regime used here
+    z2 = z * z
+    total = term = 1.0
+    live = True
     for k in range(1, 512):
-        term *= (z * z) / (4.0 * k * k)
-        total += term
-        if term < 1e-16 * total:
+        term = term * (z2 / (4.0 * k * k))
+        total = _where(live, total + term, total)
+        live = _where(term < 1e-16 * total, False, live)
+        if live is not True and not np.any(live):  # a float's stays True until it stops
             break
     return total
 
@@ -156,80 +141,44 @@ def mdi_rate(
     _check_prob("e_d", e_d)
     _check_f_ec(f_ec)
     point = _mdi_point(eta_a, eta_b, p_d, e_d)
-    return _mdi_rate_at(eta_a, eta_b, p_d, e_d, f_ec, *point, mu_a, mu_b)
+    return _mdi_rate(mu_a, mu_b, eta_a, eta_b, p_d, e_d, f_ec, *point)
 
 
-def _mdi_rate_at(eta_a, eta_b, p_d, e_d, f_ec, y11, h11, mu_a, mu_b) -> float:
-    # mdi_rate at one pair of intensities from the channel's _mdi_point, unchecked
+def _mdi_rate(mu_a, mu_b, eta_a, eta_b, p_d, e_d, f_ec, y11, h11, ops=EXACT):
+    # mdi_rate at the intensities (mu_a, mu_b) from the channel's _mdi_point:
+    # floats, or arrays that broadcast together
     mu_prime = eta_a * mu_a + eta_b * mu_b
-    x = 0.5 * math.sqrt(eta_a * mu_a * eta_b * mu_b)
-    damp = math.exp(-mu_prime / 2.0)
-    q_c = (
-        2.0
-        * (1.0 - p_d) ** 2
-        * damp
-        * (1.0 - (1.0 - p_d) * math.exp(-eta_a * mu_a / 2.0))
-        * (1.0 - (1.0 - p_d) * math.exp(-eta_b * mu_b / 2.0))
-    )
-    q_e = 2.0 * p_d * (1.0 - p_d) ** 2 * damp * (_bessel_i0(2.0 * x) - (1.0 - p_d) * damp)
+    x = eta_a * mu_a * eta_b * mu_b
+    # NumPy's sqrt is correctly rounded, as math's is
+    x = 0.5 * (np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x))
+    damp = ops.exp(-mu_prime / 2.0)
+    pass2 = ops.pow(1.0 - p_d, 2)  # (1 - p_d)**2
+    q_c = (2.0 * pass2 * damp * (1.0 - (1.0 - p_d) * ops.exp(-eta_a * mu_a / 2.0))
+           * (1.0 - (1.0 - p_d) * ops.exp(-eta_b * mu_b / 2.0)))
+    q_e = 2.0 * p_d * pass2 * damp * (_bessel_i0(2.0 * x) - (1.0 - p_d) * damp)
     q_rect = q_c + q_e
-    if q_rect > 0.0:
-        e_rect = (e_d * q_c + (1.0 - e_d) * q_e) / q_rect
-        e_rect = min(max(e_rect, 0.0), 0.5)
-    else:
-        e_rect = 0.5
-    q11 = mu_a * mu_b * math.exp(-mu_a - mu_b) * y11
-    rate = 0.5 * (q11 * h11 - f_ec * q_rect * binary_entropy(e_rect))
-    return max(rate, 0.0) + 0.0  # + 0.0 turns a -0.0 into 0.0
+    live = q_rect > 0.0
+    e_rect = _clip_half((e_d * q_c + (1.0 - e_d) * q_e) / _where(live, q_rect, 1.0))
+    e_rect = _where(live, e_rect, 0.5)
+    q11 = mu_a * mu_b * ops.exp(-mu_a - mu_b) * y11
+    return ops.floor(0.5 * (q11 * h11 - f_ec * q_rect * _entropy(e_rect, ops.log2)))
 
 
-def _mdi_symmetric_step(e_d, f_ec, eta, p_d, y11, h11, mu) -> float:
-    # one optimizer step: mdi_rate with mu split evenly over two arms of eta
-    return _mdi_rate_at(eta, eta, p_d, e_d, f_ec, y11, h11, mu / 2.0, mu / 2.0)
-
-
-def _mdi_rate_grid(mu_a, mu_b, eta_a, eta_b, p_d, e_d: float, f_ec: float, y11, h11) -> np.ndarray:
-    """:func:`mdi_rate` over arrays of intensities, not floored at 0,
-    unchecked: ``maximize``'s ``f_grid`` for :func:`mdi_optimize_mu`.
-
-    ``eta_a``, ``eta_b``, ``p_d`` and the channel's mu-independent
-    terms ``y11``, ``h11`` (:func:`_mdi_point`, from the scalar path)
-    are floats, or ``(n, 1)`` columns with one row per channel, which
-    broadcast against the intensities.  The rest agrees with the scalar
-    path up to the ulp differences between NumPy's and ``math``'s
-    functions.
-    """
-    mu_prime = eta_a * mu_a + eta_b * mu_b
-    x = 0.5 * np.sqrt(eta_a * mu_a * eta_b * mu_b)
-    damp = np.exp(-mu_prime / 2.0)
-    q_c = (
-        2.0
-        * (1.0 - p_d) ** 2
-        * damp
-        * (1.0 - (1.0 - p_d) * np.exp(-eta_a * mu_a / 2.0))
-        * (1.0 - (1.0 - p_d) * np.exp(-eta_b * mu_b / 2.0))
-    )
-    q_e = 2.0 * p_d * (1.0 - p_d) ** 2 * damp * (np.i0(2.0 * x) - (1.0 - p_d) * damp)
-    q_rect = q_c + q_e
-    with np.errstate(divide="ignore", invalid="ignore"):
-        e_rect = np.clip((e_d * q_c + (1.0 - e_d) * q_e) / q_rect, 0.0, 0.5)
-    e_rect = np.where(q_rect > 0.0, e_rect, 0.5)
-    q11 = mu_a * mu_b * np.exp(-mu_a - mu_b) * y11
-    return 0.5 * (q11 * h11 - f_ec * q_rect * _entropy_grid(e_rect))
-
-
-def mdi_optimize_mu(channels, e_d: float, f_ec: float) -> list[tuple[float, float]]:
+def mdi_optimize_mu(channels, e_d: float, f_ec: float, mus=None) -> list[tuple[float, float]]:
     """``(mu, rate)`` of :func:`mdi_rate` on each channel, whose two arms
     both have its ``eta_arm`` and share the total intensity mu evenly, at
-    the mu in ``MU_RANGE`` maximizing it, by ``maximize_cells``."""
+    the mu in ``MU_RANGE`` maximizing it, by ``maximize_cells``; with
+    ``mus``, at one given intensity each."""
     _check_prob("e_d", e_d)
     _check_f_ec(f_ec)
+    for mu in mus or ():
+        _check_intensity("mu_a", mu / 2.0)
     return maximize_cells(
         [(ch.eta_arm, ch.p_d, *_mdi_point(ch.eta_arm, ch.eta_arm, ch.p_d, e_d)) for ch in channels],
-        functools.partial(_mdi_symmetric_step, e_d, f_ec),
-        lambda mus, eta, p_d, y11, h11: _mdi_rate_grid(
-            mus / 2.0, mus / 2.0, eta, eta, p_d, e_d, f_ec, y11, h11
+        lambda mu, eta, p_d, y11, h11, ops: _mdi_rate(
+            mu / 2.0, mu / 2.0, eta, eta, p_d, e_d, f_ec, y11, h11, ops
         ),
+        mus,
     )
 
 

@@ -8,8 +8,10 @@ config), ``fock-check`` (truncated-Fock-space self-checks).
 Sweeps give phase-matching and MDI the per-arm channel of
 :meth:`pmqkd.detection.ChannelParams.from_distance`, BB84 and the capacity
 bounds the full-distance :func:`pmqkd.detection.fiber_transmittance`, and
-evaluate the grid in the calling process, ``SWEEP_CHUNK`` points at a
-time with one intensity-grid pass per optimized protocol and chunk.
+evaluate the grid in the calling process, ``SWEEP_BATCH`` points at a
+time.  Each protocol evaluates a batch in array calls: one at fixed
+intensities, or :func:`pmqkd.rate.maximize`'s lockstep search, whose
+intensity-grid pass takes ``rate.GRID_ROWS`` points at a time.
 ``p_d``, ``eta_d``, ``alpha_db_per_km``, ``f_ec``, ``e_d`` and
 ``m_slices`` are checked once per command, in :class:`Preset`.  Exit
 codes: 0 success, 1 domain error, 2 usage error, 3 failed
@@ -194,12 +196,12 @@ def cmd_rate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-# Sweep points whose intensity grids run in one NumPy pass: 16 keeps the
-# (points x 200) temporaries to a few hundred KB.
-SWEEP_CHUNK = 16
+# Sweep points evaluated together: each protocol's golden-section steps run
+# in lockstep over them, and its temporaries grow with them, ~1.3 KB a point.
+SWEEP_BATCH = 512
 
 
-def _sweep_chunk(
+def _sweep_batch(
     values: list[float],
     variable: str,
     preset: Preset,
@@ -242,19 +244,11 @@ def _sweep_chunk(
     full = [ChannelParams(row["eta_total"], p_d) for row in rows]
     best = {}  # each rate column's (mu, rate) per point
     if "pm" in protocols:
-        best["R_pm"] = rate.optimize_mu_chunk(arms, m_slices, f_ec) if mus is None else [
-            (mu, rate.key_rate(ch, rate.PmParams(mu, m_slices, f_ec)).rate_R)
-            for mu, ch in zip(mus, arms)
-        ]
+        best["R_pm"] = rate.optimize_mu_chunk(arms, m_slices, f_ec, mus)
     if "bb84" in protocols:
-        best["R_bb84"] = baselines.bb84_optimize_mu(full, e_d, f_ec) if mus is None else [
-            (mu, baselines.bb84_rate(mu, e_d, f_ec, ch)) for mu, ch in zip(mus, full)
-        ]
+        best["R_bb84"] = baselines.bb84_optimize_mu(full, e_d, f_ec, mus)
     if "mdi" in protocols:
-        best["R_mdi"] = baselines.mdi_optimize_mu(arms, e_d, f_ec) if mus is None else [
-            (mu, baselines.mdi_rate(mu / 2.0, mu / 2.0, ch.eta_arm, ch.eta_arm, p_d, e_d, f_ec))
-            for mu, ch in zip(mus, arms)
-        ]
+        best["R_mdi"] = baselines.mdi_optimize_mu(arms, e_d, f_ec, mus)
     for column, pairs in best.items():
         for row, (mu, r) in zip(rows, pairs):
             row[column] = r
@@ -309,9 +303,9 @@ def run_sweep(
             raise ValueError(f"sweep eta_arm {over!r} exceeds eta_d {preset.eta_d!r}")
     return [
         row
-        for i in range(0, len(values), SWEEP_CHUNK)
-        for row in _sweep_chunk(
-            values[i : i + SWEEP_CHUNK], variable, preset, protocols, optimize_mu, fixed_mu,
+        for i in range(0, len(values), SWEEP_BATCH)
+        for row in _sweep_batch(
+            values[i : i + SWEEP_BATCH], variable, preset, protocols, optimize_mu, fixed_mu,
             distance_for_mu,
         )
     ]

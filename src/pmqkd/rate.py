@@ -5,12 +5,25 @@ key rate, and intensity optimization.  The production formulas follow
 the reference closed forms term by term (including their clamping
 behavior) so that results are bit-comparable with a straight port of
 them; tighter or exact variants live in the test oracles.
+
+Each protocol's rate is one array function (:func:`_key_rate_terms`
+here, ``_bb84_rate`` and ``_mdi_rate`` in :mod:`pmqkd.baselines`) that
+takes its transcendentals from an :class:`Ops`.  ``EXACT`` maps
+``math``'s functions and Python's float ``**`` over the elements, so
+every value is the scalar formula's to the bit; ``key_rate`` is that
+function at one element.  ``GRID`` uses NumPy's ufuncs, which differ
+from ``math`` in the last bit on some inputs, and only selects
+:func:`maximize`'s bracket.  :func:`maximize` runs the golden-section
+refinement in lockstep over a batch of cells, one ``EXACT`` call per
+step.
 """
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -81,13 +94,13 @@ class RateBreakdown:
     rate_R: float
 
 
-# Each formula lives in one private function that takes the intermediates
-# it needs (``x = eta*mu`` the received intensity, ``loss = 1-eta``,
-# ``loss_k = loss**k``, ``y`` a yield, ``q`` the gain).  ``key_rate``
-# computes every intermediate once, feeds it through them and returns them
-# all in its ``RateBreakdown``.  The Monte Carlo model check, the
-# decoy-state rate, the baselines and the attack analysis call the same
-# functions, so each formula has this one implementation.
+# The scalar formulas take the intermediates they need (``x = eta*mu`` the
+# received intensity, ``loss = 1-eta``, ``loss_k = loss**k``, ``y`` a
+# yield, ``q`` the gain).  They give the channel's terms, and the Monte
+# Carlo model check, the decoy-state rate and the attack analysis call
+# them.  ``_key_rate_terms`` is the rate at an array of intensities; it
+# shares ``_phase_error`` and ``_rate`` with them and writes the gain,
+# QBER and fractions over arrays, each transcendental computed once.
 
 
 def _yield(k: int, p_d: float, loss_k: float) -> float:
@@ -98,9 +111,9 @@ def _yield(k: int, p_d: float, loss_k: float) -> float:
     return 1.0 - (1.0 - 2.0 * p_d) * loss_k
 
 
-def _gain(p_d: float, x: float) -> float:
+def _gain(p_d, x, exp=math.exp):
     # any-click probability, first order in p_d (see RateBreakdown.gain_Q)
-    return 1.0 - (1.0 - 2.0 * p_d) * math.exp(-x)
+    return 1.0 - (1.0 - 2.0 * p_d) * exp(-x)
 
 
 @functools.lru_cache
@@ -127,11 +140,30 @@ def _bit_error(p_d: float, loss_k: float, y: float, e_delta: float) -> float:
     return (p_d * loss_k + e_delta * (1.0 - loss_k)) / y
 
 
+# The rate functions below take floats or arrays: these helpers act on a
+# float as Python does and elementwise on an array.
+
+
+def _where(cond, a, b):
+    # a where cond holds, else b
+    return np.where(cond, a, b) if isinstance(cond, np.ndarray) else a if cond else b
+
+
+def _clip_half(v):
+    # min(max(v, 0.0), 0.5) (np.clip keeps a -0.0 and a NaN as min and max do)
+    return np.clip(v, 0.0, 0.5) if isinstance(v, np.ndarray) else min(max(v, 0.0), 0.5)
+
+
+def _floor(v):
+    # max(v, 0.0) + 0.0: + 0.0 turns a -0.0 into 0.0
+    return (np.maximum(v, 0.0) if isinstance(v, np.ndarray) else max(v, 0.0)) + 0.0
+
+
 def _qber(q: float, p_d: float, x: float, e_delta: float) -> float:
     if q <= 0.0:
         return 0.5
     val = (p_d + x * e_delta) * math.exp(-x) / q
-    return min(max(val, 0.0), 0.5)
+    return _clip_half(val)
 
 
 def _fraction(k: int, y: float, mu: float, q: float) -> float:
@@ -140,14 +172,7 @@ def _fraction(k: int, y: float, mu: float, q: float) -> float:
     return y * mu**k * math.exp(-mu) / (math.factorial(k) * q)
 
 
-def _odd_fraction(q: float, p_d: float, loss: float, mu: float) -> float:
-    if q <= 0.0:
-        return 0.0
-    num = math.sinh(mu) - (1.0 - 2.0 * p_d) * math.sinh(loss * mu)
-    return math.exp(-mu) * num / q
-
-
-def _phase_error(q0: float, odd_qs, odd_es, q_odd: float, tail: str) -> float:
+def _phase_error(q0, odd_qs, odd_es, q_odd, tail: str):
     # accumulation order mirrors the reference expression for parity
     ex = q0 * 0.5
     for q, e in zip(odd_qs, odd_es):
@@ -160,13 +185,12 @@ def _phase_error(q0: float, odd_qs, odd_es, q_odd: float, tail: str) -> float:
         tail_term = 1.0 - q0 - q_odd
     else:
         raise ValueError(f"unknown tail mode {tail!r}")
-    ex = ex + tail_term
-    return min(max(ex, 0.0), 0.5)
+    return _clip_half(ex + tail_term)
 
 
-def _rate(m, q: float, f_ec: float, ez: float, ex: float) -> float:
-    bracket = -f_ec * binary_entropy(ez) + 1.0 - binary_entropy(ex)
-    return max((2.0 / m) * q * bracket, 0.0) + 0.0  # + 0.0 turns a -0.0 into 0.0
+def _rate(m, q, f_ec, ez, ex, entropy=binary_entropy, floor=_floor):
+    bracket = -f_ec * entropy(ez) + 1.0 - entropy(ex)
+    return floor((2.0 / m) * q * bracket)
 
 
 # the photon numbers whose yield and bit error the rate reads: the vacuum and
@@ -188,19 +212,71 @@ def _point_terms(p_d: float, eta: float, m) -> tuple:
     return e_delta, ys, es
 
 
+class Ops(NamedTuple):
+    """The transcendentals a rate function evaluates with, and its floor at 0."""
+
+    exp: Callable
+    sinh: Callable
+    log2: Callable
+    pow: Callable  # pow(x, k) for an int k
+    floor: Callable
+
+
+def _mapped(fn):
+    # fn of a number, and of each element of an array as a Python float
+    # (further arguments fixed), so that every value is fn's to the bit
+    def each(x, *args):
+        if not isinstance(x, np.ndarray):
+            return fn(x, *args)
+        values = map(fn, x.ravel().tolist(), *map(itertools.repeat, args))
+        return np.fromiter(values, float, x.size).reshape(x.shape)
+
+    return each
+
+
+# values: every transcendental and power from math or float ** (the
+# scalar formulas' bits), rates floored at 0
+EXACT = Ops(_mapped(math.exp), _mapped(math.sinh), _mapped(math.log2), _mapped(pow), _floor)
+# maximize's grid pass: NumPy's ufuncs, and rates kept signed, so that a row
+# below 0 marks a cell without key
+GRID = Ops(np.exp, np.sinh, np.log2, np.power, lambda v: v)
+
+
+def _entropy(x, log2):
+    # binary_entropy of x in [0, 1/2], with log2 given
+    pos = x > 0.0
+    x = _where(pos, x, 0.5)  # log2 of positive values only
+    return _where(pos, -x * log2(x) - (1.0 - x) * log2(1.0 - x), 0.0)
+
+
 def _key_rate_terms(
-    p_d: float, eta: float, mu: float, m, f_ec: float, tail: str, e_delta: float, ys, es
+    mu, p_d, eta, m, f_ec, tail: str, e_delta, ys, es, ops: Ops = EXACT, q_odd: bool = True
 ) -> tuple:
-    # the mu-dependent terms at one intensity, from the channel's _point_terms
-    # (e_delta, ys, es): (gain_Q, qber_Z, phase_err_X, the fractions of ORDERS,
-    # q_odd, rate_R)
+    """``key_rate``'s terms at the intensity ``mu``: (gain_Q, qber_Z,
+    phase_err_X, the fractions of ``ORDERS``, q_odd, rate_R).
+
+    ``mu``, ``p_d``, ``eta`` and the channel's ``_point_terms`` (e_delta,
+    ys, es) are floats, or arrays that broadcast together.  ``q_odd=False``
+    skips the odd-order sum (None) where the truncated tail does not read
+    it.  With ``GRID`` ops rate_R is not floored at 0.
+    """
     x = eta * mu
-    q = _gain(p_d, x)
-    qs = [_fraction(k, y, mu, q) for k, y in zip(ORDERS, ys)]
-    q_odd = _odd_fraction(q, p_d, 1.0 - eta, mu)
-    ez = _qber(q, p_d, x, e_delta)
-    ex = _phase_error(qs[0], qs[1:], es[1:], q_odd, tail)
-    return q, ez, ex, qs, q_odd, _rate(m, q, f_ec, ez, ex)
+    damp_x, damp_mu = ops.exp(-x), ops.exp(-mu)
+    q = 1.0 - (1.0 - 2.0 * p_d) * damp_x  # _gain
+    live = q > 0.0  # where _qber and _fraction do not short-cut
+    q_live = _where(live, q, 1.0)  # so that nothing divides by 0
+    ez = _where(live, _clip_half((p_d + x * e_delta) * damp_x / q_live), 0.5)
+    qs = []
+    for k, y in zip(ORDERS, ys):
+        mu_k = ops.pow(mu, k) if k > 1 else mu**k  # mu**0 and mu**1 are exact anyway
+        qs.append(_where(live, y * mu_k * damp_mu / (math.factorial(k) * q_live), 0.0))
+    odd = None
+    if q_odd or tail == "odd":
+        num = ops.sinh(mu) - (1.0 - 2.0 * p_d) * ops.sinh((1.0 - eta) * mu)
+        odd = _where(live, damp_mu * num / q_live, 0.0)
+    ex = _phase_error(qs[0], qs[1:], es[1:], odd, tail)
+    entropy = functools.partial(_entropy, log2=ops.log2)
+    return q, ez, ex, qs, odd, _rate(m, q, f_ec, ez, ex, entropy, ops.floor)
 
 
 def key_rate(ch: ChannelParams, pm: PmParams, *, tail: str = "truncated") -> RateBreakdown:
@@ -208,34 +284,13 @@ def key_rate(ch: ChannelParams, pm: PmParams, *, tail: str = "truncated") -> Rat
 
     Negative bracket values are floored to rate 0.
     """
-    point = _point_terms(ch.p_d, ch.eta_arm, pm.m_slices)
+    e_delta, ys, es = _point_terms(ch.p_d, ch.eta_arm, pm.m_slices)
     q, ez, ex, qs, q_odd, rate_R = _key_rate_terms(
-        ch.p_d, ch.eta_arm, pm.mu_total, pm.m_slices, pm.f_ec, tail, *point
+        pm.mu_total, ch.p_d, ch.eta_arm, pm.m_slices, pm.f_ec, tail, e_delta, ys, es
     )
-    e_delta, _, es = point
     return RateBreakdown(
         q, ez, ex, dict(zip(ORDERS, qs)), q_odd, dict(zip(ORDERS, es)), e_delta, rate_R
     )
-
-
-def _golden_max(f, lo: float, hi: float, tol: float = 1e-9) -> tuple[float, float]:
-    """Golden-section search for the maximum of a unimodal function."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    x = c if fc >= fd else d
-    return x, max(fc, fd)
 
 
 # How far ``maximize``'s ``f_grid`` may be from ``f``: this share of the
@@ -251,164 +306,178 @@ GRID_ABS_TOL = 1e-15
 # the number of points of maximize's grid
 N_GRID = 200
 
+# the most cells in one grid pass, and (times N_GRID) the most points in one
+# exact call of the scan: 16 keeps the temporaries to a few hundred KB
+GRID_ROWS = 16
+
 
 @functools.lru_cache(maxsize=8)
-def _grid(lo: float, hi: float) -> tuple[tuple[float, ...], np.ndarray]:
-    # maximize's grid as floats and as a read-only array, built once per range
-    xs = tuple(lo + (hi - lo) * i / (N_GRID - 1) for i in range(N_GRID))
-    arr = np.array(xs)
+def _grid(lo: float, hi: float) -> np.ndarray:
+    # maximize's grid as a read-only array, built once per range
+    arr = np.array([lo + (hi - lo) * i / (N_GRID - 1) for i in range(N_GRID)])
     arr.flags.writeable = False
-    return xs, arr
+    return arr
 
 
-def maximize(fs, lo: float, hi: float, f_grid=None) -> list[tuple[float, float]]:
-    """Deterministic maximization of each function in ``fs`` over ``[lo, hi]``.
+def _scan_ranges(f_grid, n: int, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # the first and one-past-last grid index at which maximize evaluates each
+    # cell exactly: the whole grid, the candidates f_grid cannot rule out, or
+    # none where f_grid's row is below 0 by more than its bound
+    first, stop = np.zeros(n, dtype=np.intp), np.full(n, N_GRID, dtype=np.intp)
+    if f_grid is None:
+        return first, stop
+    for start in range(0, n, GRID_ROWS):
+        rows = np.arange(start, min(start + GRID_ROWS, n))
+        g = np.asarray(f_grid(rows, grid), dtype=float).reshape(len(rows), N_GRID)
+        top = g.max(axis=1)
+        tol = GRID_REL_TOL * np.abs(g).max(axis=1) + GRID_ABS_TOL
+        finite = np.isfinite(tol)  # a NaN or infinite entry: scan the whole grid
+        with np.errstate(invalid="ignore"):
+            cand = g >= (top - 2.0 * tol)[:, None]
+        lo_i = cand.argmax(axis=1)
+        hi_i = N_GRID - cand[:, ::-1].argmax(axis=1)
+        # near 0 or on several peaks, scan the whole grid
+        narrow = finite & (top > tol) & (hi_i - lo_i == cand.sum(axis=1))
+        dead = finite & (top < -tol)
+        first[rows] = np.where(narrow, lo_i, np.where(dead, N_GRID, 0))
+        stop[rows] = np.where(narrow, hi_i, N_GRID)
+    return first, stop
 
-    For each ``f`` it scans a 200-point grid and refines the best
-    bracket by golden-section search, keeping the grid point if the
-    refinement does worse.  Returns one ``(x, f(x))`` per function;
-    when ``f <= 0`` on the whole grid that is ``(lo, 0.0)``.  One
-    function is the one-row case, ``maximize([f], lo, hi)[0]``.
 
-    ``f_grid``, if given, maps the grid (a read-only NumPy array) to
-    every function's values in one pass, a ``(len(fs), 200)`` array (or
-    200 values for one function): row i holds ``fs[i]``'s values, not
-    floored at 0, to within ``GRID_REL_TOL`` of the row's largest
-    |value| plus ``GRID_ABS_TOL``.  A row only selects its function's
-    best grid point: ``f`` is evaluated at every point the bound cannot
-    rule out as the maximum, so the result is the same as without it.
-    :func:`maximize_cells`, which the phase-matching rate and the BB84
-    and MDI baselines call, passes one for a chunk of sweep points at a
-    time, so a sweep makes one grid pass per protocol and chunk.
+def maximize(f, n: int, lo: float, hi: float, f_grid=None) -> list[tuple[float, float]]:
+    """Deterministic maximization of ``n`` functions over ``[lo, hi]``, in
+    lockstep.
+
+    ``f(cells, xs)`` returns, for 1-D arrays of cell indices and points of
+    one length, each cell's function at its point.  Each function is
+    evaluated on a 200-point grid, and the best grid point's bracket is
+    refined by golden-section search, keeping the grid point if the
+    refinement does worse.  Returns one ``(x, f(x))`` per cell; when
+    ``f <= 0`` on the whole grid that is ``(lo, 0.0)``.  The search
+    steps of every cell run together: each step is one call of ``f`` for
+    every cell not yet within the tolerance.
+
+    ``f_grid(cells, grid)``, if given, returns those cells' values on the
+    grid (a read-only array) as a ``(len(cells), 200)`` array, for at most
+    ``GRID_ROWS`` cells at a time: each row not floored at 0, within
+    ``GRID_REL_TOL`` of the row's largest |value| plus ``GRID_ABS_TOL``.
+    A row only selects its cell's best grid point: ``f`` is evaluated at
+    every point the bound cannot rule out as the maximum, so the result
+    is the same as without it.  :func:`maximize_cells` passes one.
     """
-    xs, grid = _grid(lo, hi)
-    n = len(fs)
-    scans = [range(N_GRID)] * n  # the grid indices at which to evaluate each f
-    if f_grid is not None:
-        g = np.asarray(f_grid(grid), dtype=float).reshape(n, N_GRID)
-        tops = g.max(axis=1).tolist()
-        tols = (GRID_REL_TOL * np.abs(g).max(axis=1) + GRID_ABS_TOL).tolist()
-        for i, (row, top, tol) in enumerate(zip(g, tops, tols)):
-            if not math.isfinite(tol):  # a NaN or infinite entry: scan on the scalar path
-                continue
-            if top < -tol:
-                scans[i] = ()
-                continue
-            cand = np.flatnonzero(row >= top - 2.0 * tol).tolist()
-            # near 0 or on several peaks, scan the whole grid on the scalar path
-            if top > tol and cand[-1] - cand[0] == len(cand) - 1:
-                scans[i] = cand
-    return [_refine(f, xs, lo, hi, scan) for f, scan in zip(fs, scans)]
-
-
-def _refine(f, xs: tuple[float, ...], lo: float, hi: float, scan) -> tuple[float, float]:
-    # f at the grid indices in scan, then golden-section search in the best one's bracket
-    vals = {i: f(xs[i]) for i in scan}
-    best = max(vals, key=vals.__getitem__, default=None)
-    if best is None or vals[best] <= 0.0:
-        return xs[0], 0.0
-    a = xs[max(best - 1, 0)]
-    b = xs[min(best + 1, N_GRID - 1)]
-    x_opt, v_opt = _golden_max(f, a, b, tol=1e-9 * (hi - lo))
-    if v_opt < vals[best]:
-        return xs[best], vals[best]
-    return x_opt, v_opt
-
-
-def _entropy_grid(x: np.ndarray) -> np.ndarray:
-    # binary_entropy over an array with entries in [0, 1/2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h = -x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x)
-    return np.where(x > 0.0, h, 0.0)
+    grid = _grid(lo, hi)
+    first, stop = _scan_ranges(f_grid, n, grid)
+    # the scan: every cell at its grid indices, at most GRID_ROWS * N_GRID a call
+    counts = stop - first
+    cells = np.repeat(np.arange(n), counts)
+    offsets = np.cumsum(counts) - counts
+    index = np.arange(len(cells)) - np.repeat(offsets - first, counts)
+    size = GRID_ROWS * N_GRID
+    vals = np.concatenate([
+        f(cells[i : i + size], grid[index[i : i + size]]) for i in range(0, len(cells), size)
+    ] or [np.empty(0)])
+    # each scanned cell's first best grid index, as max() over the scan picks it
+    scanned = np.flatnonzero(counts)
+    seg_max = np.maximum.reduceat(vals, offsets[scanned]) if len(scanned) else vals
+    hits = np.flatnonzero(~(vals < np.repeat(seg_max, counts[scanned])))
+    at = hits[np.searchsorted(hits, offsets[scanned])]
+    live = ~(vals[at] <= 0.0)
+    cell, best, best_val = scanned[live], index[at][live], vals[at][live]
+    x_out, v_out = np.full(n, grid[0]), np.zeros(n)
+    if not len(cell):
+        return list(zip(x_out.tolist(), v_out.tolist()))
+    # golden-section search in each live cell's bracket, all cells in step
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    tol = 1e-9 * (hi - lo)
+    a, b = grid[np.maximum(best - 1, 0)], grid[np.minimum(best + 1, N_GRID - 1)]
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = np.split(f(np.concatenate([cell, cell]), np.concatenate([c, d])), 2)
+    act = np.flatnonzero(b - a > tol)
+    while len(act):
+        # fc >= fd keeps [a, d] and puts a new c in it, else [c, b] with a new d
+        left = fc[act] >= fd[act]
+        a_, b_ = np.where(left, a[act], c[act]), np.where(left, d[act], b[act])
+        kept, f_kept = np.where(left, c[act], d[act]), np.where(left, fc[act], fd[act])
+        x = np.where(left, b_ - invphi * (b_ - a_), a_ + invphi * (b_ - a_))
+        fx = f(cell[act], x)
+        a[act], b[act] = a_, b_
+        c[act], d[act] = np.where(left, x, kept), np.where(left, kept, x)
+        fc[act], fd[act] = np.where(left, fx, f_kept), np.where(left, f_kept, fx)
+        act = act[b[act] - a[act] > tol]
+    x_opt, v_opt = np.where(fc >= fd, c, d), np.where(fd > fc, fd, fc)
+    worse = v_opt < best_val  # the refinement did worse than the grid point
+    x_out[cell] = np.where(worse, grid[best], x_opt)
+    v_out[cell] = np.where(worse, best_val, v_opt)
+    return list(zip(x_out.tolist(), v_out.tolist()))
 
 
 def _columns(cells) -> list:
-    # each entry of the per-point cells as one (len(cells), 1) column, and an
-    # entry that is a list of floats as a list of such columns
+    # each entry of the per-cell tuples as one array over the cells, and an
+    # entry that is a list of floats as a list of such arrays
     cols = []
     for entry in zip(*cells):
         arr = np.array(entry, dtype=float)
-        cols.append(arr[:, None] if arr.ndim == 1 else list(arr.T[:, :, None]))
+        cols.append(arr if arr.ndim == 1 else list(arr.T))
     return cols
 
 
-def _key_rate_grid(mu: np.ndarray, p_d, eta, m, f_ec: float, point) -> np.ndarray:
-    """``key_rate``'s truncated-tail ``rate_R`` over an array of intensities,
-    not floored at 0: ``maximize``'s ``f_grid`` for
-    :func:`optimize_mu_chunk`.
-
-    ``p_d``, ``eta`` and the terms in ``point`` (the channel's
-    ``_point_terms``) are floats, or ``(n, 1)`` columns with one row per
-    channel, which broadcast against the intensities.  It mirrors
-    ``_key_rate_terms`` term by term.  e_delta, the yields and the bit
-    errors do not depend on mu and come from the scalar path; the rest
-    agrees with it up to the ulp differences between NumPy's and
-    ``math``'s ``exp``/``log2``/powers.
-    """
-    e_delta, ys, es = point
-    x = eta * mu
-    damp_x, damp_mu = np.exp(-x), np.exp(-mu)
-    q = 1.0 - (1.0 - 2.0 * p_d) * damp_x
-    live = q > 0.0  # where the scalar _qber and _fraction do not short-cut
-    qs = []
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ez = np.where(live, np.clip((p_d + x * e_delta) * damp_x / q, 0.0, 0.5), 0.5)
-        for k, y in zip(ORDERS, ys):
-            qs.append(np.where(live, y * mu**k * damp_mu / (math.factorial(k) * q), 0.0))
-    # _phase_error's truncated tail, accumulated in its order
-    ex = qs[0] * 0.5
-    for qk, ek in zip(qs[1:], es[1:]):
-        ex = ex + qk * ek
-    tail_term = 1.0 - qs[0]
-    for qk in qs[1:]:
-        tail_term = tail_term - qk
-    ex = np.clip(ex + tail_term, 0.0, 0.5)
-    bracket = -f_ec * _entropy_grid(ez) + 1.0 - _entropy_grid(ex)
-    return (2.0 / m) * q * bracket
+def _take(columns, cells) -> list:
+    # the columns' entries of the given cells, in the cells' shape
+    return [col[cells] if isinstance(col, np.ndarray) else [c[cells] for c in col]
+            for col in columns]
 
 
 # the intensity search range of every protocol's optimization
 MU_RANGE = (0.01, 2.0)
 
 
-def maximize_cells(cells, step, grid) -> list[tuple[float, float]]:
-    """:func:`maximize` of one protocol's rate over :data:`MU_RANGE` on
-    each channel of a chunk, with one grid pass for the whole chunk.
+def maximize_cells(cells, step, mus=None) -> list[tuple[float, float]]:
+    """:func:`maximize` of one protocol's rate over :data:`MU_RANGE` on each
+    channel of a batch, or with ``mus`` its rate at one intensity each.
 
-    ``cells`` holds each channel's terms from the scalar path, a tuple
-    whose entries are floats or lists of floats.  ``step(*cell, mu)`` is
-    the rate at one intensity, and ``grid(mus, *columns)`` its NumPy
-    grid over every channel, where each entry of the cells comes as an
-    ``(n, 1)`` column (a list entry as a list of columns).  Empty
-    ``cells`` give ``[]``.
+    ``cells`` holds each channel's mu-independent terms, a tuple whose
+    entries are floats or lists of floats.  ``step(mus, *columns, ops)``
+    is the rate at an array of intensities, where each entry of the cells
+    comes as an array over the channels (a list entry as a list of
+    arrays) that broadcasts against ``mus``.  The grid pass calls it with
+    ``GRID`` ops and ``(rows, 1)`` columns, the values with ``EXACT``.
+    Returns one ``(mu, rate)`` per cell; empty ``cells`` give ``[]``.
     """
     if not cells:
         return []
-    fs = [functools.partial(step, *cell) for cell in cells]
     columns = _columns(cells)
-    return maximize(fs, *MU_RANGE, f_grid=lambda mus: grid(mus, *columns))
+    if mus is not None:
+        return list(zip(mus, step(np.array(mus, dtype=float), *columns, EXACT).tolist()))
+    return maximize(
+        lambda idx, xs: step(xs, *_take(columns, idx), EXACT), len(cells), *MU_RANGE,
+        lambda idx, grid: step(grid, *_take(columns, idx[:, None]), GRID),
+    )
 
 
-def optimize_mu_chunk(channels, m_slices: int, f_ec: float) -> list[tuple[float, float]]:
+def optimize_mu_chunk(channels, m_slices: int, f_ec: float, mus=None) -> list[tuple[float, float]]:
     """``(mu, rate_R)`` of each channel at the intensity in :data:`MU_RANGE`
-    maximizing the key rate, found by :func:`maximize_cells`.
+    maximizing the key rate, found by :func:`maximize_cells`; with ``mus``,
+    at one given intensity each, checked as ``PmParams`` checks it.
 
     Where the rate vanishes everywhere the smallest grid intensity is
     returned with rate 0.  Every returned value is ``key_rate``'s.
     """
     _check_m_slices(m_slices)
     _check_f_ec(f_ec)
+    for mu in mus or ():
+        PmParams(mu, m_slices, f_ec)
     return maximize_cells(
         [(ch.p_d, ch.eta_arm, *_point_terms(ch.p_d, ch.eta_arm, m_slices)) for ch in channels],
-        functools.partial(_rate_step, m_slices, f_ec),
-        lambda mus, p_d, eta, *point: _key_rate_grid(mus, p_d, eta, m_slices, f_ec, point),
+        functools.partial(_pm_rate, m_slices, f_ec),
+        mus,
     )
 
 
-def _rate_step(m_slices: int, f_ec: float, p_d: float, eta: float, e_delta: float, ys, es,
-               mu: float) -> float:
-    # one optimizer step: rate_R at mu from the channel's _point_terms
-    return _key_rate_terms(p_d, eta, mu, m_slices, f_ec, "truncated", e_delta, ys, es)[-1]
+def _pm_rate(m_slices: int, f_ec: float, mu, p_d, eta, e_delta, ys, es, ops: Ops):
+    # the optimizer's rate: key_rate's truncated-tail rate_R
+    return _key_rate_terms(mu, p_d, eta, m_slices, f_ec, "truncated", e_delta, ys, es, ops,
+                           q_odd=False)[-1]
 
 
 def optimize_mu(ch: ChannelParams, m_slices: int, f_ec: float) -> tuple[float, float]:

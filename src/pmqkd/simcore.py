@@ -24,7 +24,6 @@ import os
 import sys
 import threading
 from dataclasses import dataclass, field, fields
-from enum import IntEnum
 from typing import Iterator
 
 import numpy as np
@@ -72,16 +71,6 @@ MAX_INTENSITIES = 1 << 15
 
 class InsufficientSamplesError(ValueError):
     """Too few sampled clicked rounds to search the slice offset."""
-
-
-class Outcome(IntEnum):
-    """A round's clicks.  A record is kept for LEFT and RIGHT only, and
-    holds the R click in its ``e0``."""
-
-    NONE = 0
-    LEFT = 1
-    RIGHT = 2
-    DOUBLE = 3
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from enum import IntEnum
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +22,17 @@ from pmqkd.detection import ClickProbs, _check_prob
 TWO_PI = 2.0 * math.pi
 # the truncation of the coherent-state oracles, raised for large intensities
 DEFAULT_CUTOFF = 16
+
+
+class Outcome(IntEnum):
+    """A round's clicks, as the kernel tests classify the rounds.  The
+    simulator keeps a record for LEFT and RIGHT only, with the R click in
+    its ``e0``."""
+
+    NONE = 0
+    LEFT = 1
+    RIGHT = 2
+    DOUBLE = 3
 
 
 class CutoffOverflowError(ValueError):

@@ -10,13 +10,13 @@ from pmqkd.baselines import (
     bb84_optimize_mu,
     bb84_rate,
     _bb84_point,
-    _bb84_rate_grid,
+    _bb84_rate,
     _bessel_i0,
     _mdi_point,
     _mdi_single_photon,
     mdi_optimize_mu,
     mdi_rate,
-    _mdi_rate_grid,
+    _mdi_rate,
     plob_bound,
     tgw_bound,
 )
@@ -30,20 +30,26 @@ def full_channel(eta, pd=0.0):
 
 
 def bb84_grid(mus, e_d, f_ec, ch):
-    # _bb84_rate_grid on one channel, its mu-independent terms from the scalar path
+    # _bb84_rate with the grid pass's NumPy ops on one channel
     point = _bb84_point(ch.eta_arm, ch.p_d, e_d)
-    return _bb84_rate_grid(mus, e_d, f_ec, ch.eta_arm, ch.p_d, *point)
+    return _bb84_rate(mus, e_d, f_ec, ch.eta_arm, ch.p_d, *point, rate.GRID)
 
 
 def mdi_grid(mu_a, mu_b, eta_a, eta_b, p_d, e_d, f_ec):
-    # _mdi_rate_grid on one channel, its mu-independent terms from the scalar path
+    # _mdi_rate with the grid pass's NumPy ops on one channel
     point = _mdi_point(eta_a, eta_b, p_d, e_d)
-    return _mdi_rate_grid(mu_a, mu_b, eta_a, eta_b, p_d, e_d, f_ec, *point)
+    return _mdi_rate(mu_a, mu_b, eta_a, eta_b, p_d, e_d, f_ec, *point, rate.GRID)
+
+
+def scalar_cells(fs):
+    # maximize's f for one scalar function per cell: fs[i](x) at each (cell i, x)
+    return lambda cells, xs: np.array([fs[i](x) for i, x in zip(cells.tolist(), xs.tolist())])
 
 
 def maximize_one(f, lo, hi, f_grid=None):
-    # maximize's one-row case
-    return rate.maximize([f], lo, hi, f_grid)[0]
+    # maximize's one-cell case, with f_grid(mus) the cell's grid row if given
+    row = None if f_grid is None else lambda cells, grid: np.reshape(f_grid(grid), (1, -1))
+    return rate.maximize(scalar_cells([f]), 1, lo, hi, row)[0]
 
 
 # --- BB84 -------------------------------------------------------------------
@@ -268,7 +274,7 @@ def pm_cell(distance, pd, m_slices, f_ec=1.15):
         return rate.key_rate(ch, rate.PmParams(mu, m_slices, f_ec)).rate_R
 
     point = rate._point_terms(pd, ch.eta_arm, m_slices)
-    return f, lambda mus: rate._key_rate_grid(mus, pd, ch.eta_arm, m_slices, f_ec, point)
+    return f, lambda mus: rate._pm_rate(m_slices, f_ec, mus, pd, ch.eta_arm, *point, rate.GRID)
 
 
 # each cell takes (distance, p_d, setting, f_ec): the setting is e_d for the
@@ -379,7 +385,8 @@ def test_maximize_selects_each_row_on_its_own():
     two_peaks[-1] = g.max()
     rows = np.stack([g, grid_dead(MU_GRID), not_finite, two_peaks])
     counted = [counting(h) for h in (f, f_dead, f, f)]
-    out = rate.maximize([c for c, _ in counted], 0.01, 2.0, lambda mus: rows)
+    out = rate.maximize(scalar_cells([c for c, _ in counted]), 4, 0.01, 2.0,
+                        lambda cells, grid: rows[cells])
     assert out == [maximize_one(h, 0.01, 2.0) for h in (f, f_dead, f, f)]
     calls = [len(c) for _, c in counted]
     assert calls[0] < 50 and calls[1] == 0 and min(calls[2:]) >= 200
@@ -400,7 +407,7 @@ def test_optimizers_of_no_channels_return_nothing():
     def never(*args):
         raise AssertionError("called")
 
-    assert rate.maximize_cells([], never, never) == []
+    assert rate.maximize_cells([], never) == []
     assert rate.optimize_mu_chunk([], 16, 1.15) == []
     for optimize in (bb84_optimize_mu, mdi_optimize_mu):
         assert optimize([], 0.015, 1.15) == []

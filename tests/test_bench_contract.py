@@ -4,11 +4,14 @@ The benchmark's tracer skips a function it cannot find, so a renamed or
 deleted layer would read as zero calls instead of failing; its child
 process reads the decoy summary of every Monte Carlo run, and its runner
 checks every seed-42 run against the goldens.  These tests import the
-benchmark's modules, read its goldens and change nothing in them.
+benchmark's modules, read its goldens and change nothing in them.  The
+README's performance figures come from the committed ``BENCH_*.json``
+records of its runs.
 """
 import hashlib
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -101,3 +104,13 @@ def test_traced_smoke_simulate_gives_finite_layer_metrics(perfbench, monkeypatch
     assert metrics["simcore.postcompensate.calls"] == 1
     assert metrics["simcore.round_bytes_per_round"] > 0
     assert all(math.isfinite(value) for value in metrics.values())
+
+
+def test_readme_sweep_figure_is_the_committed_median():
+    # the README's fig3b throughput is BENCH_sweep_fig3b.json's median, rounded
+    root = PERFBENCH.parent
+    bench = json.loads((root / "BENCH_sweep_fig3b.json").read_text())
+    median = bench["pairs_seed_42"]["throughput"]["change"]["median"]
+    readme = (root / "README.md").read_text()
+    figures = re.findall(r"The\s+`sweep_fig3b`\s+sweep\s+runs\s+at\s+(\d+)\s+points/s", readme)
+    assert figures == [str(round(median))]

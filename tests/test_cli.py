@@ -1,4 +1,3 @@
-import functools
 import json
 import math
 import os
@@ -6,8 +5,10 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pmqkd import cli
@@ -226,53 +227,94 @@ def test_sweep_fig3b_rows_match_golden(fig3b_sweep):
         assert row == golden
 
 
+# each protocol's array rate function, which its grid passes and exact steps call
+RATE_STEPS = {"pm": (cli.rate, "_pm_rate"), "bb84": (cli.baselines, "_bb84_rate"),
+              "mdi": (cli.baselines, "_mdi_rate")}
+
+
+def count_rate_calls(monkeypatch, calls):
+    # record the ops and the intensities of every call of each protocol's rate function
+    def counting(protocol, step):
+        def counted(*args):
+            ops = next(a for a in args if isinstance(a, cli.rate.Ops))
+            mus = next(a for a in args if isinstance(a, np.ndarray))
+            calls[protocol].append((ops, mus.size))
+            return step(*args)
+        return counted
+
+    for protocol, (module, name) in RATE_STEPS.items():
+        monkeypatch.setattr(module, name, counting(protocol, getattr(module, name)))
+
+
 def test_sweep_fig3b_optimizers_take_no_scalar_fallback(monkeypatch):
-    # every optimized pm/BB84/MDI cell selects its bracket on the NumPy grid; a full
-    # scalar scan of maximize's 200-point grid would show as >= 200 scalar calls
+    # each protocol's 501 cells run in one lockstep search: one exact call for the
+    # scan of every cell's candidates, one for the first two golden-section points,
+    # then one per golden-section step; and no cell scans the whole 200-point grid
+    calls = {protocol: [] for protocol in RATE_STEPS}
+    count_rate_calls(monkeypatch, calls)
     maximize = cli.rate.maximize
-    scalar_calls = []
+    evaluations = []  # per cell, how many points it is evaluated at
 
-    def counting_maximize(fs, lo, hi, f_grid=None):
-        calls = [0] * len(fs)
+    def counting_maximize(f, n, lo, hi, f_grid=None):
+        per_cell = [0] * n
 
-        def counted(i, x):
-            calls[i] += 1
-            return fs[i](x)
+        def counted(cells, xs):
+            for i in cells.tolist():
+                per_cell[i] += 1
+            return f(cells, xs)
 
         assert f_grid is not None
-        out = maximize([functools.partial(counted, i) for i in range(len(fs))], lo, hi, f_grid)
-        scalar_calls.extend(calls)
+        out = maximize(counted, n, lo, hi, f_grid)
+        evaluations.extend(per_cell)
         return out
 
-    # every protocol reaches maximize through rate.maximize_cells
     monkeypatch.setattr(cli.rate, "maximize", counting_maximize)
     rows = cli.run_sweep(
         "distance_km", 0, 500, 1, ("pm", "bb84", "mdi"), cli.PRESETS["fig3b"], optimize_mu=True
     )
     assert len(rows) == 501
-    assert len(scalar_calls) == 3 * 501
-    assert max(scalar_calls) < 200
+    assert len(evaluations) == 3 * 501
+    assert max(evaluations) < 200
+    # golden-section steps from a two-grid-step bracket down to the tolerance
+    step = (2.0 - 0.01) / 199
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    iterations = math.ceil(math.log(1e-9 * (2.0 - 0.01) / (2 * step)) / math.log(invphi))
+    for protocol, seen in calls.items():
+        exact = [size for ops, size in seen if ops is cli.rate.EXACT]
+        assert len(exact) <= 2 + iterations + 1, protocol
+        assert max(exact) <= cli.rate.GRID_ROWS * cli.rate.N_GRID, protocol
 
 
-@pytest.mark.parametrize("points", [2, cli.SWEEP_CHUNK, cli.SWEEP_CHUNK + 1, 501])
+@pytest.mark.parametrize("points", [2, cli.rate.GRID_ROWS, cli.rate.GRID_ROWS + 1, 501])
 def test_sweep_runs_one_grid_pass_per_protocol_and_chunk(monkeypatch, points):
-    grids = {"pm": (cli.rate, "_key_rate_grid"), "bb84": (cli.baselines, "_bb84_rate_grid"),
-             "mdi": (cli.baselines, "_mdi_rate_grid")}
-    passes = dict.fromkeys(grids, 0)
-
-    def counting(protocol, grid):
-        def counted(*args):
-            passes[protocol] += 1
-            return grid(*args)
-        return counted
-
-    for protocol, (module, name) in grids.items():
-        monkeypatch.setattr(module, name, counting(protocol, getattr(module, name)))
+    # the grid passes take at most GRID_ROWS points (x 200 intensities) each
+    calls = {protocol: [] for protocol in RATE_STEPS}
+    count_rate_calls(monkeypatch, calls)
     rows = cli.run_sweep(
-        "distance_km", 0, points - 1, 1, tuple(grids), cli.PRESETS["fig3b"], optimize_mu=True
+        "distance_km", 0, points - 1, 1, tuple(RATE_STEPS), cli.PRESETS["fig3b"], optimize_mu=True
     )
     assert len(rows) == points
-    assert passes == dict.fromkeys(grids, math.ceil(points / cli.SWEEP_CHUNK))
+    for protocol, seen in calls.items():
+        grid = [size for ops, size in seen if ops is cli.rate.GRID]
+        assert len(grid) == math.ceil(points / cli.rate.GRID_ROWS), protocol
+        assert max(grid) == cli.rate.N_GRID, protocol  # the intensity grid, rows broadcast
+
+
+def test_optimized_sweep_memory_is_bounded_per_batch():
+    # beside its rows, an optimized 4,000-point sweep holds one batch's arrays at a
+    # time: ~0.7 MB measured; one batch of all points took ~4.3 MB, and grid passes
+    # of 512 points ~13 MB
+    preset = cli.PRESETS["fig3b"]
+    protocols = ("pm", "bb84", "mdi")
+    cli.run_sweep("distance_km", 0, 1, 1, protocols, preset, True)  # the caches, once
+    tracemalloc.start()
+    try:
+        rows = cli.run_sweep("distance_km", 0, 499.875, 0.125, protocols, preset, True)
+        with_rows, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 4000
+    assert peak - with_rows < 1.5e6
 
 
 def per_point_rows(variable, values, preset):
@@ -295,19 +337,22 @@ def per_point_rows(variable, values, preset):
         def mdi(mu):
             return cli.baselines.mdi_rate(mu / 2.0, mu / 2.0, arm, arm, p_d, e_d, f_ec)
 
-        def bb84_grid(mus):
+        def bb84_grid(cells, mus):
             point = cli.baselines._bb84_point(full, p_d, e_d)
-            return cli.baselines._bb84_rate_grid(mus, e_d, f_ec, full, p_d, *point)
+            return cli.baselines._bb84_rate(mus, e_d, f_ec, full, p_d, *point, cli.rate.GRID)
 
-        def mdi_grid(mus):
+        def mdi_grid(cells, mus):
             point = cli.baselines._mdi_point(arm, arm, p_d, e_d)
-            return cli.baselines._mdi_rate_grid(mus / 2, mus / 2, arm, arm, p_d, e_d, f_ec,
-                                                *point)
+            return cli.baselines._mdi_rate(mus / 2, mus / 2, arm, arm, p_d, e_d, f_ec, *point,
+                                           cli.rate.GRID)
 
         row = {"mu_opt": mu_opt, "R_pm": r_pm}
         for name, f, f_grid in (("R_bb84", bb84, bb84_grid), ("R_mdi", mdi, mdi_grid)):
-            best = cli.rate.maximize([f], *cli.rate.MU_RANGE, f_grid)[0]
-            assert best == cli.rate.maximize([f], *cli.rate.MU_RANGE)[0]
+            def one_cell(cells, xs, f=f):
+                return np.array([f(x) for x in xs.tolist()])
+
+            best = cli.rate.maximize(one_cell, 1, *cli.rate.MU_RANGE, f_grid)[0]
+            assert best == cli.rate.maximize(one_cell, 1, *cli.rate.MU_RANGE)[0]
             row[name] = best[1]
         rows.append(row)
     return rows
@@ -319,10 +364,10 @@ def per_point_rows(variable, values, preset):
     ids=["distance_0_40km", "eta"],
 )
 def test_chunked_sweep_equals_the_per_point_optimizers(variable, start, stop, step):
-    # 41 points: two full chunks and a partial one
+    # 41 points: two full grid passes and a partial one
     preset = cli.PRESETS["fig3b"]
     rows = cli.run_sweep(variable, start, stop, step, ("pm", "bb84", "mdi"), preset, True)
-    assert len(rows) == 41 and 2 * cli.SWEEP_CHUNK < 41 < 3 * cli.SWEEP_CHUNK
+    assert len(rows) == 41 and 2 * cli.rate.GRID_ROWS < 41 < 3 * cli.rate.GRID_ROWS
     values = [round(start + i * step, 12) for i in range(41)]
     got = [{k: row[k] for k in ("mu_opt", "R_pm", "R_bb84", "R_mdi")} for row in rows]
     assert got == per_point_rows(variable, values, preset)
@@ -354,13 +399,12 @@ def test_chunked_sweep_equals_the_per_point_optimizers(variable, start, stop, st
     ids=["mu_bb84", "mu_pm", "e_d", "f_ec", "p_d", "p_d_nan", "eta_d", "alpha", "m_slices"],
 )
 def test_chunked_sweep_bad_input_is_one_line_error(monkeypatch, capsys, argv, named):
-    # the inputs are checked before any grid pass, which checks none of them
-    def no_grid_pass(*args):
-        raise AssertionError("a grid pass ran")
+    # the inputs are checked before any rate evaluation, which checks none of them
+    def no_rate_call(*args):
+        raise AssertionError("a rate function ran")
 
-    for module, name in ((cli.rate, "_key_rate_grid"), (cli.baselines, "_bb84_rate_grid"),
-                         (cli.baselines, "_mdi_rate_grid")):
-        monkeypatch.setattr(module, name, no_grid_pass)
+    for module, name in RATE_STEPS.values():
+        monkeypatch.setattr(module, name, no_rate_call)
     code, out, err = run_cli(["sweep", "--preset", "fig3b", "--step", "1", *argv], capsys)
     assert code == 1
     assert out == ""

@@ -14,13 +14,14 @@ from pmqkd.simcore import (
     MAX_INTENSITIES,
     MAX_M_SLICES,
     RNG_BLOCK_ROUNDS,
-    Outcome,
     Phi0Model,
     RoundData,
     SimConfig,
     simulate,
     tallies_to_csv,
 )
+
+from oracles import Outcome
 
 TWO_PI = 2.0 * math.pi
 

@@ -20,8 +20,8 @@ def ch(eta, pd=0.0):
 
 
 def maximize_one(f, lo, hi):
-    # maximize's one-row case, without a grid
-    return rate.maximize([f], lo, hi)[0]
+    # maximize's one-cell case of a scalar function, without a grid
+    return rate.maximize(lambda cells, xs: np.array([f(x) for x in xs.tolist()]), 1, lo, hi)[0]
 
 
 # --- yields and gain ---------------------------------------------------------

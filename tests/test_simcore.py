@@ -14,7 +14,6 @@ from pmqkd.simcore import (
     MAX_INTENSITIES,
     MAX_M_SLICES,
     InsufficientSamplesError,
-    Outcome,
     Phi0Model,
     RoundData,
     SimConfig,
@@ -25,6 +24,7 @@ from pmqkd.simcore import (
     simulate,
     tallies_to_csv,
 )
+from oracles import Outcome
 from test_mckernel import (
     SINGLE_CLICKS,
     Rounds,
