@@ -1,33 +1,46 @@
 """Vectorized NumPy simulation kernel: one work unit of rounds to its
 emitted counts and its single-click records.
 
-Maps a block of uniform variates to per-round outcomes.  The mapping is
+Maps the unit's uniform variates to per-round outcomes.  The mapping is
 part of the random-stream definition: changing it changes the round
 stream, and with it the tallies, of every seeded run.
 
-Over every round of the unit the kernel computes three things only:
-the scaled intensity draw, from which the per-intensity emitted counts
-follow; the candidate mask; and its ``flatnonzero``.  A candidate is a
-round whose detector draws fall below the largest click probability
-any round of the unit can have; every other round has no click.  The
-intensity index, the key bits, the phases, the click law and the slices
-are evaluated only on the gathered candidates, with the same
-elementwise ufuncs on the same doubles as a pass over every round, so
-they give the same bits.
+The variates form seven rows of one double per round: key bit a, key
+bit b, phase a, phase b, intensity pick, L-detector draw, R-detector
+draw.  The kernel does not take them as one array: it asks a supplier
+``draw(r, out)`` for row ``r`` into a float64 row ``out`` of its own,
+one row at a time, in the order 5, 6, 4, 0, 1, 2, 3.
+
+- Rows 5 and 6 give the candidates: the rounds whose detector draws
+  fall below the largest click probability any round of the unit can
+  have.  Every other round has no click.  Both draws are gathered at
+  the candidates.
+- Row 4 gives the intensity index: its scaled draw, computed in place,
+  gives the emitted counts per intensity over every round, and the
+  index is gathered at the candidates, which then narrow to those with
+  a draw below their own intensity's bound.
+- Rows 0 to 3, the key bits and the phases, are each gathered at the
+  surviving candidates right after they are drawn, and are not asked
+  for at all when no candidate survives.
+
+The click law and the slices are evaluated on the gathered candidates,
+with the same elementwise ufuncs on the same doubles as a pass over
+every round, so they give the same bits.  Over every round the kernel
+holds two float64 rows and one bool mask, which are freed before the
+click law runs; the other temporaries are sized by the candidates.
 
 The records follow the clicks, not the rounds: the kernel returns one
 record per round with exactly one click, in round order, and no
 per-round output.  A record holds what sifting and postcompensation
 read: the intensity index, the slice difference d0 = (j_b - j_a) mod M
 and the raw disagreement e0 = kappa_a ^ kappa_b ^ [R click].  The
-passes over every round write through ``out=`` into two per-unit
-temporaries, one float64 and one bool array; the others are sized by
-the candidates.  The workers of ``simcore.run_blocks`` call the kernel
-on work units of at most ``simcore._UNIT_ROUNDS`` rounds.
+workers of ``simcore.run_blocks`` call the kernel on work units of at
+most ``simcore._UNIT_ROUNDS`` rounds.
 """
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 
@@ -35,7 +48,8 @@ TWO_PI = 2.0 * math.pi
 
 
 def simulate_block(
-    u: np.ndarray,
+    draw: Callable[[int, np.ndarray], None],
+    n: int,
     eta: float,
     p_d: float,
     intensities: np.ndarray,
@@ -44,11 +58,13 @@ def simulate_block(
     phi0_rate: float,
     t0: int,
 ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """The emitted counts and single-click records of a (7, n) block of uniforms.
+    """The emitted counts and single-click records of an ``n``-round unit.
 
-    Variate layout: key bit a, key bit b, phase a, phase b, intensity
-    pick, L-detector draw, R-detector draw.  ``t0`` is the run index of
-    the block's first round.  The uniforms are only read.
+    ``draw(r, out)`` writes row ``r`` of the unit's uniforms, one double
+    per round, into the float64 array ``out`` of length ``n`` and into
+    nothing else; the kernel asks for each row at most once, in the
+    order 5, 6, 4, 0, 1, 2, 3, and reads a row only from the ``out`` it
+    gave for it.  ``t0`` is the run index of the unit's first round.
 
     Returns the int64 count of rounds per intensity, and the records
     ``(mu_idx, d0, e0)`` of the rounds with exactly one click, in round
@@ -59,43 +75,19 @@ def simulate_block(
     # A detector clicks when its draw is below -expm1(log_q - eta*mu*c2);
     # as c2, s2 <= 1, no round's click probability exceeds its intensity's
     # p_max.  The margin covers the few ulp by which math.expm1 and
-    # np.expm1 may differ.  The candidates are the rounds with a draw below
-    # the largest p_max, then those with a draw below their own.
+    # np.expm1 may differ.
     log_q = math.log1p(-p_d)
     p_max = [min(1.0, -math.expm1(log_q - eta * mu) * (1.0 + 1e-9)) for mu in intensities]
-    scaled = np.minimum(u[5], u[6])
-    mask = np.less(scaled, max(p_max))
-    idx = np.flatnonzero(mask)
+    emitted, idx, mu_idx, u_left, u_right, kappa_a, kappa_b, phi_a, phi_b = _candidates(
+        draw, n, p_max)
 
-    k = len(intensities)
-    # a round's intensity index is min(trunc(scaled), k - 1), which is
-    # >= i exactly when scaled >= i, for 1 <= i <= k - 1
-    np.multiply(u[4], k, out=scaled)
-    at_least = [u.shape[1]]
-    for i in range(1, k):
-        np.greater_equal(scaled, i, out=mask)
-        at_least.append(np.count_nonzero(mask))
-    at_least.append(0)
-    emitted = -np.diff(np.asarray(at_least, dtype=np.int64))
-
-    mu_idx = np.minimum(scaled[idx].astype(np.int16), k - 1)  # astype truncates
-    u_left = u[5][idx]  # u[r][idx] gathers from one row; u[r, idx] is a slower mixed index
-    u_right = u[6][idx]
-    near = np.flatnonzero(np.minimum(u_left, u_right) < np.asarray(p_max)[mu_idx])
-    idx, mu_idx, u_left, u_right = idx[near], mu_idx[near], u_left[near], u_right[near]
-
-    kappa_a = (u[0][idx] < 0.5).view(np.int8)
-    kappa_b = (u[1][idx] < 0.5).view(np.int8)
     mu = intensities[mu_idx]
     if phi0_rate != 0.0:
         phi0 = phi0_value + phi0_rate * (t0 + idx.astype(np.float64))
     else:
         phi0 = phi0_value
-    phi_a = u[2][idx] * TWO_PI
-    phi_b = u[3][idx] * TWO_PI
-    delta = (phi_b + math.pi * kappa_b) - (phi_a + math.pi * kappa_a) + phi0
     # half-angle identities: one cosine per round covers both detectors
-    c = np.cos(delta)
+    c = np.cos((phi_b + math.pi * kappa_b) - (phi_a + math.pi * kappa_a) + phi0)
     c2 = 0.5 * (1.0 + c)
     s2 = 0.5 * (1.0 - c)
     p_left = -np.expm1(log_q - eta * mu * c2)
@@ -112,3 +104,57 @@ def simulate_block(
     d0 = ((j_b - j_a) % m_slices).astype(np.int16)
     e0 = kappa_a[single] ^ kappa_b[single] ^ r_click[single].view(np.int8)
     return emitted, (mu_idx[single], d0, e0)
+
+
+def _candidates(draw, n, p_max):
+    """The pass of ``simulate_block`` over every round.
+
+    Returns the emitted counts per intensity and, at the candidate
+    rounds, their positions in the unit, intensity index, L and R
+    detector draws, int8 key bits a and b and phases a and b.  A
+    candidate is a round with a detector draw below the largest
+    ``p_max``, then below its own intensity's.  The two float64 rows and
+    the bool mask, the kernel's only per-round memory, are freed on
+    return, before the click law makes its temporaries.
+    """
+    row, other = np.empty((2, n))
+    mask = np.empty(n, dtype=bool)
+    bound = max(p_max)
+    draw(5, row)
+    draw(6, other)
+    np.less(row, bound, out=mask)
+    mask |= other < bound  # min(u5, u6) < bound
+    idx = np.flatnonzero(mask)
+    u_left = row[idx]
+    u_right = other[idx]
+
+    k = len(p_max)
+    # a round's intensity index is min(trunc(scaled), k - 1), which is
+    # >= i exactly when scaled >= i, for 1 <= i <= k - 1
+    draw(4, row)
+    scaled = np.multiply(row, k, out=row)
+    at_least = [n]
+    for i in range(1, k):
+        np.greater_equal(scaled, i, out=mask)
+        at_least.append(np.count_nonzero(mask))
+    at_least.append(0)
+    emitted = -np.diff(np.asarray(at_least, dtype=np.int64))
+
+    mu_idx = np.minimum(scaled[idx].astype(np.int16), k - 1)  # astype truncates
+    near = np.flatnonzero(np.minimum(u_left, u_right) < np.asarray(p_max)[mu_idx])
+    # one at a time, so that at most one old and one new array are held
+    idx = idx[near]
+    mu_idx = mu_idx[near]
+    u_left = u_left[near]
+    u_right = u_right[near]
+
+    def gather(r):
+        if len(idx):  # else row r is not drawn
+            draw(r, row)
+        return row[idx]
+
+    kappa_a = (gather(0) < 0.5).view(np.int8)
+    kappa_b = (gather(1) < 0.5).view(np.int8)
+    phi_a = gather(2) * TWO_PI
+    phi_b = gather(3) * TWO_PI
+    return emitted, idx, mu_idx, u_left, u_right, kappa_a, kappa_b, phi_a, phi_b

@@ -13,7 +13,9 @@ clicks are discarded.
 What is kept follows the clicks, not the rounds: a unit leaves only its
 count of rounds per intensity and one record per single click, and the
 offset search, sifting and tallies read those records.  Outside them,
-the memory is a few unit-sized buffers per worker.
+each worker holds two rows of one unit's uniforms, one bool mask and
+temporaries sized by the unit's candidate rounds, and the offset search
+draws its sample one unit's length of clicks at a time.
 """
 from __future__ import annotations
 
@@ -41,10 +43,12 @@ RNG_BLOCK_ROUNDS = 1 << 18
 
 # Most rounds in a work unit of ``run_blocks``, which also ends one at
 # each jd block boundary; not part of the random-stream definition.  A
-# worker's uniform buffer holds one unit (3.7 MB), and a block makes
-# four units, so a worker on a busier CPU can leave the others more of
-# it.  Of 2^14 .. 2^18 on a 2-core host, 2^16 and 2^17 ran fastest, and
-# 2^18 lost most when another process took a core.
+# worker's kernel holds two float64 rows of one unit (1 MB) and a bool
+# mask; ``postcompensate`` draws its sample this many clicks at a time.
+# A block makes four units, so a worker on a busier CPU can leave the
+# others more of it.  Of 2^14 .. 2^18 on a 2-core host, with the whole
+# unit's seven rows drawn at once, 2^16 and 2^17 ran fastest, and 2^18
+# lost most when another process took a core.
 _UNIT_ROUNDS = 1 << 16
 
 try:
@@ -374,44 +378,43 @@ def run_blocks(cfg: SimConfig) -> Iterator[tuple[int, np.ndarray, RoundData]]:
     no worker waits for a block to finish before it starts on the next.
     Unit ``[a, b)`` of an ``n``-round block reads columns ``a:b`` of the
     block's ``(7, n)`` uniforms: row ``r`` is doubles ``[r*n + a, r*n + b)``
-    of the block's stream, drawn after advancing its generator past the
-    doubles before them.  PCG64 makes each double from one 64-bit output,
-    so these are the doubles of one ``random((7, n))`` call, and the
-    rounds do not depend on the unit size or the thread count.  Each
-    worker draws into its own ``(7, _UNIT_ROUNDS)`` buffer and runs the
-    kernel on it; it keeps only what the kernel returns.
+    of the block's stream.  PCG64 makes each double from one 64-bit
+    output, so these are the doubles of one ``random((7, n))`` call, and
+    the rounds do not depend on the unit size or the thread count.  The
+    kernel asks for the rows one at a time and not in stream order;
+    each is drawn after moving the unit's generator to its first double,
+    forward or back (``advance`` counts modulo PCG64's period of
+    2^128).  A worker keeps only what the kernel returns.
     """
     units = _round_units(cfg)
     intensities = np.asarray(cfg.intensities, dtype=np.float64)
     results = [None] * len(units)
 
-    def start_worker():
-        buf = np.empty((7, min(_UNIT_ROUNDS, cfg.rounds)))
+    def run_unit(i):
+        _, block_index, start, n, a, b = units[i]
+        rng = _stream_rng(cfg.seed, _ROUND_STREAM, block_index)
+        pos = 0  # the generator's place in the block's stream, in doubles
 
-        def run_unit(i):
-            _, block_index, start, n, a, b = units[i]
-            u = buf[:, : b - a]
-            rng = _stream_rng(cfg.seed, _ROUND_STREAM, block_index)
-            passed = 0  # doubles of the block's stream drawn or skipped
-            for r in range(7):
-                rng.bit_generator.advance(r * n + a - passed)
-                rng.random(out=u[r])
-                passed = r * n + b
-            emitted, records = _simulate_block(
-                u,
-                cfg.channel.eta_arm,
-                cfg.channel.p_d,
-                intensities,
-                cfg.m_slices,
-                cfg.phi0.value_rad,
-                cfg.phi0.rate_rad_per_round,
-                start + a,
-            )
-            results[i] = emitted, RoundData(*records)
+        def draw(r, out):
+            nonlocal pos
+            rng.bit_generator.advance((r * n + a - pos) % 2**128)
+            rng.random(out=out)
+            pos = r * n + b
 
-        return run_unit
+        emitted, records = _simulate_block(
+            draw,
+            b - a,
+            cfg.channel.eta_arm,
+            cfg.channel.p_d,
+            intensities,
+            cfg.m_slices,
+            cfg.phi0.value_rad,
+            cfg.phi0.rate_rad_per_round,
+            start + a,
+        )
+        results[i] = emitted, RoundData(*records)
 
-    _run_units(start_worker, len(units))
+    _run_units(lambda: run_unit, len(units))
     for unit, (emitted, records) in zip(units, results):
         yield unit[0], emitted, records
 
@@ -480,22 +483,30 @@ def postcompensate(
     The table is read from one count of the sample per (d0, e0): offset
     j keeps the bins d0 = -j, where an error is e0 = 1, and d0 = M/2 - j
     (mod M), where Bob's half-turn flip makes it e0 = 0.  An offset that
-    keeps no sampled click reads NaN.
+    keeps no sampled click reads NaN.  The uniforms are drawn, and the
+    counts added up, ``_UNIT_ROUNDS`` clicks at a time: the same doubles
+    in the same order as one draw for every click.
     """
-    picked = np.flatnonzero(rng.random(len(clicks)) < sample_fraction)
-    if len(picked) < MIN_SAMPLED_CLICKS:
+    counts = np.zeros(2 * m_slices, dtype=np.intp)
+    sampled = 0
+    for lo in range(0, len(clicks), _UNIT_ROUNDS):
+        part = clicks.take(slice(lo, lo + _UNIT_ROUNDS))
+        picked = np.flatnonzero(rng.random(len(part)) < sample_fraction)
+        sampled += len(picked)
+        counts += np.bincount(2 * part.d0[picked].astype(np.intp) + part.e0[picked],
+                              minlength=2 * m_slices)
+    if sampled < MIN_SAMPLED_CLICKS:
         raise InsufficientSamplesError(
-            f"only {len(picked)} sampled clicked rounds; need >= {MIN_SAMPLED_CLICKS}"
+            f"only {sampled} sampled clicked rounds; need >= {MIN_SAMPLED_CLICKS}"
         )
-    bins = 2 * clicks.d0[picked].astype(np.intp) + clicks.e0[picked]
-    counts = np.bincount(bins, minlength=2 * m_slices).reshape(m_slices, 2)
+    counts = counts.reshape(m_slices, 2)
     matched = -np.arange(m_slices) % m_slices
     flipped = (matched + m_slices // 2) % m_slices
     kept = counts[matched].sum(axis=1) + counts[flipped].sum(axis=1)
     wrong = counts[matched, 1] + counts[flipped, 0]
     table = np.divide(wrong, kept, out=np.full(m_slices, np.nan), where=kept > 0)
     j_d_opt = int(np.nanargmin(table))
-    return PostcompResult(j_d_opt=j_d_opt, qber_table=table, sampled_clicks=len(picked))
+    return PostcompResult(j_d_opt=j_d_opt, qber_table=table, sampled_clicks=sampled)
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +571,9 @@ def simulate(cfg: SimConfig) -> SimResult:
     for bi, start in enumerate(range(0, cfg.rounds, chunk)):
         stop = min(start + chunk, cfg.rounds)
         clicks = data.block(bi)
-        clicked += np.bincount(clicks.mu_idx, minlength=k)
+        # bincount copies its input to intp: one unit's length at a time
+        for lo in range(0, len(clicks), _UNIT_ROUNDS):
+            clicked += np.bincount(clicks.mu_idx[lo : lo + _UNIT_ROUNDS], minlength=k)
         rng = _stream_rng(cfg.seed, _SAMPLE_STREAM, bi)
         try:
             post = postcompensate(clicks, cfg.sample_fraction, rng, cfg.m_slices)

@@ -2,9 +2,10 @@
 
 Closed forms and Fock-space constructions that check the package from
 outside: dark-count composition of click outcomes, coherent-state click
-marginals, the sliced-phase mismatch density and misalignment error, and
-the coherent-state parity split and phase-averaged dephasing on the
-truncated number basis.
+marginals, the sliced-phase mismatch density and misalignment error, the
+coherent-state parity split and phase-averaged dephasing on the
+truncated number basis, and the slice-offset search with one sample
+draw for every click.
 No command runs them, so they live here rather than in ``pmqkd``.
 """
 from __future__ import annotations
@@ -18,6 +19,12 @@ from fractions import Fraction
 import numpy as np
 
 from pmqkd.detection import ClickProbs, _check_prob
+from pmqkd.simcore import (
+    MIN_SAMPLED_CLICKS,
+    InsufficientSamplesError,
+    PostcompResult,
+    RoundData,
+)
 
 TWO_PI = 2.0 * math.pi
 # the truncation of the coherent-state oracles, raised for large intensities
@@ -124,6 +131,28 @@ def e_delta_series(m_slices: int) -> float:
         if abs(term) < abs(total) * Fraction(1, 10**40):
             return float(total)
         n += 1
+
+
+def postcompensate_one_shot(
+    clicks: RoundData, sample_fraction: float, rng: np.random.Generator, m_slices: int
+) -> PostcompResult:
+    """``simcore.postcompensate`` with the sample drawn by one ``random``
+    call of one uniform per click, and the (d0, e0) counts read in one
+    ``bincount``."""
+    picked = np.flatnonzero(rng.random(len(clicks)) < sample_fraction)
+    if len(picked) < MIN_SAMPLED_CLICKS:
+        raise InsufficientSamplesError(
+            f"only {len(picked)} sampled clicked rounds; need >= {MIN_SAMPLED_CLICKS}"
+        )
+    bins = 2 * clicks.d0[picked].astype(np.intp) + clicks.e0[picked]
+    counts = np.bincount(bins, minlength=2 * m_slices).reshape(m_slices, 2)
+    matched = -np.arange(m_slices) % m_slices
+    flipped = (matched + m_slices // 2) % m_slices
+    kept = counts[matched].sum(axis=1) + counts[flipped].sum(axis=1)
+    wrong = counts[matched, 1] + counts[flipped, 0]
+    table = np.divide(wrong, kept, out=np.full(m_slices, np.nan), where=kept > 0)
+    j_d_opt = int(np.nanargmin(table))
+    return PostcompResult(j_d_opt=j_d_opt, qber_table=table, sampled_clicks=len(picked))
 
 
 # ---------------------------------------------------------------------------

@@ -114,3 +114,18 @@ def test_readme_sweep_figure_is_the_committed_median():
     readme = (root / "README.md").read_text()
     figures = re.findall(r"The\s+`sweep_fig3b`\s+sweep\s+runs\s+at\s+(\d+)\s+points/s", readme)
     assert figures == [str(round(median))]
+
+
+def test_readme_monte_carlo_figures_are_the_committed_medians():
+    # each Monte Carlo workload's throughput and peak RSS in the README is
+    # the change median of its BENCH_<workload>.json, rounded
+    root = PERFBENCH.parent
+    readme = " ".join((root / "README.md").read_text().split())
+    figures = re.findall(
+        r"(\d+\.\d) M rounds/s at (\d+\.\d) MB(?: peak RSS)? \(`(mc_\w+)`\)", readme)
+    want = []
+    for workload in ("mc_fixed", "mc_drift"):
+        pairs = json.loads((root / f"BENCH_{workload}.json").read_text())["pairs_seed_42"]
+        want.append((f"{pairs['throughput']['change']['median'] / 1e6:.1f}",
+                     f"{pairs['peak_rss_mb']['change']['median']:.1f}", workload))
+    assert figures == want

@@ -92,9 +92,21 @@ def oracle_records(u, *params):
     return np.bincount(rounds.mu_idx, minlength=len(params[2])), single_clicks(rounds, params[3])
 
 
+def row_supplier(u, asked=None):
+    """A kernel row supplier ``draw(r, out)`` that copies row ``r`` of the
+    (7, n) array ``u`` into ``out``; each request ``(r, out)`` is appended
+    to ``asked`` if given."""
+    def draw(r, out):
+        if asked is not None:
+            asked.append((r, out))
+        out[...] = u[r]
+
+    return draw
+
+
 def run_kernel(u, *params):
-    """The kernel's emitted counts and records."""
-    emitted, records = _mckernel_np.simulate_block(u, *params)
+    """The kernel's emitted counts and records, its rows copied from ``u``."""
+    emitted, records = _mckernel_np.simulate_block(row_supplier(u), u.shape[1], *params)
     return emitted, RoundData(*records)
 
 
@@ -271,27 +283,65 @@ def test_collect_rounds_equals_fresh_block_runs(monkeypatch, case):
 
 @pytest.mark.parametrize("phi0", list(PHI0), ids=list(PHI0))
 def test_kernel_writes_only_inside_its_views(phi0):
-    # the uniforms are a view of the first columns of a wider buffer, as a
-    # worker's are on a short unit, and are read only
+    # the rows are copied from a view of the first columns of a wider
+    # buffer, which is read only
     n = 5000
     buf = np.random.default_rng(3).random((7, n + 77))
     before = buf.copy()
     u = buf[:, :n]
     params = (0.1, 7.2e-8, np.asarray((0.0, 0.1, 0.5)), 16, *PHI0[phi0])
-    emitted, records = _mckernel_np.simulate_block(u, *params)
+    emitted, records = run_kernel(u, *params)
     assert buf.tobytes() == before.tobytes()
+    want_emitted, want_records = oracle_records(u, *params)
+    assert np.array_equal(emitted, want_emitted)
+    assert_same_records(records, want_records)
+
+
+@pytest.mark.parametrize("phi0", list(PHI0), ids=list(PHI0))
+def test_kernel_asks_for_each_row_once_in_order(phi0):
+    # candidates from rows 5 and 6, the intensity from row 4, then the key
+    # bits and phases; every row lands in one of the kernel's two rows
+    n = 5000
+    u = np.random.default_rng(4).random((7, n))
+    before = u.copy()
+    asked = []
+    params = (0.1, 7.2e-8, np.asarray((0.0, 0.1, 0.5)), 16, *PHI0[phi0])
+    emitted, records = _mckernel_np.simulate_block(row_supplier(u, asked), n, *params)
+    assert [r for r, _ in asked] == [5, 6, 4, 0, 1, 2, 3]
+    for _, out in asked:
+        assert out.dtype == np.float64 and out.shape == (n,) and out.flags.writeable
+    buffers = {out.__array_interface__["data"][0] for _, out in asked}
+    assert len(buffers) == 2
+    assert u.tobytes() == before.tobytes()
     want_emitted, want_records = oracle_records(u, *params)
     assert np.array_equal(emitted, want_emitted)
     assert_same_records(RoundData(*records), want_records)
 
 
+def test_kernel_draws_no_key_or_phase_row_without_a_candidate():
+    # no round can click, so only the detector and intensity rows are drawn
+    n = 5000
+    u = np.random.default_rng(5).random((7, n))
+    asked = []
+    params = (0.0, 0.0, np.asarray((0.1, 0.5)), 16, 0.0, 0.0, 0)
+    emitted, records = _mckernel_np.simulate_block(row_supplier(u, asked), n, *params)
+    assert [r for r, _ in asked] == [5, 6, 4]
+    want_emitted, want_records = oracle_records(u, *params)
+    assert len(want_records) == 0
+    assert np.array_equal(emitted, want_emitted)
+    assert_same_records(RoundData(*records), want_records)
+
+
 def test_collect_rounds_memory_peak(monkeypatch):
-    # per worker, one (7, _UNIT_ROUNDS) uniform buffer (56 B a unit round),
-    # the kernel's two per-round temporaries (9 B) and the others, which
-    # are sized by the candidates; then 5 B a click record, twice while the
-    # units' records are concatenated.  Over eight RNG blocks a record of
-    # every round (5 B a round, 10.5 MB) exceeds the bound.
+    # per worker, the kernel's two float64 rows (16 B a unit round), its
+    # mask and one bool temporary (2 B), then the others, which are sized
+    # by the candidates (~100 B each, at ~8% of the rounds here); then 5 B
+    # a click record, twice while the units' records are concatenated.
+    # Over eight RNG blocks a record of every round (5 B a round, 10.5 MB)
+    # exceeds the bound, and so does a worker's (7, _UNIT_ROUNDS) buffer
+    # of all seven rows (56 B a unit round).
     cfg = dataclasses.replace(slow_drift_config(), rounds=8 * RNG_BLOCK_ROUNDS + 1234)
+    np.random.default_rng()  # imports numpy.random, once per process, before the trace
     for workers in (1, 2):
         monkeypatch.setattr(simcore, "_WORKERS", workers)
         tracemalloc.start()
@@ -301,7 +351,7 @@ def test_collect_rounds_memory_peak(monkeypatch):
         finally:
             tracemalloc.stop()
         assert data.emitted.sum() == cfg.rounds
-        assert peak <= 40 * len(data) + workers * 80 * simcore._UNIT_ROUNDS, workers
+        assert peak <= 40 * len(data) + workers * 30 * simcore._UNIT_ROUNDS, workers
 
 
 # --- the worker count ----------------------------------------------------------

@@ -24,7 +24,7 @@ from pmqkd.simcore import (
     simulate,
     tallies_to_csv,
 )
-from oracles import Outcome
+from oracles import Outcome, postcompensate_one_shot
 from test_mckernel import (
     SINGLE_CLICKS,
     Rounds,
@@ -389,6 +389,39 @@ def test_qber_table_equals_the_offset_loop(m, case):
         assert np.count_nonzero(np.isnan(table)) == m - 6
 
 
+def sample_outcome(post, clicks, fraction, m):
+    """``post``'s offset, table bytes and sample size on ``clicks``, or its
+    InsufficientSamplesError message; and the sample stream's next double."""
+    rng = np.random.default_rng(11)
+    try:
+        res = post(clicks, fraction, rng, m)
+        outcome = (res.j_d_opt, res.qber_table.tobytes(), res.sampled_clicks)
+    except InsufficientSamplesError as exc:
+        outcome = str(exc)
+    return outcome, rng.random()
+
+
+UNIT = simcore._UNIT_ROUNDS
+
+
+@pytest.mark.parametrize("n", [0, 1, UNIT - 1, UNIT, UNIT + 1, 3 * UNIT + 5])
+def test_chunked_sample_draw_equals_one_draw_per_click(n):
+    # the sample's uniforms, drawn one unit's length of clicks at a time,
+    # are the doubles of one draw for every click, in order
+    m = 16
+    rng = np.random.default_rng(n)
+    clicks = RoundData(rng.integers(0, 3, n).astype(np.int16),
+                       rng.integers(0, m, n).astype(np.int16),
+                       (rng.random(n) < 0.3).astype(np.int8))
+    outcomes = []
+    for fraction in (0.001, 0.5):
+        got = sample_outcome(postcompensate, clicks, fraction, m)
+        assert got == sample_outcome(postcompensate_one_shot, clicks, fraction, m)
+        outcomes.append(got[0])
+    # too few sampled clicks below three units at the small fraction
+    assert [isinstance(o, str) for o in outcomes] == [n < 3 * UNIT, n <= 1]
+
+
 def test_reference_shift_moves_offset():
     width = 2 * PI / 16
     for shift_slices in (1, 4):
@@ -493,14 +526,20 @@ def test_single_click_subset_equals_the_full_block_pipeline(name):
 
 
 def test_simulate_memory_scales_with_clicks_not_block_rounds(monkeypatch):
-    # eight RNG blocks at a 46% single-click rate, so the records dominate:
-    # they are 5 B a click, held twice while the units' records are
-    # concatenated, and the post-processing of one jd block reads them
-    # with a few bytes a click of temporaries; each worker adds its unit
-    # buffers and the kernel's temporaries, which here cover most of a
-    # unit.  A record 8 B wider exceeds the bound.
+    # eight RNG blocks at a 46% single-click rate, where 86% of the rounds
+    # are kernel candidates.  While the units run, the memory is the
+    # records made so far, 5 B a click, and each worker's kernel: two rows
+    # and a mask, then the candidates' temporaries (~80 B a unit round
+    # here).  Then the records are held twice while the units' records
+    # are concatenated, and the post-processing of a jd block adds sift's
+    # ~7 B a click; the sample draw and the counts per intensity add less
+    # than a unit's length of doubles.  A record 3 B wider, one sample
+    # uniform per click (9 B a click with its mask) or a worker buffer of
+    # all seven rows exceeds the bound.
     cfg = base_config(rounds=8 * simcore.RNG_BLOCK_ROUNDS + 1234, intensities=(1.0, 2.0),
                       channel=ChannelParams(eta_arm=0.5, p_d=7.2e-8))
+    unit = simcore._UNIT_ROUNDS
+    np.random.default_rng()  # imports numpy.random, once per process, before the trace
     for workers in (1, 2):
         monkeypatch.setattr(simcore, "_WORKERS", workers)
         tracemalloc.start()
@@ -511,7 +550,25 @@ def test_simulate_memory_scales_with_clicks_not_block_rounds(monkeypatch):
             tracemalloc.stop()
         clicks = sum(t.clicked_single for t in res.tallies)
         assert clicks > 0.4 * cfg.rounds
-        assert peak <= 14 * clicks + workers * 120 * simcore._UNIT_ROUNDS, workers
+        assert peak <= max(5 * clicks + workers * 90 * unit, 12.5 * clicks), workers
+
+
+def test_sample_draw_memory_does_not_grow_with_the_clicks():
+    # a million records: the sample's uniforms, its mask and the picked
+    # bins of one chunk at a time, not one uniform (8 B) per click
+    n = 1_000_000
+    rng = np.random.default_rng(0)  # numpy.random is imported before the trace
+    clicks = RoundData(rng.integers(0, 3, n).astype(np.int16),
+                       rng.integers(0, 16, n).astype(np.int16),
+                       (rng.random(n) < 0.3).astype(np.int8))
+    tracemalloc.start()
+    try:
+        res = postcompensate(clicks, 0.2, np.random.default_rng(1), 16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.sampled_clicks > 0.19 * n
+    assert peak <= 16 * simcore._UNIT_ROUNDS
 
 
 # --- tallies and model comparison ----------------------------------------------------
