@@ -28,6 +28,7 @@ from .simcore import (
     SimConfig,
     SimResult,
     Tally,
+    collect_rounds,
     postcompensate,
     sift,
     simulate,
@@ -64,6 +65,7 @@ __all__ = [
     "SimConfig",
     "SimResult",
     "Tally",
+    "collect_rounds",
     "postcompensate",
     "sift",
     "simulate",

@@ -13,8 +13,10 @@ one row at a time, in the order 5, 6, 4, 0, 1, 2, 3.
 
 - Rows 5 and 6 give the candidates: the rounds whose detector draws
   fall below the largest click probability any round of the unit can
-  have.  Every other round has no click.  Both draws are gathered at
-  the candidates.
+  have.  Every other round has no click.  Row 5's draws below that
+  bound are kept before row 6 is drawn into the same row; a candidate
+  without one reads 1.0, which, like its own draw at or above the
+  bound, never clicks.  Row 6 is gathered at the candidates.
 - Row 4 gives the intensity index: its scaled draw, computed in place,
   gives the emitted counts per intensity over every round, and the
   index is gathered at the candidates, which then narrow to those with
@@ -26,7 +28,7 @@ one row at a time, in the order 5, 6, 4, 0, 1, 2, 3.
 The click law and the slices are evaluated on the gathered candidates,
 with the same elementwise ufuncs on the same doubles as a pass over
 every round, so they give the same bits.  Over every round the kernel
-holds two float64 rows and one bool mask, which are freed before the
+holds one float64 row and one bool mask, which are freed before the
 click law runs; the other temporaries are sized by the candidates.
 
 The records follow the clicks, not the rounds: the kernel returns one
@@ -113,20 +115,28 @@ def _candidates(draw, n, p_max):
     rounds, their positions in the unit, intensity index, L and R
     detector draws, int8 key bits a and b and phases a and b.  A
     candidate is a round with a detector draw below the largest
-    ``p_max``, then below its own intensity's.  The two float64 rows and
-    the bool mask, the kernel's only per-round memory, are freed on
-    return, before the click law makes its temporaries.
+    ``p_max``, then below its own intensity's.  The float64 row and the
+    bool mask, the kernel's only per-round memory, are freed on return,
+    before the click law makes its temporaries.
     """
-    row, other = np.empty((2, n))
+    row = np.empty(n)
     mask = np.empty(n, dtype=bool)
     bound = max(p_max)
+    # an L draw at or above bound never clicks, and neither does 1.0, as
+    # no p_left exceeds 1: only the draws below bound are kept
     draw(5, row)
-    draw(6, other)
     np.less(row, bound, out=mask)
-    mask |= other < bound  # min(u5, u6) < bound
+    left = np.flatnonzero(mask)
+    u_left = row[left]
+    draw(6, row)
+    np.less(row, bound, out=mask)
+    mask[left] = True  # min(u5, u6) < bound
     idx = np.flatnonzero(mask)
+    u_right = row[idx]
+    # the row, no longer read, puts the kept L draws in candidate order
+    row[idx] = 1.0
+    row[left] = u_left
     u_left = row[idx]
-    u_right = other[idx]
 
     k = len(p_max)
     # a round's intensity index is min(trunc(scaled), k - 1), which is

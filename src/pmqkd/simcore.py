@@ -10,16 +10,23 @@ the thread count.  Detection uses the independent-detector coherent
 click model; exactly-one-click rounds count as successes and double
 clicks are discarded.
 
-What is kept follows the clicks, not the rounds: a unit leaves only its
-count of rounds per intensity and one record per single click, and the
-offset search, sifting and tallies read those records.  Outside them,
-each worker holds two rows of one unit's uniforms, one bool mask and
-temporaries sized by the unit's candidate rounds, and the offset search
-draws its sample one unit's length of clicks at a time.
+A unit leaves only its count of rounds per intensity and one record per
+single click.  ``simulate`` takes the units in round order as they are
+done and bins each one's records into the open jd block's count per
+(intensity, slice difference, raw disagreement), draws their sample
+uniforms and then drops them; the offset search, sifting and tallies
+read the counts.  So its memory does not grow with the run: at most
+two units per worker are made ahead of the one it bins, and each
+worker holds one row of its unit's uniforms, one bool mask and
+temporaries sized by the unit's candidate rounds.  ``collect_rounds``
+keeps every record instead, for ``postcompensate`` and ``sift``, which
+work on records.
 """
 from __future__ import annotations
 
+import contextlib
 import inspect
+import itertools
 import json
 import math
 import os
@@ -43,7 +50,7 @@ RNG_BLOCK_ROUNDS = 1 << 18
 
 # Most rounds in a work unit of ``run_blocks``, which also ends one at
 # each jd block boundary; not part of the random-stream definition.  A
-# worker's kernel holds two float64 rows of one unit (1 MB) and a bool
+# worker's kernel holds one float64 row of one unit (512 KB) and a bool
 # mask; ``postcompensate`` draws its sample this many clicks at a time.
 # A block makes four units, so a worker on a busier CPU can leave the
 # others more of it.  Of 2^14 .. 2^18 on a 2-core host, with the whole
@@ -61,16 +68,19 @@ _SAMPLE_STREAM = 1
 
 MIN_SAMPLED_CLICKS = 100
 
-# Nothing is allocated per round, so no allocation failure stops an
-# oversized run: this bound does.  The work-unit list and the click
-# records grow with the rounds; at 2^32 rounds and a 5% click rate the
-# records take about 2 GB, twice that while they are concatenated.
+# Nothing is allocated per round or per click in ``simulate``, so no
+# allocation failure stops an oversized run: this bound does.  Only the
+# work-unit list grows with the rounds, one tuple per unit (2^16 of them
+# at the bound); ``collect_rounds`` keeps 5 B a click on top.
 MAX_ROUNDS = 1 << 32
 
 # The slice difference is int16 and M is even.
 MAX_M_SLICES = 32766
 # The intensity index is int16, so it holds at most 2^15 intensities.
 MAX_INTENSITIES = 1 << 15
+# ``simulate`` counts a jd block's clicks per (intensity, slice
+# difference, raw disagreement) in int64: at most 32 MB.
+MAX_HISTOGRAM_CELLS = 1 << 21
 
 
 class InsufficientSamplesError(ValueError):
@@ -151,6 +161,11 @@ class SimConfig:
             raise ValueError(
                 f"phi0.rate_rad_per_round must keep phi0 finite over {self.rounds} rounds,"
                 f" got {rate!r}"
+            )
+        cells = len(self.intensities) * self.m_slices
+        if cells > MAX_HISTOGRAM_CELLS:
+            raise ValueError(
+                f"intensities times m_slices must be at most {MAX_HISTOGRAM_CELLS}, got {cells!r}"
             )
 
     # -- JSON round trip ----------------------------------------------------
@@ -290,10 +305,6 @@ class RunClicks(RoundData):
     emitted: np.ndarray  # int64 (jd blocks, intensities): rounds per intensity
     stops: np.ndarray  # int64 (jd blocks,): the end of each jd block's records
 
-    def block(self, b: int) -> RoundData:
-        """The records of jd block ``b``, as views."""
-        return self.take(slice(self.stops[b - 1] if b else 0, self.stops[b]))
-
 
 def _stream_rng(seed: int, stream: int, index: int) -> np.random.Generator:
     """Generator of block ``index`` of ``stream`` (``_ROUND_STREAM`` or ``_SAMPLE_STREAM``)."""
@@ -323,44 +334,88 @@ def _round_units(cfg: SimConfig) -> list[tuple[int, int, int, int, int, int]]:
     return units
 
 
-def _run_units(start_worker, count: int) -> None:
-    """Run units ``0 .. count - 1`` on ``min(_WORKERS, count)`` workers, at least one.
+def _run_units(start_worker, count: int) -> Iterator:
+    """Yield the results of units ``0 .. count - 1``, in order, each as soon
+    as it is done, from ``min(_WORKERS, count)`` workers, at least one.
 
     The calling thread is one worker and every other one runs on a
     thread of its own.  A worker calls ``start_worker()`` once for its
-    unit runner, then runs the lowest unit not yet taken until none is
-    left, so a worker whose CPU is busier runs fewer units.  Once a unit
-    fails no unit is started; every thread is joined before the failure
-    of the lowest unit is raised.
+    unit runner, then runs the lowest unit not yet taken, so a worker
+    whose CPU is busier runs fewer units; the calling thread runs one
+    only while the next result is not done.  Unit ``i`` does not start
+    until unit ``i - 2 * workers`` has been yielded, and a result is
+    dropped here once it is yielded, so at most that many are held.
+    Once a unit fails, or the caller stops iterating, no unit is
+    started; every thread is joined before the failure of the lowest
+    unit is raised.
     """
-    lock = threading.Lock()
-    taken = 0
+    workers = min(_WORKERS, count)
+    done = threading.Condition()
+    taken = yielded = 0
+    stopped = False
+    results = {}
     failed = {}  # unit index (-1: before the first) -> exception
 
-    def work():
+    def take():
+        """Under ``done``: the lowest unit not yet taken, if it may start now."""
         nonlocal taken
-        i = -1
+        if stopped or failed or taken == count or taken >= yielded + 2 * workers:
+            return None
+        taken += 1
+        return taken - 1
+
+    def run(run_unit, i):
+        try:
+            result = run_unit(i)
+        except BaseException as exc:  # raised by the calling thread
+            with done:
+                failed[i] = exc
+                done.notify_all()
+        else:
+            with done:
+                results[i] = result
+                done.notify_all()
+
+    def work():
         try:
             run_unit = start_worker()
-            while True:
-                with lock:
-                    if failed or taken == count:
+        except BaseException as exc:  # raised by the calling thread
+            with done:
+                failed[-1] = exc
+                done.notify_all()
+            return
+        while True:
+            with done:
+                while (i := take()) is None:
+                    if stopped or failed or taken == count:
                         return
-                    i = taken
-                    taken += 1
-                run_unit(i)
-        except BaseException as exc:  # raised in the caller below
-            with lock:
-                failed[i] = exc
+                    done.wait()
+            run(run_unit, i)
 
-    threads = []
+    threads = [threading.Thread(target=work) for _ in range(1, workers)]
     try:
-        for _ in range(1, min(_WORKERS, count)):
-            thread = threading.Thread(target=work)
+        for thread in threads:
             thread.start()
-            threads.append(thread)
-        work()
+        run_unit = start_worker()
+        while yielded < count:
+            with done:
+                if failed:
+                    break
+                ready = yielded in results
+                if ready:
+                    yielded += 1
+                    done.notify_all()
+                elif (i := take()) is None:
+                    done.wait()
+                    continue
+            if ready:
+                yield results.pop(yielded - 1)
+            else:
+                run(run_unit, i)
     finally:
+        with done:
+            stopped = True
+            done.notify_all()
         for thread in threads:
             thread.join()
     if failed:
@@ -368,30 +423,31 @@ def _run_units(start_worker, count: int) -> None:
 
 
 def run_blocks(cfg: SimConfig) -> Iterator[tuple[int, np.ndarray, RoundData]]:
-    """Run every work unit, then yield each one's jd block, emitted counts
-    per intensity and single-click records, in round order; all three are
-    fixed by (seed, config).
+    """Yield each work unit's jd block, emitted counts per intensity and
+    single-click records, in round order, as soon as the unit is done;
+    all three are fixed by (seed, config).
 
     The run is cut into units of at most ``_UNIT_ROUNDS`` rounds of one
     RNG block and one jd block (``_round_units``), which ``_run_units``
     shares out over one thread per CPU in the process's affinity mask;
-    no worker waits for a block to finish before it starts on the next.
-    Unit ``[a, b)`` of an ``n``-round block reads columns ``a:b`` of the
-    block's ``(7, n)`` uniforms: row ``r`` is doubles ``[r*n + a, r*n + b)``
-    of the block's stream.  PCG64 makes each double from one 64-bit
-    output, so these are the doubles of one ``random((7, n))`` call, and
-    the rounds do not depend on the unit size or the thread count.  The
-    kernel asks for the rows one at a time and not in stream order;
-    each is drawn after moving the unit's generator to its first double,
-    forward or back (``advance`` counts modulo PCG64's period of
-    2^128).  A worker keeps only what the kernel returns.
+    no worker waits for a block to finish before it starts on the next,
+    but none runs more than two units per worker ahead of the last one
+    yielded.  Unit ``[a, b)`` of an ``n``-round block reads columns
+    ``a:b`` of the block's ``(7, n)`` uniforms: row ``r`` is doubles
+    ``[r*n + a, r*n + b)`` of the block's stream.  PCG64 makes each
+    double from one 64-bit output, so these are the doubles of one
+    ``random((7, n))`` call, and the rounds do not depend on the unit
+    size or the thread count.  The kernel asks for the rows one at a
+    time and not in stream order; each is drawn after moving the unit's
+    generator to its first double, forward or back (``advance`` counts
+    modulo PCG64's period of 2^128).  A worker keeps only what the
+    kernel returns.
     """
     units = _round_units(cfg)
     intensities = np.asarray(cfg.intensities, dtype=np.float64)
-    results = [None] * len(units)
 
     def run_unit(i):
-        _, block_index, start, n, a, b = units[i]
+        jd_block, block_index, start, n, a, b = units[i]
         rng = _stream_rng(cfg.seed, _ROUND_STREAM, block_index)
         pos = 0  # the generator's place in the block's stream, in doubles
 
@@ -412,11 +468,9 @@ def run_blocks(cfg: SimConfig) -> Iterator[tuple[int, np.ndarray, RoundData]]:
             cfg.phi0.rate_rad_per_round,
             start + a,
         )
-        results[i] = emitted, RoundData(*records)
+        return jd_block, emitted, RoundData(*records)
 
-    _run_units(lambda: run_unit, len(units))
-    for unit, (emitted, records) in zip(units, results):
-        yield unit[0], emitted, records
+    yield from _run_units(lambda: run_unit, len(units))
 
 
 def collect_rounds(cfg: SimConfig) -> RunClicks:
@@ -467,6 +521,42 @@ class PostcompResult:
     sampled_clicks: int
 
 
+def _add_sample(counts: np.ndarray, clicks: RoundData, sample_fraction: float,
+                rng: np.random.Generator) -> int:
+    """Draw one uniform per click of ``clicks``, in order, and add the
+    clicks it picks to ``counts``, the intp count per bin ``2 * d0 + e0``;
+    returns how many it picked."""
+    picked = np.flatnonzero(rng.random(len(clicks)) < sample_fraction)
+    counts += np.bincount(2 * clicks.d0[picked].astype(np.intp) + clicks.e0[picked],
+                          minlength=len(counts))
+    return len(picked)
+
+
+def _kept_bins(j_d, m_slices: int):
+    """The slice differences offset ``j_d`` keeps: d0 = -j_d, where an
+    error is e0 = 1, and d0 = M/2 - j_d (mod M), where Bob's half-turn
+    flip makes it e0 = 0."""
+    matched = -j_d % m_slices
+    return matched, (matched + m_slices // 2) % m_slices
+
+
+def _offset_table(counts: np.ndarray, sampled: int) -> tuple[int, np.ndarray]:
+    """The offset minimizing the sampled QBER (smallest index on ties) and
+    the table of every offset's, from the sample's count per bin
+    ``2 * d0 + e0``.  An offset that keeps no sampled click reads NaN;
+    fewer than ``MIN_SAMPLED_CLICKS`` raise InsufficientSamplesError."""
+    if sampled < MIN_SAMPLED_CLICKS:
+        raise InsufficientSamplesError(
+            f"only {sampled} sampled clicked rounds; need >= {MIN_SAMPLED_CLICKS}"
+        )
+    counts = counts.reshape(-1, 2)
+    matched, flipped = _kept_bins(np.arange(len(counts)), len(counts))
+    kept = counts[matched].sum(axis=1) + counts[flipped].sum(axis=1)
+    wrong = counts[matched, 1] + counts[flipped, 0]
+    table = np.divide(wrong, kept, out=np.full(len(counts), np.nan), where=kept > 0)
+    return int(np.nanargmin(table)), table
+
+
 def postcompensate(
     clicks: RoundData,
     sample_fraction: float,
@@ -480,32 +570,17 @@ def postcompensate(
     generator, evaluates the sampled QBER for every offset, and returns
     the minimizer (smallest index on ties) with the table.
 
-    The table is read from one count of the sample per (d0, e0): offset
-    j keeps the bins d0 = -j, where an error is e0 = 1, and d0 = M/2 - j
-    (mod M), where Bob's half-turn flip makes it e0 = 0.  An offset that
-    keeps no sampled click reads NaN.  The uniforms are drawn, and the
-    counts added up, ``_UNIT_ROUNDS`` clicks at a time: the same doubles
-    in the same order as one draw for every click.
+    The table is read from one count of the sample per (d0, e0)
+    (``_offset_table``).  The uniforms are drawn, and the counts added
+    up, ``_UNIT_ROUNDS`` clicks at a time: the same doubles in the same
+    order as one draw for every click.
     """
     counts = np.zeros(2 * m_slices, dtype=np.intp)
     sampled = 0
     for lo in range(0, len(clicks), _UNIT_ROUNDS):
-        part = clicks.take(slice(lo, lo + _UNIT_ROUNDS))
-        picked = np.flatnonzero(rng.random(len(part)) < sample_fraction)
-        sampled += len(picked)
-        counts += np.bincount(2 * part.d0[picked].astype(np.intp) + part.e0[picked],
-                              minlength=2 * m_slices)
-    if sampled < MIN_SAMPLED_CLICKS:
-        raise InsufficientSamplesError(
-            f"only {sampled} sampled clicked rounds; need >= {MIN_SAMPLED_CLICKS}"
-        )
-    counts = counts.reshape(m_slices, 2)
-    matched = -np.arange(m_slices) % m_slices
-    flipped = (matched + m_slices // 2) % m_slices
-    kept = counts[matched].sum(axis=1) + counts[flipped].sum(axis=1)
-    wrong = counts[matched, 1] + counts[flipped, 0]
-    table = np.divide(wrong, kept, out=np.full(m_slices, np.nan), where=kept > 0)
-    j_d_opt = int(np.nanargmin(table))
+        sampled += _add_sample(counts, clicks.take(slice(lo, lo + _UNIT_ROUNDS)),
+                               sample_fraction, rng)
+    j_d_opt, table = _offset_table(counts, sampled)
     return PostcompResult(j_d_opt=j_d_opt, qber_table=table, sampled_clicks=sampled)
 
 
@@ -557,34 +632,41 @@ class SimResult:
 def simulate(cfg: SimConfig) -> SimResult:
     """Run the full pipeline: rounds, offset search, sifting, tallies.
 
-    Every round of a jd block counts as emitted; the rest of the pipeline
-    reads only the block's single-click records, in round order.  A jd
-    block with too few sampled clicks raises InsufficientSamplesError
+    Every round of a jd block counts as emitted.  Each unit's single-click
+    records are binned, as they arrive in round order, into the block's
+    count per (intensity, d0, e0), and the sample's uniforms are drawn
+    from the block's sample stream, one per click in click order, as
+    ``postcompensate`` draws them.  When the block closes, the sample's
+    count gives the offset, and the two bins of each slice difference it
+    keeps give the sifted rounds and errors, as ``sift`` keeps them.  A
+    jd block with too few sampled clicks raises InsufficientSamplesError
     naming the block.
     """
-    data = collect_rounds(cfg)
     chunk = _jd_rounds(cfg)
-    k = len(cfg.intensities)
-    clicked, sifted, errors = np.zeros((3, k), dtype=np.int64)
-
+    k, m = len(cfg.intensities), cfg.m_slices
+    emitted, clicked, sifted, errors = np.zeros((4, k), dtype=np.int64)
     block_offsets = []
-    for bi, start in enumerate(range(0, cfg.rounds, chunk)):
-        stop = min(start + chunk, cfg.rounds)
-        clicks = data.block(bi)
-        # bincount copies its input to intp: one unit's length at a time
-        for lo in range(0, len(clicks), _UNIT_ROUNDS):
-            clicked += np.bincount(clicks.mu_idx[lo : lo + _UNIT_ROUNDS], minlength=k)
-        rng = _stream_rng(cfg.seed, _SAMPLE_STREAM, bi)
-        try:
-            post = postcompensate(clicks, cfg.sample_fraction, rng, cfg.m_slices)
-        except InsufficientSamplesError as exc:
-            raise InsufficientSamplesError(f"jd block [{start}, {stop}): {exc}") from None
-        kept, kept_errors = sift(clicks, post.j_d_opt, cfg.m_slices)
-        mu_sifted = clicks.mu_idx[kept]
-        sifted += np.bincount(mu_sifted, minlength=k)
-        errors += np.bincount(mu_sifted[kept_errors], minlength=k)
-        block_offsets.append((start, stop, post.j_d_opt))
-    emitted = data.emitted.sum(axis=0)
+    with contextlib.closing(run_blocks(cfg)) as units:
+        for bi, block in itertools.groupby(units, key=lambda unit: unit[0]):
+            start, stop = bi * chunk, min((bi + 1) * chunk, cfg.rounds)
+            counts = np.zeros((k, m, 2), dtype=np.int64)
+            sample = np.zeros(2 * m, dtype=np.intp)
+            sampled = 0
+            rng = _stream_rng(cfg.seed, _SAMPLE_STREAM, bi)
+            for _, unit_emitted, records in block:
+                emitted += unit_emitted
+                cells = np.ravel_multi_index((records.mu_idx, records.d0, records.e0), (k, m, 2))
+                np.add.at(counts.reshape(-1), cells, 1)  # add.at is fastest on a flat index
+                sampled += _add_sample(sample, records, cfg.sample_fraction, rng)
+            try:
+                j_d, _ = _offset_table(sample, sampled)
+            except InsufficientSamplesError as exc:
+                raise InsufficientSamplesError(f"jd block [{start}, {stop}): {exc}") from None
+            kept = counts[:, _kept_bins(j_d, m)]  # (k, matched/flipped, e0)
+            clicked += counts.sum(axis=(1, 2))
+            sifted += kept.sum(axis=(1, 2))
+            errors += kept[:, 0, 1] + kept[:, 1, 0]
+            block_offsets.append((start, stop, j_d))
 
     tallies = [
         Tally(

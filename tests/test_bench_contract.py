@@ -101,9 +101,14 @@ def test_traced_smoke_simulate_gives_finite_layer_metrics(perfbench, monkeypatch
     assert cli.main(["simulate", str(cfg_path), "--output", str(csv_path)]) == 0
     capsys.readouterr()
     metrics = tracing.layer_metrics(tracer)
-    assert metrics["simcore.postcompensate.calls"] == 1
-    assert metrics["simcore.round_bytes_per_round"] > 0
+    # simulate bins each unit's records as it arrives: the record-level
+    # layers are off its path, and the stream of units is on it
+    assert metrics["simcore.postcompensate.calls"] == 0
+    assert metrics["simcore.run_blocks.self_s"] > 0 and metrics["simcore.simulate.self_s"] > 0
     assert all(math.isfinite(value) for value in metrics.values())
+    # collect_rounds' probe reads its 5 B records, and the counts beside them
+    simcore.collect_rounds(simcore.SimConfig.from_json_dict(cfg))
+    assert 5 < tracing.layer_metrics(tracer)["simcore.round_bytes_per_round"] < 5.01
 
 
 def test_readme_sweep_figure_is_the_committed_median():

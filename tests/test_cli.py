@@ -950,11 +950,14 @@ def test_simulate_missing_file(capsys):
         # the intensity index is int16
         ({"rounds": 1000, "intensities": [i * 1e-4 for i in range(40_000)]},
          "intensities must hold at most 32768 values, got 40000"),
+        # a jd block's count per (intensity, slice difference, disagreement) stays <= 32 MB
+        ({"rounds": 1000, "m_slices": 32766, "intensities": [i * 1e-3 for i in range(65)]},
+         "intensities times m_slices must be at most 2097152, got 2129790"),
     ],
     ids=["m_slices_40000", "rounds_null", "scalar_intensities", "nan_phi0",
          "unknown_key", "unknown_channel_key", "unknown_phi0_key", "bad_phi0_kind",
          "fixed_phi0_with_rate", "eta_arm_with_distance", "eta_arm_with_eta_d",
-         "eta_arm_with_alpha", "overflowing_drift", "intensities_40000"],
+         "eta_arm_with_alpha", "overflowing_drift", "intensities_40000", "histogram_cells"],
 )
 def test_simulate_bad_config_is_one_line_error(tmp_path, capsys, overrides, named):
     code, out, err = run_cli(["simulate", str(_sim_config(tmp_path, **overrides))], capsys)

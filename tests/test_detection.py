@@ -377,6 +377,8 @@ def _sim_config(**overrides):
         (lambda: _sim_config(sample_fraction=1.0), "sample_fraction", 1.0),
         (lambda: _sim_config(jd_block_rounds=0), "jd_block_rounds", 0),
         (lambda: _sim_config(jd_block_rounds=99), "jd_block_rounds", 99),
+        (lambda: _sim_config(intensities=tuple(i * 1e-3 for i in range(65)), m_slices=32766),
+         "intensities", 65 * 32766),
         (lambda: Phi0Model("fixed", math.nan), "value_rad", math.nan),
         (lambda: Phi0Model("slow_drift", 0.0, math.inf), "rate_rad_per_round", math.inf),
         (lambda: mdi_rate(0.1, 0.1, 1.5, 0.1, 0.0, 0.0, 1.15), "eta_a", 1.5),
@@ -403,6 +405,7 @@ def _sim_config(**overrides):
     ids=["intensity", "nan_intensity", "rounds", "rounds_above_bound", "rounds_float",
          "rounds_bool", "seed_float", "m_slices_float", "jd_block_rounds_float", "seed",
          "m_slices", "sample_fraction", "jd_block_rounds", "jd_block_below_min_samples",
+         "histogram_cells",
          "phi0_value", "phi0_rate", "mdi_eta_a", "mdi_eta_b", "mdi_mu_a", "mdi_mu_b",
          "mdi_pd_5", "mdi_pd_neg", "mdi_pd_nan", "bb84_mu", "pm_mu_total", "pm_m_slices_odd",
          "pm_m_slices_huge", "e_delta_m_slices", "usd_mu_total", "gllp_mu_total",

@@ -1,6 +1,7 @@
 """The kernel against a full-array oracle, the seeded round stream, and its threaded fill."""
 import dataclasses
 import math
+import sys
 import threading
 import time
 import tracemalloc
@@ -277,7 +278,8 @@ def test_collect_rounds_equals_fresh_block_runs(monkeypatch, case):
             part = full.take(slice(start, stop))
             emitted = np.bincount(part.mu_idx, minlength=len(cfg.intensities))
             assert np.array_equal(data.emitted[b], emitted)
-            assert_same_records(data.block(b), single_clicks(part, cfg.m_slices))
+            records = data.take(slice(data.stops[b - 1] if b else 0, data.stops[b]))
+            assert_same_records(records, single_clicks(part, cfg.m_slices))
         assert len(data) == data.stops[-1]
 
 
@@ -300,7 +302,7 @@ def test_kernel_writes_only_inside_its_views(phi0):
 @pytest.mark.parametrize("phi0", list(PHI0), ids=list(PHI0))
 def test_kernel_asks_for_each_row_once_in_order(phi0):
     # candidates from rows 5 and 6, the intensity from row 4, then the key
-    # bits and phases; every row lands in one of the kernel's two rows
+    # bits and phases; every row lands in the kernel's one row
     n = 5000
     u = np.random.default_rng(4).random((7, n))
     before = u.copy()
@@ -311,7 +313,7 @@ def test_kernel_asks_for_each_row_once_in_order(phi0):
     for _, out in asked:
         assert out.dtype == np.float64 and out.shape == (n,) and out.flags.writeable
     buffers = {out.__array_interface__["data"][0] for _, out in asked}
-    assert len(buffers) == 2
+    assert len(buffers) == 1
     assert u.tobytes() == before.tobytes()
     want_emitted, want_records = oracle_records(u, *params)
     assert np.array_equal(emitted, want_emitted)
@@ -332,26 +334,44 @@ def test_kernel_draws_no_key_or_phase_row_without_a_candidate():
     assert_same_records(RoundData(*records), want_records)
 
 
-def test_collect_rounds_memory_peak(monkeypatch):
-    # per worker, the kernel's two float64 rows (16 B a unit round), its
-    # mask and one bool temporary (2 B), then the others, which are sized
-    # by the candidates (~100 B each, at ~8% of the rounds here); then 5 B
-    # a click record, twice while the units' records are concatenated.
-    # Over eight RNG blocks a record of every round (5 B a round, 10.5 MB)
-    # exceeds the bound, and so does a worker's (7, _UNIT_ROUNDS) buffer
-    # of all seven rows (56 B a unit round).
-    cfg = dataclasses.replace(slow_drift_config(), rounds=8 * RNG_BLOCK_ROUNDS + 1234)
+def traced_peak(run, cfg):
+    """``run(cfg)`` and the peak of the memory it allocated."""
     np.random.default_rng()  # imports numpy.random, once per process, before the trace
+    tracemalloc.start()
+    try:
+        out = run(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def simulate_memory_bound(cfg, workers, kernel_bytes):
+    """Bytes ``simulate`` may hold: per worker, its kernel's ``kernel_bytes``
+    a unit round and the records of the two units per worker it may run
+    ahead, at most 5 B a round; and one jd block's counts."""
+    unit = simcore._UNIT_ROUNDS
+    return (workers * (kernel_bytes + 2 * workers * 5) * unit
+            + 16 * len(cfg.intensities) * cfg.m_slices)
+
+
+def test_collect_rounds_memory_peak(monkeypatch):
+    # per worker, the kernel's float64 row (8 B a unit round) and its mask
+    # (1 B), then the others, which are sized by the candidates (~100 B
+    # each, at ~8% of the rounds here).  collect_rounds adds 5 B a click
+    # record, twice while the units' records are concatenated; simulate
+    # holds no more records than the units it may run ahead.  Over eight
+    # RNG blocks a record of every round (5 B a round, 10.5 MB) exceeds
+    # either bound, and so does a worker's (7, _UNIT_ROUNDS) buffer of all
+    # seven rows (56 B a unit round).
+    cfg = dataclasses.replace(slow_drift_config(), rounds=8 * RNG_BLOCK_ROUNDS + 1234)
     for workers in (1, 2):
         monkeypatch.setattr(simcore, "_WORKERS", workers)
-        tracemalloc.start()
-        try:
-            data = simcore.collect_rounds(cfg)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        data, peak = traced_peak(simcore.collect_rounds, cfg)
         assert data.emitted.sum() == cfg.rounds
-        assert peak <= 40 * len(data) + workers * 30 * simcore._UNIT_ROUNDS, workers
+        assert peak <= 40 * len(data) + workers * 20 * simcore._UNIT_ROUNDS, workers
+        _, peak = traced_peak(simulate, cfg)
+        assert peak <= simulate_memory_bound(cfg, workers, 20), workers
 
 
 # --- the worker count ----------------------------------------------------------
@@ -388,9 +408,9 @@ def test_every_unit_runs_once_on_its_own_worker(monkeypatch):
 
     def start_worker():
         starts.append(threading.current_thread())
-        return lambda i: ran.append((i, threading.current_thread()))
+        return lambda i: ran.append((i, threading.current_thread())) or i
 
-    simcore._run_units(start_worker, 40)
+    assert list(simcore._run_units(start_worker, 40)) == list(range(40))
     assert sorted(i for i, _ in ran) == list(range(40))
     assert len(starts) == len(set(starts)) == 3
     assert {thread for _, thread in ran} <= set(starts)
@@ -408,7 +428,7 @@ def test_unit_failure_reaches_the_caller_after_every_thread_is_joined(monkeypatc
             raise ValueError(f"unit {i}")
 
     with pytest.raises(ValueError, match="^unit 1$"):
-        simcore._run_units(lambda: later_units_fail, 6)
+        list(simcore._run_units(lambda: later_units_fail, 6))
     assert threading.active_count() == before
 
     ran = []
@@ -420,11 +440,93 @@ def test_unit_failure_reaches_the_caller_after_every_thread_is_joined(monkeypatc
         time.sleep(0.2)
 
     with pytest.raises(KeyError):
-        simcore._run_units(lambda: first_unit_fails, 6)
+        list(simcore._run_units(lambda: first_unit_fails, 6))
     assert threading.active_count() == before
     # no unit starts after the failure: beside unit 0, at most the one
     # unit each other worker had taken before it failed ran
     assert 0 in ran and sorted(ran) == list(range(len(ran))) and len(ran) <= 3
+
+
+def test_stream_under_contention_keeps_order_and_window(monkeypatch):
+    # more workers than cores and a short switch interval: every unit runs
+    # once, the results arrive in order, and no unit starts before the
+    # unit 2 * workers below it has been taken (the consumer appends it
+    # just after the stream counts it yielded, hence the + 1)
+    workers, count = 6, 400
+    monkeypatch.setattr(simcore, "_WORKERS", workers)
+    received, ran, early = [], [], []
+
+    def run_unit(i):
+        if i >= len(received) + 1 + 2 * workers:
+            early.append(i)
+        ran.append(i)
+        return i
+
+    def consume():
+        for result in simcore._run_units(lambda: run_unit, count):
+            received.append(result)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        consumer = threading.Thread(target=consume)
+        consumer.start()
+        consumer.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not consumer.is_alive()
+    assert received == list(range(count))
+    assert sorted(ran) == list(range(count))
+    assert early == []
+
+
+def counting_kernel(monkeypatch, fail_at=None):
+    """Put a kernel on ``simcore`` that records each unit's first round,
+    and raises ``fail_at[1]`` at the unit starting at ``fail_at[0]``."""
+    started = []
+    kernel = simcore._simulate_block
+
+    def run(*args):
+        started.append(args[-1])
+        if fail_at and args[-1] == fail_at[0]:
+            raise fail_at[1]
+        return kernel(*args)
+
+    monkeypatch.setattr(simcore, "_simulate_block", run)
+    return started
+
+
+def test_a_failed_jd_block_stops_the_stream(monkeypatch):
+    # the first of 600 jd blocks has too few sampled clicks: beside the two
+    # units read before it fails, at most two a worker start, and every
+    # thread is joined before the error reaches the caller
+    monkeypatch.setattr(simcore, "_WORKERS", 3)
+    cfg = dataclasses.replace(slow_drift_config(), jd_block_rounds=1000)
+    started = counting_kernel(monkeypatch)
+    before = threading.active_count()
+    with pytest.raises(simcore.InsufficientSamplesError, match=r"^jd block \[0, 1000\): "):
+        simulate(cfg)
+    assert threading.active_count() == before
+    assert 2 <= len(started) <= 2 + 2 * 3
+
+
+def test_a_kernel_failure_is_raised_once(monkeypatch):
+    monkeypatch.setattr(simcore, "_WORKERS", 3)
+    cfg = slow_drift_config()
+    units = simcore._round_units(cfg)
+    _, _, start, _, a, _ = units[3]
+    boom = RuntimeError("kernel failed")
+    started = counting_kernel(monkeypatch, (start + a, boom))
+    hooked = []
+    monkeypatch.setattr(threading, "excepthook", hooked.append)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError) as exc:
+        simulate(cfg)
+    assert exc.value is boom and exc.value.__context__ is None
+    assert hooked == [] and threading.active_count() == before
+    # the failing unit ran once, and no unit past the window started
+    assert started.count(start + a) == 1
+    assert len(started) <= 3 + 2 * 3 < len(units)
 
 
 def test_below_one_unit_starts_no_thread(monkeypatch):
@@ -434,7 +536,7 @@ def test_below_one_unit_starts_no_thread(monkeypatch):
     monkeypatch.setattr(simcore, "_WORKERS", 3)
     monkeypatch.setattr(threading, "Thread", no_thread)
     ran = []
-    simcore._run_units(lambda: ran.append, 1)
+    assert list(simcore._run_units(lambda: ran.append, 1)) == [None]
     assert ran == [0]
     cfg = WORKER_CASES["below_one_unit"](slow_drift_config())
     assert len(simcore._round_units(cfg)) == 1

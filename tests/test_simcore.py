@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import pytest
 from pmqkd import rate, simcore
 from pmqkd.detection import ChannelParams
 from pmqkd.simcore import (
+    MAX_HISTOGRAM_CELLS,
     MAX_INTENSITIES,
     MAX_M_SLICES,
     InsufficientSamplesError,
@@ -30,8 +32,12 @@ from test_mckernel import (
     Rounds,
     assert_same_records,
     full_rounds,
+    jd_blocks,
     run_kernel,
+    simulate_memory_bound,
     single_clicks,
+    slow_drift_config,
+    traced_peak,
 )
 
 PI = math.pi
@@ -513,10 +519,12 @@ def test_single_click_subset_equals_the_full_block_pipeline(name):
     cfg = base_config(**SUBSET_CONFIGS[name])
     outputs = []
     for run in (simulate_on_full_blocks, tallies_and_offsets):
+        before = threading.active_count()
         try:
             outputs.append(run(cfg))
         except InsufficientSamplesError as exc:
             outputs.append(str(exc))
+        assert threading.active_count() == before
     assert outputs[0] == outputs[1]
     if name == "low_click_block":
         assert re.fullmatch(r"jd block \[90000, 91000\): only \d+ sampled clicked rounds;"
@@ -525,32 +533,82 @@ def test_single_click_subset_equals_the_full_block_pipeline(name):
         assert sum(row[2] for row in outputs[0][0]) > 0
 
 
-def test_simulate_memory_scales_with_clicks_not_block_rounds(monkeypatch):
-    # eight RNG blocks at a 46% single-click rate, where 86% of the rounds
-    # are kernel candidates.  While the units run, the memory is the
-    # records made so far, 5 B a click, and each worker's kernel: two rows
-    # and a mask, then the candidates' temporaries (~80 B a unit round
-    # here).  Then the records are held twice while the units' records
-    # are concatenated, and the post-processing of a jd block adds sift's
-    # ~7 B a click; the sample draw and the counts per intensity add less
-    # than a unit's length of doubles.  A record 3 B wider, one sample
-    # uniform per click (9 B a click with its mask) or a worker buffer of
-    # all seven rows exceeds the bound.
-    cfg = base_config(rounds=8 * simcore.RNG_BLOCK_ROUNDS + 1234, intensities=(1.0, 2.0),
-                      channel=ChannelParams(eta_arm=0.5, p_d=7.2e-8))
-    unit = simcore._UNIT_ROUNDS
-    np.random.default_rng()  # imports numpy.random, once per process, before the trace
+# eight RNG blocks at a 46% single-click rate, where 86% of the rounds
+# are kernel candidates
+BUSY_CONFIG = dict(rounds=8 * simcore.RNG_BLOCK_ROUNDS + 1234, intensities=(1.0, 2.0),
+                   channel=ChannelParams(eta_arm=0.5, p_d=7.2e-8))
+
+
+def simulate_from_records(cfg):
+    """The tallies and offsets of ``simulate`` from every record of the run:
+    ``collect_rounds``, then ``postcompensate`` and ``sift`` on each jd
+    block's records."""
+    data = collect_rounds(cfg)
+    k = len(cfg.intensities)
+    counts = np.zeros((3, k), dtype=np.int64)
+    offsets = []
+    for b, (start, stop) in enumerate(jd_blocks(cfg)):
+        clicks = data.take(slice(data.stops[b - 1] if b else 0, data.stops[b]))
+        rng = simcore._stream_rng(cfg.seed, simcore._SAMPLE_STREAM, b)
+        post = postcompensate(clicks, cfg.sample_fraction, rng, cfg.m_slices)
+        kept, errors = sift(clicks, post.j_d_opt, cfg.m_slices)
+        mu_sifted = clicks.mu_idx[kept]
+        for row, mu in zip(counts, (clicks.mu_idx, mu_sifted, mu_sifted[errors])):
+            row += np.bincount(mu, minlength=k)
+        offsets.append((start, stop, post.j_d_opt))
+    return [[int(e), *map(int, c)] for e, c in zip(data.emitted.sum(axis=0), counts.T)], offsets
+
+
+STREAM_CONFIGS = {
+    "fixed": dict(phi0=Phi0Model("fixed", 0.7)),
+    "drift": {},
+    "two_slices": dict(m_slices=2, intensities=(0.0, 0.5)),
+    "most_slices_64_intensities": dict(m_slices=MAX_M_SLICES,
+                                       intensities=tuple(i * 0.01 for i in range(64))),
+}
+
+
+@pytest.mark.parametrize("name", list(STREAM_CONFIGS))
+def test_binned_stream_equals_the_record_pipeline(monkeypatch, name):
+    # jd blocks of 150,001 rounds over three RNG blocks: each straddles a
+    # unit boundary, and the second an RNG block boundary too
+    cfg = dataclasses.replace(slow_drift_config(), rounds=2 * simcore.RNG_BLOCK_ROUNDS + 1234,
+                              **STREAM_CONFIGS[name])
+    blocks = jd_blocks(cfg)
+    assert blocks[1][0] < simcore.RNG_BLOCK_ROUNDS < blocks[1][1]
+    assert all(start % simcore._UNIT_ROUNDS for start, _ in blocks[1:])
+    want = simulate_from_records(cfg)
+    assert sum(row[2] for row in want[0]) > 0
     for workers in (1, 2):
         monkeypatch.setattr(simcore, "_WORKERS", workers)
-        tracemalloc.start()
-        try:
-            res = simulate(cfg)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        assert tallies_and_offsets(cfg) == want, workers
+
+
+def test_simulate_memory_scales_with_clicks_not_block_rounds(monkeypatch):
+    # Each worker's kernel holds one row and a mask, then the candidates'
+    # temporaries (~80 B a unit round here); simulate holds the units'
+    # records only until it has binned them and drawn their sample
+    # uniforms.  A worker buffer of all seven rows (56 B a unit round), or
+    # a record of every click made so far (5 B a click, 5 MB here),
+    # exceeds the bound.
+    cfg = base_config(**BUSY_CONFIG)
+    for workers in (1, 2):
+        monkeypatch.setattr(simcore, "_WORKERS", workers)
+        res, peak = traced_peak(simulate, cfg)
         clicks = sum(t.clicked_single for t in res.tallies)
         assert clicks > 0.4 * cfg.rounds
-        assert peak <= max(5 * clicks + workers * 90 * unit, 12.5 * clicks), workers
+        assert peak <= simulate_memory_bound(cfg, workers, 90), workers
+
+
+def test_simulate_memory_does_not_grow_with_the_rounds(monkeypatch):
+    # four times the rounds, and the clicks, peak no higher than two RNG
+    # blocks, within a quarter of a unit's row; on one worker the peak
+    # does not depend on how the threads interleave
+    monkeypatch.setattr(simcore, "_WORKERS", 1)
+    short = dataclasses.replace(base_config(**BUSY_CONFIG), rounds=2 * simcore.RNG_BLOCK_ROUNDS)
+    long = dataclasses.replace(short, rounds=4 * short.rounds)
+    (_, short_peak), (_, long_peak) = (traced_peak(simulate, cfg) for cfg in (short, long))
+    assert long_peak <= short_peak + 2 * simcore._UNIT_ROUNDS
 
 
 def test_sample_draw_memory_does_not_grow_with_the_clicks():
@@ -694,6 +752,17 @@ def test_config_validation():
     assert len(base_config(intensities=most).intensities) == MAX_INTENSITIES
     with pytest.raises(ValueError, match=f"^intensities must hold at most {MAX_INTENSITIES} "):
         base_config(intensities=(*most, 40.0))
+    # the histogram's cells: 64 intensities at the most slices fit, 65 do not
+    assert 64 * MAX_M_SLICES <= MAX_HISTOGRAM_CELLS < 65 * MAX_M_SLICES
+    base_config(intensities=most[:64], m_slices=MAX_M_SLICES)
+    with pytest.raises(ValueError, match=f"^intensities times m_slices must be at most"
+                                         f" {MAX_HISTOGRAM_CELLS}, got {65 * MAX_M_SLICES}$"):
+        base_config(intensities=most[:65], m_slices=MAX_M_SLICES)
+    # the count checks come first: their messages are unchanged
+    with pytest.raises(ValueError, match="^intensities must hold at most "):
+        base_config(intensities=(*most, 40.0), m_slices=MAX_M_SLICES)
+    with pytest.raises(ValueError, match="^m_slices must be an even integer "):
+        base_config(intensities=most[:65], m_slices=MAX_M_SLICES + 2)
     with pytest.raises(ValueError):
         base_config(intensities=(0.5, math.nan))
     with pytest.raises(ValueError):
