@@ -172,7 +172,7 @@ def mdi_optimize_mu(channels, e_d: float, f_ec: float, mus=None) -> list[tuple[f
     _check_prob("e_d", e_d)
     _check_f_ec(f_ec)
     for mu in mus or ():
-        _check_intensity("mu_a", mu / 2.0)
+        _check_intensity("mu", mu)  # the total, as given: each arm's mu / 2 then passes too
     return maximize_cells(
         [(ch.eta_arm, ch.p_d, *_mdi_point(ch.eta_arm, ch.eta_arm, ch.p_d, e_d)) for ch in channels],
         lambda mu, eta, p_d, y11, h11, ops: _mdi_rate(

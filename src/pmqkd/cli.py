@@ -16,6 +16,10 @@ intensity-grid pass takes ``rate.GRID_ROWS`` points at a time.
 ``m_slices`` are checked once per command, in :class:`Preset`.  Exit
 codes: 0 success, 1 domain error, 2 usage error, 3 failed
 statistical/numerical check.
+
+Only the sweep's modules are imported with this one; ``attack``,
+``simulate``, ``fock-check`` and ``rate --config`` import the module
+they call when they run, so start-up does not load the Monte Carlo.
 """
 from __future__ import annotations
 
@@ -24,7 +28,7 @@ import math
 import sys
 from dataclasses import dataclass, fields, replace
 
-from . import attacks, baselines, detection, focklab, rate, simcore
+from . import baselines, detection, rate
 from .detection import ChannelParams, fiber_transmittance, k_photon_clicks
 
 # A longer grid is a mistyped --step, not a sweep.
@@ -118,6 +122,8 @@ def _json_preset(value, name: str) -> str:
 def _read_rate_config(path: str) -> dict:
     """``rate --config`` document with every value checked; each key fills the
     flag of the same dest when that flag is not given."""
+    from . import simcore
+
     doc = simcore._read_json(path)
     numbers = ("distance_km", "eta_arm", "mu", "p_d", "eta_d", "f_ec", "alpha_db_per_km")
     parsers = dict.fromkeys(numbers, simcore._json_number)
@@ -379,6 +385,8 @@ def cmd_attack(args) -> int:
             raise ValueError(
                 f"--{sweep_name}-range must be lo:hi with two finite numbers, got {text!r}"
             )
+    from . import attacks
+
     report = attacks.find_gllp_violation(
         fixed_mu=args.fix_mu, fixed_eta=args.fix_eta, sweep_range=sweep_range, steps=args.steps
     )
@@ -406,6 +414,8 @@ def cmd_attack(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from . import simcore
+
     cfg = simcore.SimConfig.from_json_file(args.config)
     result = simcore.simulate(cfg)
     _write_text(args.output, simcore.tallies_to_csv(result.tallies))
@@ -432,6 +442,8 @@ def cmd_fock_check(args) -> int:
     if not 1 <= args.max_k <= MAX_FOCK_K:
         print(f"error: --max-k {args.max_k} is not in [1, {MAX_FOCK_K}]", file=sys.stderr)
         return 2
+    from . import focklab
+
     ok = True
     for k in range(1, args.max_k + 1):
         res = focklab.lemma1_check(k)

@@ -53,9 +53,14 @@ RNG_BLOCK_ROUNDS = 1 << 18
 # worker's kernel holds one float64 row of one unit (512 KB) and a bool
 # mask; ``postcompensate`` draws its sample this many clicks at a time.
 # A block makes four units, so a worker on a busier CPU can leave the
-# others more of it.  Of 2^14 .. 2^18 on a 2-core host, with the whole
-# unit's seven rows drawn at once, 2^16 and 2^17 ran fastest, and 2^18
-# lost most when another process took a core.
+# others more of it.  Bigger units trade memory for speed: the kernel
+# pays per call for each NumPy op on a unit's ~3,000 candidates (~7.5 us
+# on one thread, 10-12 us while another thread runs such ops).  On a
+# 2-core host (8M seed-42 rounds, 20 alternating processes a side),
+# 2^17 beat 2^16 in 16/20 runs on ``mc_drift`` and 18/20 on
+# ``mc_fixed``, with ~9% less CPU, but raised peak RSS by 1.4-1.9 MB;
+# a 2^17 unit run as two 2^16 kernel calls lost the gain.  2^16 keeps
+# the memory.
 _UNIT_ROUNDS = 1 << 16
 
 try:

@@ -121,6 +121,16 @@ def test_readme_sweep_figure_is_the_committed_median():
     assert figures == [str(round(median))]
 
 
+def test_readme_sweep_start_up_is_the_committed_median():
+    # the README's fig3b start-up time is BENCH_sweep_fig3b.json's setup_s median, in ms
+    root = PERFBENCH.parent
+    bench = json.loads((root / "BENCH_sweep_fig3b.json").read_text())
+    median = bench["pairs_seed_42"]["setup_s"]["change"]["median"]
+    readme = " ".join((root / "README.md").read_text().split())
+    figures = re.findall(r"`sweep_fig3b` starts up in (\d+) ms", readme)
+    assert figures == [str(round(1e3 * median))]
+
+
 def test_readme_monte_carlo_figures_are_the_committed_medians():
     # each Monte Carlo workload's throughput and peak RSS in the README is
     # the change median of its BENCH_<workload>.json, rounded

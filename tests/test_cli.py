@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pmqkd import cli
+from pmqkd import attacks, cli, focklab
 from pmqkd.detection import ChannelParams, fiber_transmittance
 
 
@@ -381,6 +381,10 @@ def test_chunked_sweep_equals_the_per_point_optimizers(variable, start, stop, st
          "mu must be in [0, 500], got 501.0"),
         (["--variable", "mu", "--start", "480", "--stop", "520", "--protocols", "pm,mdi"],
          "mu_total must be in [0, 500], got 501.0"),
+        (["--variable", "mu", "--start", "480", "--stop", "520", "--protocols", "mdi"],
+         "mu must be in [0, 500], got 501.0"),
+        (["--start", "0", "--stop", "2", "--mu", "1000", "--protocols", "mdi"],
+         "mu must be in [0, 500], got 1000.0"),
         (["--start", "0", "--stop", "40", "--optimize-mu", "--e-d", "nan"],
          "e_d must be in [0, 1], got nan"),
         (["--start", "0", "--stop", "40", "--optimize-mu", "--f-ec", "0.5"],
@@ -396,7 +400,8 @@ def test_chunked_sweep_equals_the_per_point_optimizers(variable, start, stop, st
         (["--start", "0", "--stop", "40", "--optimize-mu", "--m-slices", "3"],
          f"m_slices must be an even integer in [2, {2**53}], got 3"),
     ],
-    ids=["mu_bb84", "mu_pm", "e_d", "f_ec", "p_d", "p_d_nan", "eta_d", "alpha", "m_slices"],
+    ids=["mu_bb84", "mu_pm", "mu_mdi", "mu_mdi_fixed", "e_d", "f_ec", "p_d", "p_d_nan", "eta_d",
+         "alpha", "m_slices"],
 )
 def test_chunked_sweep_bad_input_is_one_line_error(monkeypatch, capsys, argv, named):
     # the inputs are checked before any rate evaluation, which checks none of them
@@ -418,7 +423,7 @@ GRID = ["--start", "0", "--stop", "3", "--step", "1"]
     "argv, named",
     [
         (["sweep", *GRID, "--mu", "inf", "--protocols", "bb84"], "mu "),
-        (["sweep", *GRID, "--mu", "inf", "--protocols", "mdi"], "mu_a "),
+        (["sweep", *GRID, "--mu", "inf", "--protocols", "mdi"], "mu "),
         (["sweep", *GRID, "--mu", "inf", "--protocols", "pm"], "mu_total "),
         (["rate", "--distance", "100", "--mu", "inf"], "mu_total "),
         (["sweep", *GRID, "--mu", "nan", "--protocols", "bb84"], "mu "),
@@ -546,18 +551,84 @@ def test_sweep_eta_valid_grid_is_unchanged(capsys, flags, csv):
     assert out == ",".join(cli.SWEEP_COLUMNS) + "\n" + csv
 
 
+def run_fresh(code, *args, cwd=None):
+    """``python -c code *args`` in a new interpreter that imports this pmqkd."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, cwd=cwd, capture_output=True, text=True
+    )
+
+
 def test_import_loads_no_process_pool_or_optimizer():
     # sweeps run in the calling process, the Monte Carlo's threads start only when a
     # block is simulated, and SciPy's optimizer is imported only where used
     heavy = ("multiprocessing", "concurrent.futures", "scipy.optimize")
     code = (f"import sys, threading, pmqkd.cli; "
             f"print([m for m in {heavy!r} if m in sys.modules], threading.active_count())")
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert done.stdout == "[] 1\n"
+    assert run_fresh(code).stdout == "[] 1\n"
+
+
+LOADED_BY_COMMANDS = """
+import json, os, sys
+import pmqkd.cli
+loaded = lambda: sorted(m for m in sys.modules if m.partition(".")[0] == "pmqkd")
+seen = [loaded()]
+sweep = ["sweep", "--preset", "fig3b", "--start", "0", "--stop", "2", "--step", "1",
+         "--optimize-mu", "--output", os.devnull]
+seen += [pmqkd.cli.main(sweep), loaded()]
+seen += [pmqkd.cli.main(["simulate", sys.argv[1], "--output", os.devnull]), loaded()]
+print(json.dumps(seen))
+"""
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    # start-up loads the sweep's modules alone, the sweep loads nothing more, and
+    # simulate adds the Monte Carlo's two
+    done = run_fresh(LOADED_BY_COMMANDS, str(_sim_config(tmp_path)))
+    start_up = ["pmqkd", "pmqkd.baselines", "pmqkd.cli", "pmqkd.detection", "pmqkd.rate"]
+    monte_carlo = sorted([*start_up, "pmqkd._mckernel_np", "pmqkd.simcore"])
+    assert done.stderr == ""
+    assert json.loads(done.stdout.splitlines()[-1]) == [start_up, 0, start_up, 0, monte_carlo]
+
+
+NAMES_RESOLVE = """
+import pkgutil
+import pmqkd
+submodules = [m.name for m in pkgutil.iter_modules(pmqkd.__path__)]
+for name in [*pmqkd.__all__, *submodules]:
+    getattr(pmqkd, name)
+assert {*pmqkd.__all__, *submodules} <= set(dir(pmqkd))
+assert not hasattr(pmqkd, "backend")
+try:
+    from pmqkd import backend
+except ImportError:
+    pass
+else:
+    raise AssertionError("pmqkd.backend imported")
+"""
+CLI_MAIN = "import sys; from pmqkd.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+@pytest.mark.parametrize(
+    "code, argv",
+    [
+        (NAMES_RESOLVE, []),
+        (CLI_MAIN, ["rate", "--distance", "100", "--mu", "0.3"]),
+        (CLI_MAIN, ["rate", "--config", "rate.json"]),
+        (CLI_MAIN, ["sweep", *GRID, "--optimize-mu"]),
+        (CLI_MAIN, ["attack", "--fix-mu", "0.5", "--steps", "20"]),
+        (CLI_MAIN, ["simulate", "sim.json"]),
+        (CLI_MAIN, ["fock-check", "--max-k", "1"]),
+    ],
+    ids=["names", "rate", "rate_config", "sweep", "attack", "simulate", "fock_check"],
+)
+def test_names_and_commands_work_first_in_a_fresh_interpreter(tmp_path, code, argv):
+    # nothing imported earlier in the process stands in for a lazy import
+    _sim_config(tmp_path)
+    (tmp_path / "rate.json").write_text(json.dumps({"distance_km": 100, "mu": 0.3}))
+    done = run_fresh(code, *argv, cwd=tmp_path)
+    assert (done.returncode, done.stderr) == (0, "")
 
 
 def test_sweep_eta_variable(capsys):
@@ -689,9 +760,9 @@ def test_attack_steps_bound_is_checked_before_the_scan(monkeypatch, capsys, fix,
 
     def stub_scan(**kwargs):
         scans.append(kwargs["steps"])
-        return cli.attacks.ViolationReport(points=(), violation_intervals=(), crossovers=())
+        return attacks.ViolationReport(points=(), violation_intervals=(), crossovers=())
 
-    monkeypatch.setattr(cli.attacks, "find_gllp_violation", stub_scan)
+    monkeypatch.setattr(attacks, "find_gllp_violation", stub_scan)
     steps = cli.MAX_ATTACK_STEPS + over
     code, out, err = run_cli(["attack", *fix, "--steps", str(steps)], capsys)
     if over:
@@ -709,14 +780,14 @@ def test_attack_steps_bound_is_checked_before_the_scan(monkeypatch, capsys, fix,
 def test_attack_evaluates_each_point_once(monkeypatch, capsys, argv, calls):
     # one bs_attack call per grid point and per bisection step (80 per crossover),
     # and the CSV rows reuse the scan's points
-    bs_attack = cli.attacks.bs_attack
+    bs_attack = attacks.bs_attack
     seen = []
 
     def counting_bs_attack(mu, eta):
         seen.append((mu, eta))
         return bs_attack(mu, eta)
 
-    monkeypatch.setattr(cli.attacks, "bs_attack", counting_bs_attack)
+    monkeypatch.setattr(attacks, "bs_attack", counting_bs_attack)
     code, out, _ = run_cli(["attack", *argv], capsys)
     assert code == 0
     lines = out.strip().split("\n")
@@ -1015,9 +1086,9 @@ def test_fock_check_max_k_bound_is_checked_before_any_state(monkeypatch, capsys,
 
     def stub_check(k):
         ks.append(k)
-        return cli.focklab.Lemma1Result(k, 0.0, 0.0, 0.0, 0.0)
+        return focklab.Lemma1Result(k, 0.0, 0.0, 0.0, 0.0)
 
-    monkeypatch.setattr(cli.focklab, "lemma1_check", stub_check)
+    monkeypatch.setattr(focklab, "lemma1_check", stub_check)
     max_k = cli.MAX_FOCK_K + over
     code, out, err = run_cli(["fock-check", "--max-k", str(max_k)], capsys)
     if over:
