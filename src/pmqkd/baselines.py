@@ -9,10 +9,10 @@ a :class:`pmqkd.rate.Ops` as :func:`pmqkd.rate._key_rate_terms` is:
 :func:`bb84_rate` and :func:`mdi_rate` at one element, and
 :func:`bb84_optimize_mu` and :func:`mdi_optimize_mu` over a batch of
 channels through :func:`pmqkd.rate.maximize_cells`.  The terms that do
-not depend on the intensity (the single-photon yield and 1 - H of its
-error) are computed once per channel.  The array functions check no
-input: the public functions check ``e_d``, ``f_ec`` and the
-intensities, ``ChannelParams`` the channels.
+not depend on the intensity (the single-photon yield, 1 - H of its
+error and MDI's (1 - p_d)^2) are computed once per channel.  The array
+functions check no input: the public functions check ``e_d``, ``f_ec``
+and the intensities, ``ChannelParams`` the channels.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .detection import ChannelParams, _check_f_ec, _check_intensity, _check_prob, binary_entropy
-from .rate import EXACT, _clip_half, _entropy, _gain, _where, _yield, maximize_cells
+from .rate import EXACT, _clip_half, _gain, _where, _yield, maximize_cells
 
 
 def _bb84_point(eta: float, pd: float, e_d: float) -> tuple[float, float]:
@@ -61,7 +61,7 @@ def _bb84_rate(mu, e_d, f_ec, eta, pd, y1, h1, ops=EXACT):
     e_mu = e_d + (e0 - e_d) * y0 / q_live
     e_mu = _where(0.5 < e_mu, 0.5, e_mu)  # min(e_mu, 0.5)
     q1 = ops.exp(-mu) * mu * y1 / q_live
-    rate = 0.5 * q_mu * (-f_ec * _entropy(e_mu, ops.log2) + q1 * h1)
+    rate = 0.5 * q_mu * (-f_ec * ops.entropy(e_mu) + q1 * h1)
     return _where(live, ops.floor(rate), 0.0)
 
 
@@ -84,14 +84,20 @@ def _bessel_i0(z):
     # power series, summed (for each element of an array) until its term
     # falls below 1e-16 of its total; z is small in every regime used here
     z2 = z * z
+    array = isinstance(z2, np.ndarray)
     total = term = 1.0
-    live = True
+    live = True  # an array's elements still summing
     for k in range(1, 512):
         term = term * (z2 / (4.0 * k * k))
-        total = _where(live, total + term, total)
-        live = _where(term < 1e-16 * total, False, live)
-        if live is not True and not np.any(live):  # a float's stays True until it stops
-            break
+        if array:
+            total = _where(live, total + term, total)
+            live = _where(term < 1e-16 * total, False, live)
+            if not live.any():
+                break
+        else:
+            total = total + term
+            if term < 1e-16 * total:
+                break
     return total
 
 
@@ -113,10 +119,11 @@ def _mdi_single_photon(
     return y11, e11
 
 
-def _mdi_point(eta_a: float, eta_b: float, p_d: float, e_d: float) -> tuple[float, float]:
-    # the mu-independent terms of mdi_rate on one channel: Y_11 and 1 - H(e_11)
+def _mdi_point(eta_a: float, eta_b: float, p_d: float, e_d: float) -> tuple[float, float, float]:
+    # the mu-independent terms of mdi_rate on one channel: Y_11, 1 - H(e_11)
+    # and (1 - p_d)**2, the chance that neither detector dark-counts
     y11, e11 = _mdi_single_photon(eta_a, eta_b, p_d, e_d)
-    return y11, 1.0 - binary_entropy(e11)
+    return y11, 1.0 - binary_entropy(e11), (1.0 - p_d) ** 2
 
 
 def mdi_rate(
@@ -144,7 +151,7 @@ def mdi_rate(
     return _mdi_rate(mu_a, mu_b, eta_a, eta_b, p_d, e_d, f_ec, *point)
 
 
-def _mdi_rate(mu_a, mu_b, eta_a, eta_b, p_d, e_d, f_ec, y11, h11, ops=EXACT):
+def _mdi_rate(mu_a, mu_b, eta_a, eta_b, p_d, e_d, f_ec, y11, h11, pass2, ops=EXACT):
     # mdi_rate at the intensities (mu_a, mu_b) from the channel's _mdi_point:
     # floats, or arrays that broadcast together
     mu_prime = eta_a * mu_a + eta_b * mu_b
@@ -152,16 +159,19 @@ def _mdi_rate(mu_a, mu_b, eta_a, eta_b, p_d, e_d, f_ec, y11, h11, ops=EXACT):
     # NumPy's sqrt is correctly rounded, as math's is
     x = 0.5 * (np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x))
     damp = ops.exp(-mu_prime / 2.0)
-    pass2 = ops.pow(1.0 - p_d, 2)  # (1 - p_d)**2
-    q_c = (2.0 * pass2 * damp * (1.0 - (1.0 - p_d) * ops.exp(-eta_a * mu_a / 2.0))
-           * (1.0 - (1.0 - p_d) * ops.exp(-eta_b * mu_b / 2.0)))
+    # each arm's 1 - (1 - p_d)*exp(-eta*mu/2), computed once when both arms
+    # are given the same eta and mu objects
+    arm_a = 1.0 - (1.0 - p_d) * ops.exp(-eta_a * mu_a / 2.0)
+    same = eta_b is eta_a and mu_b is mu_a
+    arm_b = arm_a if same else 1.0 - (1.0 - p_d) * ops.exp(-eta_b * mu_b / 2.0)
+    q_c = 2.0 * pass2 * damp * arm_a * arm_b
     q_e = 2.0 * p_d * pass2 * damp * (_bessel_i0(2.0 * x) - (1.0 - p_d) * damp)
     q_rect = q_c + q_e
     live = q_rect > 0.0
     e_rect = _clip_half((e_d * q_c + (1.0 - e_d) * q_e) / _where(live, q_rect, 1.0))
     e_rect = _where(live, e_rect, 0.5)
     q11 = mu_a * mu_b * ops.exp(-mu_a - mu_b) * y11
-    return ops.floor(0.5 * (q11 * h11 - f_ec * q_rect * _entropy(e_rect, ops.log2)))
+    return ops.floor(0.5 * (q11 * h11 - f_ec * q_rect * ops.entropy(e_rect)))
 
 
 def mdi_optimize_mu(channels, e_d: float, f_ec: float, mus=None) -> list[tuple[float, float]]:
@@ -173,11 +183,14 @@ def mdi_optimize_mu(channels, e_d: float, f_ec: float, mus=None) -> list[tuple[f
     _check_f_ec(f_ec)
     for mu in mus or ():
         _check_intensity("mu", mu)  # the total, as given: each arm's mu / 2 then passes too
+
+    def step(mu, eta, p_d, y11, h11, pass2, ops):
+        half = mu / 2.0  # each arm's intensity, one array for both
+        return _mdi_rate(half, half, eta, eta, p_d, e_d, f_ec, y11, h11, pass2, ops)
+
     return maximize_cells(
         [(ch.eta_arm, ch.p_d, *_mdi_point(ch.eta_arm, ch.eta_arm, ch.p_d, e_d)) for ch in channels],
-        lambda mu, eta, p_d, y11, h11, ops: _mdi_rate(
-            mu / 2.0, mu / 2.0, eta, eta, p_d, e_d, f_ec, y11, h11, ops
-        ),
+        step,
         mus,
     )
 

@@ -9,13 +9,12 @@ them; tighter or exact variants live in the test oracles.
 Each protocol's rate is one array function (:func:`_key_rate_terms`
 here, ``_bb84_rate`` and ``_mdi_rate`` in :mod:`pmqkd.baselines`) that
 takes its transcendentals from an :class:`Ops`.  ``EXACT`` maps
-``math``'s functions and Python's float ``**`` over the elements, so
-every value is the scalar formula's to the bit; ``key_rate`` is that
-function at one element.  ``GRID`` uses NumPy's ufuncs, which differ
-from ``math`` in the last bit on some inputs, and only selects
-:func:`maximize`'s bracket.  :func:`maximize` runs the golden-section
-refinement in lockstep over a batch of cells, one ``EXACT`` call per
-step.
+``math``'s functions over the elements, so every value is the scalar
+formula's to the bit; ``key_rate`` is that function at one element.
+``GRID`` uses NumPy's ufuncs, which differ from ``math`` in the last bit
+on some inputs, and only selects :func:`maximize`'s bracket.
+:func:`maximize` runs the golden-section refinement in lockstep over a
+batch of cells, one ``EXACT`` call per step.
 """
 from __future__ import annotations
 
@@ -145,8 +144,22 @@ def _bit_error(p_d: float, loss_k: float, y: float, e_delta: float) -> float:
 
 
 def _where(cond, a, b):
-    # a where cond holds, else b
-    return np.where(cond, a, b) if isinstance(cond, np.ndarray) else a if cond else b
+    # a where cond holds, else b; where cond holds everywhere, a itself if b
+    # changes neither its shape nor its dtype (np.where would only copy it)
+    if not isinstance(cond, np.ndarray):
+        return a if cond else b
+    if type(a) is np.ndarray and a.shape == cond.shape and _keeps(a, b) and cond.all():
+        return a
+    return np.where(cond, a, b)
+
+
+def _keeps(a: np.ndarray, b) -> bool:
+    # np.where(cond, a, b) has a's shape and dtype (a sufficient test, not a
+    # necessary one): a Python bool, a Python float beside a float array, or
+    # an array of a's dtype that is 0-d or of a's shape
+    if isinstance(b, np.ndarray):
+        return b.dtype == a.dtype and b.shape in ((), a.shape)
+    return type(b) is bool or (type(b) is float and a.dtype.kind == "f")
 
 
 def _clip_half(v):
@@ -221,6 +234,12 @@ class Ops(NamedTuple):
     pow: Callable  # pow(x, k) for an int k
     floor: Callable
 
+    def entropy(self, x):
+        # binary_entropy of x in [0, 1/2], with this log2
+        pos = x > 0.0
+        x = _where(pos, x, 0.5)  # log2 of positive values only
+        return _where(pos, -x * self.log2(x) - (1.0 - x) * self.log2(1.0 - x), 0.0)
+
 
 def _mapped(fn):
     # fn of a number, and of each element of an array as a Python float
@@ -234,19 +253,12 @@ def _mapped(fn):
     return each
 
 
-# values: every transcendental and power from math or float ** (the
-# scalar formulas' bits), rates floored at 0
-EXACT = Ops(_mapped(math.exp), _mapped(math.sinh), _mapped(math.log2), _mapped(pow), _floor)
+# values: every transcendental and power from math (the scalar formulas'
+# bits: math.pow is the libm pow that float ** calls), rates floored at 0
+EXACT = Ops(_mapped(math.exp), _mapped(math.sinh), _mapped(math.log2), _mapped(math.pow), _floor)
 # maximize's grid pass: NumPy's ufuncs, and rates kept signed, so that a row
 # below 0 marks a cell without key
 GRID = Ops(np.exp, np.sinh, np.log2, np.power, lambda v: v)
-
-
-def _entropy(x, log2):
-    # binary_entropy of x in [0, 1/2], with log2 given
-    pos = x > 0.0
-    x = _where(pos, x, 0.5)  # log2 of positive values only
-    return _where(pos, -x * log2(x) - (1.0 - x) * log2(1.0 - x), 0.0)
 
 
 def _key_rate_terms(
@@ -275,8 +287,7 @@ def _key_rate_terms(
         num = ops.sinh(mu) - (1.0 - 2.0 * p_d) * ops.sinh((1.0 - eta) * mu)
         odd = _where(live, damp_mu * num / q_live, 0.0)
     ex = _phase_error(qs[0], qs[1:], es[1:], odd, tail)
-    entropy = functools.partial(_entropy, log2=ops.log2)
-    return q, ez, ex, qs, odd, _rate(m, q, f_ec, ez, ex, entropy, ops.floor)
+    return q, ez, ex, qs, odd, _rate(m, q, f_ec, ez, ex, ops.entropy, ops.floor)
 
 
 def key_rate(ch: ChannelParams, pm: PmParams, *, tail: str = "truncated") -> RateBreakdown:
@@ -355,7 +366,8 @@ def maximize(f, n: int, lo: float, hi: float, f_grid=None) -> list[tuple[float, 
     refinement does worse.  Returns one ``(x, f(x))`` per cell; when
     ``f <= 0`` on the whole grid that is ``(lo, 0.0)``.  The search
     steps of every cell run together: each step is one call of ``f`` for
-    every cell not yet within the tolerance.
+    every cell not yet within the tolerance, and the steps pass the same
+    cells array until a cell stops.
 
     ``f_grid(cells, grid)``, if given, returns those cells' values on the
     grid (a read-only array) as a ``(len(cells), 200)`` array, for at most
@@ -393,18 +405,27 @@ def maximize(f, n: int, lo: float, hi: float, f_grid=None) -> list[tuple[float, 
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = np.split(f(np.concatenate([cell, cell]), np.concatenate([c, d])), 2)
-    act = np.flatnonzero(b - a > tol)
-    while len(act):
+    # the steps carry only the cells still above the tolerance, and so index
+    # nothing (and call f on one cells array) until one of them stops
+    final = np.empty((4, len(cell)))  # each cell's last (c, d, fc, fd)
+    at, cells = np.arange(len(cell)), cell
+    while True:
+        going = b - a > tol
+        if not going.all():
+            stop = ~going
+            final[:, at[stop]] = c[stop], d[stop], fc[stop], fd[stop]
+            at, cells, a, b, c, d, fc, fd = (v[going] for v in (at, cells, a, b, c, d, fc, fd))
+            if not len(at):
+                break
         # fc >= fd keeps [a, d] and puts a new c in it, else [c, b] with a new d
-        left = fc[act] >= fd[act]
-        a_, b_ = np.where(left, a[act], c[act]), np.where(left, d[act], b[act])
-        kept, f_kept = np.where(left, c[act], d[act]), np.where(left, fc[act], fd[act])
-        x = np.where(left, b_ - invphi * (b_ - a_), a_ + invphi * (b_ - a_))
-        fx = f(cell[act], x)
-        a[act], b[act] = a_, b_
-        c[act], d[act] = np.where(left, x, kept), np.where(left, kept, x)
-        fc[act], fd[act] = np.where(left, fx, f_kept), np.where(left, f_kept, fx)
-        act = act[b[act] - a[act] > tol]
+        left = fc >= fd
+        a, b, kept, f_kept = (np.where(left, a, c), np.where(left, d, b), np.where(left, c, d),
+                              np.where(left, fc, fd))
+        x = np.where(left, b - invphi * (b - a), a + invphi * (b - a))
+        fx = f(cells, x)
+        c, d = np.where(left, x, kept), np.where(left, kept, x)
+        fc, fd = np.where(left, fx, f_kept), np.where(left, f_kept, fx)
+    c, d, fc, fd = final
     x_opt, v_opt = np.where(fc >= fd, c, d), np.where(fd > fc, fd, fc)
     worse = v_opt < best_val  # the refinement did worse than the grid point
     x_out[cell] = np.where(worse, grid[best], x_opt)
@@ -449,8 +470,16 @@ def maximize_cells(cells, step, mus=None) -> list[tuple[float, float]]:
     columns = _columns(cells)
     if mus is not None:
         return list(zip(mus, step(np.array(mus, dtype=float), *columns, EXACT).tolist()))
+    taken = [None, None]  # the cell indices of the last exact call, and their columns
+
+    def exact(idx, xs):
+        # maximize's steps pass one idx array until a cell stops: gather once
+        if idx is not taken[0]:
+            taken[:] = idx, _take(columns, idx)
+        return step(xs, *taken[1], EXACT)
+
     return maximize(
-        lambda idx, xs: step(xs, *_take(columns, idx), EXACT), len(cells), *MU_RANGE,
+        exact, len(cells), *MU_RANGE,
         lambda idx, grid: step(grid, *_take(columns, idx[:, None]), GRID),
     )
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from pmqkd import rate
+from pmqkd import baselines, rate
 from pmqkd.baselines import (
     bb84_optimize_mu,
     bb84_rate,
@@ -424,3 +424,60 @@ def test_optimizers_equal_the_one_row_maximize():
          mdi_optimize_mu(chs, 0.015, 1.15)),
     ):
         assert chunk == [maximize_one(f_of(eta), *rate.MU_RANGE) for eta in etas]
+
+
+def counting_ops(counts):
+    # EXACT, counting each transcendental's calls by name
+    def counted(name, fn):
+        def call(*args):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args)
+        return call
+
+    return rate.Ops(*(counted(name, getattr(rate.EXACT, name))
+                      for name in ("exp", "sinh", "log2", "pow")), rate.EXACT.floor)
+
+
+def test_mdi_step_evaluates_the_symmetric_arm_once():
+    # a symmetric step (one array for both arms' intensity, one channel) makes three
+    # exps: exp(-mu'/2), the arm factor and exp(-mu_a - mu_b); (1 - p_d)**2 is the
+    # channel's, so no step raises to a power; two distinct arms make four exps, with
+    # the same bits
+    eta, p_d = fiber_transmittance(100.0, 0.145, 0.2) ** 0.5, 7.2e-8
+    point = _mdi_point(eta, eta, p_d, 0.015)
+    assert point[2].hex() == ((1.0 - p_d) ** 2).hex()
+    mus = np.linspace(0.01, 2.0, 7)
+    half = mus / 2.0
+    symmetric, two_arms = {}, {}
+    one = _mdi_rate(half, half, eta, eta, p_d, 0.015, 1.15, *point, counting_ops(symmetric))
+    two = _mdi_rate(mus / 2.0, mus / 2.0, eta, eta, p_d, 0.015, 1.15, *point,
+                    counting_ops(two_arms))
+    assert one.tobytes() == two.tobytes()
+    assert symmetric == {"exp": 3, "log2": 2}
+    assert two_arms == {"exp": 4, "log2": 2}
+
+
+def test_mdi_optimizer_takes_the_dark_count_square_once_per_channel(monkeypatch):
+    # _mdi_point runs once per channel, and every exact step makes three exps and
+    # raises nothing to a power
+    chs = [ChannelParams(fiber_transmittance(d, 0.145, 0.2) ** 0.5, 7.2e-8)
+           for d in range(0, 300, 20)]
+    want = mdi_optimize_mu(chs, 0.015, 1.15)
+    points, counts, steps = [], {}, []
+
+    def counting_point(*args):
+        points.append(args)
+        return _mdi_point(*args)
+
+    def counting_rate(*args):
+        steps.append(args[-1])
+        return _mdi_rate(*args)
+
+    monkeypatch.setattr(baselines, "_mdi_point", counting_point)
+    monkeypatch.setattr(baselines, "_mdi_rate", counting_rate)
+    monkeypatch.setattr(rate, "EXACT", counting_ops(counts))
+    assert mdi_optimize_mu(chs, 0.015, 1.15) == want
+    assert len(points) == len(chs)
+    exact = [ops for ops in steps if ops is rate.EXACT]
+    assert len(exact) > 30
+    assert counts.get("pow", 0) == 0 and counts["exp"] == 3 * len(exact)

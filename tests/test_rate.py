@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -469,3 +470,133 @@ def test_params_validation():
         optimize_mu(ch(0.1, 0.0), 7, 1.15)
     with pytest.raises(ValueError, match="^f_ec must be finite and >= 1"):
         optimize_mu(ch(0.1, 0.0), 16, 0.9)
+
+
+# --- the array helpers and the exact ops -------------------------------------
+
+
+WHERE_CONDS = {
+    "all_true": np.array([[True, True, True], [True, True, True]]),
+    "mixed": np.array([[True, False, True], [False, True, True]]),
+    "all_false": np.zeros((2, 3), dtype=bool),
+    "zero_d_true": np.array(True),
+    "zero_d_false": np.array(False),
+}
+WHERE_VALUES = {
+    # arrays of a few dtypes and shapes (the condition's, a row, 0-d) and Python scalars
+    "float": np.array([[0.25, -0.0, np.nan], [1e300, -2.5, 3.0]]),
+    "float_row": np.array([0.5, -1.5, 2.0]),
+    "float_0d": np.array(-0.75),
+    "float32": np.array([[1.5, 2.5, -0.5], [0.0, 4.0, 8.0]], dtype=np.float32),
+    "int": np.array([[1, -2, 3], [4, 5, -6]]),
+    "bool": np.array([[True, False, False], [True, True, False]]),
+    "py_float": 0.5,
+    "py_int": 7,
+    "py_bool": False,
+}
+
+
+@pytest.mark.parametrize("cond", WHERE_CONDS.values(), ids=WHERE_CONDS)
+def test_where_is_np_where(cond):
+    # on an array condition _where gives np.where's values, dtype and shape, also
+    # where it hands back a itself: no promotion and no broadcast may be skipped
+    for (a_name, a), (b_name, b) in itertools.product(WHERE_VALUES.items(), repeat=2):
+        want = np.where(cond, a, b)
+        got = rate._where(cond, a, b)
+        assert isinstance(got, np.ndarray), (a_name, b_name)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), (a_name, b_name)
+        assert got.tobytes() == want.tobytes(), (a_name, b_name)
+
+
+def test_where_returns_a_itself_only_where_np_where_would_copy_it():
+    a = WHERE_VALUES["float"]
+    cond = WHERE_CONDS["all_true"]
+    assert rate._where(cond, a, 0.5) is a
+    assert rate._where(cond, a, False) is a
+    assert rate._where(cond, a, a + 1.0) is a
+    assert rate._where(WHERE_CONDS["mixed"], a, 0.5) is not a
+    assert rate._where(cond, WHERE_VALUES["int"], 0.5).dtype == np.float64  # promoted
+    assert rate._where(cond, WHERE_VALUES["float_row"], 0.5).shape == (2, 3)  # broadcast
+
+
+def test_where_on_a_python_condition_picks_as_python_does():
+    # the one-float path: a or b itself, as `a if cond else b`
+    assert rate._where(True, 0.25, 0.5) == 0.25
+    assert rate._where(False, 0.25, 0.5) == 0.5
+    assert rate._where(0.3 > 0.0, -0.0, 1.0).hex() == (-0.0).hex()
+
+
+# Inputs on which NumPy's ufuncs differ from math in the last bit (on an AVX-512
+# host: exp 4.4%, log2 0.1%, sinh 27%, power 0.07% / 5.3% / 5.4% at k = 2 / 3 / 5),
+# so an EXACT op that moved to a ufunc fails here, not only in the golden sweep.
+EXACT_SAMPLE_RNG = np.random.default_rng(2018)
+EXACT_SAMPLES = {
+    "exp": EXACT_SAMPLE_RNG.uniform(-40.0, 5.0, 20000),
+    "log2": np.concatenate([EXACT_SAMPLE_RNG.uniform(0.0, 1.0, 10000),
+                            np.exp(EXACT_SAMPLE_RNG.uniform(-40.0, 5.0, 10000))]),
+    "sinh": EXACT_SAMPLE_RNG.uniform(-10.0, 10.0, 20000),
+    "pow": EXACT_SAMPLE_RNG.uniform(0.0, 2.0, 20000),
+}
+
+
+@pytest.mark.parametrize("name, args", [("exp", ()), ("log2", ()), ("sinh", ()),
+                                        ("pow", (2,)), ("pow", (3,)), ("pow", (5,))])
+def test_exact_ops_are_math_to_the_bit(name, args):
+    x = EXACT_SAMPLES[name]
+    op, fn = getattr(rate.EXACT, name), getattr(math, name)
+    want = np.array([fn(v, *args) for v in x.tolist()])
+    assert op(x, *args).tobytes() == want.tobytes()
+    square = x[:10000].reshape(100, 100)
+    assert op(square, *args).tobytes() == want[:10000].reshape(100, 100).tobytes()
+    assert all(op(v, *args) == w for v, w in zip(x[:100].tolist(), want[:100].tolist()))
+    if name == "pow":  # the float ** of the scalar formulas
+        assert want.tobytes() == np.array([v ** args[0] for v in x.tolist()]).tobytes()
+
+
+# --- the lockstep search -----------------------------------------------------
+
+
+def test_maximize_cells_stopping_at_different_steps_equal_their_own_search():
+    # a peak at each end of the range (its bracket is one grid step wide, so it stops
+    # a step early), one inside it and a nonpositive cell: each gets its own
+    # one-cell answer, and the steps pass one cells array until the edge cells stop
+    fs = [lambda x: 1.0 - x, lambda x: x, lambda x: 1.0 - (x - 1.3) ** 2, lambda x: -x]
+    passed = []
+
+    def f(cells, xs):
+        passed.append(cells)
+        return np.array([fs[i](x) for i, x in zip(cells.tolist(), xs.tolist())])
+
+    out = rate.maximize(f, 4, 0.01, 2.0)
+    assert out == [maximize_one(g, 0.01, 2.0) for g in fs]
+    steps = passed[2:]  # after the scan and the first two golden-section points
+    objects = [s for i, s in enumerate(steps) if i == 0 or s is not steps[i - 1]]
+    assert [s.tolist() for s in objects] == [[0, 1, 2], [2]]
+
+
+def test_optimize_mu_chunk_gathers_each_column_once_for_the_steps(monkeypatch):
+    # the golden-section steps reuse the columns gathered for their cells
+    channels = [ChannelParams.from_distance(float(d), eta_d=0.145, p_d=7.2e-8)
+                for d in range(0, 400, 10)]
+    want = [optimize_mu(c, 16, 1.15) for c in channels]
+    exact_takes, steps = [], []
+    take, pm_rate = rate._take, rate._pm_rate
+
+    def counting_take(columns, cells):
+        if cells.ndim == 1:
+            exact_takes.append(len(cells))
+        return take(columns, cells)
+
+    def counting_rate(*args):
+        if args[-1] is rate.EXACT:
+            steps.append(args[2].size)
+        return pm_rate(*args)
+
+    monkeypatch.setattr(rate, "_take", counting_take)
+    monkeypatch.setattr(rate, "_pm_rate", counting_rate)
+    assert rate.optimize_mu_chunk(channels, 16, 1.15) == want
+    # one gather each for the scan, the first two golden-section points (every cell
+    # twice) and all of the ~34 steps, which no cell leaves early here
+    n = len(channels)
+    assert len(steps) > 30 and all(size == n for size in steps[2:])
+    assert exact_takes == [exact_takes[0], 2 * n, n]
