@@ -556,7 +556,7 @@ def test_exact_ops_are_math_to_the_bit(name, args):
 # --- the lockstep search -----------------------------------------------------
 
 
-def test_maximize_cells_stopping_at_different_steps_equal_their_own_search():
+def test_maximize_with_cells_stopping_at_different_steps():
     # a peak at each end of the range (its bracket is one grid step wide, so it stops
     # a step early), one inside it and a nonpositive cell: each gets its own
     # one-cell answer, and the steps pass one cells array until the edge cells stop
