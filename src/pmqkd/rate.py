@@ -155,11 +155,11 @@ def _where(cond, a, b):
 
 def _keeps(a: np.ndarray, b) -> bool:
     # np.where(cond, a, b) has a's shape and dtype (a sufficient test, not a
-    # necessary one): a Python bool, a Python float beside a float array, or
-    # an array of a's dtype that is 0-d or of a's shape
+    # necessary one): b is a Python float beside a float array, or an array
+    # of a's shape and dtype
     if isinstance(b, np.ndarray):
-        return b.dtype == a.dtype and b.shape in ((), a.shape)
-    return type(b) is bool or (type(b) is float and a.dtype.kind == "f")
+        return b.shape == a.shape and b.dtype == a.dtype
+    return type(b) is float and a.dtype.kind == "f"
 
 
 def _clip_half(v):

@@ -512,7 +512,6 @@ def test_where_returns_a_itself_only_where_np_where_would_copy_it():
     a = WHERE_VALUES["float"]
     cond = WHERE_CONDS["all_true"]
     assert rate._where(cond, a, 0.5) is a
-    assert rate._where(cond, a, False) is a
     assert rate._where(cond, a, a + 1.0) is a
     assert rate._where(WHERE_CONDS["mixed"], a, 0.5) is not a
     assert rate._where(cond, WHERE_VALUES["int"], 0.5).dtype == np.float64  # promoted
