@@ -102,10 +102,10 @@ def pm_rate_under_bs(mu_total: float, eta: float) -> float:
     _check_point(mu_total, eta)
     # expm1/log1p keep the yields and gain precise at small eta*mu
     q_mu = -math.expm1(-eta * mu_total)
-    qs = [
-        _fraction(k, -math.expm1(k * math.log1p(-eta)) if eta < 1.0 else 1.0, mu_total, q_mu)
-        for k in (1, 3, 5)
-    ]
+    qs = [0.0] * 3  # no fraction without clicks (eta*mu = 0)
+    if q_mu > 0.0:
+        qs = [_fraction(k, -math.expm1(k * math.log1p(-eta)) if eta < 1.0 else 1.0,
+                        mu_total**k, math.exp(-mu_total), q_mu) for k in (1, 3, 5)]
     ex = _phase_error(0.0, qs, (0.0,) * 3, 0.0, "truncated")
     return 1.0 - binary_entropy(ex)
 
@@ -128,8 +128,9 @@ def find_gllp_violation(
     variable is swept over ``sweep_grid(lo, hi, steps)``, by default eta
     in [1e-3, 1 - 1e-9] or mu in [1e-3, 2].  Each grid point is evaluated
     once, and each sign change of r_GLLP - r_BS (per click) is refined
-    by 80 bisection steps of one evaluation each.  An empty violation
-    set is a valid result.
+    by 80 bisection steps of one evaluation each.  Both ends of the range
+    are checked first, so a bad one is named as given.  An empty
+    violation set is a valid result.
     """
     if (fixed_mu is None) == (fixed_eta is None):
         raise ValueError("fix exactly one of mu or eta")
@@ -138,44 +139,41 @@ def find_gllp_violation(
     if fixed_mu is not None:
         lo, hi = sweep_range or (1e-3, 1.0 - 1e-9)
 
-        def point(x: float) -> AttackPoint:
-            return bs_attack(fixed_mu, x)
+        def args(x: float) -> tuple[float, float]:
+            return fixed_mu, x
 
     else:
         lo, hi = sweep_range or (1e-3, 2.0)
 
-        def point(x: float) -> AttackPoint:
-            return bs_attack(x, fixed_eta)
+        def args(x: float) -> tuple[float, float]:
+            return x, fixed_eta
 
+    for end in (lo, hi):  # the ends as given, before any grid point is evaluated
+        _check_point(*args(end))
     if not (lo < hi):
         raise ValueError("sweep range must satisfy lo < hi")
     xs = sweep_grid(lo, hi, steps)
-    points = tuple(point(x) for x in xs)
+    points = tuple(bs_attack(*args(x)) for x in xs)
     above = [p.r_gllp - p.r_bs > 0 for p in points]
 
-    crossovers = []
+    crossovers, intervals = [], []
+    start = xs[0]  # where the current run of equal signs began
     for i in range(steps - 1):
         if above[i] != above[i + 1]:
             # the left end keeps its side, so only the midpoint is evaluated
             a, b = xs[i], xs[i + 1]
             for _ in range(80):
                 m = 0.5 * (a + b)
-                p = point(m)
+                p = bs_attack(*args(m))
                 if above[i] != (p.r_gllp - p.r_bs > 0):
                     b = m
                 else:
                     a = m
             crossovers.append(0.5 * (a + b))
-
-    intervals = []
-    start = None
-    for x, up in zip(xs, above):
-        if up and start is None:
-            start = x
-        elif not up and start is not None:
-            intervals.append((start, x))
-            start = None
-    if start is not None:
+            if above[i]:
+                intervals.append((start, xs[i + 1]))
+            start = xs[i + 1]
+    if above[-1]:
         intervals.append((start, xs[-1]))
 
     return ViolationReport(

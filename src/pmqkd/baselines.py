@@ -55,7 +55,7 @@ def _bb84_rate(mu, e_d, f_ec, eta, pd, y1, h1, ops=EXACT):
     # or arrays that broadcast together
     y0 = 2.0 * pd
     e0 = 0.5
-    q_mu = _gain(pd, eta * mu, ops.exp)
+    q_mu = _gain(pd, ops.exp(-eta * mu))
     live = q_mu > 0.0
     q_live = _where(live, q_mu, 1.0)  # so that nothing divides by 0
     e_mu = e_d + (e0 - e_d) * y0 / q_live
@@ -111,11 +111,9 @@ def _mdi_single_photon(
         + (2.0 * eta_a + 2.0 * eta_b - 3.0 * eta_a * eta_b) * p_d
         + 4.0 * (1.0 - eta_a) * (1.0 - eta_b) * p_d**2
     )
+    e11 = e0
     if y11 > 0.0:
-        e11 = (e0 * y11 - (e0 - e_d) * (1.0 - p_d**2) * eta_a * eta_b / 2.0) / y11
-        e11 = min(max(e11, 0.0), 0.5)
-    else:
-        e11 = e0
+        e11 = _clip_half((e0 * y11 - (e0 - e_d) * (1.0 - p_d**2) * eta_a * eta_b / 2.0) / y11)
     return y11, e11
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rate import (
+    EXACT,
     ODD_ORDERS,
     PmParams,
     RateBreakdown,
@@ -116,12 +117,13 @@ def empirical_rate(tallies: list[Tally], estimate: DecoyEstimate, pm: PmParams) 
     if q_hat > 0.0 and signal.sifted > 0:
         ez = min(signal.ez_hat, 0.5)
         odd = [k for k in ODD_ORDERS if k <= estimate.k_max]
+        mu, damp = pm.mu_total, math.exp(-pm.mu_total)
         for k in (0, *odd):
-            fractions[k] = _fraction(k, float(estimate.yields[k]), pm.mu_total, q_hat)
+            fractions[k] = _fraction(k, float(estimate.yields[k]), mu**k, damp, q_hat)
             bit_errors[k] = 0.5 if k == 0 else float(estimate.bit_errors[k])
         odd_qs, odd_es = [fractions[k] for k in odd], [bit_errors[k] for k in odd]
         ex = _phase_error(fractions[0], odd_qs, odd_es, 0.0, "truncated")
-        rate = _rate(pm.m_slices, q_hat, pm.f_ec, ez, ex)
+        rate = _rate(pm.m_slices, q_hat, pm.f_ec, ez, ex, EXACT)
     breakdown = RateBreakdown(
         gain_Q=q_hat,
         qber_Z=ez,

@@ -160,4 +160,9 @@ def binary_entropy(x: float) -> float:
         raise ValueError(f"entropy argument must be in [0, 1], got {x!r}")
     if x == 0.0 or x == 1.0:
         return 0.0
-    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
+    return _entropy(x, math.log2)
+
+
+def _entropy(x, log2):
+    # binary entropy of x strictly between 0 and 1 (floats or an array)
+    return -x * log2(x) - (1.0 - x) * log2(1.0 - x)

@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .detection import ChannelParams, _check_f_ec, _check_intensity, binary_entropy
+from .detection import ChannelParams, _check_f_ec, _check_intensity, _entropy
 
 
 # The odd photon orders kept in the phase-error bound: q_1, q_3 and q_5, as
@@ -74,13 +74,16 @@ class RateBreakdown:
     """Every intermediate of one key-rate evaluation.
 
     ``gain_Q`` is the any-click probability 1 - (1-2*p_d)*exp(-eta*mu),
-    exact to first order in p_d as in the reference routine (the Monte
-    Carlo counts single clicks only).  ``qber_Z`` is
-    (p_d + eta*mu*e_delta)*exp(-eta*mu)/Q.  ``phase_err_X`` is the
-    phase-error bound, clamped to [0, 0.5]: ``tail="truncated"`` charges
-    everything beyond the kept orders as full error (1 - q_0 - q_1 -
-    q_3 - q_5), ``tail="odd"`` charges 1 - q_0 - ``q_odd``, which is
-    tighter.
+    exact to first order in p_d as in the reference routine.  ``qber_Z``
+    is (p_d + eta*mu*e_delta)*exp(-eta*mu)/Q.  Both differ from what the
+    Monte Carlo tallies: it drops double clicks, so its gain is the
+    single-click probability 2(1-p_d)e^{-x/2}I_0(x/2) - 2(1-p_d)^2 e^{-x}
+    with x = eta*mu, and its E_Z follows the slice factor
+    (1 - sinc^2(pi/M)*cos r)/2 at the residual phase offset r, not the
+    closed-form e_delta.  ``phase_err_X`` is the phase-error bound,
+    clamped to [0, 0.5]: ``tail="truncated"`` charges everything beyond
+    the kept orders as full error (1 - q_0 - q_1 - q_3 - q_5),
+    ``tail="odd"`` charges 1 - q_0 - ``q_odd``, which is tighter.
     """
 
     gain_Q: float
@@ -93,26 +96,22 @@ class RateBreakdown:
     rate_R: float
 
 
-# The scalar formulas take the intermediates they need (``x = eta*mu`` the
-# received intensity, ``loss = 1-eta``, ``loss_k = loss**k``, ``y`` a
-# yield, ``q`` the gain).  They give the channel's terms, and the Monte
-# Carlo model check, the decoy-state rate and the attack analysis call
-# them.  ``_key_rate_terms`` is the rate at an array of intensities; it
-# shares ``_phase_error`` and ``_rate`` with them and writes the gain,
-# QBER and fractions over arrays, each transcendental computed once.
+# Each formula is written once, over floats or arrays, and takes the
+# intermediates it needs, so that ``_key_rate_terms`` computes each
+# transcendental once; the Monte Carlo model check, the decoy-state rate,
+# the attack analysis and BB84 call the same formulas.
+
+
+def _gain(p_d, none):
+    # click probability, first order in p_d (see RateBreakdown.gain_Q), given
+    # the chance that no photon arrives: exp(-eta*mu), or (1-eta)**k
+    return 1.0 - (1.0 - 2.0 * p_d) * none
 
 
 def _yield(k: int, p_d: float, loss_k: float) -> float:
-    # click yield of a k-photon input, 1 - (1-2*p_d)*(1-eta)^k; the vacuum
+    # click yield of a k-photon input, loss_k = (1-eta)**k; the vacuum
     # yield is written as 2*p_d so it is exact
-    if k == 0:
-        return 2.0 * p_d
-    return 1.0 - (1.0 - 2.0 * p_d) * loss_k
-
-
-def _gain(p_d, x, exp=math.exp):
-    # any-click probability, first order in p_d (see RateBreakdown.gain_Q)
-    return 1.0 - (1.0 - 2.0 * p_d) * exp(-x)
+    return 2.0 * p_d if k == 0 else _gain(p_d, loss_k)
 
 
 @functools.lru_cache
@@ -172,17 +171,10 @@ def _floor(v):
     return (np.maximum(v, 0.0) if isinstance(v, np.ndarray) else max(v, 0.0)) + 0.0
 
 
-def _qber(q: float, p_d: float, x: float, e_delta: float) -> float:
-    if q <= 0.0:
-        return 0.5
-    val = (p_d + x * e_delta) * math.exp(-x) / q
-    return _clip_half(val)
-
-
-def _fraction(k: int, y: float, mu: float, q: float) -> float:
-    if q <= 0.0:
-        return 0.0
-    return y * mu**k * math.exp(-mu) / (math.factorial(k) * q)
+def _fraction(k: int, y, mu_k, damp, q):
+    # photon-number fraction q_k = y * mu**k * exp(-mu) / (k! * q) of the
+    # clicks, for a gain q > 0
+    return y * mu_k * damp / (math.factorial(k) * q)
 
 
 def _phase_error(q0, odd_qs, odd_es, q_odd, tail: str):
@@ -201,9 +193,9 @@ def _phase_error(q0, odd_qs, odd_es, q_odd, tail: str):
     return _clip_half(ex + tail_term)
 
 
-def _rate(m, q, f_ec, ez, ex, entropy=binary_entropy, floor=_floor):
-    bracket = -f_ec * entropy(ez) + 1.0 - entropy(ex)
-    return floor((2.0 / m) * q * bracket)
+def _rate(m, q, f_ec, ez, ex, ops):
+    bracket = -f_ec * ops.entropy(ez) + 1.0 - ops.entropy(ex)
+    return ops.floor((2.0 / m) * q * bracket)
 
 
 # the photon numbers whose yield and bit error the rate reads: the vacuum and
@@ -238,7 +230,7 @@ class Ops(NamedTuple):
         # binary_entropy of x in [0, 1/2], with this log2
         pos = x > 0.0
         x = _where(pos, x, 0.5)  # log2 of positive values only
-        return _where(pos, -x * self.log2(x) - (1.0 - x) * self.log2(1.0 - x), 0.0)
+        return _where(pos, _entropy(x, self.log2), 0.0)
 
 
 def _mapped(fn):
@@ -274,20 +266,20 @@ def _key_rate_terms(
     """
     x = eta * mu
     damp_x, damp_mu = ops.exp(-x), ops.exp(-mu)
-    q = 1.0 - (1.0 - 2.0 * p_d) * damp_x  # _gain
-    live = q > 0.0  # where _qber and _fraction do not short-cut
+    q = _gain(p_d, damp_x)
+    live = q > 0.0  # without clicks E_Z is 1/2 and every fraction 0
     q_live = _where(live, q, 1.0)  # so that nothing divides by 0
     ez = _where(live, _clip_half((p_d + x * e_delta) * damp_x / q_live), 0.5)
     qs = []
     for k, y in zip(ORDERS, ys):
         mu_k = ops.pow(mu, k) if k > 1 else mu**k  # mu**0 and mu**1 are exact anyway
-        qs.append(_where(live, y * mu_k * damp_mu / (math.factorial(k) * q_live), 0.0))
+        qs.append(_where(live, _fraction(k, y, mu_k, damp_mu, q_live), 0.0))
     odd = None
     if q_odd or tail == "odd":
         num = ops.sinh(mu) - (1.0 - 2.0 * p_d) * ops.sinh((1.0 - eta) * mu)
         odd = _where(live, damp_mu * num / q_live, 0.0)
     ex = _phase_error(qs[0], qs[1:], es[1:], odd, tail)
-    return q, ez, ex, qs, odd, _rate(m, q, f_ec, ez, ex, ops.entropy, ops.floor)
+    return q, ez, ex, qs, odd, _rate(m, q, f_ec, ez, ex, ops)
 
 
 def key_rate(ch: ChannelParams, pm: PmParams, *, tail: str = "truncated") -> RateBreakdown:

@@ -42,7 +42,7 @@ import numpy as np
 # single-stack profiler's, say) must not run.
 from ._mckernel_np import simulate_block as _simulate_block
 from .detection import ChannelParams, _check_intensity
-from .rate import _gain, _qber, misalignment_e_delta
+from .rate import _key_rate_terms, _point_terms
 
 # Rounds per RNG block.  Part of the random-stream definition: changing
 # it changes which uniforms drive which round.
@@ -727,23 +727,26 @@ def _z_score(observed: float, model: float, se: float) -> float:
 def compare_to_model(result: SimResult) -> list[ModelComparison]:
     """Score-test z values of the tallies against the analytic formulas.
 
-    Standard errors use the model probabilities, which keeps the test
-    defined when the observed error count is zero.
+    The model is ``key_rate``'s ``gain_Q`` and ``qber_Z``, which differ
+    from what the tallies count in the two ways ``RateBreakdown`` names:
+    the Monte Carlo drops double clicks, and its E_Z follows the slice
+    factor, not the closed-form e_delta.  Standard errors use the model
+    probabilities, which keeps the test defined when the observed error
+    count is zero.
     """
     cfg = result.config
-    eta = cfg.channel.eta_arm
-    pd = cfg.channel.p_d
-    e_delta = misalignment_e_delta(cfg.m_slices)
+    eta, pd = cfg.channel.eta_arm, cfg.channel.p_d
+    mus = np.array([t.intensity for t in result.tallies])
+    # f_ec = 1 only feeds the rate, which is not read
+    q, ez = _key_rate_terms(mus, pd, eta, cfg.m_slices, 1.0, "truncated",
+                            *_point_terms(pd, eta, cfg.m_slices), q_odd=False)[:2]
     rows = []
-    for t in result.tallies:
-        mu = t.intensity
-        q_model = _gain(pd, eta * mu)
-        ez_model = _qber(q_model, pd, eta * mu, e_delta)
+    for t, q_model, ez_model in zip(result.tallies, q.tolist(), ez.tolist()):
         q_se = math.sqrt(q_model * (1.0 - q_model) / t.emitted) if t.emitted else math.inf
         ez_se = math.sqrt(ez_model * (1.0 - ez_model) / t.sifted) if t.sifted else math.inf
         rows.append(
             ModelComparison(
-                intensity=mu,
+                intensity=t.intensity,
                 q_hat=t.q_hat,
                 q_model=q_model,
                 z_q=_z_score(t.q_hat, q_model, q_se),

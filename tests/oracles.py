@@ -242,3 +242,36 @@ def phase_average_dephase(mu_total: float, n_quadrature: int, cutoff: int) -> np
         vec = coherent_vector(amp * cmath.exp(1j * phi), cutoff)
         rho += np.outer(vec, vec.conj())
     return rho / n_quadrature
+
+
+@dataclass(frozen=True)
+class RateTermsMp:
+    """The rate routine's gain, E_Z and photon fractions in 60-digit mpmath."""
+
+    gain_Q: object  # mpmath.mpf
+    qber_Z: object
+    fractions: dict  # q_k for k = 0, 1, 3, 5
+
+
+def rate_terms_mp(mu: float, eta: float, p_d: float, m_slices: int) -> RateTermsMp:
+    """``key_rate``'s Q, E_Z and q_0/q_1/q_3/q_5 in 60-digit arithmetic.
+
+    The floats given are taken as exact, and the formulas are the rate
+    routine's (Q first order in p_d, the closed-form e_delta, no clamp):
+    Q = 1 - (1-2p_d)e^{-eta mu}, E_Z = (p_d + eta mu e_delta)e^{-eta mu}/Q,
+    q_k = Y_k mu^k e^{-mu}/(k! Q) with Y_0 = 2p_d and
+    Y_k = 1 - (1-2p_d)(1-eta)^k.
+    """
+    import mpmath  # deferred: only the high-precision oracle needs it
+
+    with mpmath.workdps(60):
+        mu, eta, p_d = mpmath.mpf(mu), mpmath.mpf(eta), mpmath.mpf(p_d)
+        x = mpmath.pi / m_slices
+        e_delta = x - (m_slices / mpmath.pi) ** 2 * mpmath.sin(x) ** 3
+        q = 1 - (1 - 2 * p_d) * mpmath.exp(-eta * mu)
+        ez = (p_d + eta * mu * e_delta) * mpmath.exp(-eta * mu) / q
+        fractions = {}
+        for k in (0, 1, 3, 5):
+            y = 2 * p_d if k == 0 else 1 - (1 - 2 * p_d) * (1 - eta) ** k
+            fractions[k] = y * mu**k * mpmath.exp(-mu) / (mpmath.factorial(k) * q)
+        return RateTermsMp(q, ez, fractions)

@@ -752,6 +752,26 @@ def test_attack_non_finite_range_is_named(capsys, argv, flag):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--fix-mu", "0.5", "--eta-range", "0.5:2"], "eta must be in [0, 1], got 2.0"),
+        (["--fix-eta", "0.2", "--mu-range", "0.1:1e300"],
+         "mu_total must be in [0, 500], got 1e+300"),
+    ],
+    ids=["eta_axis", "mu_axis"],
+)
+def test_attack_bad_range_end_is_named_as_given(monkeypatch, capsys, argv, message):
+    # the end the user typed is named, not a grid point, and no point is evaluated first
+    calls = []
+    monkeypatch.setattr(attacks, "bs_attack", lambda mu, eta: calls.append((mu, eta)))
+    code, out, err = run_cli(["attack", *argv], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+    assert calls == []
+
+
 @pytest.mark.parametrize("fix", [["--fix-eta", "0.2"], ["--fix-mu", "0.5"]], ids=["eta", "mu"])
 @pytest.mark.parametrize("over", [0, 1], ids=["at_bound", "above_bound"])
 def test_attack_steps_bound_is_checked_before_the_scan(monkeypatch, capsys, fix, over):

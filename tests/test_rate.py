@@ -1,5 +1,7 @@
+import csv
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from pmqkd import rate
 from pmqkd.detection import ChannelParams, binary_entropy, k_photon_clicks
 from pmqkd.rate import PmParams, key_rate, misalignment_e_delta, optimize_mu
 
-from oracles import coherent_clicks, e_delta_series, with_dark_counts
+from oracles import coherent_clicks, e_delta_series, rate_terms_mp, with_dark_counts
 from reference_port import pm_key
 
 PI = math.pi
@@ -199,7 +201,8 @@ def test_fraction_normalization_identity():
         q = key_rate(ch(eta, pd), PmParams(mu_total=mu)).gain_Q
         # key_rate keeps only q_0 and the odd orders; every order k <= 40 is summed here
         total = sum(
-            rate._fraction(k, rate._yield(k, pd, (1.0 - eta) ** k), mu, q) for k in range(41)
+            rate._fraction(k, rate._yield(k, pd, (1.0 - eta) ** k), mu**k, math.exp(-mu), q)
+            for k in range(41)
         )
         assert total == pytest.approx(1.0, abs=1e-9)
 
@@ -245,11 +248,47 @@ def test_odd_fraction_tail_is_small():
     partial = sum(bd.fractions[k] for k in (1, 3, 5))
     # q_7 + q_9 + ... + q_39 from the same formulas key_rate keeps q_1..q_5 with
     tail = sum(
-        rate._fraction(k, rate._yield(k, 0.0, (1.0 - eta) ** k), mu, bd.gain_Q)
+        rate._fraction(k, rate._yield(k, 0.0, (1.0 - eta) ** k), mu**k, math.exp(-mu), bd.gain_Q)
         for k in range(7, 41, 2)
     )
     assert q_odd - partial == pytest.approx(tail, abs=1e-12)
     assert q_odd - partial < 2e-5
+
+
+# --- accuracy against a 60-digit oracle ----------------------------------------
+
+GOLDEN_SWEEP = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "sweep_fig3b.csv"
+
+# Relative-error budget of Q, E_Z and q_0/q_1/q_3/q_5 per distance band (km,
+# lower end; 400 takes 400-500), about twice the largest error first
+# measured in the band: 2.6e-14, 2.7e-13, 2.4e-12, 2.6e-11 and 7.4e-10 (at
+# 487 km: past 422 km the rows carry no key and mu_opt is the grid's 0.01).
+# The error grows as eta*mu shrinks: 1 - (1-2p_d)exp(-eta*mu) cancels in Q,
+# which every other term divides by, and 1 - (1-2p_d)(1-eta)^k in the yields.
+ORACLE_BUDGET = {0: 5e-14, 100: 5e-13, 200: 5e-12, 300: 5e-11, 400: 1.5e-9}
+
+
+def test_rate_terms_against_the_mpmath_oracle():
+    with GOLDEN_SWEEP.open(encoding="utf-8") as f:
+        rows = list(csv.DictReader(f))
+    assert len(rows) == 501
+    p_d, m = FIG3B["p_d"], FIG3B["m_slices"]
+    worst = dict.fromkeys(ORACLE_BUDGET, 0.0)
+    for row in rows:
+        eta, mu = float(row["eta_arm"]), float(row["mu_opt"])
+        q, ez, _, qs, _, _ = rate._key_rate_terms(
+            mu, p_d, eta, m, FIG3B["f_ec"], "truncated", *rate._point_terms(p_d, eta, m),
+            rate.EXACT,
+        )
+        oracle = rate_terms_mp(mu, eta, p_d, m)
+        pairs = [(q, oracle.gain_Q), (ez, oracle.qber_Z),
+                 *((v, oracle.fractions[k]) for k, v in zip(rate.ORDERS, qs))]
+        band = min(int(float(row["distance_km"])) // 100 * 100, 400)
+        err = max(float(abs(got / want - 1)) for got, want in pairs)
+        worst[band] = max(worst[band], err)
+    for band, budget in ORACLE_BUDGET.items():
+        assert worst[band] <= budget, (band, worst[band])
+    assert worst[400] > 100 * worst[0]  # the oracle resolves the float error
 
 
 # --- phase error bound ----------------------------------------------------------

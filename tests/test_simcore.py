@@ -652,10 +652,19 @@ def test_compare_to_model_consistency():
     assert rows[0].consistent
 
 
-@pytest.mark.parametrize("p_d", [2.0**-20, 0.0])  # 1 - 2*p_d is exact for both
-def test_compare_to_model_uses_rate_formulas(p_d):
+@pytest.mark.parametrize(
+    # 1 - 2*p_d is exact for both p_d; from SERIES_M slices e_delta is its series
+    "p_d, m_slices",
+    [
+        pytest.param(2.0**-20, 16, id="9.5367431640625e-07"),
+        pytest.param(0.0, 16, id="0.0"),
+        pytest.param(2.0**-20, rate.SERIES_M, id="9.5367431640625e-07-series"),
+        pytest.param(0.0, rate.SERIES_M, id="0.0-series"),
+    ],
+)
+def test_compare_to_model_uses_rate_formulas(p_d, m_slices):
     ch = ChannelParams(eta_arm=0.05, p_d=p_d)
-    cfg = base_config(rounds=60_000, intensities=(0.0, 0.2, 0.5), channel=ch)
+    cfg = base_config(rounds=60_000, intensities=(0.0, 0.2, 0.5), channel=ch, m_slices=m_slices)
     rows = compare_to_model(simulate(cfg))
     assert [r.intensity for r in rows] == [0.0, 0.2, 0.5]
     for r in rows[1:]:
