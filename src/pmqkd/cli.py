@@ -302,6 +302,10 @@ def run_sweep(
         if v + step == v:
             raise ValueError(f"sweep --step must advance the grid past {v!r}, got {step!r}")
         v += step
+    # values are rounded to 12 decimals and may pass --stop by 1e-12, so a
+    # finer step repeats values or adds whole steps past --stop
+    if step < 1e-11:
+        raise ValueError(f"sweep --step must be at least 1e-11, got {step!r}")
     if variable == "eta":
         # eta_arm includes the detector efficiency, so no arm transmits more than eta_d
         over = next((v for v in values if v > preset.eta_d), None)

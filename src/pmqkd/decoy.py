@@ -100,7 +100,9 @@ def empirical_rate(tallies: list[Tally], estimate: DecoyEstimate, pm: PmParams) 
 
     Uses the tally whose intensity equals ``pm.mu_total``.  Vacuum
     rounds are charged the fixed error 1/2; every photon order beyond
-    the kept odd ones counts as full phase error.
+    the kept odd ones counts as full phase error.  So ``q_odd`` holds the
+    sum of the kept odd fractions, q_1 + q_3 + ... up to ``k_max``, not
+    ``key_rate``'s closed-form sum over every odd order.
     """
     signal = None
     for t in tallies:

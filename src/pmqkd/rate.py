@@ -90,7 +90,7 @@ class RateBreakdown:
     qber_Z: float
     phase_err_X: float
     fractions: dict[int, float]  # q_k for k = 0 and the odd orders
-    q_odd: float  # closed-form sum of all odd-order fractions q_1 + q_3 + ...
+    q_odd: float  # q_1 + q_3 + ...: all odd orders in closed form; empirical_rate: kept ones
     bit_errors: dict[int, float]  # e^Z_k for the same k
     e_delta: float
     rate_R: float

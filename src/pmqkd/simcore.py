@@ -339,18 +339,17 @@ def _round_units(cfg: SimConfig) -> list[tuple[int, int, int, int, int, int]]:
     return units
 
 
-def _run_units(start_worker, count: int) -> Iterator:
-    """Yield the results of units ``0 .. count - 1``, in order, each as soon
-    as it is done, from ``min(_WORKERS, count)`` workers, at least one.
+def _run_units(run_unit, count: int) -> Iterator:
+    """Yield ``run_unit(i)`` for units ``i = 0 .. count - 1``, in order,
+    each as soon as it is done, from ``min(_WORKERS, count)`` workers.
 
     The calling thread is one worker and every other one runs on a
-    thread of its own.  A worker calls ``start_worker()`` once for its
-    unit runner, then runs the lowest unit not yet taken, so a worker
-    whose CPU is busier runs fewer units; the calling thread runs one
-    only while the next result is not done.  Unit ``i`` does not start
-    until unit ``i - 2 * workers`` has been yielded, and a result is
-    dropped here once it is yielded, so at most that many are held.
-    Once a unit fails, or the caller stops iterating, no unit is
+    thread of its own.  A worker runs the lowest unit not yet taken, so
+    a worker whose CPU is busier runs fewer units; the calling thread
+    runs one only while the next result is not done.  Unit ``i`` does
+    not start until unit ``i - 2 * workers`` has been yielded, and a
+    result is dropped here once it is yielded, so at most that many are
+    held.  Once a unit fails, or the caller stops iterating, no unit is
     started; every thread is joined before the failure of the lowest
     unit is raised.
     """
@@ -359,7 +358,7 @@ def _run_units(start_worker, count: int) -> Iterator:
     taken = yielded = 0
     stopped = False
     results = {}
-    failed = {}  # unit index (-1: before the first) -> exception
+    failed = {}  # unit index -> exception
 
     def take():
         """Under ``done``: the lowest unit not yet taken, if it may start now."""
@@ -369,7 +368,7 @@ def _run_units(start_worker, count: int) -> Iterator:
         taken += 1
         return taken - 1
 
-    def run(run_unit, i):
+    def run(i):
         try:
             result = run_unit(i)
         except BaseException as exc:  # raised by the calling thread
@@ -382,26 +381,18 @@ def _run_units(start_worker, count: int) -> Iterator:
                 done.notify_all()
 
     def work():
-        try:
-            run_unit = start_worker()
-        except BaseException as exc:  # raised by the calling thread
-            with done:
-                failed[-1] = exc
-                done.notify_all()
-            return
         while True:
             with done:
                 while (i := take()) is None:
                     if stopped or failed or taken == count:
                         return
                     done.wait()
-            run(run_unit, i)
+            run(i)
 
     threads = [threading.Thread(target=work) for _ in range(1, workers)]
     try:
         for thread in threads:
             thread.start()
-        run_unit = start_worker()
         while yielded < count:
             with done:
                 if failed:
@@ -416,7 +407,7 @@ def _run_units(start_worker, count: int) -> Iterator:
             if ready:
                 yield results.pop(yielded - 1)
             else:
-                run(run_unit, i)
+                run(i)
     finally:
         with done:
             stopped = True
@@ -437,7 +428,9 @@ def run_blocks(cfg: SimConfig) -> Iterator[tuple[int, np.ndarray, RoundData]]:
     shares out over one thread per CPU in the process's affinity mask;
     no worker waits for a block to finish before it starts on the next,
     but none runs more than two units per worker ahead of the last one
-    yielded.  Unit ``[a, b)`` of an ``n``-round block reads columns
+    yielded.  A unit makes its own generator, so every worker calls the
+    one ``run_unit``, which holds no state between units.
+    Unit ``[a, b)`` of an ``n``-round block reads columns
     ``a:b`` of the block's ``(7, n)`` uniforms: row ``r`` is doubles
     ``[r*n + a, r*n + b)`` of the block's stream.  PCG64 makes each
     double from one 64-bit output, so these are the doubles of one
@@ -475,7 +468,7 @@ def run_blocks(cfg: SimConfig) -> Iterator[tuple[int, np.ndarray, RoundData]]:
         )
         return jd_block, emitted, RoundData(*records)
 
-    yield from _run_units(lambda: run_unit, len(units))
+    yield from _run_units(run_unit, len(units))
 
 
 def collect_rounds(cfg: SimConfig) -> RunClicks:
@@ -537,12 +530,15 @@ def _add_sample(counts: np.ndarray, clicks: RoundData, sample_fraction: float,
     return len(picked)
 
 
-def _kept_bins(j_d, m_slices: int):
-    """The slice differences offset ``j_d`` keeps: d0 = -j_d, where an
-    error is e0 = 1, and d0 = M/2 - j_d (mod M), where Bob's half-turn
-    flip makes it e0 = 0."""
-    matched = -j_d % m_slices
-    return matched, (matched + m_slices // 2) % m_slices
+def _sifted(counts: np.ndarray, j_d):
+    """The clicks that offset ``j_d`` (one, or an array) keeps and the
+    errors among them, from ``counts`` per (..., d0, e0), as ``sift`` keeps
+    them: d0 = -j_d, where an error is e0 = 1, and d0 = M/2 - j_d (mod M),
+    where Bob's half-turn flip makes it e0 = 0."""
+    m = counts.shape[-2]
+    matched = counts[..., -j_d % m, :]
+    flipped = counts[..., (-j_d + m // 2) % m, :]
+    return matched.sum(axis=-1) + flipped.sum(axis=-1), matched[..., 1] + flipped[..., 0]
 
 
 def _offset_table(counts: np.ndarray, sampled: int) -> tuple[int, np.ndarray]:
@@ -554,11 +550,8 @@ def _offset_table(counts: np.ndarray, sampled: int) -> tuple[int, np.ndarray]:
         raise InsufficientSamplesError(
             f"only {sampled} sampled clicked rounds; need >= {MIN_SAMPLED_CLICKS}"
         )
-    counts = counts.reshape(-1, 2)
-    matched, flipped = _kept_bins(np.arange(len(counts)), len(counts))
-    kept = counts[matched].sum(axis=1) + counts[flipped].sum(axis=1)
-    wrong = counts[matched, 1] + counts[flipped, 0]
-    table = np.divide(wrong, kept, out=np.full(len(counts), np.nan), where=kept > 0)
+    kept, wrong = _sifted(counts.reshape(-1, 2), np.arange(len(counts) // 2))
+    table = np.divide(wrong, kept, out=np.full(len(kept), np.nan), where=kept > 0)
     return int(np.nanargmin(table)), table
 
 
@@ -610,10 +603,7 @@ class Tally:
 
     @property
     def q_se(self) -> float:
-        if not self.emitted:
-            return 0.0
-        p = self.q_hat
-        return math.sqrt(p * (1.0 - p) / self.emitted)
+        return _binomial_se(self.q_hat, self.emitted, 0.0)
 
     @property
     def ez_hat(self) -> float:
@@ -621,10 +611,13 @@ class Tally:
 
     @property
     def ez_se(self) -> float:
-        if not self.sifted:
-            return 0.0
-        p = self.ez_hat
-        return math.sqrt(p * (1.0 - p) / self.sifted)
+        return _binomial_se(self.ez_hat, self.sifted, 0.0)
+
+
+def _binomial_se(p: float, n: int, default: float) -> float:
+    """The standard error sqrt(p (1 - p) / n) of a proportion ``p`` of
+    ``n`` trials; ``default`` when there are no trials."""
+    return math.sqrt(p * (1.0 - p) / n) if n else default
 
 
 @dataclass
@@ -642,10 +635,9 @@ def simulate(cfg: SimConfig) -> SimResult:
     count per (intensity, d0, e0), and the sample's uniforms are drawn
     from the block's sample stream, one per click in click order, as
     ``postcompensate`` draws them.  When the block closes, the sample's
-    count gives the offset, and the two bins of each slice difference it
-    keeps give the sifted rounds and errors, as ``sift`` keeps them.  A
-    jd block with too few sampled clicks raises InsufficientSamplesError
-    naming the block.
+    count gives the offset, and ``_sifted`` reads the sifted rounds and
+    errors per intensity from the block's count.  A jd block with too few
+    sampled clicks raises InsufficientSamplesError naming the block.
     """
     chunk = _jd_rounds(cfg)
     k, m = len(cfg.intensities), cfg.m_slices
@@ -667,10 +659,10 @@ def simulate(cfg: SimConfig) -> SimResult:
                 j_d, _ = _offset_table(sample, sampled)
             except InsufficientSamplesError as exc:
                 raise InsufficientSamplesError(f"jd block [{start}, {stop}): {exc}") from None
-            kept = counts[:, _kept_bins(j_d, m)]  # (k, matched/flipped, e0)
+            kept, wrong = _sifted(counts, j_d)
             clicked += counts.sum(axis=(1, 2))
-            sifted += kept.sum(axis=(1, 2))
-            errors += kept[:, 0, 1] + kept[:, 1, 0]
+            sifted += kept
+            errors += wrong
             block_offsets.append((start, stop, j_d))
 
     tallies = [
@@ -742,8 +734,8 @@ def compare_to_model(result: SimResult) -> list[ModelComparison]:
                             *_point_terms(pd, eta, cfg.m_slices), q_odd=False)[:2]
     rows = []
     for t, q_model, ez_model in zip(result.tallies, q.tolist(), ez.tolist()):
-        q_se = math.sqrt(q_model * (1.0 - q_model) / t.emitted) if t.emitted else math.inf
-        ez_se = math.sqrt(ez_model * (1.0 - ez_model) / t.sifted) if t.sifted else math.inf
+        q_se = _binomial_se(q_model, t.emitted, math.inf)
+        ez_se = _binomial_se(ez_model, t.sifted, math.inf)
         rows.append(
             ModelComparison(
                 intensity=t.intensity,

@@ -4,8 +4,9 @@ Closed forms and Fock-space constructions that check the package from
 outside: dark-count composition of click outcomes, coherent-state click
 marginals, the sliced-phase mismatch density and misalignment error, the
 coherent-state parity split and phase-averaged dephasing on the
-truncated number basis, and the slice-offset search with one sample
-draw for every click.
+truncated number basis, the slice-offset search with one sample draw
+for every click, and the phase-matching, BB84 and MDI rates in 60-digit
+arithmetic.
 No command runs them, so they live here rather than in ``pmqkd``.
 """
 from __future__ import annotations
@@ -246,11 +247,12 @@ def phase_average_dephase(mu_total: float, n_quadrature: int, cutoff: int) -> np
 
 @dataclass(frozen=True)
 class RateTermsMp:
-    """The rate routine's gain, E_Z and photon fractions in 60-digit mpmath."""
+    """The rate routine's gain, E_Z, photon fractions and e_delta in 60-digit mpmath."""
 
     gain_Q: object  # mpmath.mpf
     qber_Z: object
     fractions: dict  # q_k for k = 0, 1, 3, 5
+    e_delta: object
 
 
 def rate_terms_mp(mu: float, eta: float, p_d: float, m_slices: int) -> RateTermsMp:
@@ -274,4 +276,101 @@ def rate_terms_mp(mu: float, eta: float, p_d: float, m_slices: int) -> RateTerms
         for k in (0, 1, 3, 5):
             y = 2 * p_d if k == 0 else 1 - (1 - 2 * p_d) * (1 - eta) ** k
             fractions[k] = y * mu**k * mpmath.exp(-mu) / (mpmath.factorial(k) * q)
-        return RateTermsMp(q, ez, fractions)
+        return RateTermsMp(q, ez, fractions, e_delta)
+
+
+def _entropy_mp(x):
+    import mpmath
+
+    return 0 if x in (0, 1) else -x * mpmath.log(x, 2) - (1 - x) * mpmath.log(1 - x, 2)
+
+
+def _clip_half_mp(x):
+    return min(max(x, 0), 0.5)
+
+
+def pm_rate_mp(mu: float, eta: float, p_d: float, m_slices: int, f_ec: float, tail: str):
+    """``key_rate``'s rate_R and its bracket b = 1 - f H(E_Z) - H(E_X), in
+    60-digit arithmetic (the rate is 0 where b <= 0).
+
+    The terms are ``rate_terms_mp``'s, E_Z and E_X clamped to [0, 1/2];
+    e_k = (p_d (1-eta)^k + e_delta (1 - (1-eta)^k)) / Y_k for k >= 1, and
+    the vacuum errs with 1/2.  The truncated tail charges 1 - q_0 - q_1 -
+    q_3 - q_5 as full error, the odd tail 1 - q_0 - q_odd with
+    q_odd = e^{-mu}(sinh mu - (1-2p_d) sinh((1-eta) mu))/Q.
+    """
+    import mpmath
+
+    with mpmath.workdps(60):
+        terms = rate_terms_mp(mu, eta, p_d, m_slices)
+        mu, eta, p_d = mpmath.mpf(mu), mpmath.mpf(eta), mpmath.mpf(p_d)
+        qs, q, e_delta = terms.fractions, terms.gain_Q, terms.e_delta
+        ex = qs[0] / 2
+        for k in (1, 3, 5):
+            loss = (1 - eta) ** k
+            ex += qs[k] * (p_d * loss + e_delta * (1 - loss)) / (1 - (1 - 2 * p_d) * loss)
+        if tail == "truncated":
+            ex += 1 - qs[0] - qs[1] - qs[3] - qs[5]
+        else:
+            odd = mpmath.sinh(mu) - (1 - 2 * p_d) * mpmath.sinh((1 - eta) * mu)
+            ex += 1 - qs[0] - mpmath.exp(-mu) * odd / q
+        b = 1 - f_ec * _entropy_mp(_clip_half_mp(terms.qber_Z)) - _entropy_mp(_clip_half_mp(ex))
+        return max(2 * q * b / m_slices, 0), b
+
+
+def bb84_rate_mp(mu: float, e_d: float, f_ec: float, eta: float, p_d: float):
+    """``bb84_rate``'s rate and its bracket b = 1 - f H(E_mu) / (q_1 (1 - H(e_1))),
+    in 60-digit arithmetic (the rate is 0 where b <= 0).
+
+    Q = 1 - (1-2p_d)e^{-eta mu}, E_mu = min(e_d + (1/2 - e_d) 2p_d / Q, 1/2),
+    q_1 = mu e^{-mu} Y_1 / Q, Y_1 = 1 - (1-2p_d)(1-eta) and
+    e_1 = min(e_d + (1/2 - e_d) 2p_d / Y_1, 1/2); R = Q q_1 (1 - H(e_1)) b / 2.
+    """
+    import mpmath
+
+    with mpmath.workdps(60):
+        mu, e_d, eta, p_d = map(mpmath.mpf, (mu, e_d, eta, p_d))
+        q = 1 - (1 - 2 * p_d) * mpmath.exp(-eta * mu)
+        e_mu = min(e_d + (0.5 - e_d) * 2 * p_d / q, 0.5)
+        y1 = 1 - (1 - 2 * p_d) * (1 - eta)
+        e1 = min(e_d + (0.5 - e_d) * 2 * p_d / y1, 0.5)
+        key = mu * mpmath.exp(-mu) * y1 / q * (1 - _entropy_mp(e1))
+        b = 1 - f_ec * _entropy_mp(e_mu) / key
+        return max(q * key * b / 2, 0), b
+
+
+def mdi_rate_mp(mu_a: float, mu_b: float, eta_a: float, eta_b: float, p_d: float, e_d: float,
+                f_ec: float):
+    """``mdi_rate``'s rate and its bracket
+    b = 1 - f Q_rect H(E_rect) / (Q_11 (1 - H(e_11))), in 60-digit
+    arithmetic (the rate is 0 where b <= 0), with I_0 from ``mpmath.besseli``.
+
+    With P = (1-p_d)^2, D = e^{-(eta_a mu_a + eta_b mu_b)/2} and
+    x = sqrt(eta_a mu_a eta_b mu_b)/2:
+    Q_C = 2 P D (1 - (1-p_d)e^{-eta_a mu_a/2})(1 - (1-p_d)e^{-eta_b mu_b/2}),
+    Q_E = 2 p_d P D (I_0(2x) - (1-p_d) D), Q_rect = Q_C + Q_E,
+    E_rect = (e_d Q_C + (1-e_d) Q_E)/Q_rect clamped to [0, 1/2],
+    Y_11 = P (eta_a eta_b/2 + (2 eta_a + 2 eta_b - 3 eta_a eta_b) p_d
+    + 4 (1-eta_a)(1-eta_b) p_d^2),
+    e_11 = (Y_11/2 - (1/2 - e_d)(1-p_d^2) eta_a eta_b/2)/Y_11 clamped to
+    [0, 1/2], Q_11 = mu_a mu_b e^{-mu_a-mu_b} Y_11 and
+    R = Q_11 (1 - H(e_11)) b / 2.
+    """
+    import mpmath
+
+    with mpmath.workdps(60):
+        mu_a, mu_b, eta_a, eta_b, p_d, e_d = map(mpmath.mpf, (mu_a, mu_b, eta_a, eta_b, p_d, e_d))
+        pass2 = (1 - p_d) ** 2
+        damp = mpmath.exp(-(eta_a * mu_a + eta_b * mu_b) / 2)
+        x = mpmath.sqrt(eta_a * mu_a * eta_b * mu_b) / 2
+        arm_a = 1 - (1 - p_d) * mpmath.exp(-eta_a * mu_a / 2)
+        arm_b = 1 - (1 - p_d) * mpmath.exp(-eta_b * mu_b / 2)
+        q_c = 2 * pass2 * damp * arm_a * arm_b
+        q_e = 2 * p_d * pass2 * damp * (mpmath.besseli(0, 2 * x) - (1 - p_d) * damp)
+        e_rect = _clip_half_mp((e_d * q_c + (1 - e_d) * q_e) / (q_c + q_e))
+        y11 = pass2 * (eta_a * eta_b / 2 + (2 * eta_a + 2 * eta_b - 3 * eta_a * eta_b) * p_d
+                       + 4 * (1 - eta_a) * (1 - eta_b) * p_d**2)
+        e11 = _clip_half_mp((y11 / 2 - (0.5 - e_d) * (1 - p_d**2) * eta_a * eta_b / 2) / y11)
+        key = mu_a * mu_b * mpmath.exp(-mu_a - mu_b) * y11 * (1 - _entropy_mp(e11))
+        b = 1 - f_ec * (q_c + q_e) * _entropy_mp(e_rect) / key
+        return max(key * b / 2, 0), b

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pmqkd import attacks, cli, focklab
 from pmqkd.detection import ChannelParams, fiber_transmittance
@@ -487,6 +489,52 @@ def test_sweep_runaway_grid_is_rejected(capsys, grid):
     assert code == 1
     assert out == ""
     assert err.startswith("error: sweep --step ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        # 21 rows over 3 distinct distances, the last five past --stop
+        ["--start", "0", "--stop", "1e-12", "--step", "1e-13"],
+        # a row at 4e-12, one step past --stop
+        ["--start", "0", "--stop", "3e-12", "--step", "1e-12"],
+    ],
+    ids=["repeated_values", "row_past_stop"],
+)
+def test_sweep_step_finer_than_the_grid_rounding_is_rejected(capsys, grid):
+    code, out, err = run_cli(["sweep", *grid, "--protocols", "plob"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: sweep --step must be at least 1e-11") and err.count("\n") == 1
+
+
+@st.composite
+def sweep_grids(draw):
+    """(start, stop, step) of a distance sweep of at most 1,000 points."""
+    start = draw(st.floats(0, 1000))
+    stop = start + draw(st.floats(1e-13, 500))
+    return start, stop, (stop - start) / draw(st.floats(1, 1000))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(sweep_grids())
+@example((0.0, 1e-12, 1e-13))
+@example((0.0, 3e-12, 1e-12))
+def test_sweep_grid_increases_from_start_and_ends_at_stop(grid):
+    # the grid is rejected with a one-line error, only for a step below 1e-11,
+    # or its values increase from the rounded start and pass --stop by no
+    # more than the 1e-12 tolerance plus the rounding to 12 decimals
+    start, stop, step = grid
+    try:
+        rows = cli.run_sweep("distance_km", start, stop, step, ("plob",), cli.PRESETS["fig3b"],
+                             optimize_mu=False)
+    except ValueError as exc:
+        assert "\n" not in str(exc) and step < 1e-11
+        return
+    values = [row["distance_km"] for row in rows]
+    assert values[0] == round(start, 12)
+    assert all(a < b for a, b in zip(values, values[1:]))
+    assert values[-1] <= stop + 1.5e-12
 
 
 @pytest.mark.parametrize(

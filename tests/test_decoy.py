@@ -143,6 +143,14 @@ def test_empirical_rate_high_qber_clamps_to_zero():
     assert emp.breakdown.rate_R == 0.0
 
 
+def test_empirical_rate_q_odd_sums_the_kept_orders():
+    tallies = [analytic_tally(mu, 0.1, 7.2e-8) for mu in (0.0, 0.15, 0.3, 0.45, 0.6)]
+    est = decoy_estimate(tallies, k_max=3)
+    bd = empirical_rate(tallies, est, PmParams(mu_total=0.3)).breakdown
+    assert sorted(bd.fractions) == [0, 1, 3]
+    assert bd.q_odd == bd.fractions[1] + bd.fractions[3]
+
+
 def test_empirical_rate_requires_signal_tally():
     tallies = [analytic_tally(mu, 0.1, 0.0) for mu in (0.05, 0.1, 0.4, 0.6, 0.8)]
     est = decoy_estimate(tallies, k_max=4)

@@ -402,19 +402,33 @@ def test_output_does_not_depend_on_the_worker_count(monkeypatch, case):
 
 
 def test_every_unit_runs_once_on_its_own_worker(monkeypatch):
-    monkeypatch.setattr(simcore, "_WORKERS", 3)
+    # workers - 1 threads are made, and the first `workers` units wait for
+    # each other at a barrier, so they run on distinct workers, one of them
+    # the calling thread
+    workers = 3
+    monkeypatch.setattr(simcore, "_WORKERS", workers)
+    made = []  # the thread objects: an idle worker's ident can be reused
+    make_thread = threading.Thread
+
+    def counted_thread(*args, **kwargs):
+        made.append(make_thread(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(threading, "Thread", counted_thread)
+    barrier = threading.Barrier(workers, timeout=30)
     ran = []
-    starts = []  # the thread objects: an idle worker's ident can be reused
 
-    def start_worker():
-        starts.append(threading.current_thread())
-        return lambda i: ran.append((i, threading.current_thread())) or i
+    def run_unit(i):
+        if i < workers:
+            barrier.wait()
+        ran.append((i, threading.current_thread()))
+        return i
 
-    assert list(simcore._run_units(start_worker, 40)) == list(range(40))
+    assert list(simcore._run_units(run_unit, 40)) == list(range(40))
+    assert len(made) == workers - 1
     assert sorted(i for i, _ in ran) == list(range(40))
-    assert len(starts) == len(set(starts)) == 3
-    assert {thread for _, thread in ran} <= set(starts)
-    assert threading.main_thread() in starts  # the calling thread is a worker
+    assert {thread for _, thread in ran} <= {*made, threading.current_thread()}
+    assert len({thread for i, thread in ran if i < workers}) == workers
 
 
 def test_unit_failure_reaches_the_caller_after_every_thread_is_joined(monkeypatch):
@@ -428,7 +442,7 @@ def test_unit_failure_reaches_the_caller_after_every_thread_is_joined(monkeypatc
             raise ValueError(f"unit {i}")
 
     with pytest.raises(ValueError, match="^unit 1$"):
-        list(simcore._run_units(lambda: later_units_fail, 6))
+        list(simcore._run_units(later_units_fail, 6))
     assert threading.active_count() == before
 
     ran = []
@@ -440,7 +454,7 @@ def test_unit_failure_reaches_the_caller_after_every_thread_is_joined(monkeypatc
         time.sleep(0.2)
 
     with pytest.raises(KeyError):
-        list(simcore._run_units(lambda: first_unit_fails, 6))
+        list(simcore._run_units(first_unit_fails, 6))
     assert threading.active_count() == before
     # no unit starts after the failure: beside unit 0, at most the one
     # unit each other worker had taken before it failed ran
@@ -463,7 +477,7 @@ def test_stream_under_contention_keeps_order_and_window(monkeypatch):
         return i
 
     def consume():
-        for result in simcore._run_units(lambda: run_unit, count):
+        for result in simcore._run_units(run_unit, count):
             received.append(result)
 
     interval = sys.getswitchinterval()
@@ -536,7 +550,7 @@ def test_below_one_unit_starts_no_thread(monkeypatch):
     monkeypatch.setattr(simcore, "_WORKERS", 3)
     monkeypatch.setattr(threading, "Thread", no_thread)
     ran = []
-    assert list(simcore._run_units(lambda: ran.append, 1)) == [None]
+    assert list(simcore._run_units(ran.append, 1)) == [None]
     assert ran == [0]
     cfg = WORKER_CASES["below_one_unit"](slow_drift_config())
     assert len(simcore._round_units(cfg)) == 1

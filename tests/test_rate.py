@@ -7,11 +7,19 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from pmqkd import rate
+from pmqkd import baselines, rate
 from pmqkd.detection import ChannelParams, binary_entropy, k_photon_clicks
 from pmqkd.rate import PmParams, key_rate, misalignment_e_delta, optimize_mu
 
-from oracles import coherent_clicks, e_delta_series, rate_terms_mp, with_dark_counts
+from oracles import (
+    bb84_rate_mp,
+    coherent_clicks,
+    e_delta_series,
+    mdi_rate_mp,
+    pm_rate_mp,
+    rate_terms_mp,
+    with_dark_counts,
+)
 from reference_port import pm_key
 
 PI = math.pi
@@ -289,6 +297,54 @@ def test_rate_terms_against_the_mpmath_oracle():
     for band, budget in ORACLE_BUDGET.items():
         assert worst[band] <= budget, (band, worst[band])
     assert worst[400] > 100 * worst[0]  # the oracle resolves the float error
+
+
+# Relative-error budget of each rate per distance band, in units of its
+# bracket's condition number 1/b (from the oracle), about twice the largest
+# error / (1/b) first measured in the band: pm (both tails) 4.7e-14, 5.6e-13,
+# 4.1e-12, 4.1e-11, 8.6e-11; BB84 at mu = 0.5 4.9e-14, 7.4e-12, 4.9e-11 (key
+# ends at 240 km); MDI at mu_a = mu_b = 0.25 2.0e-14, 2.9e-13, 2.6e-12,
+# 3.5e-11 (key ends at 393 km).  A rate's bracket subtracts the error terms
+# from the key terms, so near the distance where the key ends (1/b up to 200)
+# it multiplies the error the gain passes into the QBERs.
+RATE_BUDGET = {
+    "pm": {0: 1e-13, 100: 1.2e-12, 200: 8e-12, 300: 8e-11, 400: 1.7e-10},
+    "bb84": {0: 1e-13, 100: 1.5e-11, 200: 1e-10},
+    "mdi": {0: 4e-14, 100: 6e-13, 200: 5e-12, 300: 7e-11},
+}
+MU_BB84, MU_MDI_ARM = 0.5, 0.25
+
+
+def test_rates_against_the_mpmath_oracle():
+    # every golden fig3b row: R_pm at its own mu_opt and eta_arm (the truncated
+    # tail as recorded, the odd tail from key_rate), BB84 on eta_total and MDI
+    # on two arms of eta_arm at one fixed intensity each; where the oracle's
+    # bracket is <= 0 the rate is exactly 0
+    with GOLDEN_SWEEP.open(encoding="utf-8") as f:
+        rows = list(csv.DictReader(f))
+    p_d, m, f_ec, e_d = FIG3B["p_d"], FIG3B["m_slices"], FIG3B["f_ec"], 0.015
+    worst = {name: dict.fromkeys(bands, -1.0) for name, bands in RATE_BUDGET.items()}
+    for row in rows:
+        eta, mu, eta_total = float(row["eta_arm"]), float(row["mu_opt"]), float(row["eta_total"])
+        odd = key_rate(ChannelParams(eta, p_d), PmParams(mu, m, f_ec), tail="odd").rate_R
+        mdi_args = (MU_MDI_ARM, MU_MDI_ARM, eta, eta, p_d, e_d, f_ec)
+        for name, got, (want, b) in (
+            ("pm", float(row["R_pm"]), pm_rate_mp(mu, eta, p_d, m, f_ec, "truncated")),
+            ("pm", odd, pm_rate_mp(mu, eta, p_d, m, f_ec, "odd")),
+            ("bb84", baselines.bb84_rate(MU_BB84, e_d, f_ec, ChannelParams(eta_total, p_d)),
+             bb84_rate_mp(MU_BB84, e_d, f_ec, eta_total, p_d)),
+            ("mdi", baselines.mdi_rate(*mdi_args), mdi_rate_mp(*mdi_args)),
+        ):
+            if b <= 0:
+                assert got == 0.0, (name, row["distance_km"])
+                continue
+            band = int(float(row["distance_km"])) // 100 * 100
+            err = float(abs(got / want - 1) * b)
+            worst[name][band] = max(worst[name][band], err)
+    for name, bands in RATE_BUDGET.items():
+        for band, budget in bands.items():
+            assert 0.0 <= worst[name][band] <= budget, (name, band, worst[name][band])
+        assert worst[name][max(bands)] > 100 * worst[name][0]  # the oracle resolves the error
 
 
 # --- phase error bound ----------------------------------------------------------
