@@ -28,8 +28,10 @@ one row at a time, in the order 5, 6, 4, 0, 1, 2, 3.
 The click law and the slices are evaluated on the gathered candidates,
 with the same elementwise ufuncs on the same doubles as a pass over
 every round, so they give the same bits.  Over every round the kernel
-holds one float64 row and one bool mask, which are freed before the
-click law runs; the other temporaries are sized by the candidates.
+holds one float64 row and one bool mask (1 MB and 128 KB for a
+2^17-round unit), which are freed before the click law runs; the other
+temporaries are sized by the candidates, and the click law works in
+two of them, three doubles a candidate.
 
 The records follow the clicks, not the rounds: the kernel returns one
 record per round with exactly one click, in round order, and no
@@ -83,19 +85,40 @@ def simulate_block(
     emitted, idx, mu_idx, u_left, u_right, kappa_a, kappa_b, phi_a, phi_b = _candidates(
         draw, n, p_max)
 
-    mu = intensities[mu_idx]
+    # The click law in two buffers, through out=: ``d``, one double a
+    # candidate, takes the phase difference, its cosine c and then
+    # eta*mu; ``p``, an (L, R) pair a candidate, takes phi_a's and
+    # phi0's terms, then c2 = (1 + c)/2 and s2 = (1 - c)/2 and the click
+    # probabilities -expm1(log_q - eta*mu*c2) and the same with s2.  The
+    # same ufuncs on the same doubles in the same order as those
+    # expressions written out, so the same bits.
+    p = np.empty((2, len(idx)))
+    d = np.multiply(kappa_b, math.pi)
+    np.add(phi_b, d, out=d)
+    np.multiply(kappa_a, math.pi, out=p[0])
+    np.add(phi_a, p[0], out=p[0])
+    np.subtract(d, p[0], out=d)
     if phi0_rate != 0.0:
-        phi0 = phi0_value + phi0_rate * (t0 + idx.astype(np.float64))
+        p[1] = idx  # as idx.astype(np.float64)
+        np.add(t0, p[1], out=p[1])
+        np.multiply(phi0_rate, p[1], out=p[1])
+        np.add(phi0_value, p[1], out=p[1])
+        np.add(d, p[1], out=d)
     else:
-        phi0 = phi0_value
+        np.add(d, phi0_value, out=d)
     # half-angle identities: one cosine per round covers both detectors
-    c = np.cos((phi_b + math.pi * kappa_b) - (phi_a + math.pi * kappa_a) + phi0)
-    c2 = 0.5 * (1.0 + c)
-    s2 = 0.5 * (1.0 - c)
-    p_left = -np.expm1(log_q - eta * mu * c2)
-    p_right = -np.expm1(log_q - eta * mu * s2)
-    l_click = u_left < p_left
-    r_click = u_right < p_right
+    np.cos(d, out=d)
+    np.add(1.0, d, out=p[0])
+    np.subtract(1.0, d, out=p[1])
+    np.multiply(0.5, p, out=p)
+    np.take(intensities, mu_idx, out=d)
+    np.multiply(eta, d, out=d)
+    np.multiply(d, p, out=p)
+    np.subtract(log_q, p, out=p)
+    np.expm1(p, out=p)
+    np.negative(p, out=p)
+    l_click = u_left < p[0]
+    r_click = u_right < p[1]
     single = np.flatnonzero(l_click != r_click)
 
     # 0 <= phi < 2*pi, so the rounded slice lies in [0, M], and mod M

@@ -295,13 +295,16 @@ def run_sweep(
     unknown = set(protocols) - set(ALL_PROTOCOLS)
     if unknown:
         raise ValueError(f"unknown protocols: {sorted(unknown)}")
+    # each value from its index, so no float error accumulates along the grid
     values = []
-    v = start
+    i, v = 0, start
     while v <= stop + 1e-12:
         values.append(round(v, 12))
-        if v + step == v:
+        i += 1
+        after = start + i * step
+        if after <= v:
             raise ValueError(f"sweep --step must advance the grid past {v!r}, got {step!r}")
-        v += step
+        v = after
     # values are rounded to 12 decimals and may pass --stop by 1e-12, so a
     # finer step repeats values or adds whole steps past --stop
     if step < 1e-11:

@@ -17,8 +17,9 @@ done and bins each one's records into the open jd block's count per
 uniforms and then drops them; the offset search, sifting and tallies
 read the counts.  So its memory does not grow with the run: at most
 two units per worker are made ahead of the one it bins, and each
-worker holds one row of its unit's uniforms, one bool mask and
-temporaries sized by the unit's candidate rounds.  ``collect_rounds``
+worker holds one float64 row of its unit's uniforms (1 MB for a
+2^17-round unit), one bool mask and temporaries sized by the unit's
+candidate rounds.  ``collect_rounds``
 keeps every record instead, for ``postcompensate`` and ``sift``, which
 work on records.
 """
@@ -50,18 +51,21 @@ RNG_BLOCK_ROUNDS = 1 << 18
 
 # Most rounds in a work unit of ``run_blocks``, which also ends one at
 # each jd block boundary; not part of the random-stream definition.  A
-# worker's kernel holds one float64 row of one unit (512 KB) and a bool
+# worker's kernel holds one float64 row of one unit (1 MB) and a bool
 # mask; ``postcompensate`` draws its sample this many clicks at a time.
-# A block makes four units, so a worker on a busier CPU can leave the
-# others more of it.  Bigger units trade memory for speed: the kernel
-# pays per call for each NumPy op on a unit's ~3,000 candidates (~7.5 us
-# on one thread, 10-12 us while another thread runs such ops).  On a
-# 2-core host (8M seed-42 rounds, 20 alternating processes a side),
-# 2^17 beat 2^16 in 16/20 runs on ``mc_drift`` and 18/20 on
-# ``mc_fixed``, with ~9% less CPU, but raised peak RSS by 1.4-1.9 MB;
-# a 2^17 unit run as two 2^16 kernel calls lost the gain.  2^16 keeps
-# the memory.
-_UNIT_ROUNDS = 1 << 16
+# The size sets how often the workers hand each other the interpreter
+# lock: a unit makes ~100 NumPy calls on its candidates (~7.5 us each
+# on a 2^16-round unit's ~3,000 alone, 10-12 us beside another worker's
+# calls), and the workers pass the lock around them.  On a 2-core host (8M
+# seed-42 rounds, two workers), 2^17 against 2^16 took a ``simulate``
+# run from ~1,790 voluntary context switches to ~590 on ``mc_fixed``
+# (~1,920 to ~860 on ``mc_drift``) and its CPU down by 7%; in ten
+# alternating benchmark pairs it won 9/10 on ``mc_fixed`` (46.0 -> 51.3
+# M rounds/s scaled, 34.2 -> 36.1 as measured) and 10/10 on
+# ``mc_drift`` (49.1 -> 64.8 scaled, 33.4 -> 39.4), for 1.6 MB more
+# peak RSS (40.9 -> 42.5 MB).  A 2^17 unit run as two 2^16 kernel calls
+# loses the gain.
+_UNIT_ROUNDS = 1 << 17
 
 try:
     _WORKERS = len(os.sched_getaffinity(0))
@@ -75,7 +79,7 @@ MIN_SAMPLED_CLICKS = 100
 
 # Nothing is allocated per round or per click in ``simulate``, so no
 # allocation failure stops an oversized run: this bound does.  Only the
-# work-unit list grows with the rounds, one tuple per unit (2^16 of them
+# work-unit list grows with the rounds, one tuple per unit (2^15 of them
 # at the bound); ``collect_rounds`` keeps 5 B a click on top.
 MAX_ROUNDS = 1 << 32
 

@@ -481,8 +481,11 @@ def test_sweep_non_finite_grid_flag_is_named(capsys, grid, named):
         ["--start", "1e20", "--stop", "2e20", "--step", "1"],
         # 1000 is below half the float spacing (16384) at 1e20, so v += step never moves
         ["--start", "1e20", "--stop", "1.0000000000000002e20", "--step", "1000"],
+        # 1.5 is below the float spacing (2) at 2^53: start + 2 * 1.5 and
+        # start + 3 * 1.5 are the same value
+        ["--start", "9007199254740992", "--stop", "9007199254741032", "--step", "1.5"],
     ],
-    ids=["tiny_step", "huge_start", "step_below_spacing"],
+    ids=["tiny_step", "huge_start", "step_below_spacing", "step_below_spacing_in_steps"],
 )
 def test_sweep_runaway_grid_is_rejected(capsys, grid):
     code, out, err = run_cli(["sweep", *grid, "--protocols", "plob"], capsys)
@@ -535,6 +538,21 @@ def test_sweep_grid_increases_from_start_and_ends_at_stop(grid):
     assert values[0] == round(start, 12)
     assert all(a < b for a, b in zip(values, values[1:]))
     assert values[-1] <= stop + 1.5e-12
+
+
+@pytest.mark.parametrize(
+    "stop, step, points",
+    [(1000.0, 0.1, 10_001), (300.0, 0.3, 1_001), (100.0, 0.1, 1_001)],
+    ids=["0_1000_by_0.1", "0_300_by_0.3", "0_100_by_0.1"],
+)
+def test_sweep_grid_does_not_drift_from_its_index(stop, step, points):
+    # a running sum of the steps drifts past the rounding: 0:1000:0.1 ended
+    # at 999.900000000159 and 0:300:0.3 dropped its 300 row
+    rows = cli.run_sweep("distance_km", 0.0, stop, step, ("plob",), cli.PRESETS["fig3b"],
+                         optimize_mu=False)
+    values = [row["distance_km"] for row in rows]
+    assert values == [round(i * step, 12) for i in range(points)]
+    assert values[-1] == stop
 
 
 @pytest.mark.parametrize(

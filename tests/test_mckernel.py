@@ -243,6 +243,12 @@ def full_rounds(cfg):
                     for f in dataclasses.fields(Rounds)))
 
 
+def unit_grid_starts(cfg):
+    """The work units that start at a multiple of ``_UNIT_ROUNDS`` within an RNG block."""
+    return sum(len(range(0, min(RNG_BLOCK_ROUNDS, cfg.rounds - start), simcore._UNIT_ROUNDS))
+               for start in range(0, cfg.rounds, RNG_BLOCK_ROUNDS))
+
+
 def jd_blocks(cfg):
     chunk = cfg.jd_block_rounds or cfg.rounds
     return [(start, min(start + chunk, cfg.rounds)) for start in range(0, cfg.rounds, chunk)]
@@ -259,15 +265,17 @@ RECORD_CASES = {
 
 @pytest.mark.parametrize("case", list(RECORD_CASES))
 def test_collect_rounds_equals_fresh_block_runs(monkeypatch, case):
-    # three RNG blocks, the last one short, cut into units at the 2^16-round
-    # grid and at the jd block boundaries: a unit drawn from the wrong place
-    # in its block's stream, a stale tail of a worker's buffer, (under
-    # drift) a unit's first round index off its block's, or a record put
-    # in the wrong jd block would show against one oracle pass per block
+    # three RNG blocks, the last one short, cut into units at the
+    # _UNIT_ROUNDS grid and at the jd block boundaries: a unit drawn from the
+    # wrong place in its block's stream, a stale tail of a worker's buffer,
+    # (under drift) a unit's first round index off its block's, or a record
+    # put in the wrong jd block would show against one oracle pass per block
     cfg = dataclasses.replace(slow_drift_config(), rounds=2 * RNG_BLOCK_ROUNDS + 1234,
                               **RECORD_CASES[case])
     units = simcore._round_units(cfg)
-    assert len(units) == 9 + 3
+    # the unit grid of each RNG block, and the three jd boundaries, all off it
+    assert len(units) == unit_grid_starts(cfg) + 3
+    assert all(cut % RNG_BLOCK_ROUNDS % simcore._UNIT_ROUNDS for cut in (150_001, 300_002, 450_003))
     assert 150_001 in [start + a for _, _, start, _, a, _ in units]
     full = full_rounds(cfg)
     for workers in (1, 2, 3):
@@ -357,7 +365,7 @@ def simulate_memory_bound(cfg, workers, kernel_bytes):
 
 def test_collect_rounds_memory_peak(monkeypatch):
     # per worker, the kernel's float64 row (8 B a unit round) and its mask
-    # (1 B), then the others, which are sized by the candidates (~100 B
+    # (1 B), then the others, which are sized by the candidates (~70 B
     # each, at ~8% of the rounds here).  collect_rounds adds 5 B a click
     # record, twice while the units' records are concatenated; simulate
     # holds no more records than the units it may run ahead.  Over eight
@@ -399,6 +407,30 @@ def test_output_does_not_depend_on_the_worker_count(monkeypatch, case):
                      tallies_to_csv(res.tallies), res.block_offsets))
     assert runs[1] == runs[0]
     assert runs[2] == runs[0]
+
+
+def test_output_does_not_depend_on_the_unit_size(monkeypatch):
+    # three RNG blocks under drift, with jd blocks whose cuts miss every unit
+    # grid tried: each size cuts the run into other units, and none moves a
+    # record, a tally or an offset
+    cfg = dataclasses.replace(slow_drift_config(), rounds=2 * RNG_BLOCK_ROUNDS + 1234)
+    sizes = (1000, 1 << 15, 1 << 16, 1 << 17)
+    cuts = range(cfg.jd_block_rounds, cfg.rounds, cfg.jd_block_rounds)
+    assert len(cuts) == 3 and all(cut % RNG_BLOCK_ROUNDS % size for cut in cuts for size in sizes)
+    runs = {}
+    for size in sizes:
+        for workers in (1, 2):
+            monkeypatch.setattr(simcore, "_UNIT_ROUNDS", size)
+            monkeypatch.setattr(simcore, "_WORKERS", workers)
+            assert len(simcore._round_units(cfg)) == unit_grid_starts(cfg) + 3
+            data = simcore.collect_rounds(cfg)
+            res = simulate(cfg)
+            runs[size, workers] = ({name: values.tobytes() for name, values in vars(data).items()},
+                                   tallies_to_csv(res.tallies), res.block_offsets)
+    first = runs[sizes[0], 1]
+    assert len({j_d for _, _, j_d in first[2]}) > 1  # the drift moves the offset
+    for key, run in runs.items():
+        assert run == first, key
 
 
 def test_every_unit_runs_once_on_its_own_worker(monkeypatch):
@@ -525,8 +557,10 @@ def test_a_failed_jd_block_stops_the_stream(monkeypatch):
 
 
 def test_a_kernel_failure_is_raised_once(monkeypatch):
+    # long enough for more units than the failing one, its window and the
+    # units the other two workers took
     monkeypatch.setattr(simcore, "_WORKERS", 3)
-    cfg = slow_drift_config()
+    cfg = dataclasses.replace(slow_drift_config(), rounds=1_200_000)
     units = simcore._round_units(cfg)
     _, _, start, _, a, _ = units[3]
     boom = RuntimeError("kernel failed")
