@@ -84,20 +84,14 @@ def _bessel_i0(z):
     # power series, summed (for each element of an array) until its term
     # falls below 1e-16 of its total; z is small in every regime used here
     z2 = z * z
-    array = isinstance(z2, np.ndarray)
     total = term = 1.0
-    live = True  # an array's elements still summing
+    live = True  # still summing: a float's flag, or an array's per element
     for k in range(1, 512):
         term = term * (z2 / (4.0 * k * k))
-        if array:
-            total = _where(live, total + term, total)
-            live = _where(term < 1e-16 * total, False, live)
-            if not live.any():
-                break
-        else:
-            total = total + term
-            if term < 1e-16 * total:
-                break
+        total = _where(live, total + term, total)
+        live = _where(term < 1e-16 * total, False, live)
+        if not (live.any() if isinstance(live, np.ndarray) else live):
+            break
     return total
 
 

@@ -240,7 +240,8 @@ def _sweep_batch(
             "distance_km": distance,
             "eta_arm": ch_arm.eta_arm,
             "eta_total": eta_total,
-            "mu_opt": None,
+            # the swept mu for every protocol set; else pm's mu, filled below
+            "mu_opt": value if variable == "mu" else None,
         })
         arms.append(ch_arm)
 

@@ -146,6 +146,15 @@ def test_bessel_series_against_scipy():
         assert _bessel_i0(z) == pytest.approx(float(special.i0(z)), rel=1e-14)
 
 
+def test_bessel_series_array_equals_each_float():
+    # the elements stop at different k (one term at z = 0, dozens at 40), and
+    # each keeps the bits of its own float sum, returned as a plain float
+    z = np.linspace(0.0, 40.0, 100001)
+    each = [_bessel_i0(v) for v in z.tolist()]
+    assert {type(v) for v in each} == {float}
+    assert _bessel_i0(z).tobytes() == np.array(each).tobytes()
+
+
 def test_mdi_positive_at_short_distance():
     eta = 0.145 * 10 ** (-0.2 * 25 / 10)  # per arm, 50 km total
     assert mdi_rate(0.25, 0.25, eta, eta, 7.2e-8, 0.015, 1.15) > 0

@@ -204,6 +204,23 @@ def test_sweep_csv_structure(tmp_path, capsys):
     assert float(first[4]) > 0 and float(first[7]) > 0
 
 
+@pytest.mark.parametrize(
+    "start, protocols, mus",
+    [("0", "bb84,mdi", ["0", "0.5", "1"]), ("0", "plob,tgw", ["0", "0.5", "1"]),
+     ("0.5", "pm,bb84,mdi", ["0.5", "1"])],
+    ids=["baselines", "bounds", "with_pm"],
+)
+def test_mu_sweep_rows_name_their_mu(capsys, start, protocols, mus):
+    # mu_opt holds each row's swept mu whichever protocols run, not only with pm
+    code, out, _ = run_cli(
+        ["sweep", "--variable", "mu", "--distance", "100", "--start", start, "--stop", "1",
+         "--step", "0.5", "--protocols", protocols],
+        capsys,
+    )
+    assert code == 0
+    assert [line.split(",")[3] for line in out.splitlines()[1:]] == mus
+
+
 def test_sweep_deterministic(tmp_path, capsys):
     args = [
         "sweep", "--preset", "fig3b", "--start", "100", "--stop", "110", "--step", "5",
@@ -638,7 +655,8 @@ def test_import_loads_no_process_pool_or_optimizer():
 LOADED_BY_COMMANDS = """
 import json, os, sys
 import pmqkd.cli
-loaded = lambda: sorted(m for m in sys.modules if m.partition(".")[0] == "pmqkd")
+heavy = ("numpy.random", "scipy")
+loaded = lambda: sorted(m for m in sys.modules if m.partition(".")[0] == "pmqkd" or m in heavy)
 seen = [loaded()]
 sweep = ["sweep", "--preset", "fig3b", "--start", "0", "--stop", "2", "--step", "1",
          "--optimize-mu", "--output", os.devnull]
@@ -650,10 +668,10 @@ print(json.dumps(seen))
 
 def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     # start-up loads the sweep's modules alone, the sweep loads nothing more, and
-    # simulate adds the Monte Carlo's two
+    # simulate adds the Monte Carlo's two and numpy.random; nothing loads scipy
     done = run_fresh(LOADED_BY_COMMANDS, str(_sim_config(tmp_path)))
     start_up = ["pmqkd", "pmqkd.baselines", "pmqkd.cli", "pmqkd.detection", "pmqkd.rate"]
-    monte_carlo = sorted([*start_up, "pmqkd._mckernel_np", "pmqkd.simcore"])
+    monte_carlo = sorted([*start_up, "pmqkd._mckernel_np", "pmqkd.simcore", "numpy.random"])
     assert done.stderr == ""
     assert json.loads(done.stdout.splitlines()[-1]) == [start_up, 0, start_up, 0, monte_carlo]
 
