@@ -25,8 +25,13 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import dataclass, fields, replace
+
+# NumPy loads next. OpenBLAS's helper threads would spin for ~0.1 s after
+# start-up beside the Monte Carlo's workers, and no command needs BLAS threads.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import baselines, detection, rate
 from .detection import ChannelParams, fiber_transmittance, k_photon_clicks

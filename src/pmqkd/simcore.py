@@ -64,7 +64,10 @@ RNG_BLOCK_ROUNDS = 1 << 18
 # M rounds/s scaled, 34.2 -> 36.1 as measured) and 10/10 on
 # ``mc_drift`` (49.1 -> 64.8 scaled, 33.4 -> 39.4), for 1.6 MB more
 # peak RSS (40.9 -> 42.5 MB).  A 2^17 unit run as two 2^16 kernel calls
-# loses the gain.
+# loses the gain.  All of these were measured while OpenBLAS's idle
+# helper thread spun on the second core after NumPy loaded.  The CLI
+# now starts NumPy without it (``OPENBLAS_NUM_THREADS=1``), so the size
+# is worth measuring again.
 _UNIT_ROUNDS = 1 << 17
 
 try:

@@ -634,10 +634,11 @@ def test_sweep_eta_valid_grid_is_unchanged(capsys, flags, csv):
     assert out == ",".join(cli.SWEEP_COLUMNS) + "\n" + csv
 
 
-def run_fresh(code, *args, cwd=None):
-    """``python -c code *args`` in a new interpreter that imports this pmqkd."""
+def run_fresh(code, *args, cwd=None, environ=os.environ):
+    """``python -c code *args`` in a new interpreter that imports this pmqkd,
+    with ``environ`` as its environment."""
     src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env = dict(environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     return subprocess.run(
         [sys.executable, "-c", code, *args], env=env, cwd=cwd, capture_output=True, text=True
     )
@@ -650,6 +651,28 @@ def test_import_loads_no_process_pool_or_optimizer():
     code = (f"import sys, threading, pmqkd.cli; "
             f"print([m for m in {heavy!r} if m in sys.modules], threading.active_count())")
     assert run_fresh(code).stdout == "[] 1\n"
+
+
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "GOTO_NUM_THREADS")
+THREADS_AFTER_IMPORT = """
+import os
+import pmqkd.cli
+print(len(os.listdir("/proc/self/task")), os.environ["OPENBLAS_NUM_THREADS"])
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task")
+def test_cli_starts_numpy_without_openblas_helper_threads():
+    # the helper threads would spin beside the Monte Carlo's workers after start-up
+    environ = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
+    done = run_fresh(THREADS_AFTER_IMPORT, environ=environ)
+    assert (done.stdout, done.stderr) == ("1 1\n", "")
+
+
+def test_a_set_openblas_thread_count_is_kept():
+    code = "import os, pmqkd.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    done = run_fresh(code, environ=dict(os.environ, OPENBLAS_NUM_THREADS="2"))
+    assert (done.stdout, done.stderr) == ("2\n", "")
 
 
 LOADED_BY_COMMANDS = """

@@ -107,6 +107,21 @@ def test_requires_enough_intensities():
         decoy_estimate(tallies, k_max=4)
 
 
+@pytest.mark.parametrize("mus", [(0.2,), (0.1, 0.4)], ids=["one_intensity", "two_intensities"])
+def test_k_max_zero_estimates_the_vacuum_yield_alone(mus):
+    est = decoy_estimate([analytic_tally(mu, 0.1, 1e-3) for mu in mus], k_max=0)
+    assert est.k_max == 0 and est.yields.shape == est.bit_errors.shape == (1,)
+    assert 0.0 < est.yields[0] <= 1.0
+
+
+def test_k_max_edges_are_named():
+    tallies = [analytic_tally(mu, 0.1, 0.0) for mu in (0.1, 0.4)]
+    with pytest.raises(ValueError, match="^k_max must be nonnegative$"):
+        decoy_estimate(tallies, k_max=-1)
+    with pytest.raises(ValueError, match=r"^need at least k_max\+1 = 3 intensities, got 2$"):
+        decoy_estimate(tallies, k_max=2)
+
+
 def test_rejects_duplicate_intensities():
     t = analytic_tally(0.2, 0.1, 0.0)
     with pytest.raises(ValueError):

@@ -526,6 +526,23 @@ def test_stream_under_contention_keeps_order_and_window(monkeypatch):
     assert early == []
 
 
+def test_the_window_is_exactly_two_units_per_worker(monkeypatch):
+    # the consumer holds result 0, and the other workers run on until
+    # exactly 2 * workers units past it have started, and no further
+    workers = 3
+    monkeypatch.setattr(simcore, "_WORKERS", workers)
+    started = []
+    stream = simcore._run_units(lambda i: started.append(i) or i, 40)
+    assert next(stream) == 0
+    deadline = time.monotonic() + 30
+    while len(started) < 1 + 2 * workers and time.monotonic() < deadline:
+        time.sleep(0.001)
+    time.sleep(0.1)  # time for one more unit to start, were it allowed to
+    held = sorted(started)
+    stream.close()
+    assert held == list(range(1 + 2 * workers))
+
+
 def counting_kernel(monkeypatch, fail_at=None):
     """Put a kernel on ``simcore`` that records each unit's first round,
     and raises ``fail_at[1]`` at the unit starting at ``fail_at[0]``."""

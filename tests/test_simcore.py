@@ -452,6 +452,19 @@ def test_postcompensation_insufficient_samples():
         postcompensate(data, 0.1, np.random.default_rng(0), cfg.m_slices)
 
 
+def test_offset_search_needs_exactly_min_sampled_clicks():
+    # M = 4; every sampled click has d0 = 1, one in ten with a raw disagreement
+    def counts(sampled):
+        return np.array([0, 0, sampled - sampled // 10, sampled // 10, 0, 0, 0, 0])
+
+    offset, table = simcore._offset_table(counts(MIN_SAMPLED_CLICKS), MIN_SAMPLED_CLICKS)
+    assert offset == 3 and table[3] == 0.1  # d0 = -j_d (mod M)
+    fewer = MIN_SAMPLED_CLICKS - 1
+    with pytest.raises(InsufficientSamplesError,
+                       match=f"^only {fewer} sampled clicked rounds; need >= {MIN_SAMPLED_CLICKS}$"):
+        simcore._offset_table(counts(fewer), fewer)
+
+
 def test_slow_drift_tracked_per_block():
     m = 16
     width = 2 * PI / m
