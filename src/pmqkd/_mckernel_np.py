@@ -28,10 +28,10 @@ one row at a time, in the order 5, 6, 4, 0, 1, 2, 3.
 The click law and the slices are evaluated on the gathered candidates,
 with the same elementwise ufuncs on the same doubles as a pass over
 every round, so they give the same bits.  Over every round the kernel
-holds one float64 row and one bool mask (1 MB and 128 KB for a
-2^17-round unit), which are freed before the click law runs; the other
-temporaries are sized by the candidates, and the click law works in
-two of them, three doubles a candidate.
+holds one float64 row and one bool comparison at a time (1 MB and
+128 KB for a 2^17-round unit), which are freed before the click law
+runs; the other temporaries are sized by the candidates, and the click
+law works in two of them, three doubles a candidate.
 
 The records follow the clicks, not the rounds: the kernel returns one
 record per round with exactly one click, in round order, and no
@@ -98,14 +98,13 @@ def simulate_block(
     np.multiply(kappa_a, math.pi, out=p[0])
     np.add(phi_a, p[0], out=p[0])
     np.subtract(d, p[0], out=d)
-    if phi0_rate != 0.0:
-        p[1] = idx  # as idx.astype(np.float64)
-        np.add(t0, p[1], out=p[1])
-        np.multiply(phi0_rate, p[1], out=p[1])
-        np.add(phi0_value, p[1], out=p[1])
-        np.add(d, p[1], out=d)
-    else:
-        np.add(d, phi0_value, out=d)
+    # phi0 = phi0_value + phi0_rate*(t0 + idx); a fixed phi0's +0.0 product
+    # can only turn a -0.0 difference into +0.0, which cos reads the same
+    p[1] = idx  # as idx.astype(np.float64)
+    np.add(t0, p[1], out=p[1])
+    np.multiply(phi0_rate, p[1], out=p[1])
+    np.add(phi0_value, p[1], out=p[1])
+    np.add(d, p[1], out=d)
     # half-angle identities: one cosine per round covers both detectors
     np.cos(d, out=d)
     np.add(1.0, d, out=p[0])
@@ -139,22 +138,21 @@ def _candidates(draw, n, p_max):
     detector draws, int8 key bits a and b and phases a and b.  A
     candidate is a round with a detector draw below the largest
     ``p_max``, then below its own intensity's.  The float64 row and the
-    bool mask, the kernel's only per-round memory, are freed on return,
-    before the click law makes its temporaries.
+    bool comparisons, one at a time, are the kernel's only per-round
+    memory, and are freed before the click law makes its temporaries.
     """
     row = np.empty(n)
-    mask = np.empty(n, dtype=bool)
     bound = max(p_max)
     # an L draw at or above bound never clicks, and neither does 1.0, as
     # no p_left exceeds 1: only the draws below bound are kept
     draw(5, row)
-    np.less(row, bound, out=mask)
-    left = np.flatnonzero(mask)
+    left = np.flatnonzero(row < bound)
     u_left = row[left]
     draw(6, row)
-    np.less(row, bound, out=mask)
+    mask = row < bound
     mask[left] = True  # min(u5, u6) < bound
     idx = np.flatnonzero(mask)
+    del mask  # so that the counts below hold one bool row at a time
     u_right = row[idx]
     # the row, no longer read, puts the kept L draws in candidate order
     row[idx] = 1.0
@@ -166,11 +164,7 @@ def _candidates(draw, n, p_max):
     # >= i exactly when scaled >= i, for 1 <= i <= k - 1
     draw(4, row)
     scaled = np.multiply(row, k, out=row)
-    at_least = [n]
-    for i in range(1, k):
-        np.greater_equal(scaled, i, out=mask)
-        at_least.append(np.count_nonzero(mask))
-    at_least.append(0)
+    at_least = [n, *(np.count_nonzero(scaled >= i) for i in range(1, k)), 0]
     emitted = -np.diff(np.asarray(at_least, dtype=np.int64))
 
     mu_idx = np.minimum(scaled[idx].astype(np.int16), k - 1)  # astype truncates

@@ -18,8 +18,8 @@ uniforms and then drops them; the offset search, sifting and tallies
 read the counts.  So its memory does not grow with the run: at most
 two units per worker are made ahead of the one it bins, and each
 worker holds one float64 row of its unit's uniforms (1 MB for a
-2^17-round unit), one bool mask and temporaries sized by the unit's
-candidate rounds.  ``collect_rounds``
+2^17-round unit), one bool comparison at a time and temporaries sized
+by the unit's candidate rounds.  ``collect_rounds``
 keeps every record instead, for ``postcompensate`` and ``sift``, which
 work on records.
 """
@@ -51,23 +51,20 @@ RNG_BLOCK_ROUNDS = 1 << 18
 
 # Most rounds in a work unit of ``run_blocks``, which also ends one at
 # each jd block boundary; not part of the random-stream definition.  A
-# worker's kernel holds one float64 row of one unit (1 MB) and a bool
-# mask; ``postcompensate`` draws its sample this many clicks at a time.
-# The size sets how often the workers hand each other the interpreter
-# lock: a unit makes ~100 NumPy calls on its candidates (~7.5 us each
-# on a 2^16-round unit's ~3,000 alone, 10-12 us beside another worker's
-# calls), and the workers pass the lock around them.  On a 2-core host (8M
-# seed-42 rounds, two workers), 2^17 against 2^16 took a ``simulate``
-# run from ~1,790 voluntary context switches to ~590 on ``mc_fixed``
-# (~1,920 to ~860 on ``mc_drift``) and its CPU down by 7%; in ten
-# alternating benchmark pairs it won 9/10 on ``mc_fixed`` (46.0 -> 51.3
-# M rounds/s scaled, 34.2 -> 36.1 as measured) and 10/10 on
-# ``mc_drift`` (49.1 -> 64.8 scaled, 33.4 -> 39.4), for 1.6 MB more
-# peak RSS (40.9 -> 42.5 MB).  A 2^17 unit run as two 2^16 kernel calls
-# loses the gain.  All of these were measured while OpenBLAS's idle
-# helper thread spun on the second core after NumPy loaded.  The CLI
-# now starts NumPy without it (``OPENBLAS_NUM_THREADS=1``), so the size
-# is worth measuring again.
+# worker's kernel holds one float64 row of one unit (1 MB) and one bool
+# comparison at a time; ``postcompensate`` draws its sample this many
+# clicks at a time.  The size sets how often the workers hand each other
+# the interpreter lock: a unit makes ~100 NumPy calls on its candidates,
+# and the workers pass the lock around them.  On a 2-core host (8M
+# seed-42 rounds, two workers, no OpenBLAS helper thread), one
+# ``simulate`` call made 1,476 / 560 / 165 voluntary context switches at
+# 2^16 / 2^17 / 2^18 on ``mc_fixed`` (1,569 / 713 / 282 on ``mc_drift``;
+# medians of ten fresh interpreters a size).  In ten rounds of
+# alternating 20 s ``perfbench/run.py --workload mc_fixed`` runs, the
+# sizes read 36.5 / 38.2 / 35.9 M rounds/s scaled (32.7 / 34.6 / 32.9 as
+# measured) at 40.8 / 42.3 / 45.4 MB peak RSS: 2^17 was the fastest in
+# 9 of 10 rounds against each, by less than the spread of its own runs
+# (5.2 M rounds/s between quartiles).
 _UNIT_ROUNDS = 1 << 17
 
 try:

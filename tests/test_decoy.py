@@ -56,6 +56,15 @@ def test_vacuum_yield_without_dark_counts():
     assert est.yields[0] < 1e-6
 
 
+def test_unidentified_yield_gets_the_error_one_half():
+    # without dark counts the fit puts Y_0 at its bound 0, where no
+    # e_0 can be read off: it is reported as 1/2 exactly
+    tallies = [analytic_tally(mu, 0.1, 0.0) for mu in (0.1, 0.2, 0.4)]
+    est = decoy_estimate(tallies, k_max=1)
+    assert est.yields[0] <= 1e-12 < est.yields[1]
+    assert est.bit_errors[0] == 0.5
+
+
 def test_vacuum_error_near_half_with_dark_counts():
     # strong dark counts make the vacuum yield identifiable
     eta, pd = 0.1, 1e-3
@@ -146,6 +155,20 @@ def test_empirical_rate_zero_clicks():
     )
     emp = empirical_rate(tallies, est, PmParams(mu_total=0.2))
     assert emp.breakdown.rate_R == 0.0
+    # no clicks: both errors are 1/2, and no fraction or odd sum is formed
+    bd = emp.breakdown
+    assert (bd.qber_Z, bd.phase_err_X, bd.fractions, bd.bit_errors) == (0.5, 0.5, {}, {})
+    assert bd.q_odd == 0.0
+
+
+def test_empirical_rate_charges_the_vacuum_one_half():
+    # the vacuum's bit error is 1/2 whatever the estimate says of e_0; the
+    # kept odd orders take the estimate's
+    tallies = [analytic_tally(mu, 0.1, 7.2e-8) for mu in (0.0, 0.15, 0.3, 0.45, 0.6)]
+    est = decoy_estimate(tallies, k_max=3)
+    est.bit_errors[0] = 0.3
+    bd = empirical_rate(tallies, est, PmParams(mu_total=0.3)).breakdown
+    assert bd.bit_errors == {0: 0.5, 1: est.bit_errors[1], 3: est.bit_errors[3]}
 
 
 def test_empirical_rate_high_qber_clamps_to_zero():

@@ -399,6 +399,9 @@ def _sim_config(**overrides):
         (lambda: bs_attack(0.5, -0.2), "eta", -0.2),
         (lambda: tgw_bound(1.0), "eta", 1.0),
         (lambda: plob_bound(math.nan), "eta", math.nan),
+        # at eta = 1, -log1p(-eta) would raise its own "math domain error"
+        (lambda: plob_bound(1.0), "eta", 1.0),
+        (lambda: ChannelParams(math.nextafter(1.0, 2.0), 0.0), "eta_arm", math.nextafter(1.0, 2.0)),
         (lambda: k_photon_interference_probs(-1, 0.5, 0.0), "photon number", -1),
         (lambda: k_photon_interference_probs(2, 1.5, 0.0), "eta", 1.5),
     ],
@@ -409,7 +412,8 @@ def _sim_config(**overrides):
          "phi0_value", "phi0_rate", "mdi_eta_a", "mdi_eta_b", "mdi_mu_a", "mdi_mu_b",
          "mdi_pd_5", "mdi_pd_neg", "mdi_pd_nan", "bb84_mu", "pm_mu_total", "pm_m_slices_odd",
          "pm_m_slices_huge", "e_delta_m_slices", "usd_mu_total", "gllp_mu_total",
-         "pm_bs_mu_total", "attack_eta", "tgw_eta", "plob_eta", "oracle_k", "oracle_eta"],
+         "pm_bs_mu_total", "attack_eta", "tgw_eta", "plob_eta", "plob_eta_one",
+         "prob_above_one", "oracle_k", "oracle_eta"],
 )
 def test_range_error_names_key_and_value(call, key, value):
     with pytest.raises(ValueError) as exc:

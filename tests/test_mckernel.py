@@ -14,6 +14,7 @@ from pmqkd.detection import ChannelParams
 from pmqkd.simcore import (
     MAX_INTENSITIES,
     MAX_M_SLICES,
+    MAX_ROUNDS,
     RNG_BLOCK_ROUNDS,
     Phi0Model,
     RoundData,
@@ -133,6 +134,9 @@ INTENSITY_SETS = {
 PHI0 = {
     "fixed": (0.7, 0.0, 0),
     "drift": (0.3, 2.0 * math.pi / 32 / 1e6, 5_000_001),
+    # the one phi0 expression at its edges: -0.0 + 0.0 * t is +0.0, and the
+    # largest block's last round is the last run index allowed
+    "fixed_negative_zero_late": (-0.0, 0.0, MAX_ROUNDS - (1 << 18) - 3),
 }
 
 
@@ -342,6 +346,21 @@ def test_kernel_draws_no_key_or_phase_row_without_a_candidate():
     assert_same_records(RoundData(*records), want_records)
 
 
+def test_kernel_holds_one_row_and_one_bool_a_round():
+    # no round can click, so nothing is sized by the candidates: the peak
+    # is the float64 row and one bool comparison at a time, 9 B a round
+    n = 1 << 17
+    draw = row_supplier(np.random.default_rng(6).random((7, n)))
+    params = (0.0, 0.0, np.asarray((0.1, 0.2, 0.5)), 16, 0.0, 0.0, 0)
+    tracemalloc.start()
+    try:
+        _mckernel_np.simulate_block(draw, n, *params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 9 * n <= peak < 10 * n
+
+
 def traced_peak(run, cfg):
     """``run(cfg)`` and the peak of the memory it allocated."""
     np.random.default_rng()  # imports numpy.random, once per process, before the trace
@@ -364,14 +383,14 @@ def simulate_memory_bound(cfg, workers, kernel_bytes):
 
 
 def test_collect_rounds_memory_peak(monkeypatch):
-    # per worker, the kernel's float64 row (8 B a unit round) and its mask
-    # (1 B), then the others, which are sized by the candidates (~70 B
-    # each, at ~8% of the rounds here).  collect_rounds adds 5 B a click
-    # record, twice while the units' records are concatenated; simulate
-    # holds no more records than the units it may run ahead.  Over eight
-    # RNG blocks a record of every round (5 B a round, 10.5 MB) exceeds
-    # either bound, and so does a worker's (7, _UNIT_ROUNDS) buffer of all
-    # seven rows (56 B a unit round).
+    # per worker, the kernel's float64 row (8 B a unit round) and one bool
+    # comparison at a time (1 B), then the others, which are sized by the
+    # candidates (~70 B each, at ~8% of the rounds here).  collect_rounds
+    # adds 5 B a click record, twice while the units' records are
+    # concatenated; simulate holds no more records than the units it may
+    # run ahead.  Over eight RNG blocks a record of every round (5 B a
+    # round, 10.5 MB) exceeds either bound, and so does a worker's
+    # (7, _UNIT_ROUNDS) buffer of all seven rows (56 B a unit round).
     cfg = dataclasses.replace(slow_drift_config(), rounds=8 * RNG_BLOCK_ROUNDS + 1234)
     for workers in (1, 2):
         monkeypatch.setattr(simcore, "_WORKERS", workers)

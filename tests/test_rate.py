@@ -369,6 +369,18 @@ def test_phase_error_clamped_at_half():
     assert key_rate(ch(1e-9, 1e-3), pm).phase_err_X == 0.5
 
 
+def test_array_terms_clamp_the_phase_error_at_half_as_key_rate_does():
+    # at mu = 5 the bound before the clamp is ~0.713, so a clamp a hair
+    # above 0.5 would show; the array path, which the sweep's optimizer
+    # runs, clamps where key_rate does
+    c, mus = ch(0.1, 1e-6), [0.5, 5.0]
+    want = [key_rate(c, PmParams(mu_total=mu)).phase_err_X for mu in mus]
+    point = rate._point_terms(c.p_d, c.eta_arm, 16)
+    ex = rate._key_rate_terms(np.array(mus), c.p_d, c.eta_arm, 16, 1.15, "truncated", *point)[2]
+    assert want[0] < 0.5 and want[1] == 0.5
+    assert ex.tolist() == want
+
+
 def test_truncated_bound_at_least_odd_bound():
     rng = np.random.default_rng(21)
     for _ in range(100):

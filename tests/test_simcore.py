@@ -603,7 +603,7 @@ def test_binned_stream_equals_the_record_pipeline(monkeypatch, name):
 
 
 def test_simulate_memory_scales_with_clicks_not_block_rounds(monkeypatch):
-    # Each worker's kernel holds one row and a mask, then the candidates'
+    # Each worker's kernel holds one row and a bool, then the candidates'
     # temporaries (~60 B a unit round here, where 86% of the rounds are
     # candidates); simulate holds the units' records only until it has
     # binned them and drawn their sample uniforms.  A worker buffer of all
